@@ -82,7 +82,7 @@ double TimeUs(Fn&& fn, int reps = 3) {
 // threads than the cgroup quota actually provides, so parallel-speedup
 // assertions must gate on this probe, not on the configured thread count.
 // The shared implementation behind bench_backend_speedup's detector assert
-// and bench_planned_transformer's wavefront assert.
+// and the serving benches' throughput asserts.
 inline double ParallelProbeSpeedup(int threads) {
   if (threads <= 1) {
     return 1.0;

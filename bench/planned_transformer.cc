@@ -2,34 +2,22 @@
 // encoder blocks (layernorm + per-head batched attention + masked softmax +
 // FFN compiled into one ExecutionPlan per shape) vs. the eager per-op
 // composition, arena-planner memory savings, and heap allocations per
-// forward — swept over PIT_NUM_THREADS in {1, 4, 8} and both replay
-// schedulers (PIT_PLAN_SCHED seq vs wavefront).
+// forward — swept over PIT_NUM_THREADS in {1, 4, 8}.
 //
 // Emits BENCH_pr3.json (per-case latencies at every swept thread count) and
-// BENCH_pr4.json (seq-vs-wavefront speedups plus the tall-GEMM A-packing
-// delta) and exits nonzero if a hard acceptance criterion fails: the planned
-// forward must be bitwise identical to the eager path under every scheduler
-// and thread count, peak arena bytes must undercut the eager sum of
-// attention+FFN temporaries, the dense planned path must run with zero heap
-// allocations per steady-state forward (single worker), the compile-time
-// wavefront profitability gate must fall back to seq on the small-step
-// encoder plan (where BENCH_pr4 measured wavefront@8 at 0.92x vs seq@1)
-// while keeping large-step plans wavefront, and — wherever the pool has >= 8
-// effective workers (parallel probe) — the gated-in wavefront schedule at 8
-// threads must beat single-thread sequential replay by >= 1.2x.
+// exits nonzero if a hard acceptance criterion fails: the planned forward
+// must be bitwise identical to the eager path, peak arena bytes must undercut
+// the eager sum of attention+FFN temporaries, and the dense planned path must
+// run with zero heap allocations per steady-state forward (single worker).
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "pit/common/backend.h"
-#include "pit/common/gemm_microkernel.h"
 #include "pit/common/parallel_for.h"
 #include "pit/graph/execution_plan.h"
 #include "pit/nn/modules.h"
@@ -93,13 +81,9 @@ Tensor MakeMask(int64_t tokens, double sparsity, Rng& rng) {
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_pr3.json";
-  std::string out4_path = "BENCH_pr4.json";
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0) {
       out_path = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--out4") == 0) {
-      out4_path = argv[i + 1];
     }
   }
 
@@ -159,7 +143,7 @@ int main(int argc, char** argv) {
           {"bitwise_equal_eager", BitwiseEqual(planned, eager) ? 1.0 : 0.0},
           {"threads", static_cast<double>(NumThreads())}};
       // Thread sweep (the PR 3 numbers recorded threads: 1 only): planned
-      // latency at 1/4/8 workers under the active scheduler.
+      // latency at 1/4/8 workers.
       bench::SweepPlannedThreads(&fields,
                                  [&] { layer.ForwardInto(x, c.mask, nullptr, &staged); });
       report.Add(c.name, fields);
@@ -220,209 +204,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- PR 4: wavefront scheduler — seq-vs-wavefront sweep + GEMM A-packing.
-  bench::JsonReport report4("wavefront_scheduler");
-  bench::PrintHeader("Wavefront plan scheduler — seq vs. wavefront replay",
-                     "wall-clock microseconds, best of N; sweep over threads x scheduler");
-  {
-    Rng wr(5);
-    TransformerEncoderLayer layer(kHidden, kHeads, kFfn, wr);
-    Rng xr(6);
-    Tensor x = Tensor::Random({kTokens, kHidden}, xr);
-    Tensor staged(Shape{kTokens, kHidden});
-    Tensor eager = layer.ForwardEager(x);
-
-    // Baseline: sequential replay on one worker — the PR 3 configuration.
-    double seq1_us = 0.0;
-    {
-      ScopedPlanSched sched(PlanSched::kSequential);
-      ScopedNumThreads one(1);
-      layer.ForwardInto(x, nullptr, nullptr, &staged);
-      seq1_us = bench::TimeUs([&] { layer.ForwardInto(x, nullptr, nullptr, &staged); }, 5);
-    }
-
-    bench::Table wtable({"case", "sched", "threads", "planned(ms)", "vs seq@1"});
-    double wavefront8_us = 0.0;
-    for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-      const char* sched_name = sched == PlanSched::kWavefront ? "wavefront" : "seq";
-      for (const int t : {1, 4, 8}) {
-        ScopedPlanSched sched_guard(sched);
-        ScopedNumThreads threads(t);
-        if (!BitwiseEqual(layer.Forward(x), eager)) {
-          std::fprintf(stderr, "FAIL encoder_layer %s@%d: not bitwise equal to eager\n",
-                       sched_name, t);
-          ok = false;
-        }
-        layer.ForwardInto(x, nullptr, nullptr, &staged);
-        const double us = bench::TimeUs([&] { layer.ForwardInto(x, nullptr, nullptr, &staged); }, 5);
-        const double vs_seq1 = us > 0.0 ? seq1_us / us : 0.0;
-        if (sched == PlanSched::kWavefront && t == 8) {
-          wavefront8_us = us;
-        }
-        wtable.Row({"encoder_layer_128x256", sched_name, std::to_string(t), bench::FmtMs(us),
-                    bench::Fmt(vs_seq1, "%.2fx")});
-        report4.Add(std::string("encoder_layer_128x256_") + sched_name + "_t" + std::to_string(t),
-                    {{"planned_us", us},
-                     {"seq1_us", seq1_us},
-                     {"speedup_vs_seq1", vs_seq1},
-                     {"wavefront", sched == PlanSched::kWavefront ? 1.0 : 0.0},
-                     {"threads", static_cast<double>(t)}});
-      }
-    }
-
-    const PlanStats stats = layer.PlanStatsFor(kTokens);
-    report4.Add("encoder_layer_128x256_plan_shape",
-                {{"num_steps", static_cast<double>(stats.num_steps)},
-                 {"num_wavefronts", static_cast<double>(stats.num_wavefronts)},
-                 {"max_wavefront_width", static_cast<double>(stats.max_wavefront_width)},
-                 {"num_fused", static_cast<double>(stats.num_fused)},
-                 {"parallel_step_work", stats.parallel_step_work},
-                 {"wavefront_profitable", stats.wavefront_profitable ? 1.0 : 0.0}});
-
-    // PR 5 gate acceptance, part 1: the BENCH_pr4 regression (wavefront@8 at
-    // 0.92x vs seq@1 on this very shape) means the compile-time profitability
-    // check MUST mark this plan unprofitable — its gated default replay is
-    // then the sequential schedule, and wavefront@8 can no longer lose to it
-    // by more than measurement noise (same code path).
-    if (stats.wavefront_profitable) {
-      std::fprintf(stderr,
-                   "FAIL encoder_layer_128x256: wavefront gate engaged (parallel step work "
-                   "%.3g flops) but BENCH_pr4 measured wavefront replay losing at this size\n",
-                   stats.parallel_step_work);
-      ok = false;
-    } else {
-      std::printf("encoder_layer_128x256 gate: seq fallback (parallel step work %.3g flops) — "
-                  "OK\n",
-                  stats.parallel_step_work);
-    }
-    const double wavefront8_vs_seq1 = wavefront8_us > 0.0 ? seq1_us / wavefront8_us : 0.0;
-    std::printf("encoder_layer gated wavefront@8 vs seq@1: %.2fx (informational)\n",
-                wavefront8_vs_seq1);
-  }
-
-  {  // PR 5 gate acceptance, part 2: a plan the gate keeps wavefront — four
-     // independent 512^3 GEMM branches (~268 MFLOP per step, far above the
-     // threshold) — must engage inter-op dispatch and, wherever the machine
-     // has real 8-way concurrency, beat single-thread sequential replay.
-    Rng rng(8);
-    Graph g;
-    const int x = g.AddInput("x", {512, 512});
-    int b0 = -1, b1 = -1, b2 = -1, b3 = -1;
-    int* branches[] = {&b0, &b1, &b2, &b3};
-    for (int b = 0; b < 4; ++b) {
-      const int w = g.AddWeight("w" + std::to_string(b),
-                                Tensor::Random({512, 512}, rng, -0.1f, 0.1f));
-      *branches[b] = g.AddMatmul("mm" + std::to_string(b), x, w);
-    }
-    const int s1 = g.AddAdd("s1", b0, b1);
-    const int s2 = g.AddAdd("s2", b2, b3);
-    g.AddAdd("out", s1, s2);
-    g.PropagateSparsity();
-
-    const PlanStats stats = g.Plan().stats();
-    if (!stats.wavefront_profitable || stats.max_wavefront_width < 4) {
-      std::fprintf(stderr,
-                   "FAIL gemm_branches: gate must keep large-step plans wavefront "
-                   "(profitable=%d, width=%d, work %.3g)\n",
-                   stats.wavefront_profitable ? 1 : 0, stats.max_wavefront_width,
-                   stats.parallel_step_work);
-      ok = false;
-    }
-
-    Rng xr(9);
-    std::map<std::string, Tensor> feeds{{"x", Tensor::Random({512, 512}, xr)}};
-    double seq1_us = 0.0;
-    {
-      ScopedPlanSched sched(PlanSched::kSequential);
-      ScopedNumThreads one(1);
-      g.Run(feeds);
-      seq1_us = bench::TimeUs([&] { g.Run(feeds); }, 5);
-    }
-    double wavefront8_us = 0.0;
-    {
-      ScopedPlanSched sched(PlanSched::kWavefront);
-      ScopedNumThreads threads(8);
-      g.Run(feeds);
-      wavefront8_us = bench::TimeUs([&] { g.Run(feeds); }, 5);
-    }
-    const double speedup = wavefront8_us > 0.0 ? seq1_us / wavefront8_us : 0.0;
-    report4.Add("gemm_branches_4x512_wavefront_gate",
-                {{"seq1_us", seq1_us},
-                 {"wavefront8_us", wavefront8_us},
-                 {"speedup_vs_seq1", speedup},
-                 {"parallel_step_work", stats.parallel_step_work},
-                 {"wavefront_profitable", stats.wavefront_profitable ? 1.0 : 0.0}});
-
-    // Probe-gated, like the PR 1 detector assert: the speedup only means
-    // something where the pool has real cores to run on.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const double probe8 = bench::ParallelProbeSpeedup(8);
-    if (hw >= 8 && probe8 > 2.0) {
-      if (speedup < 1.2) {
-        std::fprintf(stderr,
-                     "FAIL gemm_branches wavefront@8: %.2fx vs seq@1 < 1.2x with %u hardware "
-                     "threads (probe %.2fx)\n",
-                     speedup, hw, probe8);
-        ok = false;
-      } else {
-        std::printf("gemm_branches wavefront@8 speedup %.2fx >= 1.2x (probe %.2fx) — OK\n",
-                    speedup, probe8);
-      }
-    } else {
-      std::printf("gemm_branches speedup assertion skipped (hw=%u, probe %.2fx — no effective "
-                  "8-way concurrency on this machine)\n",
-                  hw, probe8);
-    }
-  }
-
-  {  // Satellite: GEMM A-panel packing + prefetch, single-core tall shape.
-    ScopedNumThreads one(1);
-    constexpr int64_t kM = 2048, kN = 256, kK = 4096;
-    Rng gr(7);
-    Tensor a = Tensor::Random({kM, kK}, gr);
-    Tensor b = Tensor::Random({kK, kN}, gr);
-    Tensor c({kM, kN});
-    double packed_us = 0.0, unpacked_us = 0.0, win = 0.0;
-    // The delta is a few percent: retry a noisy measurement before judging.
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      {
-        ScopedGemmPackA pack(true);
-        packed_us = bench::TimeUs([&] { MatMulInto(a, b, c); }, 5);
-      }
-      {
-        ScopedGemmPackA pack(false);
-        unpacked_us = bench::TimeUs([&] { MatMulInto(a, b, c); }, 5);
-      }
-      win = packed_us > 0.0 ? unpacked_us / packed_us : 0.0;
-      if (win > 1.0) {
-        break;
-      }
-    }
-    std::printf("gemm_pack_a tall %lldx%lldx%lld 1-core: unpacked %.1f ms, packed %.1f ms "
-                "(%.3fx)\n",
-                static_cast<long long>(kM), static_cast<long long>(kN),
-                static_cast<long long>(kK), unpacked_us / 1000.0, packed_us / 1000.0, win);
-    report4.Add("gemm_pack_a_tall_2048x256x4096_1core", {{"unpacked_us", unpacked_us},
-                                                         {"packed_us", packed_us},
-                                                         {"packing_speedup", win}});
-    if (win < 0.97) {
-      std::fprintf(stderr, "FAIL gemm_pack_a: packed path regressed (%.3fx < 0.97x)\n", win);
-      ok = false;
-    } else if (win <= 1.0) {
-      std::printf("gemm_pack_a: no measurable win on this machine (%.3fx) — not failing\n", win);
-    }
-  }
-
   if (!report.WriteFile(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
-  if (!report4.WriteFile(out4_path)) {
-    std::fprintf(stderr, "failed to write %s\n", out4_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out4_path.c_str());
   if (!ok) {
     std::fprintf(stderr, "\nplanned-transformer acceptance checks FAILED\n");
     return 1;

@@ -5,10 +5,10 @@
 // This is the PR 5 acceptance bench: per-request outputs must be bitwise
 // identical to the single-stream engine at every stream count, and — wherever
 // the machine actually provides >= 4-way concurrency (parallel probe, like
-// the BENCH_pr1/pr4 asserts) — 4 streams must deliver >= 2.5x the
+// the BENCH_pr1 assert) — 4 streams must deliver >= 2.5x the
 // requests/sec of 1 stream. The workload is deliberately serving-shaped:
-// small per-request token counts, whose plans the wavefront gate replays
-// sequentially and whose kernels parallelize poorly intra-op, so the
+// small per-request token counts, whose plans replay step by step and whose
+// kernels parallelize poorly intra-op, so the
 // headroom the engine must find is inter-request parallelism.
 //
 // A second section is the PR 6 acceptance bench: continuous ragged batching

@@ -29,15 +29,6 @@ IsaTier DefaultIsa() {
 
 std::atomic<int> g_isa{kUnresolved};
 
-PlanSched DefaultPlanSched() {
-  if (const char* env = std::getenv("PIT_PLAN_SCHED")) {
-    return ParsePlanSchedEnv(env);
-  }
-  return PlanSched::kWavefront;
-}
-
-std::atomic<int> g_plan_sched{kUnresolved};
-
 PlanVerifyMode DefaultPlanVerifyMode() {
   if (const char* env = std::getenv("PIT_VERIFY_PLAN")) {
     return ParsePlanVerifyEnv(env);
@@ -133,30 +124,6 @@ const char* IsaName(IsaTier tier) {
 
 bool UseSimd() { return UseBlockedBackend() && ActiveIsa() != IsaTier::kScalar; }
 
-PlanSched ParsePlanSchedEnv(const char* value) {
-  PIT_CHECK(value != nullptr && *value != '\0')
-      << "PIT_PLAN_SCHED is set but empty; expected \"seq\" or \"wavefront\"";
-  if (std::strcmp(value, "seq") == 0) {
-    return PlanSched::kSequential;
-  }
-  PIT_CHECK(std::strcmp(value, "wavefront") == 0)
-      << "unrecognized PIT_PLAN_SCHED=\"" << value << "\"; expected \"seq\" or \"wavefront\"";
-  return PlanSched::kWavefront;
-}
-
-PlanSched ActivePlanSched() {
-  int v = g_plan_sched.load(std::memory_order_relaxed);
-  if (v == kUnresolved) {
-    v = static_cast<int>(DefaultPlanSched());
-    g_plan_sched.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<PlanSched>(v);
-}
-
-void SetPlanSched(PlanSched sched) {
-  g_plan_sched.store(static_cast<int>(sched), std::memory_order_relaxed);
-}
-
 PlanVerifyMode ParsePlanVerifyEnv(const char* value) {
   PIT_CHECK(value != nullptr && *value != '\0')
       << "PIT_VERIFY_PLAN is set but empty; expected \"auto\", \"on\", or \"off\"";
@@ -199,16 +166,6 @@ bool PlanVerifyEngaged() {
 #endif
   }
   return false;
-}
-
-namespace {
-std::atomic<bool> g_wavefront_gate{true};
-}  // namespace
-
-bool WavefrontGateEnabled() { return g_wavefront_gate.load(std::memory_order_relaxed); }
-
-void SetWavefrontGateEnabled(bool enabled) {
-  g_wavefront_gate.store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace pit

@@ -77,7 +77,7 @@ class ScopedBackend {
 // fma (one rounding instead of two per multiply-add) and softmax/layernorm
 // use a vector exp polynomial / reassociated row reductions — those differ
 // from scalar within documented tolerance but stay bitwise deterministic
-// across threads x streams x scheduler at a fixed tier, because every
+// across threads x streams at a fixed tier, because every
 // per-element operation chain is independent of tiling, packing, row
 // position, and thread count.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -131,56 +131,6 @@ class ScopedIsa {
   IsaTier saved_;
 };
 
-// ---- ExecutionPlan replay scheduler ----------------------------------------
-//
-// How a compiled ExecutionPlan replays its steps:
-//  - kSequential: one step at a time in compile order — the scheduling oracle
-//    every concurrent schedule is differential-tested against.
-//  - kWavefront: independent steps (disjoint arena intervals, no data or
-//    reuse hazard) of the same dependency wavefront dispatch concurrently on
-//    the ParallelFor pool. Default. Bitwise identical to kSequential for any
-//    thread count: concurrent steps write disjoint 64-byte-aligned arena
-//    blocks and every kernel is order-deterministic internally.
-enum class PlanSched {
-  kSequential,  // in-order oracle replay
-  kWavefront,   // inter-op parallel replay (default)
-};
-
-// The scheduler plan replay dispatches on. First call resolves
-// PIT_PLAN_SCHED; defaults to kWavefront.
-PlanSched ActivePlanSched();
-
-// Strict parser behind the PIT_PLAN_SCHED resolution: "seq" or "wavefront"
-// only. A typo'd scheduler name must fail loudly (PIT_CHECK abort), not
-// silently run the default while the operator believes the oracle is active.
-PlanSched ParsePlanSchedEnv(const char* value);
-
-void SetPlanSched(PlanSched sched);
-
-// Compile-time wavefront profitability gate (PlanStats.wavefront_profitable):
-// when enabled (default), plans whose parallel waves average too little work
-// per step replay sequentially even under PIT_PLAN_SCHED=wavefront —
-// BENCH_pr4 measured inter-op overlap losing to intra-op kernel parallelism
-// on small-step plans. Tests disable the gate to force the wavefront path on
-// arbitrary (small) plans; the schedule stays bitwise identical either way.
-bool WavefrontGateEnabled();
-void SetWavefrontGateEnabled(bool enabled);
-
-// RAII gate override for tests and benches that must exercise (or pin down)
-// the wavefront dispatch path regardless of plan size.
-class ScopedWavefrontGate {
- public:
-  explicit ScopedWavefrontGate(bool enabled) : saved_(WavefrontGateEnabled()) {
-    SetWavefrontGateEnabled(enabled);
-  }
-  ~ScopedWavefrontGate() { SetWavefrontGateEnabled(saved_); }
-  ScopedWavefrontGate(const ScopedWavefrontGate&) = delete;
-  ScopedWavefrontGate& operator=(const ScopedWavefrontGate&) = delete;
-
- private:
-  bool saved_;
-};
-
 // ---- Compiled-plan verification ---------------------------------------------
 //
 // Whether every ExecutionPlan compile (and every pooled-plan creation in the
@@ -188,7 +138,7 @@ class ScopedWavefrontGate {
 // (graph/plan_verifier.h) and aborts on any invariant violation:
 //  - kAuto: engage in debug builds (!NDEBUG), skip in release — the default.
 //    Test/debug builds prove every plan they compile; release serving does
-//    not pay the O(steps^2) oracle per compile.
+//    not pay the verifier per compile.
 //  - kOn:   always verify (CI release legs, `pitctl verify`, investigations).
 //  - kOff:  never verify implicitly (explicit VerifyPlan calls still work).
 enum class PlanVerifyMode {
@@ -226,18 +176,6 @@ class ScopedPlanVerify {
 
  private:
   PlanVerifyMode saved_;
-};
-
-// RAII scheduler override for differential tests and benches.
-class ScopedPlanSched {
- public:
-  explicit ScopedPlanSched(PlanSched sched) : saved_(ActivePlanSched()) { SetPlanSched(sched); }
-  ~ScopedPlanSched() { SetPlanSched(saved_); }
-  ScopedPlanSched(const ScopedPlanSched&) = delete;
-  ScopedPlanSched& operator=(const ScopedPlanSched&) = delete;
-
- private:
-  PlanSched saved_;
 };
 
 }  // namespace pit

@@ -1,8 +1,8 @@
 // Cooperative cancellation + liveness primitives for the replay stack.
 //
 // CancelToken is an atomic, shareable cancellation flag with an optional
-// absolute steady-clock deadline. Kernels stay uninterruptible: the plan
-// schedulers poll the token at step/wavefront boundaries and return a
+// absolute steady-clock deadline. Kernels stay uninterruptible: plan replay
+// polls the token at step boundaries and returns a
 // kCancelled replay status instead of completing, so cancellation latency is
 // bounded by one step, never by a whole forward.
 //
@@ -82,7 +82,7 @@ extern thread_local std::atomic<uint64_t>* tls_heartbeat;
 }  // namespace liveness_internal
 
 // Bumps the calling thread's published heartbeat counter, if any. Called at
-// replay checkpoints (step / wavefront boundaries) — frequency is bounded by
+// replay checkpoints (step boundaries) — frequency is bounded by
 // plan step count, so a relaxed fetch_add is plenty.
 inline void HeartbeatTick() {
   std::atomic<uint64_t>* hb = liveness_internal::tls_heartbeat;

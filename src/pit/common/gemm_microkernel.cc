@@ -16,7 +16,6 @@ namespace {
 // Scalar register-tile kernels (the kScalar tier / differential oracle) live
 // in gemm_scalar_kernels.cc, compiled with auto-vectorization off.
 using scalar_kernels::Kernel4x16;
-using scalar_kernels::Kernel4x16PackedA;
 using scalar_kernels::KernelEdge;
 using scalar_kernels::kMr;
 using scalar_kernels::kNr;
@@ -24,7 +23,6 @@ using scalar_kernels::kNr;
 constexpr int64_t kKc = 256;  // k-panel depth: panel of B stays hot in L2
 
 std::atomic<bool> g_pack_b{true};
-std::atomic<bool> g_pack_a{true};
 
 // A chunk must reuse the packed panel across at least this many 4-row blocks
 // before the pack pass (one read + one write of the panel) pays for itself.
@@ -38,22 +36,6 @@ constexpr int64_t kMinBBytesToPack = 2ll << 20;
 // full width of B): extremely wide GEMMs fall back to strided access instead
 // of pinning tens of MiB per pool thread for the process lifetime.
 constexpr int64_t kMaxPackScratchBytes = 8ll << 20;
-
-// A-packing gates, from single-core sweeps over tall shapes: the pack pass
-// (an extra strided read + dense write of the A panel) only pays when each
-// packed element is reused across enough column tiles (n around 12..24 tiles
-// of 16) while A traffic still dominates (m >= 4n, deep k so the strided
-// source rows span many pages). Below the reuse band the pack never
-// amortises; above it (wide n) the B panel dominates traffic and the extra A
-// pass washes out.
-constexpr int64_t kMinMToPackA = 1024;
-constexpr int64_t kTallRatioToPackA = 4;
-constexpr int64_t kMinNToPackA = 12 * kNr;
-constexpr int64_t kMaxNToPackA = 24 * kNr;
-constexpr int64_t kMinKToPackA = 2048;
-// Rows per packed A group: 16 row blocks x kKc panel = 64 KiB of scratch,
-// resident in L1/L2 while its blocks stream through the column tiles.
-constexpr int64_t kPackARowBlocks = 16;
 
 // Packs B[p0:p1, 0:n] into `out` as consecutive 16-wide tiles, each tile laid
 // out p-major with dense kNr rows (ragged last tile zero-padded). Tile jt
@@ -73,28 +55,6 @@ void PackBPanel(const float* b, int64_t ldb, int64_t n, int64_t p0, int64_t p1, 
         std::memcpy(dst + p * kNr, src + p * ldb, static_cast<size_t>(nr) * sizeof(float));
         std::memset(dst + p * kNr + nr, 0, static_cast<size_t>(kNr - nr) * sizeof(float));
       }
-    }
-  }
-}
-
-// Packs the full 4-row blocks [blk0, blk1) of A's k-panel [p0, p1) into `out`
-// register-tile interleaved: block blk's element (r, p) lands at
-// out[(blk - blk0) * 4 * rows + (p - p0) * 4 + r]. The four broadcast loads
-// of one inner-loop iteration are then a single contiguous 16-byte run.
-// Ragged trailing blocks (mr < 4) are not packed; callers keep them on the
-// strided path.
-void PackAPanel(const float* a, int64_t lda, int64_t blk0, int64_t blk1, int64_t p0, int64_t p1,
-                float* out) {
-  const int64_t rows = p1 - p0;
-  for (int64_t blk = blk0; blk < blk1; ++blk) {
-    const float* src = a + blk * kMr * lda;
-    float* dst = out + (blk - blk0) * kMr * rows;
-    for (int64_t p = p0; p < p1; ++p) {
-      float* d = dst + (p - p0) * kMr;
-      d[0] = src[p];
-      d[1] = src[lda + p];
-      d[2] = src[2 * lda + p];
-      d[3] = src[3 * lda + p];
     }
   }
 }
@@ -143,16 +103,6 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
     if (pack && static_cast<int64_t>(bpack.size()) < scratch_elems) {
       bpack.resize(static_cast<size_t>(scratch_elems));
     }
-    // A-panel packing for tall problems: repack 64-row groups of the current
-    // k-panel register-tile interleaved so the kernels' four broadcast loads
-    // come from one dense run. Copy-only — bitwise identical either way.
-    const bool pack_a = g_pack_a.load(std::memory_order_relaxed) && m >= kMinMToPackA &&
-                        m >= kTallRatioToPackA * n && n >= kMinNToPackA && n <= kMaxNToPackA &&
-                        k >= kMinKToPackA;
-    thread_local std::vector<float> apack;
-    if (pack_a && static_cast<int64_t>(apack.size()) < kPackARowBlocks * kMr * kKc) {
-      apack.resize(static_cast<size_t>(kPackARowBlocks * kMr * kKc));
-    }
     for (int64_t pc = 0; pc < k; pc += kKc) {  // k-panels: B panel reused across row blocks
       const int64_t p1 = std::min(k, pc + kKc);
       const float* panel_bias = (p1 == k) ? bias : nullptr;  // epilogue on final panel only
@@ -161,78 +111,44 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
         PackBPanel(b, ldb, n, pc, p1, bpack.data());
       }
       const int64_t panel_rows = p1 - pc;
-      for (int64_t grp0 = blk0; grp0 < blk1; grp0 += kPackARowBlocks) {
-        const int64_t grp1 = std::min(blk1, grp0 + kPackARowBlocks);
-        // Pack only this group's full 4-row blocks; a ragged trailing block
-        // stays on the strided path.
-        int64_t packed_end = grp0;  // first block NOT in the packed A group
-        if (pack_a) {
-          packed_end = grp1;
-          if (grp1 * kMr > m) {
-            packed_end = grp1 - 1;  // ragged final block
-          }
-          if (packed_end > grp0) {
-            PackAPanel(a, lda, grp0, packed_end, pc, p1, apack.data());
-          }
-        }
-        for (int64_t blk = grp0; blk < grp1; ++blk) {
-          const int64_t i0 = blk * kMr;
-          const int64_t mr = std::min(kMr, m - i0);
-          const float* atile = a + i0 * lda;
-          const float* apack_tile =
-              blk < packed_end ? apack.data() + (blk - grp0) * kMr * panel_rows : nullptr;
-          float* ctile = c + i0 * ldc;
-          for (int64_t j = 0, jt = 0; j < n; j += kNr, ++jt) {
-            const int64_t nr = std::min(kNr, n - j);
-            const float* bias_j = panel_bias ? panel_bias + j : nullptr;
-            if (pack) {
-              // Packed tile rows are [0, panel_rows); rebase the A pointer by
-              // pc so the kernels' shared p index walks both operands in
-              // lockstep.
-              const float* btile = bpack.data() + jt * panel_rows * kNr;
-              if (mr == kMr && nr == kNr) {
-                if (apack_tile != nullptr) {
-                  if (sk) {
-                    sk->tile4x16_packed_a(apack_tile, btile, kNr, ctile + j, ldc, panel_rows,
-                                          bias_j, panel_relu);
-                  } else {
-                    Kernel4x16PackedA(apack_tile, btile, kNr, ctile + j, ldc, panel_rows, bias_j,
-                                      panel_relu);
-                  }
-                } else if (sk) {
-                  sk->tile4x16(atile + pc, lda, btile, kNr, ctile + j, ldc, 0, panel_rows, bias_j,
-                               panel_relu);
-                } else {
-                  Kernel4x16(atile + pc, lda, btile, kNr, ctile + j, ldc, 0, panel_rows, bias_j,
+      for (int64_t blk = blk0; blk < blk1; ++blk) {
+        const int64_t i0 = blk * kMr;
+        const int64_t mr = std::min(kMr, m - i0);
+        const float* atile = a + i0 * lda;
+        float* ctile = c + i0 * ldc;
+        for (int64_t j = 0, jt = 0; j < n; j += kNr, ++jt) {
+          const int64_t nr = std::min(kNr, n - j);
+          const float* bias_j = panel_bias ? panel_bias + j : nullptr;
+          if (pack) {
+            // Packed tile rows are [0, panel_rows); rebase the A pointer by
+            // pc so the kernels' shared p index walks both operands in
+            // lockstep.
+            const float* btile = bpack.data() + jt * panel_rows * kNr;
+            if (mr == kMr && nr == kNr) {
+              if (sk) {
+                sk->tile4x16(atile + pc, lda, btile, kNr, ctile + j, ldc, 0, panel_rows, bias_j,
                              panel_relu);
-                }
-              } else if (sk) {
-                sk->edge(atile + pc, lda, btile, kNr, ctile + j, ldc, mr, nr, 0, panel_rows,
-                         bias_j, panel_relu);
               } else {
-                KernelEdge(atile + pc, lda, btile, kNr, ctile + j, ldc, mr, nr, 0, panel_rows,
-                           bias_j, panel_relu);
-              }
-            } else if (mr == kMr && nr == kNr) {
-              if (apack_tile != nullptr) {
-                if (sk) {
-                  sk->tile4x16_packed_a(apack_tile, b + pc * ldb + j, ldb, ctile + j, ldc,
-                                        panel_rows, bias_j, panel_relu);
-                } else {
-                  Kernel4x16PackedA(apack_tile, b + pc * ldb + j, ldb, ctile + j, ldc, panel_rows,
-                                    bias_j, panel_relu);
-                }
-              } else if (sk) {
-                sk->tile4x16(atile, lda, b + j, ldb, ctile + j, ldc, pc, p1, bias_j, panel_relu);
-              } else {
-                Kernel4x16(atile, lda, b + j, ldb, ctile + j, ldc, pc, p1, bias_j, panel_relu);
+                Kernel4x16(atile + pc, lda, btile, kNr, ctile + j, ldc, 0, panel_rows, bias_j,
+                           panel_relu);
               }
             } else if (sk) {
-              sk->edge(atile, lda, b + j, ldb, ctile + j, ldc, mr, nr, pc, p1, bias_j, panel_relu);
+              sk->edge(atile + pc, lda, btile, kNr, ctile + j, ldc, mr, nr, 0, panel_rows, bias_j,
+                       panel_relu);
             } else {
-              KernelEdge(atile, lda, b + j, ldb, ctile + j, ldc, mr, nr, pc, p1, bias_j,
-                         panel_relu);
+              KernelEdge(atile + pc, lda, btile, kNr, ctile + j, ldc, mr, nr, 0, panel_rows,
+                         bias_j, panel_relu);
             }
+          } else if (mr == kMr && nr == kNr) {
+            if (sk) {
+              sk->tile4x16(atile, lda, b + j, ldb, ctile + j, ldc, pc, p1, bias_j, panel_relu);
+            } else {
+              Kernel4x16(atile, lda, b + j, ldb, ctile + j, ldc, pc, p1, bias_j, panel_relu);
+            }
+          } else if (sk) {
+            sk->edge(atile, lda, b + j, ldb, ctile + j, ldc, mr, nr, pc, p1, bias_j, panel_relu);
+          } else {
+            KernelEdge(atile, lda, b + j, ldb, ctile + j, ldc, mr, nr, pc, p1, bias_j, panel_relu);
           }
         }
       }
@@ -243,9 +159,5 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
 bool GemmPackBEnabled() { return g_pack_b.load(std::memory_order_relaxed); }
 
 void SetGemmPackB(bool enabled) { g_pack_b.store(enabled, std::memory_order_relaxed); }
-
-bool GemmPackAEnabled() { return g_pack_a.load(std::memory_order_relaxed); }
-
-void SetGemmPackA(bool enabled) { g_pack_a.store(enabled, std::memory_order_relaxed); }
 
 }  // namespace pit

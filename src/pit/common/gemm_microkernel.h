@@ -39,37 +39,12 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
 bool GemmPackBEnabled();
 void SetGemmPackB(bool enabled);
 
-// A-panel (m-panel) packing switch. When enabled (default) and the problem is
-// tall with enough column-tile reuse to amortise the pack pass (m >= 4n,
-// m >= 1024, n within 192..384, k >= 2048 — the measured single-core win
-// band), each worker repacks 64-row groups of the current A k-panel
-// into a register-tile-interleaved thread-local scratch (element (r, p) of a
-// 4-row block at [p*4 + r]) before the kernels stream it: the four broadcast
-// loads per inner-loop iteration then come from one contiguous 16-byte run
-// instead of four lda-strided streams. The packed kernels also issue software
-// prefetch hints for the upcoming packed A/B rows. Copy-only, so results are
-// bit-identical either way; the switch exists for the bench's tall-GEMM
-// packed-vs-unpacked single-core delta.
-bool GemmPackAEnabled();
-void SetGemmPackA(bool enabled);
-
 class ScopedGemmPackB {
  public:
   explicit ScopedGemmPackB(bool enabled) : saved_(GemmPackBEnabled()) { SetGemmPackB(enabled); }
   ~ScopedGemmPackB() { SetGemmPackB(saved_); }
   ScopedGemmPackB(const ScopedGemmPackB&) = delete;
   ScopedGemmPackB& operator=(const ScopedGemmPackB&) = delete;
-
- private:
-  bool saved_;
-};
-
-class ScopedGemmPackA {
- public:
-  explicit ScopedGemmPackA(bool enabled) : saved_(GemmPackAEnabled()) { SetGemmPackA(enabled); }
-  ~ScopedGemmPackA() { SetGemmPackA(saved_); }
-  ScopedGemmPackA(const ScopedGemmPackA&) = delete;
-  ScopedGemmPackA& operator=(const ScopedGemmPackA&) = delete;
 
  private:
   bool saved_;

@@ -4,23 +4,8 @@
 // cannot change results.
 #include "pit/common/gemm_scalar_kernels.h"
 
-#include <algorithm>
-
 namespace pit::scalar_kernels {
 namespace {
-
-// The packed kernel walks its p loop in blocks of this many rows and hints
-// the next block's packed A/B lines between blocks. Hints must stay out of
-// the inner loop: a prefetch intrinsic inside it makes the compiler spill the
-// accumulator tile to the stack (measured ~8x slower). Keep in lockstep with
-// the SIMD kernels' constant (simd_kernels.cc).
-constexpr int64_t kPrefetchBlockRows = 64;
-
-#if defined(__GNUC__) || defined(__clang__)
-#define PIT_PREFETCH(addr) __builtin_prefetch((addr), 0, 1)
-#else
-#define PIT_PREFETCH(addr) ((void)0)
-#endif
 
 // Epilogue store shared by every kernel: bias add then optional ReLU clamp,
 // in the exact per-element order of the separate MatMulBiasInto + ReluInto
@@ -55,47 +40,6 @@ void Kernel4x16(const float* a, int64_t lda, const float* b, int64_t ldb, float*
       acc[1][j] += a1 * bv;
       acc[2][j] += a2 * bv;
       acc[3][j] += a3 * bv;
-    }
-  }
-  for (int64_t r = 0; r < kMr; ++r) {
-    for (int64_t j = 0; j < kNr; ++j) {
-      c[r * ldc + j] = Epilogue(acc[r][j], bias, j, relu);
-    }
-  }
-}
-
-void Kernel4x16PackedA(const float* apack, const float* b, int64_t ldb, float* c, int64_t ldc,
-                       int64_t rows, const float* bias, bool relu) {
-  float acc[kMr][kNr];
-  for (int64_t r = 0; r < kMr; ++r) {
-    for (int64_t j = 0; j < kNr; ++j) {
-      acc[r][j] = c[r * ldc + j];
-    }
-  }
-  for (int64_t pb = 0; pb < rows; pb += kPrefetchBlockRows) {
-    const int64_t pe = std::min(rows, pb + kPrefetchBlockRows);
-    if (pe < rows) {
-      // Hint the head of the next block's packed A run and B rows while this
-      // block streams — outside the hot loop so the accumulators stay in
-      // registers.
-      PIT_PREFETCH(apack + pe * kMr);
-      PIT_PREFETCH(apack + pe * kMr + 16);
-      PIT_PREFETCH(b + pe * ldb);
-    }
-    for (int64_t p = pb; p < pe; ++p) {
-      const float* ap = apack + p * kMr;
-      const float* brow = b + p * ldb;
-      const float a0 = ap[0];
-      const float a1 = ap[1];
-      const float a2 = ap[2];
-      const float a3 = ap[3];
-      for (int64_t j = 0; j < kNr; ++j) {
-        const float bv = brow[j];
-        acc[0][j] += a0 * bv;
-        acc[1][j] += a1 * bv;
-        acc[2][j] += a2 * bv;
-        acc[3][j] += a3 * bv;
-      }
     }
   }
   for (int64_t r = 0; r < kMr; ++r) {

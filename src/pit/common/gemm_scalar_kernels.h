@@ -26,12 +26,6 @@ inline constexpr int64_t kNr = 16;  // register-tile cols (2 cache lines)
 void Kernel4x16(const float* a, int64_t lda, const float* b, int64_t ldb, float* c, int64_t ldc,
                 int64_t p0, int64_t p1, const float* bias, bool relu);
 
-// As Kernel4x16 but reading a register-tile-interleaved packed A tile
-// (element (r, p) at apack[p*4 + r], p relative to the panel). Accumulation
-// order per element is identical to the strided kernel.
-void Kernel4x16PackedA(const float* apack, const float* b, int64_t ldb, float* c, int64_t ldc,
-                       int64_t rows, const float* bias, bool relu);
-
 // Ragged-edge tile (mr < 4 and/or nr < 16), same p-ascending per-element
 // order, so which kernel covers a row never changes the numeric result.
 void KernelEdge(const float* a, int64_t lda, const float* b, int64_t ldb, float* c, int64_t ldc,

@@ -75,7 +75,7 @@ class Pool {
       std::lock_guard<std::mutex> lk(mu_);
       // Size the pool to the job's full concurrency demand: its own chunks
       // TIMES the width budget each chunk's nested loops may fan out to —
-      // a wavefront of 3 tasks with budget 3 needs up to 9 runnable chunks,
+      // 3 tasks with budget 3 need up to 9 runnable chunks,
       // not 3 (all capped by the configured thread count).
       const int64_t demand =
           static_cast<int64_t>(num_chunks) * std::max(1, nested_width) - 1;

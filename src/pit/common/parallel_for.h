@@ -7,7 +7,7 @@
 // the thread count AND of the chunk count.
 //
 // The pool is task-capable: several jobs may be in flight at once (the
-// wavefront plan scheduler submits independent plan steps as tasks), and a
+// serving engine submits one worker task per stream), and a
 // worker running a task may itself submit a nested ParallelFor without
 // deadlock. Nested submission is governed by a per-thread *width budget*: a
 // task dispatched through ParallelTasks runs with an explicit budget of
@@ -179,7 +179,7 @@ void ParallelTasksRange(int64_t n, int nested_width, const RangeFn& fn);
 // pool, one task per chunk (the calling thread participates). Each task runs
 // with a nested-parallelism width budget of `nested_width` chunks, so a task
 // may itself call ParallelFor and fan out to its share of the pool — this is
-// the inter-op seam the wavefront plan scheduler dispatches through. Blocks
+// the seam the serving engine's stream workers dispatch through. Blocks
 // until every task finished. Tasks must be mutually independent; the order in
 // which they execute is unspecified. Serial cases (one task, one worker,
 // nested call) run inline with zero heap allocations.

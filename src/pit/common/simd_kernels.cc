@@ -24,12 +24,6 @@ namespace simd {
 
 namespace {
 
-// The packed microkernels hint the next block's packed A/B lines at these
-// row-block boundaries, matching the scalar packed kernel: hints inside the
-// hot loop make the compiler spill the accumulator tile (measured ~8x
-// slower in the scalar kernel; the same hazard applies here).
-constexpr int64_t kPrefetchBlockRows = 64;
-
 // ---- GEMM 4x16 --------------------------------------------------------------
 
 // Fused epilogue on one 8-lane accumulator: bias add then relu clamp, the
@@ -73,53 +67,6 @@ PIT_TARGET_AVX2 void GemmTile4x16Avx2(const float* a, int64_t lda, const float* 
     const __m256 a3 = _mm256_broadcast_ss(a + 3 * lda + p);
     acc30 = _mm256_fmadd_ps(a3, b0, acc30);
     acc31 = _mm256_fmadd_ps(a3, b1, acc31);
-  }
-  _mm256_storeu_ps(c, Epilogue8(acc00, bias, relu));
-  _mm256_storeu_ps(c + 8, Epilogue8(acc01, bias ? bias + 8 : nullptr, relu));
-  _mm256_storeu_ps(c + ldc, Epilogue8(acc10, bias, relu));
-  _mm256_storeu_ps(c + ldc + 8, Epilogue8(acc11, bias ? bias + 8 : nullptr, relu));
-  _mm256_storeu_ps(c + 2 * ldc, Epilogue8(acc20, bias, relu));
-  _mm256_storeu_ps(c + 2 * ldc + 8, Epilogue8(acc21, bias ? bias + 8 : nullptr, relu));
-  _mm256_storeu_ps(c + 3 * ldc, Epilogue8(acc30, bias, relu));
-  _mm256_storeu_ps(c + 3 * ldc + 8, Epilogue8(acc31, bias ? bias + 8 : nullptr, relu));
-}
-
-PIT_TARGET_AVX2 void GemmTile4x16PackedAAvx2(const float* apack, const float* b, int64_t ldb,
-                                             float* c, int64_t ldc, int64_t rows,
-                                             const float* bias, bool relu) {
-  __m256 acc00 = _mm256_loadu_ps(c);
-  __m256 acc01 = _mm256_loadu_ps(c + 8);
-  __m256 acc10 = _mm256_loadu_ps(c + ldc);
-  __m256 acc11 = _mm256_loadu_ps(c + ldc + 8);
-  __m256 acc20 = _mm256_loadu_ps(c + 2 * ldc);
-  __m256 acc21 = _mm256_loadu_ps(c + 2 * ldc + 8);
-  __m256 acc30 = _mm256_loadu_ps(c + 3 * ldc);
-  __m256 acc31 = _mm256_loadu_ps(c + 3 * ldc + 8);
-  for (int64_t pb = 0; pb < rows; pb += kPrefetchBlockRows) {
-    const int64_t pe = std::min(rows, pb + kPrefetchBlockRows);
-    if (pe < rows) {
-      _mm_prefetch(reinterpret_cast<const char*>(apack + pe * 4), _MM_HINT_T2);
-      _mm_prefetch(reinterpret_cast<const char*>(apack + pe * 4 + 16), _MM_HINT_T2);
-      _mm_prefetch(reinterpret_cast<const char*>(b + pe * ldb), _MM_HINT_T2);
-    }
-    for (int64_t p = pb; p < pe; ++p) {
-      const float* ap = apack + p * 4;
-      const float* brow = b + p * ldb;
-      const __m256 b0 = _mm256_loadu_ps(brow);
-      const __m256 b1 = _mm256_loadu_ps(brow + 8);
-      const __m256 a0 = _mm256_broadcast_ss(ap);
-      acc00 = _mm256_fmadd_ps(a0, b0, acc00);
-      acc01 = _mm256_fmadd_ps(a0, b1, acc01);
-      const __m256 a1 = _mm256_broadcast_ss(ap + 1);
-      acc10 = _mm256_fmadd_ps(a1, b0, acc10);
-      acc11 = _mm256_fmadd_ps(a1, b1, acc11);
-      const __m256 a2 = _mm256_broadcast_ss(ap + 2);
-      acc20 = _mm256_fmadd_ps(a2, b0, acc20);
-      acc21 = _mm256_fmadd_ps(a2, b1, acc21);
-      const __m256 a3 = _mm256_broadcast_ss(ap + 3);
-      acc30 = _mm256_fmadd_ps(a3, b0, acc30);
-      acc31 = _mm256_fmadd_ps(a3, b1, acc31);
-    }
   }
   _mm256_storeu_ps(c, Epilogue8(acc00, bias, relu));
   _mm256_storeu_ps(c + 8, Epilogue8(acc01, bias ? bias + 8 : nullptr, relu));
@@ -192,35 +139,6 @@ PIT_TARGET_AVX512 void GemmTile4x16Avx512(const float* a, int64_t lda, const flo
     acc1 = _mm512_fmadd_ps(_mm512_set1_ps(a[lda + p]), bv, acc1);
     acc2 = _mm512_fmadd_ps(_mm512_set1_ps(a[2 * lda + p]), bv, acc2);
     acc3 = _mm512_fmadd_ps(_mm512_set1_ps(a[3 * lda + p]), bv, acc3);
-  }
-  _mm512_storeu_ps(c, Epilogue16(acc0, bias, relu));
-  _mm512_storeu_ps(c + ldc, Epilogue16(acc1, bias, relu));
-  _mm512_storeu_ps(c + 2 * ldc, Epilogue16(acc2, bias, relu));
-  _mm512_storeu_ps(c + 3 * ldc, Epilogue16(acc3, bias, relu));
-}
-
-PIT_TARGET_AVX512 void GemmTile4x16PackedAAvx512(const float* apack, const float* b, int64_t ldb,
-                                                 float* c, int64_t ldc, int64_t rows,
-                                                 const float* bias, bool relu) {
-  __m512 acc0 = _mm512_loadu_ps(c);
-  __m512 acc1 = _mm512_loadu_ps(c + ldc);
-  __m512 acc2 = _mm512_loadu_ps(c + 2 * ldc);
-  __m512 acc3 = _mm512_loadu_ps(c + 3 * ldc);
-  for (int64_t pb = 0; pb < rows; pb += kPrefetchBlockRows) {
-    const int64_t pe = std::min(rows, pb + kPrefetchBlockRows);
-    if (pe < rows) {
-      _mm_prefetch(reinterpret_cast<const char*>(apack + pe * 4), _MM_HINT_T2);
-      _mm_prefetch(reinterpret_cast<const char*>(apack + pe * 4 + 16), _MM_HINT_T2);
-      _mm_prefetch(reinterpret_cast<const char*>(b + pe * ldb), _MM_HINT_T2);
-    }
-    for (int64_t p = pb; p < pe; ++p) {
-      const float* ap = apack + p * 4;
-      const __m512 bv = _mm512_loadu_ps(b + p * ldb);
-      acc0 = _mm512_fmadd_ps(_mm512_set1_ps(ap[0]), bv, acc0);
-      acc1 = _mm512_fmadd_ps(_mm512_set1_ps(ap[1]), bv, acc1);
-      acc2 = _mm512_fmadd_ps(_mm512_set1_ps(ap[2]), bv, acc2);
-      acc3 = _mm512_fmadd_ps(_mm512_set1_ps(ap[3]), bv, acc3);
-    }
   }
   _mm512_storeu_ps(c, Epilogue16(acc0, bias, relu));
   _mm512_storeu_ps(c + ldc, Epilogue16(acc1, bias, relu));
@@ -486,8 +404,8 @@ PIT_TARGET_AVX2 void CopyAvx2(const float* src, float* dst, int64_t n) {
   }
 }
 
-const GemmKernels kGemmAvx2{GemmTile4x16Avx2, GemmTile4x16PackedAAvx2, GemmEdgeFma};
-const GemmKernels kGemmAvx512{GemmTile4x16Avx512, GemmTile4x16PackedAAvx512, GemmEdgeFma};
+const GemmKernels kGemmAvx2{GemmTile4x16Avx2, GemmEdgeFma};
+const GemmKernels kGemmAvx512{GemmTile4x16Avx512, GemmEdgeFma};
 const RowKernels kRowAvx2{RowMaxAvx2, ExpSumAvx2, DivInplaceAvx2, AddAvx2,      ReluAvx2,
                           ScaleAvx2,  SumAvx2,    SqDiffSumAvx2,  NormalizeAvx2, SpanNonZeroAvx2,
                           CopyAvx2};

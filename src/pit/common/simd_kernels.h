@@ -1,7 +1,7 @@
 // Explicit vector microkernels behind the IsaTier dispatch (common/backend.h).
 //
 // Kernels are grouped into two dispatch tables resolved once per op call:
-//  - GemmKernels: the 4x16 register-tile GEMM kernels (strided, packed-A, and
+//  - GemmKernels: the 4x16 register-tile GEMM kernels (full-tile and
 //    ragged-edge variants) with the fused bias / bias+relu epilogue. The AVX2
 //    and AVX-512 variants contract with fma — one rounding per multiply-add
 //    instead of two — so they differ from the scalar blocked oracle within
@@ -40,11 +40,6 @@ struct GemmKernels {
   // first column).
   void (*tile4x16)(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
                    int64_t ldc, int64_t p0, int64_t p1, const float* bias, bool relu);
-  // Register-tile-interleaved packed-A variant (element (r, p) at
-  // apack[p*4 + r], p relative to the panel); same contract as the scalar
-  // Kernel4x16PackedA, including the block-boundary prefetch hints.
-  void (*tile4x16_packed_a)(const float* apack, const float* b, int64_t ldb, float* c,
-                            int64_t ldc, int64_t rows, const float* bias, bool relu);
   // Ragged-edge tile (mr < 4 and/or nr < 16): scalar loops contracted with
   // fmaf so the per-element chain matches the vector lanes exactly.
   void (*edge)(const float* a, int64_t lda, const float* b, int64_t ldb, float* c, int64_t ldc,

@@ -7,7 +7,6 @@
 #include "pit/common/backend.h"
 #include "pit/common/check.h"
 #include "pit/common/fault_injection.h"
-#include "pit/common/parallel_for.h"
 #include "pit/graph/plan_verifier.h"
 #include "pit/tensor/ops.h"
 
@@ -16,9 +15,7 @@ namespace pit {
 namespace {
 
 // Arena offsets are aligned to 16 floats (one 64-byte cache line) so reused
-// slots never split a vector register's load across two lines — and, since
-// the arena base is also 64-byte aligned, so concurrently executing wavefront
-// steps never false-share a line across blocks.
+// slots never split a vector register's load across two lines.
 constexpr int64_t kAlignElems = 16;
 
 int64_t AlignUp(int64_t elems) {
@@ -27,38 +24,26 @@ int64_t AlignUp(int64_t elems) {
 
 // Best-fit free-list planner with coalescing. Works entirely at compile
 // time: the plan's arena is sized to the high-water extent once, and
-// execution never allocates.
-//
-// Wave-aware reuse: every free block remembers the dependency level
-// (wavefront index) of the last step that touched it, and Allocate only
-// hands a block to a step of a strictly later level. Without this, eager
-// reuse puts (say) the k projection's output into the block the q chain
-// just vacated, and the resulting WAR hazard serializes branches the
-// dataflow says are independent — the arena planner must not destroy the
-// inter-op parallelism the wavefront scheduler exists to exploit. The cost
-// is a slightly larger arena (same-wave branches keep distinct blocks);
-// reuse along a sequential chain — where levels strictly increase and the
-// big savings live — is untouched.
+// execution never allocates. Replay runs the steps in order and every step
+// allocates its output before its dying inputs are freed, so a recycled
+// block is only ever handed to a step that runs after its last reader.
 class ArenaPlanner {
  public:
-  int64_t Allocate(int64_t elems, int level) {
+  int64_t Allocate(int64_t elems) {
     const int64_t need = AlignUp(std::max<int64_t>(elems, 1));
-    // Best-fit among blocks whose last toucher runs strictly before `level`.
     auto best = free_.end();
     for (auto it = free_.begin(); it != free_.end(); ++it) {
-      if (it->second.size >= need && it->second.release_level < level &&
-          (best == free_.end() || it->second.size < best->second.size)) {
+      if (it->second >= need && (best == free_.end() || it->second < best->second)) {
         best = it;
       }
     }
     int64_t offset;
     if (best != free_.end()) {
       offset = best->first;
-      const int64_t leftover = best->second.size - need;
-      const int release_level = best->second.release_level;
+      const int64_t leftover = best->second - need;
       free_.erase(best);
       if (leftover > 0) {
-        free_.emplace(offset + need, FreeBlock{leftover, release_level});
+        free_.emplace(offset + need, leftover);
       }
     } else {
       offset = extent_;
@@ -68,41 +53,32 @@ class ArenaPlanner {
     return offset;
   }
 
-  // `release_level`: max dependency level of any step that read or wrote the
-  // block over its whole lifetime (aliases included).
-  void Free(int64_t offset, int release_level) {
+  void Free(int64_t offset) {
     auto it = live_.find(offset);
     PIT_CHECK(it != live_.end()) << "double free at arena offset " << offset;
     int64_t size = it->second;
     live_.erase(it);
-    // Coalesce with the next and previous free blocks; a merged block keeps
-    // the latest release level (conservative).
+    // Coalesce with the next and previous free blocks.
     auto next = free_.lower_bound(offset);
     if (next != free_.end() && offset + size == next->first) {
-      size += next->second.size;
-      release_level = std::max(release_level, next->second.release_level);
+      size += next->second;
       next = free_.erase(next);
     }
     if (next != free_.begin()) {
       auto prev = std::prev(next);
-      if (prev->first + prev->second.size == offset) {
-        prev->second.size += size;
-        prev->second.release_level = std::max(prev->second.release_level, release_level);
+      if (prev->first + prev->second == offset) {
+        prev->second += size;
         return;
       }
     }
-    free_.emplace(offset, FreeBlock{size, release_level});
+    free_.emplace(offset, size);
   }
 
   int64_t extent() const { return extent_; }
 
  private:
-  struct FreeBlock {
-    int64_t size = 0;
-    int release_level = 0;
-  };
-  std::map<int64_t, FreeBlock> free_;  // offset -> block
-  std::map<int64_t, int64_t> live_;    // offset -> size
+  std::map<int64_t, int64_t> free_;  // offset -> size
+  std::map<int64_t, int64_t> live_;  // offset -> size
   int64_t extent_ = 0;
 };
 
@@ -198,50 +174,6 @@ bool ElementwiseInPlaceOk(OpKind kind) {
          kind == OpKind::kScale || kind == OpKind::kLayerNorm;
 }
 
-// Half-open element interval in the arena.
-struct Interval {
-  int64_t lo = 0;
-  int64_t hi = 0;  // lo == hi: empty
-  bool Overlaps(const Interval& o) const { return lo < o.hi && o.lo < hi; }
-};
-
-// Estimated arithmetic work of one dispatched step, in scalar flops — the
-// profitability currency of the wavefront gate. Matmuls count multiply-adds;
-// row-wise ops count a few passes per element; pure data movement counts one.
-// The absolute scale only matters relative to kMinParallelStepWork below.
-int64_t StepWorkEstimate(const OpCall& call, const std::vector<Shape>& shapes) {
-  const Shape& out = shapes[static_cast<size_t>(call.out.shape_id)];
-  const int64_t out_elems = NumElements(out);
-  switch (call.kind) {
-    case OpKind::kMatmul:
-    case OpKind::kMatmulBias: {
-      const Shape& a = shapes[static_cast<size_t>(call.in[0].shape_id)];
-      return 2 * out_elems * a[1];  // 2*m*n*k
-    }
-    case OpKind::kBatchMatmul: {
-      const Shape& a = shapes[static_cast<size_t>(call.in[0].shape_id)];
-      return 2 * out_elems * a[2];  // 2*b*m*n*k
-    }
-    case OpKind::kSoftmax:
-      return 6 * out_elems;  // max + exp + sum + normalize passes
-    case OpKind::kLayerNorm:
-      return 8 * out_elems;  // mean + variance + normalize + affine
-    default:
-      return out_elems;  // elementwise / transpose: ~one op per element
-  }
-}
-
-// Threshold of the compile-time wavefront profitability gate: mean estimated
-// step work across waves of width >= 2 must clear this for wavefront replay
-// to engage. Calibrated against BENCH_pr4: encoder_layer_128x256's widest
-// wave holds ~17 MFLOP projection GEMMs and wavefront@8 measured 0.92x vs
-// seq@1 — at that size, splitting the pool across steps loses to letting
-// each kernel parallelize intra-op, so the gate needs small-step plans to
-// fall back to sequential replay. Plans whose parallel waves carry hundreds
-// of MFLOPs per step (the launch/barrier overhead amortized away) stay
-// wavefront.
-constexpr double kMinParallelStepWork = 64.0 * 1024 * 1024;
-
 }  // namespace
 
 // ---- ExecutionContext -------------------------------------------------------
@@ -323,49 +255,11 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
     }
   }
 
-  // Pure data-dependency level of every node (fusion-aware): the wavefront
-  // each step lands in if only true producer->consumer edges existed. The
-  // arena planner consumes these so block reuse never adds a WAR/WAW edge
-  // that would deepen the schedule below the dataflow's parallelism; the
-  // interval analysis in BuildWavefronts stays the correctness ground truth.
-  std::vector<int> node_level(static_cast<size_t>(n), -1);  // -1: feed/weight/elided
-  for (int id = 0; id < n; ++id) {
-    const GraphNode& node = graph.node(id);
-    if (node.kind == OpKind::kInput || node.kind == OpKind::kWeight ||
-        deferred[static_cast<size_t>(id)]) {
-      continue;
-    }
-    if (node.kind == OpKind::kReshape) {
-      node_level[static_cast<size_t>(id)] = node_level[static_cast<size_t>(node.inputs[0])];
-      continue;
-    }
-    const std::vector<int>& level_inputs =
-        fused_matmul_of[static_cast<size_t>(id)] >= 0
-            ? graph.node(fused_matmul_of[static_cast<size_t>(id)]).inputs
-            : node.inputs;
-    int lvl = 0;
-    for (int in : level_inputs) {
-      lvl = std::max(lvl, node_level[static_cast<size_t>(in)] + 1);
-    }
-    node_level[static_cast<size_t>(id)] = lvl;
-  }
-
   ArenaPlanner planner;
-  // Max data level of any step that touched each live arena offset —
-  // accumulated as steps are emitted, consumed when the block is freed (so
-  // reuse is only granted to strictly later waves).
-  std::map<int64_t, int> offset_release_level;
-  const auto touch_offset = [&offset_release_level](int64_t offset, int level) {
-    auto [it, inserted] = offset_release_level.emplace(offset, level);
-    if (!inserted) {
-      it->second = std::max(it->second, level);
-    }
-  };
   std::vector<ValueRef> loc(static_cast<size_t>(n));
   // Releases the blocks of `inputs` whose lifetime ends at `consumer_id`
   // (deduped by storage root so two views of one block — x and reshape(x),
-  // or Add(x, x) — free it once), passing the planner each block's
-  // accumulated release level. `alias_root` (or -1) is the block the
+  // or Add(x, x) — free it once). `alias_root` (or -1) is the block the
   // consumer's output inherited in place; it is never freed.
   const auto release_dying_inputs = [&](const std::vector<int>& inputs, int consumer_id,
                                         int alias_root) {
@@ -385,11 +279,7 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
       const ValueRef& r = loc[static_cast<size_t>(in)];
       if (r.loc == ValueLoc::kArena && last_use[static_cast<size_t>(r_in)] == consumer_id &&
           r_in != alias_root) {
-        const auto rl = offset_release_level.find(r.offset);
-        planner.Free(r.offset, rl != offset_release_level.end() ? rl->second : 0);
-        if (rl != offset_release_level.end()) {
-          offset_release_level.erase(rl);
-        }
+        planner.Free(r.offset);
       }
     }
   };
@@ -429,16 +319,9 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
         call.in[i] = loc[static_cast<size_t>(mm.inputs[static_cast<size_t>(i)])];
       }
       const int64_t elems = NumElements(node.shape);
-      const int level = node_level[static_cast<size_t>(id)];
       // A GEMM reads its operands while writing C: never in-place.
-      call.out = {ValueLoc::kArena, id, id, planner.Allocate(elems, level)};
+      call.out = {ValueLoc::kArena, id, id, planner.Allocate(elems)};
       loc[static_cast<size_t>(id)] = call.out;
-      touch_offset(call.out.offset, level);
-      for (int i = 0; i < call.num_in; ++i) {
-        if (call.in[i].loc == ValueLoc::kArena) {
-          touch_offset(call.in[i].offset, level);
-        }
-      }
       // Release the matmul's dying inputs. Their last_use was extended to
       // this ReLU when the pair was fused, so blocks whose final read is the
       // fused GEMM die here — and nothing earlier could alias or recycle
@@ -499,20 +382,13 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
         }
       }
     }
-    const int level = node_level[static_cast<size_t>(id)];
     if (alias_root >= 0) {
       call.inplace = true;
       ++stats_.num_inplace;
     } else {
-      call.out = {ValueLoc::kArena, id, id, planner.Allocate(elems, level)};
+      call.out = {ValueLoc::kArena, id, id, planner.Allocate(elems)};
     }
     loc[static_cast<size_t>(id)] = call.out;
-    touch_offset(call.out.offset, level);
-    for (int i = 0; i < call.num_in; ++i) {
-      if (call.in[i].loc == ValueLoc::kArena) {
-        touch_offset(call.in[i].offset, level);
-      }
-    }
 
     // Release dying input blocks (except the one the output inherited).
     release_dying_inputs(node.inputs, id, alias_root);
@@ -525,18 +401,15 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
   arena_elems_ = planner.extent();
   stats_.arena_bytes = planner.extent() * static_cast<int64_t>(sizeof(float));
   stats_.num_steps = static_cast<int>(steps_.size());
-
-  BuildWavefronts();
   // From here on the plan is immutable; all replay state lives in execution
   // contexts (the default one materializes lazily on first classic Run).
 
   // Independent static verification of the freshly compiled plan (debug/test
   // builds by default; always under PIT_VERIFY_PLAN=on): the verifier
-  // re-derives every invariant replay rides on — hazard-complete wavefronts,
-  // in-bounds aligned blocks, live-interval integrity, binding coverage —
-  // from the compile products alone, and aborts with a structured report on
-  // any violation. A planner bug dies here, at compile, not as a
-  // probabilistic race under concurrent replay.
+  // re-derives every invariant replay rides on — in-bounds aligned blocks,
+  // live-interval integrity, binding coverage — from the compile products
+  // alone, and aborts with a structured report on any violation. A planner
+  // bug dies here, at compile, not as silently corrupted output.
   if (PlanVerifyEngaged()) {
     VerifyPlanOrDie(*this, "ExecutionPlan compile");
   }
@@ -549,129 +422,6 @@ ExecutionContext& ExecutionPlan::DefaultCtx() const {
 }
 
 const float* ExecutionPlan::arena_base() const { return DefaultCtx().arena_base(); }
-
-// Derives the step-level dependency DAG from the steps' arena read/write
-// intervals and partitions it into topological wavefronts. Two steps conflict
-// when one's write interval overlaps the other's read or write interval
-// (RAW, WAR, and WAW hazards — WAR/WAW arise from the planner's block reuse);
-// feeds and weights are read-only for the whole replay and never conflict.
-// kReshape steps dispatch nothing and are left out of the wave lists
-// entirely — including them would dilute the real steps' intra-op width
-// budget and inflate the width stat with no-op tasks. PIT steps are
-// additionally chained in step order: the PitCompiler mutates shared
-// cache/counter state, so two PIT steps must never run concurrently (and
-// their detect/select order — which the resample schedule depends on —
-// stays the sequential one).
-void ExecutionPlan::BuildWavefronts() {
-  const size_t num_steps = steps_.size();
-  struct StepFootprint {
-    Interval write;
-    Interval reads[3];
-    int num_reads = 0;
-  };
-  std::vector<StepFootprint> fp(num_steps);
-  for (size_t s = 0; s < num_steps; ++s) {
-    const OpCall& call = steps_[s];
-    if (call.kind == OpKind::kReshape) {
-      continue;  // no kernel: nothing read, nothing written at dispatch
-    }
-    StepFootprint& f = fp[s];
-    const int64_t out_elems = NumElements(shapes_[static_cast<size_t>(call.out.shape_id)]);
-    f.write = {call.out.offset, call.out.offset + out_elems};
-    for (int i = 0; i < call.num_in; ++i) {
-      const ValueRef& r = call.in[i];
-      if (r.loc != ValueLoc::kArena) {
-        continue;
-      }
-      const int64_t elems = NumElements(shapes_[static_cast<size_t>(r.shape_id)]);
-      f.reads[f.num_reads++] = {r.offset, r.offset + elems};
-    }
-  }
-
-  std::vector<int> level(num_steps, 0);
-  int prev_pit = -1;
-  for (size_t s = 0; s < num_steps; ++s) {
-    const StepFootprint& fs = fp[s];
-    for (size_t t = 0; t < s; ++t) {
-      const StepFootprint& ft = fp[t];
-      bool conflict = ft.write.Overlaps(fs.write);
-      for (int i = 0; !conflict && i < fs.num_reads; ++i) {
-        conflict = ft.write.Overlaps(fs.reads[i]);
-      }
-      for (int i = 0; !conflict && i < ft.num_reads; ++i) {
-        conflict = fs.write.Overlaps(ft.reads[i]);
-      }
-      if (conflict) {
-        level[s] = std::max(level[s], level[t] + 1);
-      }
-    }
-    if (steps_[s].use_pit) {
-      if (prev_pit >= 0) {
-        level[s] = std::max(level[s], level[prev_pit] + 1);
-      }
-      prev_pit = static_cast<int>(s);
-    }
-  }
-
-  int num_levels = 0;
-  size_t num_dispatched = 0;  // reshape no-ops stay out of the wave lists
-  for (size_t s = 0; s < num_steps; ++s) {
-    if (steps_[s].kind == OpKind::kReshape) {
-      continue;
-    }
-    num_levels = std::max(num_levels, level[s] + 1);
-    ++num_dispatched;
-  }
-  // Counting sort by level, stable in step order within a wave.
-  wave_offsets_.assign(static_cast<size_t>(num_levels) + 1, 0);
-  for (size_t s = 0; s < num_steps; ++s) {
-    if (steps_[s].kind != OpKind::kReshape) {
-      ++wave_offsets_[static_cast<size_t>(level[s]) + 1];
-    }
-  }
-  for (size_t w = 1; w < wave_offsets_.size(); ++w) {
-    wave_offsets_[w] += wave_offsets_[w - 1];
-  }
-  wave_steps_.resize(num_dispatched);
-  std::vector<int> cursor(wave_offsets_.begin(), wave_offsets_.end() - 1);
-  for (size_t s = 0; s < num_steps; ++s) {
-    if (steps_[s].kind != OpKind::kReshape) {
-      wave_steps_[static_cast<size_t>(cursor[static_cast<size_t>(level[s])]++)] =
-          static_cast<int>(s);
-    }
-  }
-
-  stats_.num_wavefronts = num_levels;
-  for (int w = 0; w < num_levels; ++w) {
-    stats_.max_wavefront_width =
-        std::max(stats_.max_wavefront_width,
-                 wave_offsets_[static_cast<size_t>(w) + 1] - wave_offsets_[static_cast<size_t>(w)]);
-  }
-
-  // Compile-time profitability: mean estimated work per step over the waves
-  // that would actually dispatch concurrently (width >= 2). Plans below the
-  // threshold replay sequentially — their steps are too small for inter-op
-  // overlap to beat intra-op kernel parallelism plus the wave barriers.
-  int64_t parallel_work = 0;
-  int64_t parallel_steps = 0;
-  for (int w = 0; w < num_levels; ++w) {
-    const int begin = wave_offsets_[static_cast<size_t>(w)];
-    const int end = wave_offsets_[static_cast<size_t>(w) + 1];
-    if (end - begin < 2) {
-      continue;
-    }
-    for (int i = begin; i < end; ++i) {
-      parallel_work += StepWorkEstimate(steps_[static_cast<size_t>(wave_steps_[static_cast<size_t>(i)])],
-                                        shapes_);
-      ++parallel_steps;
-    }
-  }
-  stats_.parallel_step_work =
-      parallel_steps > 0 ? static_cast<double>(parallel_work) / static_cast<double>(parallel_steps)
-                         : 0.0;
-  stats_.wavefront_profitable =
-      stats_.max_wavefront_width > 1 && stats_.parallel_step_work >= kMinParallelStepWork;
-}
 
 const float* ExecutionPlan::ResolveConst(const ValueRef& ref, const ExecutionContext& ctx) const {
   switch (ref.loc) {
@@ -798,59 +548,6 @@ void ExecutionPlan::RunSequential(ExecutionContext& ctx, PitCompiler* compiler,
   }
 }
 
-// Wavefront replay: every wave's steps are mutually independent (disjoint
-// arena footprints) so they dispatch as concurrent tasks, each granted
-// ~threads/width nested chunks so intra-op kernel parallelism splits the
-// pool across the wave instead of serializing behind one step. Bitwise
-// identical to RunSequential: kernels are order-deterministic for any chunk
-// count and concurrent steps touch disjoint 64-byte-aligned blocks.
-void ExecutionPlan::RunWavefronts(ExecutionContext& ctx, PitCompiler* compiler) const {
-  const int threads = NumThreads();
-  const CancelToken* cancel = ctx.cancel_;
-  for (size_t w = 0; w + 1 < wave_offsets_.size(); ++w) {
-    const int begin = wave_offsets_[w];
-    const int width = wave_offsets_[w + 1] - begin;
-    // Probe every step of the wave on the submitting thread before any of
-    // them dispatches: pool workers never raise injected faults, so a fired
-    // probe cleanly abandons the whole remaining replay (no half-submitted
-    // wave), and the engine's ladder decides what happens next.
-    for (int i = 0; i < width; ++i) {
-      if (FaultStepProbe()) {
-        return;
-      }
-    }
-    // Cancellation at wavefront granularity, checked on the submitting
-    // thread so no wave is half-submitted. The early return happens before
-    // ParallelTasks, so nested submitters never wait on a barrier that will
-    // not fill — the pool's deadlock-freedom argument is untouched.
-    if (cancel != nullptr && cancel->cancelled()) {
-      ctx.replay_status_ = ReplayStatus::kCancelled;
-      return;
-    }
-    HeartbeatTick();
-    if (width == 1) {
-      // A singleton wave runs inline with the full pool as its width budget.
-      Dispatch(wave_steps_[static_cast<size_t>(begin)], ctx, compiler);
-      continue;
-    }
-    const int budget = (threads + width - 1) / width;
-    ParallelTasks(width, budget, [&](int64_t i) {
-      // Wide waves re-poll inside each task: a task that observes the token
-      // skips its dispatch but still reaches the barrier, so the wave
-      // completes structurally (no deadlock) while the remaining work is
-      // dropped. The post-wave check below then latches kCancelled.
-      if (cancel != nullptr && cancel->cancelled_manual()) {
-        return;
-      }
-      Dispatch(wave_steps_[static_cast<size_t>(begin + static_cast<int>(i))], ctx, compiler);
-    });
-    if (cancel != nullptr && cancel->cancelled()) {
-      ctx.replay_status_ = ReplayStatus::kCancelled;
-      return;
-    }
-  }
-}
-
 namespace {
 
 const Tensor& DerefFeed(const Tensor& t) { return t; }
@@ -891,23 +588,7 @@ ConstTensorView ExecutionPlan::RunImpl(ExecutionContext& ctx, const FeedMap& fee
         << "feed shape mismatch for " << binding.name;
     ctx.bound_[static_cast<size_t>(binding.node_id)] = feed.data();
   }
-  const bool observed = observer != nullptr && *observer;
-  // Scheduler choice is orthogonal to the backend: reference-kernel steps run
-  // concurrently just as safely (disjoint 64-byte-aligned blocks, serial
-  // kernels), so PIT_BACKEND=reference PIT_PLAN_SCHED=wavefront genuinely
-  // cross-checks the wavefront schedule against the oracle kernels. The
-  // compile-time profitability gate keeps small-step plans sequential (each
-  // kernel then owns the whole pool); tests force it off to exercise the
-  // wavefront path on arbitrary plans.
-  const bool wavefront_ok =
-      stats_.max_wavefront_width > 1 &&
-      (stats_.wavefront_profitable || !WavefrontGateEnabled());
-  if (!observed && ActivePlanSched() == PlanSched::kWavefront && NumThreads() > 1 &&
-      wavefront_ok && !ParallelRegionActive()) {
-    RunWavefronts(ctx, compiler);
-  } else {
-    RunSequential(ctx, compiler, observed ? observer : nullptr);
-  }
+  RunSequential(ctx, compiler, observer != nullptr && *observer ? observer : nullptr);
   return ConstTensorView(ResolveConst(result_, ctx),
                          shapes_[static_cast<size_t>(result_.shape_id)]);
 }

@@ -10,19 +10,15 @@
 //   * an arena planner assigns every intermediate an offset in one reusable
 //     buffer (best-fit free-list reuse for non-overlapping lifetimes, plus
 //     in-place aliasing for elementwise ops consuming a dying input); the
-//     arena base and every block offset are 64-byte aligned so concurrently
-//     executing steps never share a cache line,
+//     arena base and every block offset are 64-byte aligned,
 //   * a matmul(+bias) whose only consumer is a ReLU fuses into one
 //     fused-epilogue GEMM step (dense steps only — PIT steps keep their
 //     separate ReLU so the sparse path is untouched),
-//   * a step-level dependency DAG is derived from the steps' arena read/write
-//     intervals (storage-root aware, so kReshape aliases are handled) and
-//     partitioned into topological wavefronts,
 //   * the result is a flat list of OpCall dispatch steps over which the
 //     dense-reference kernels and the PIT sparse path are interchangeable.
 //
 // Plan vs. execution state. A compiled plan is immutable: steps, shapes,
-// wavefronts, and stats never change after the constructor returns. All
+// and stats never change after the constructor returns. All
 // mutable replay state — the arena, the per-Run feed bindings, and the
 // per-call-site PIT kernel slots — lives in an ExecutionContext. One plan
 // therefore replays concurrently from N request streams, each stream holding
@@ -30,23 +26,13 @@
 // semantics by delegating to an internal default context, and stays
 // not-thread-safe for the same reason it always was (one arena).
 //
-// Replay runs the steps either strictly in order (PIT_PLAN_SCHED=seq, the
-// scheduling oracle) or wavefront-parallel: steps of the same wavefront have
-// no data or buffer-reuse hazard between them, so they dispatch concurrently
-// on the ParallelFor pool as tasks, each granted an intra-op width budget of
-// ~threads/width so nested kernel ParallelFors split the pool. Wavefront
-// dispatch only engages when the compile-time profitability check passed
-// (stats().wavefront_profitable): BENCH_pr4 measured inter-op overlap losing
-// to plain intra-op kernel parallelism when the concurrent steps are small
-// (encoder_layer_128x256, ~17 MFLOP steps, 0.92x vs seq@1), so plans whose
-// parallel waves average below kMinParallelStepWork replay sequentially and
-// let each kernel use the whole pool. Both schedules are bitwise identical to
-// each other and to the old eager executor for any thread count: the steps
-// call the exact kernels the eager ops wrap, every kernel is internally
-// order-deterministic, and concurrent steps write disjoint 64-byte-aligned
-// arena blocks. Executing a compiled plan performs ~zero heap allocations on
-// the dense path (the arena and bindings are sized at compile time; only a
-// genuine multi-thread fan-out pays a few std::function wraps).
+// Replay runs the steps strictly in order; parallelism lives inside the
+// kernels (each one splits its work across the ParallelFor pool). Replay is
+// bitwise identical to the eager executor for any thread count: the steps
+// call the exact kernels the eager ops wrap and every kernel is internally
+// order-deterministic. Executing a compiled plan performs ~zero heap
+// allocations on the dense path (the arena and bindings are sized at compile
+// time; only a genuine multi-thread fan-out pays a few std::function wraps).
 #ifndef PIT_GRAPH_EXECUTION_PLAN_H_
 #define PIT_GRAPH_EXECUTION_PLAN_H_
 
@@ -108,21 +94,11 @@ struct PlanStats {
   int num_steps = 0;
   int num_inplace = 0;
   int num_pit_steps = 0;
-  int num_fused = 0;            // matmul+relu pairs collapsed at compile
-  int num_wavefronts = 0;       // dependency-DAG depth of the step list
-  int max_wavefront_width = 0;  // widest set of concurrently runnable steps
-  // Compile-time wavefront profitability gate: mean estimated arithmetic work
-  // per step across waves of width >= 2, and whether that clears the
-  // dispatch-overhead threshold (kMinParallelStepWork). When false, replay
-  // stays sequential even under PIT_PLAN_SCHED=wavefront — each kernel then
-  // uses the whole pool intra-op, which BENCH_pr4 measured faster for
-  // small-step plans (see SetWavefrontGateEnabled for the test override).
-  double parallel_step_work = 0.0;
-  bool wavefront_profitable = false;
+  int num_fused = 0;  // matmul+relu pairs collapsed at compile
 };
 
 // How the last replay through a context ended. Kernels are uninterruptible,
-// so kCancelled means the replay stopped at a step/wavefront boundary (or
+// so kCancelled means the replay stopped at a step boundary (or
 // never started) after its cancel token fired: the context's arena holds a
 // partial, meaningless intermediate state and the returned view must be
 // discarded. The next RunWith resets the status.
@@ -146,14 +122,14 @@ class ExecutionContext {
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   // 64-byte-aligned base of this context's arena (same alignment contract as
-  // the plan's block offsets: concurrent steps never false-share a line).
+  // the plan's block offsets).
   const float* arena_base() const { return arena_; }
   // Bytes this context's arena pins (the plan's arena_bytes stat) — the unit
   // the serving engine's pool high-water accounting sums.
   int64_t arena_bytes() const { return arena_bytes_; }
 
-  // Installs (or clears, with nullptr) the cancel token both plan schedulers
-  // poll at step/wavefront boundaries during replay through this context.
+  // Installs (or clears, with nullptr) the cancel token replay polls at step
+  // boundaries through this context.
   // The token is borrowed, not owned: the caller keeps it alive across every
   // RunWith. Installing the same pointer again is a no-op, so pooled contexts
   // can re-install their stream's token on every acquisition for free.
@@ -181,16 +157,14 @@ class ExecutionContext {
   // the context so concurrent streams never race on a shared JIT handle.
   std::vector<PitKernelHandle> pit_;
   // Borrowed cancellation token (null = never cancelled) and the last
-  // replay's outcome. Written by RunImpl/the schedulers, read by the owner
+  // replay's outcome. Written by RunImpl/RunSequential, read by the owner
   // after each replay.
   const CancelToken* cancel_ = nullptr;
   ReplayStatus replay_status_ = ReplayStatus::kOk;
 };
 
 // Called after each compute step with the node id and a view of its value
-// (valid until the arena slot is reused by a later Run or step). Observed
-// runs always replay sequentially in step order, whatever PIT_PLAN_SCHED
-// says — observers are ordering-sensitive probes.
+// (valid until the arena slot is reused by a later Run or step).
 using StepObserver = std::function<void(int node_id, ConstTensorView value)>;
 
 class ExecutionPlan {
@@ -209,10 +183,10 @@ class ExecutionPlan {
   // Executes every step over `feeds` and returns a view of the final node's
   // value (valid until the next Run or plan destruction). `compiler` is
   // required iff the plan contains PIT steps. `observer`, when set, sees each
-  // compute step's output right after the step runs (and forces the
-  // sequential schedule). Not thread-safe: this entry replays through the
-  // plan's built-in default context, so concurrent Runs on one plan race;
-  // concurrent callers must use RunWith over distinct contexts.
+  // compute step's output right after the step runs. Not thread-safe: this
+  // entry replays through the plan's built-in default context, so
+  // concurrent Runs on one plan race; concurrent callers must use RunWith
+  // over distinct contexts.
   ConstTensorView Run(const std::map<std::string, Tensor>& feeds,
                       PitCompiler* compiler = nullptr, const StepObserver* observer = nullptr);
   // Pointer-feed form for callers that rebind the same feeds every call (the
@@ -248,8 +222,6 @@ class ExecutionPlan {
   // verifier (plan_verifier.{h,cc}), which re-derives every replay invariant
   // from these raw artifacts. Replay itself never goes through them.
   const std::vector<Shape>& shapes() const { return shapes_; }
-  const std::vector<int>& wave_steps() const { return wave_steps_; }
-  const std::vector<int>& wave_offsets() const { return wave_offsets_; }
   int64_t arena_elems() const { return arena_elems_; }
   const ValueRef& result() const { return result_; }
   struct FeedBinding {
@@ -276,8 +248,6 @@ class ExecutionPlan {
                           const StepObserver* observer) const;
   void RunSequential(ExecutionContext& ctx, PitCompiler* compiler,
                      const StepObserver* observer) const;
-  void RunWavefronts(ExecutionContext& ctx, PitCompiler* compiler) const;
-  void BuildWavefronts();
   const float* ResolveConst(const ValueRef& ref, const ExecutionContext& ctx) const;
   float* ResolveArena(const ValueRef& ref, ExecutionContext& ctx) const;
   void Dispatch(int step_index, ExecutionContext& ctx, PitCompiler* compiler) const;
@@ -289,13 +259,6 @@ class ExecutionPlan {
   std::vector<Shape> shapes_;
   std::vector<OpCall> steps_;
   int64_t arena_elems_ = 0;  // context arena extent, elements (pre-alignment pad)
-  // Wavefront partition of steps_: wave w is steps_
-  // [wave_steps_[wave_offsets_[w]] .. wave_steps_[wave_offsets_[w+1]]),
-  // mutually independent and ordered by step index within the wave.
-  // kReshape no-op steps are excluded (they dispatch nothing; including them
-  // would dilute the real steps' width budget with instant tasks).
-  std::vector<int> wave_steps_;
-  std::vector<int> wave_offsets_;
   // Compile-time kFeed/kWeight binding template: weights resolved at compile,
   // feed slots null. Every ExecutionContext starts as a copy of this.
   std::vector<const float*> compile_bound_;

@@ -14,8 +14,8 @@ namespace {
 
 // The arena alignment contract, restated independently of the planner: one
 // 64-byte cache line of floats. The planner's own kAlignElems lives in
-// execution_plan.cc; the verifier re-declares the *contract* (concurrent
-// steps must never share a line) rather than importing the planner's
+// execution_plan.cc; the verifier re-declares the *contract* (every block
+// starts on a cache line) rather than importing the planner's
 // constant, so a planner-side alignment regression cannot silently relax the
 // check along with the code under test.
 constexpr int64_t kLineElems = 64 / static_cast<int64_t>(sizeof(float));
@@ -38,8 +38,6 @@ struct Span {
 struct Footprint {
   bool dispatched = false;  // false: kReshape no-op (nothing read or written)
   Span write;
-  Span reads[3];
-  int num_reads = 0;
 };
 
 // Expected operand count per dispatched kind; {lo, hi} inclusive.
@@ -81,8 +79,6 @@ class Verifier {
     BuildFootprints();
     CheckArenaRefs();
     CheckProducersAndBindings();
-    CheckWavePartition();
-    RunDependencyOracle();
     CheckClobberedReads();
     CheckStats();
     report_.steps_checked = static_cast<int>(plan_.steps().size());
@@ -99,12 +95,6 @@ class Verifier {
     v.kind = kind;
     v.step_a = step_a;
     v.step_b = step_b;
-    v.wave_a = step_a >= 0 && step_a < static_cast<int>(wave_of_.size())
-                   ? wave_of_[static_cast<size_t>(step_a)]
-                   : -1;
-    v.wave_b = step_b >= 0 && step_b < static_cast<int>(wave_of_.size())
-                   ? wave_of_[static_cast<size_t>(step_b)]
-                   : -1;
     v.byte_lo = bytes.lo * static_cast<int64_t>(sizeof(float));
     v.byte_hi = bytes.hi * static_cast<int64_t>(sizeof(float));
     v.message = std::move(message);
@@ -213,12 +203,6 @@ class Verifier {
       f.dispatched = true;
       if (c.out.loc == ValueLoc::kArena && RefIdsOk(c.out)) {
         f.write = {c.out.offset, c.out.offset + Elems(c.out.shape_id)};
-      }
-      for (int i = 0; i < c.num_in && i < 3; ++i) {
-        const ValueRef& r = c.in[i];
-        if (r.loc == ValueLoc::kArena && RefIdsOk(r)) {
-          f.reads[f.num_reads++] = {r.offset, r.offset + Elems(r.shape_id)};
-        }
       }
     }
   }
@@ -353,124 +337,7 @@ class Verifier {
     check_read(static_cast<int>(steps.size()), plan_.result(), "result");
   }
 
-  // ---- (D) wavefront partition shape ---------------------------------------
-  void CheckWavePartition() {
-    const auto& steps = plan_.steps();
-    const auto& offsets = plan_.wave_offsets();
-    const auto& wave_steps = plan_.wave_steps();
-    wave_of_.assign(steps.size(), -1);
-    if (offsets.empty() || offsets.front() != 0 ||
-        offsets.back() != static_cast<int>(wave_steps.size())) {
-      Add(PlanViolationKind::kWavePartition, -1, -1, {},
-          "wave offset table does not span the wave step list");
-      return;
-    }
-    const int num_waves = static_cast<int>(offsets.size()) - 1;
-    report_.waves_checked = num_waves;
-    std::vector<char> seen(steps.size(), 0);
-    for (int w = 0; w < num_waves; ++w) {
-      const int begin = offsets[static_cast<size_t>(w)];
-      const int end = offsets[static_cast<size_t>(w) + 1];
-      if (end <= begin) {
-        Add(PlanViolationKind::kWavePartition, -1, -1, {},
-            "wave " + std::to_string(w) + " is empty or offsets decrease");
-        continue;
-      }
-      for (int i = begin; i < end; ++i) {
-        const int s = wave_steps[static_cast<size_t>(i)];
-        if (s < 0 || s >= static_cast<int>(steps.size())) {
-          Add(PlanViolationKind::kWavePartition, s, -1, {},
-              "wave " + std::to_string(w) + " lists an out-of-range step");
-          continue;
-        }
-        if (!fp_[static_cast<size_t>(s)].dispatched) {
-          Add(PlanViolationKind::kWavePartition, s, -1, {},
-              "wave " + std::to_string(w) + " lists a reshape no-op step");
-          continue;
-        }
-        if (seen[static_cast<size_t>(s)]) {
-          Add(PlanViolationKind::kWavePartition, s, -1, {},
-              "step listed in more than one wave slot");
-          continue;
-        }
-        seen[static_cast<size_t>(s)] = 1;
-        wave_of_[static_cast<size_t>(s)] = w;
-        if (i > begin && wave_steps[static_cast<size_t>(i) - 1] >= s) {
-          Add(PlanViolationKind::kWavePartition, s, -1, {},
-              "wave " + std::to_string(w) + " not ascending in step order");
-        }
-      }
-    }
-    for (size_t s = 0; s < steps.size(); ++s) {
-      if (fp_[s].dispatched && !seen[s]) {
-        Add(PlanViolationKind::kWavePartition, static_cast<int>(s), -1, {},
-            "dispatched step missing from every wave");
-      }
-    }
-  }
-
-  // ---- (E) O(steps^2) dependency oracle vs. the wave ordering --------------
-  void RunDependencyOracle() {
-    const auto& steps = plan_.steps();
-    const int n = static_cast<int>(steps.size());
-    for (int t = 1; t < n; ++t) {
-      const Footprint& ft = fp_[static_cast<size_t>(t)];
-      if (!ft.dispatched) {
-        continue;
-      }
-      for (int s = 0; s < t; ++s) {
-        const Footprint& fs = fp_[static_cast<size_t>(s)];
-        if (!fs.dispatched) {
-          continue;
-        }
-        ++report_.oracle_pairs;
-        // Hazard between the pair: WAW on the writes, RAW/WAR through either
-        // side's reads against the other's write.
-        Span clash;
-        bool conflict = false;
-        if (fs.write.Overlaps(ft.write)) {
-          conflict = true;
-          clash = fs.write.Intersect(ft.write);
-        }
-        for (int i = 0; !conflict && i < ft.num_reads; ++i) {
-          if (fs.write.Overlaps(ft.reads[i])) {
-            conflict = true;
-            clash = fs.write.Intersect(ft.reads[i]);
-          }
-        }
-        for (int i = 0; !conflict && i < fs.num_reads; ++i) {
-          if (ft.write.Overlaps(fs.reads[i])) {
-            conflict = true;
-            clash = ft.write.Intersect(fs.reads[i]);
-          }
-        }
-        const int ws = wave_of_[static_cast<size_t>(s)];
-        const int wt = wave_of_[static_cast<size_t>(t)];
-        if (conflict) {
-          ++report_.oracle_edges;
-          if (ws < 0 || wt < 0) {
-            continue;  // already reported by the partition pass
-          }
-          if (ws == wt) {
-            Add(PlanViolationKind::kConcurrentHazard, s, t, clash,
-                "steps of one wave touch intersecting arena bytes");
-          } else if (ws > wt) {
-            Add(PlanViolationKind::kMissingHazardEdge, s, t, clash,
-                "wave ordering inverts a dependency edge");
-          }
-        } else if (steps[static_cast<size_t>(s)].use_pit &&
-                   steps[static_cast<size_t>(t)].use_pit && ws >= 0 && wt >= 0 && ws >= wt) {
-          // The PitCompiler mutates shared cache/counter state: PIT steps
-          // must replay in a strict total order even when their arena
-          // footprints are disjoint.
-          Add(PlanViolationKind::kPitOrder, s, t, {},
-              "PIT steps not strictly ordered by the wave partition");
-        }
-      }
-    }
-  }
-
-  // ---- (F) claimed liveness: no write lands between producer and reader ----
+  // ---- (D) claimed liveness: no write lands between producer and reader ----
   void CheckClobberedReads() {
     const auto& steps = plan_.steps();
     const int n = static_cast<int>(steps.size());
@@ -516,7 +383,7 @@ class Verifier {
     }
   }
 
-  // ---- (G) stats vs. re-derived counts -------------------------------------
+  // ---- (E) stats vs. re-derived counts -------------------------------------
   void CheckStats() {
     const auto& steps = plan_.steps();
     const PlanStats& st = plan_.stats();
@@ -541,24 +408,12 @@ class Verifier {
     expect(num_fused, st.num_fused, "num_fused");
     expect(plan_.arena_elems() * static_cast<int64_t>(sizeof(float)), st.arena_bytes,
            "arena_bytes");
-    const auto& offsets = plan_.wave_offsets();
-    if (!offsets.empty()) {
-      const int num_waves = static_cast<int>(offsets.size()) - 1;
-      int max_width = 0;
-      for (int w = 0; w < num_waves; ++w) {
-        max_width = std::max(max_width,
-                             offsets[static_cast<size_t>(w) + 1] - offsets[static_cast<size_t>(w)]);
-      }
-      expect(num_waves, st.num_wavefronts, "num_wavefronts");
-      expect(max_width, st.max_wavefront_width, "max_wavefront_width");
-    }
   }
 
   const ExecutionPlan& plan_;
   PlanVerifyReport report_;
   std::vector<Footprint> fp_;
   std::vector<int> producer_of_;  // node id -> producing step (-1: none)
-  std::vector<int> wave_of_;      // step -> wave id (-1: reshape / unlisted)
 };
 
 }  // namespace
@@ -571,20 +426,12 @@ const char* PlanViolationKindName(PlanViolationKind kind) {
       return "arena-out-of-bounds";
     case PlanViolationKind::kMisalignedOffset:
       return "misaligned-offset";
-    case PlanViolationKind::kWavePartition:
-      return "wave-partition";
-    case PlanViolationKind::kConcurrentHazard:
-      return "concurrent-hazard";
-    case PlanViolationKind::kMissingHazardEdge:
-      return "missing-hazard-edge";
     case PlanViolationKind::kClobberedRead:
       return "clobbered-read";
     case PlanViolationKind::kDanglingStorage:
       return "dangling-storage";
     case PlanViolationKind::kFeedBinding:
       return "feed-binding";
-    case PlanViolationKind::kPitOrder:
-      return "pit-order";
     case PlanViolationKind::kFusedStep:
       return "fused-step";
     case PlanViolationKind::kStatsMismatch:
@@ -605,21 +452,14 @@ bool PlanVerifyReport::Has(PlanViolationKind kind) const {
 std::string PlanVerifyReport::ToString() const {
   std::ostringstream os;
   os << "plan verify: " << violations_total << " violation(s) over " << steps_checked
-     << " steps, " << waves_checked << " waves, " << blocks_checked << " blocks ("
-     << oracle_pairs << " oracle pairs, " << oracle_edges << " edges)";
+     << " steps, " << blocks_checked << " blocks";
   for (const PlanViolation& v : violations) {
     os << "\n  [" << PlanViolationKindName(v.kind) << "]";
     if (v.step_a >= 0) {
       os << " step " << v.step_a;
-      if (v.wave_a >= 0) {
-        os << " (wave " << v.wave_a << ")";
-      }
     }
     if (v.step_b >= 0) {
       os << " vs step " << v.step_b;
-      if (v.wave_b >= 0) {
-        os << " (wave " << v.wave_b << ")";
-      }
     }
     if (v.byte_lo != v.byte_hi) {
       os << " bytes [" << v.byte_lo << ", " << v.byte_hi << ")";

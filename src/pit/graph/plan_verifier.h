@@ -2,25 +2,23 @@
 // that re-derives, from first principles, every invariant plan replay rides
 // on — and reports where a compiled plan breaks them.
 //
-// The wavefront scheduler and multi-stream replay (PRs 4-6) silently assume
-// properties the planner is *supposed* to guarantee: concurrently dispatched
-// steps touch disjoint arena byte ranges, every RAW/WAR/WAW hazard is ordered
-// by the wave partition, arena blocks are in-bounds and 64-byte aligned, a
-// block is never recycled while a later step still has to read it, reshape
-// aliases resolve to storage some step actually produced, PIT steps replay in
-// a total order, and fused matmul+relu steps leave no dangling references to
-// the elided node. A planner bug in any of these ships straight into a data
-// race or a silent miscompilation that TSan may or may not catch
-// probabilistically. This pass proves them deterministically, per plan.
+// In-order replay and multi-stream serving silently assume properties the
+// planner is *supposed* to guarantee: arena blocks are in-bounds and 64-byte
+// aligned, a block is never recycled while a later step still has to read it,
+// reshape aliases resolve to storage some step actually produced, and fused
+// matmul+relu steps leave no dangling references to the elided node. A
+// planner bug in any of these ships straight into a silent miscompilation.
+// This pass proves them deterministically, per plan. Replay dispatches the
+// steps strictly in order, so every RAW/WAR/WAW hazard and every PIT step is
+// ordered by construction; the clobbered-read check carries the whole
+// liveness proof.
 //
 // Independence contract: the verifier deliberately does NOT reuse the
-// planner's analyses. Dependencies are re-derived by an O(steps^2)
-// brute-force oracle over each step's arena read/write element intervals
-// (aliases are already root-resolved in compiled ValueRefs, so interval
-// arithmetic is exact); liveness is re-derived from producer/consumer byte
-// overlaps, not from the arena planner's free list. The only shared inputs
-// are the compiled artifacts themselves (steps, shapes, waves, bindings) —
-// the things being verified.
+// planner's analyses. Liveness is re-derived from producer/consumer arena
+// element intervals (aliases are already root-resolved in compiled
+// ValueRefs, so interval arithmetic is exact), not from the arena planner's
+// free list. The only shared inputs are the compiled artifacts themselves
+// (steps, shapes, bindings) — the things being verified.
 //
 // The verifier runs in three ways:
 //   * automatically on every plan compile when PIT_VERIFY_PLAN engages
@@ -45,18 +43,12 @@ enum class PlanViolationKind {
   kMalformedStep,     // out-of-range ids, bad flag combinations, bad num_in
   kArenaOutOfBounds,  // block extends past the arena extent (or offset < 0)
   kMisalignedOffset,  // arena offset not on a 64-byte boundary
-  kWavePartition,     // wave lists malformed: step missing, duplicated,
-                      // reshape no-op included, or offsets inconsistent
-  kConcurrentHazard,  // two steps of one wave with intersecting write/any
-                      // intervals — a data race under wavefront dispatch
-  kMissingHazardEdge,  // a dependency-oracle edge the wave ordering inverts
-  kClobberedRead,      // a step's input bytes overwritten between producer
-                       // and reader — the planner's claimed liveness is wrong
+  kClobberedRead,     // a step's input bytes overwritten between producer
+                      // and reader — the planner's claimed liveness is wrong
   kDanglingStorage,  // arena ref whose storage node no step produces (e.g. a
                      // reshape alias without a live storage root)
   kFeedBinding,      // feed ref without a binding, duplicate bindings, or an
                      // unbound weight ref
-  kPitOrder,         // PIT steps not totally ordered by the wave partition
   kFusedStep,        // fused-step inconsistency: duplicate node producer or
                      // fuse_relu on a non-matmul / PIT step
   kStatsMismatch,    // PlanStats disagree with re-derived counts
@@ -67,8 +59,6 @@ struct PlanViolation {
   PlanViolationKind kind = PlanViolationKind::kMalformedStep;
   int step_a = -1;  // offending step indices (-1: not step-specific)
   int step_b = -1;
-  int wave_a = -1;  // wave ids of the offending steps (-1: none / reshape)
-  int wave_b = -1;
   int64_t byte_lo = 0;  // offending arena byte range, half-open (0,0: none)
   int64_t byte_hi = 0;
   std::string message;
@@ -81,10 +71,7 @@ struct PlanVerifyReport {
   int64_t violations_total = 0;
   // Coverage counters: what the pass actually examined.
   int steps_checked = 0;
-  int waves_checked = 0;
-  int blocks_checked = 0;      // distinct produced arena blocks
-  int64_t oracle_pairs = 0;    // step pairs the O(steps^2) oracle compared
-  int64_t oracle_edges = 0;    // dependency edges the oracle derived
+  int blocks_checked = 0;  // distinct produced arena blocks
   static constexpr int64_t kMaxRecorded = 64;
 
   bool ok() const { return violations_total == 0; }
@@ -112,8 +99,6 @@ void VerifyPlanOrDie(const ExecutionPlan& plan, const char* what);
 struct PlanCorruptor {
   static std::vector<OpCall>& steps(ExecutionPlan& plan) { return plan.steps_; }
   static std::vector<Shape>& shapes(ExecutionPlan& plan) { return plan.shapes_; }
-  static std::vector<int>& wave_steps(ExecutionPlan& plan) { return plan.wave_steps_; }
-  static std::vector<int>& wave_offsets(ExecutionPlan& plan) { return plan.wave_offsets_; }
   static std::vector<ExecutionPlan::FeedBinding>& feed_bindings(ExecutionPlan& plan) {
     return plan.feed_bindings_;
   }

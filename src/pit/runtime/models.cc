@@ -797,10 +797,6 @@ PlanStats PlannedFfnStack::StatsFor(int64_t tokens) const {
     total.num_inplace += s.num_inplace;
     total.num_pit_steps += s.num_pit_steps;
     total.num_fused += s.num_fused;
-    total.num_wavefronts += s.num_wavefronts;
-    total.max_wavefront_width = std::max(total.max_wavefront_width, s.max_wavefront_width);
-    total.parallel_step_work = std::max(total.parallel_step_work, s.parallel_step_work);
-    total.wavefront_profitable = total.wavefront_profitable || s.wavefront_profitable;
   }
   return total;
 }
@@ -934,10 +930,6 @@ PlanStats PlannedTransformerStack::StatsFor(int64_t tokens, bool masked) const {
     total.num_inplace += s.num_inplace;
     total.num_pit_steps += s.num_pit_steps;
     total.num_fused += s.num_fused;
-    total.num_wavefronts += s.num_wavefronts;
-    total.max_wavefront_width = std::max(total.max_wavefront_width, s.max_wavefront_width);
-    total.parallel_step_work = std::max(total.parallel_step_work, s.parallel_step_work);
-    total.wavefront_profitable = total.wavefront_profitable || s.wavefront_profitable;
   }
   return total;
 }

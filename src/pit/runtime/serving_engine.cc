@@ -248,8 +248,8 @@ struct ServingEngine::StreamState {
   int64_t pooled_contexts = 0;
   int64_t pooled_arena_bytes = 0;
   // Liveness state. `cancel` is installed on every acquired stack stream's
-  // contexts before a forward, so replays stop at the next step/wavefront
-  // boundary once it fires. `heartbeat` is the step-progress counter those
+  // contexts before a forward, so replays stop at the next step boundary
+  // once it fires. `heartbeat` is the step-progress counter those
   // replays bump (via the thread-local sink); `hb_active` marks the worker
   // mid-claim so the watchdog only measures silence while work is actually
   // in flight, and `hb_bucket` is the claim's token bucket for diagnostics.
@@ -324,7 +324,7 @@ void ServingEngine::Drain(DrainPolicy policy) {
   draining_.store(true, std::memory_order_release);
   if (policy == DrainPolicy::kCancelInFlight) {
     // Sticky manual cancel on every stream token: in-flight replays stop at
-    // the next step/wavefront boundary and their requests resolve
+    // the next step boundary and their requests resolve
     // kCancelled. Tokens stay cancelled forever — a drained engine is
     // permanently quiesced.
     for (const std::unique_ptr<StreamState>& stream : streams_) {

@@ -6,9 +6,9 @@
 // split: every stream holds private ExecutionContexts over the stack's shared
 // plans (one per layer per served shape, pooled and reused across requests),
 // so N streams replay the same compiled plans concurrently with zero
-// cross-stream shared mutable state — inter-request parallelism, which
-// BENCH_pr4 showed is where the hardware headroom is once intra-plan
-// wavefronts stop paying (small per-step work at serving-size shapes).
+// cross-stream shared mutable state — inter-request parallelism, which is
+// where the hardware headroom is at serving-size shapes (small per-step
+// work leaves little for intra-op parallelism alone).
 //
 // Continuous ragged batching (PR 6) applies the paper's micro-tile
 // permutation to the batch axis: a padded mixed-length batch is a dynamically
@@ -33,9 +33,9 @@
 // cursor by the batch window, so span composition (and therefore batch
 // composition) is independent of which stream claims it. Each worker runs
 // with an intra-op width budget of ~threads/streams; inside a worker the
-// plan replays sequentially (ParallelRegionActive) and its kernels fan out
-// to the worker's budget, which keeps every result bitwise identical to
-// single-stream replay at any (streams x threads x scheduler) combination:
+// plan's kernels fan out to the worker's budget, which keeps every result
+// bitwise identical to
+// single-stream replay at any (streams x threads) combination:
 // requests never split across streams, contexts never cross streams, and
 // every kernel is chunk-count deterministic.
 //
@@ -61,8 +61,8 @@
 //
 // Liveness (PR 10): fault containment alone still hangs when work *stops*
 // instead of failing, so the engine carries the liveness half of isolation.
-// Every stream owns a CancelToken installed on its pooled contexts; both plan
-// schedulers poll it at step/wavefront boundaries (kernels stay
+// Every stream owns a CancelToken installed on its pooled contexts; plan
+// replay polls it at step boundaries (kernels stay
 // uninterruptible), giving bounded time-to-release: deadlines are enforced
 // *in flight*, not just at claim time — a packed batch whose every member
 // lapsed mid-replay is released kDeadlineExceeded without completing the
@@ -206,7 +206,7 @@ struct ServingEngineOptions {
   int queue_capacity = 0;
   // Per-stream stall-detection threshold in microseconds: an engine-owned
   // watchdog thread reads the streams' heartbeat counters (bumped at replay
-  // step/wavefront checkpoints) and flags any stream that is mid-request but
+  // step checkpoints) and flags any stream that is mid-request but
   // silent for longer than this. > 0: explicit. 0: resolve the strict-parsed
   // PIT_WATCHDOG_US knob, falling back to no watchdog. Negative values are
   // API misuse (PIT_CHECK).
@@ -328,7 +328,7 @@ class ServingEngine {
   // malformed request data. kOk outputs are bitwise identical to
   // single-stream replay (and, for dense serving, to the 1:1 unbatched
   // engine and the stack's eager oracle) for any (streams x threads x
-  // scheduler x batching) combination, and independent of which batchmates
+  // batching) combination, and independent of which batchmates
   // were rejected, shed or timed out around them (PR 6 contract). PIT
   // serving is deterministic and stream-assignment independent, but its
   // kernel selection sees the packed tile's sparsity, so batched PIT results

@@ -336,19 +336,6 @@ TEST(EnvParsingTest, BackendRejectsUnknownNames) {
   EXPECT_DEATH(ParseBackendEnv("blocked "), "PIT_BACKEND");
 }
 
-TEST(EnvParsingTest, PlanSchedAcceptsKnownNames) {
-  EXPECT_EQ(ParsePlanSchedEnv("seq"), PlanSched::kSequential);
-  EXPECT_EQ(ParsePlanSchedEnv("wavefront"), PlanSched::kWavefront);
-}
-
-TEST(EnvParsingTest, PlanSchedRejectsUnknownNames) {
-  EXPECT_DEATH(ParsePlanSchedEnv("Wavefront"), "PIT_PLAN_SCHED");
-  EXPECT_DEATH(ParsePlanSchedEnv("sequential"), "PIT_PLAN_SCHED");
-  EXPECT_DEATH(ParsePlanSchedEnv("parallel"), "PIT_PLAN_SCHED");
-  EXPECT_DEATH(ParsePlanSchedEnv(""), "PIT_PLAN_SCHED");
-  EXPECT_DEATH(ParsePlanSchedEnv("seq "), "PIT_PLAN_SCHED");
-}
-
 TEST(EnvParsingTest, PlanVerifyAcceptsKnownNames) {
   EXPECT_EQ(ParsePlanVerifyEnv("auto"), PlanVerifyMode::kAuto);
   EXPECT_EQ(ParsePlanVerifyEnv("on"), PlanVerifyMode::kOn);
@@ -400,7 +387,7 @@ TEST(IsaTierTest, ScopedIsaRestoresAndNeverExceedsDetection) {
   EXPECT_LE(static_cast<int>(ActiveIsa()), static_cast<int>(DetectedIsa()));
 }
 
-// ---- Task-capable thread pool (the wavefront scheduler's substrate) --------
+// ---- Task-capable thread pool (the serving engine's stream substrate) -------
 
 // The deadlock regression this PR's pool rework is guarded by: tasks
 // dispatched on the pool call ParallelFor themselves (nested submission from

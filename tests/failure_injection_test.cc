@@ -137,6 +137,10 @@ TEST(FailureInjectionTest, ServingEngineContainsMalformedRequestData) {
 }
 
 TEST(FailureInjectionTest, LegacyServeEscalatesContainedFailureToAbort) {
+  // The worker pool is already running (earlier tests served requests), and
+  // a plain fork can copy a pool mutex held by a worker into the child,
+  // which then deadlocks in Serve. Re-exec the binary for the death child.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Rng rng(7);
   PlannedFfnStack stack(1, 8, 16, rng);
   ServingEngine engine(stack, {});

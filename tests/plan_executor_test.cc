@@ -154,6 +154,21 @@ std::map<std::string, Tensor> AllOpsFeeds(int64_t tokens, int64_t hidden, uint64
   return {{"x", x}, {"m", m}};
 }
 
+// Bitwise-determinism sweep across PIT_NUM_THREADS: the single-thread replay
+// must equal eager execution, and every wider pool must reproduce it exactly.
+void ExpectThreadSweepMatchesEager(Graph& g, const std::map<std::string, Tensor>& feeds) {
+  Tensor base;
+  {
+    ScopedNumThreads threads(1);
+    base = g.Run(feeds);
+  }
+  ExpectBitwiseEqual(EagerExecute(g, feeds).at(g.size() - 1), base);
+  for (int t : {4, 7}) {
+    ScopedNumThreads threads(t);
+    ExpectBitwiseEqual(g.Run(feeds), base);
+  }
+}
+
 TEST(PlanExecutorTest, EveryOpKindBitwiseMatchesEager) {
   Rng rng(1);
   Graph g = BuildAllOpsGraph(24, 16, rng);
@@ -260,15 +275,7 @@ TEST(PlanExecutorTest, DeterministicAcrossThreadCounts) {
   Rng rng(13);
   Graph g = BuildAllOpsGraph(40, 24, rng);
   auto feeds = AllOpsFeeds(40, 24, 14);
-  Tensor base;
-  {
-    ScopedNumThreads threads(1);
-    base = g.Run(feeds);
-  }
-  for (int t : {4, 7}) {
-    ScopedNumThreads threads(t);
-    ExpectBitwiseEqual(g.Run(feeds), base);
-  }
+  ExpectThreadSweepMatchesEager(g, feeds);
 }
 
 TEST(PlanExecutorTest, PitDeterministicAcrossThreadCounts) {
@@ -287,6 +294,23 @@ TEST(PlanExecutorTest, PitDeterministicAcrossThreadCounts) {
     ScopedNumThreads threads(t);
     PitCompiler compiler(V100());
     ExpectBitwiseEqual(g.Run(feeds, &decisions, &compiler), base);
+  }
+
+  // The planned FFN stack's PIT forward (PIT steps interleaved with dense
+  // ones across layers) is equally thread-count invariant.
+  Rng sr(71);
+  PlannedFfnStack stack(2, 16, 64, sr);
+  Tensor sx = Tensor::Random({24, 16}, xr);
+  Tensor stack_base;
+  {
+    ScopedNumThreads threads(1);
+    PitCompiler compiler(V100());
+    stack_base = stack.ForwardPit(sx, compiler);
+  }
+  for (int t : {4, 7}) {
+    ScopedNumThreads threads(t);
+    PitCompiler compiler(V100());
+    ExpectBitwiseEqual(stack.ForwardPit(sx, compiler), stack_base);
   }
 }
 
@@ -425,16 +449,11 @@ TEST(PlanExecutorTest, TransformerOpKindsDeterministicAcrossThreadCounts) {
   Rng rng(45);
   Graph g = BuildTransformerOpsGraph(16, 4, 8, rng);
   auto feeds = TransformerOpsFeeds(16, 32, 46);
-  Tensor base;
-  {
-    ScopedNumThreads threads(1);
-    base = g.Run(feeds);
-    ExpectBitwiseEqual(base, EagerExecute(g, feeds).at(g.size() - 1));
-  }
+  ExpectThreadSweepMatchesEager(g, feeds);
+  // The eager composition itself is thread-count invariant too.
   for (int t : {4, 7}) {
     ScopedNumThreads threads(t);
-    ExpectBitwiseEqual(g.Run(feeds), base);
-    ExpectBitwiseEqual(EagerExecute(g, feeds).at(g.size() - 1), base);
+    ExpectBitwiseEqual(EagerExecute(g, feeds).at(g.size() - 1), g.Run(feeds));
   }
 }
 
@@ -552,6 +571,7 @@ TEST(PlanExecutorTest, EncoderLayerPlannedBitwiseMatchesEager) {
   // in place, and the arena undercuts eager temporaries.
   const PlanStats stats = layer.PlanStatsFor(18);
   EXPECT_GE(stats.num_inplace, 3);
+  EXPECT_GE(stats.num_fused, 1);  // FFN up-projection + ReLU
   EXPECT_LT(stats.arena_bytes, stats.sum_temporary_bytes);
 }
 
@@ -606,47 +626,12 @@ TEST(PlanExecutorTest, PlannedTransformerStackMatchesEager) {
   EXPECT_TRUE(AllClose(stack.ForwardPit(x, compiler), stack.ForwardEager(x), 1e-3f, 1e-4f));
 }
 
-// ---- Wavefront scheduler (PR 4) --------------------------------------------
+// ---- Arena block reuse -----------------------------------------------------
 
-// Bitwise-determinism sweep across PIT_PLAN_SCHED x PIT_NUM_THREADS for every
-// OpKind: the wavefront schedule must reproduce the sequential oracle (and
-// eager execution) exactly at any thread count.
-void ExpectSchedulerSweepMatchesEager(Graph& g, const std::map<std::string, Tensor>& feeds) {
-  // Gate off: these graphs are deliberately small, and the differential value
-  // is in actually dispatching the wavefront path, not in the gate's seq
-  // fallback (which would make the sweep vacuously compare seq to seq).
-  ScopedWavefrontGate gate_off(false);
-  Tensor base;
-  {
-    ScopedPlanSched sched(PlanSched::kSequential);
-    ScopedNumThreads threads(1);
-    base = g.Run(feeds);
-  }
-  ExpectBitwiseEqual(EagerExecute(g, feeds).at(g.size() - 1), base);
-  for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-    for (int t : {1, 4, 7}) {
-      ScopedPlanSched sched_guard(sched);
-      ScopedNumThreads threads(t);
-      ExpectBitwiseEqual(g.Run(feeds), base);
-    }
-  }
-}
-
-TEST(PlanExecutorTest, WavefrontEveryOpKindBitwiseMatchesSequential) {
-  Rng rng(63);
-  Graph all_ops = BuildAllOpsGraph(40, 24, rng);
-  auto all_feeds = AllOpsFeeds(40, 24, 64);
-  ExpectSchedulerSweepMatchesEager(all_ops, all_feeds);
-
-  Graph transformer = BuildTransformerOpsGraph(16, 4, 8, rng);
-  auto transformer_feeds = TransformerOpsFeeds(16, 32, 65);
-  ExpectSchedulerSweepMatchesEager(transformer, transformer_feeds);
-}
-
-TEST(PlanExecutorTest, WavefrontInPlaceAliasedStepsMatchSequential) {
+TEST(PlanExecutorTest, InPlaceAliasedBranchesMatchEagerAcrossThreadCounts) {
   // In-place chains (scale/relu/add aliasing dying blocks) plus independent
-  // branches reusing freed arena offsets — the WAR/WAW hazard cases the
-  // interval-based dependency derivation must order correctly.
+  // branches reusing freed arena offsets: every recycled block must only be
+  // handed to a step that runs after its last reader.
   Rng rng(67);
   Graph g;
   const int x = g.AddInput("x", {24, 24});
@@ -666,66 +651,13 @@ TEST(PlanExecutorTest, WavefrontInPlaceAliasedStepsMatchSequential) {
   g.PropagateSparsity();
 
   auto feeds = AllOpsFeeds(24, 24, 68);
-  ExpectSchedulerSweepMatchesEager(g, feeds);
+  ExpectThreadSweepMatchesEager(g, feeds);
 }
 
-TEST(PlanExecutorTest, WavefrontEncoderLayerHasInterOpParallelism) {
-  // The encoder block's q/k/v column-split projections and independent
-  // branches must actually land in shared wavefronts: depth strictly below
-  // the step count, width above 1.
-  Rng rng(69);
-  TransformerEncoderLayer layer(32, 4, 96, rng);
-  const PlanStats stats = layer.PlanStatsFor(16);
-  EXPECT_GT(stats.num_wavefronts, 0);
-  EXPECT_LT(stats.num_wavefronts, stats.num_steps);
-  EXPECT_GE(stats.max_wavefront_width, 3);  // q/k/v projections at least
-  EXPECT_GE(stats.num_fused, 1);            // FFN up-projection + ReLU
-
-  Rng xr(70);
-  Tensor x = Tensor::Random({16, 32}, xr);
-  ScopedWavefrontGate gate_off(false);  // force real wavefront dispatch
-  Tensor base;
-  {
-    ScopedPlanSched sched(PlanSched::kSequential);
-    ScopedNumThreads threads(1);
-    base = layer.Forward(x);
-    ExpectBitwiseEqual(base, layer.ForwardEager(x));
-  }
-  for (int t : {4, 7}) {
-    ScopedPlanSched sched(PlanSched::kWavefront);
-    ScopedNumThreads threads(t);
-    ExpectBitwiseEqual(layer.Forward(x), base);
-  }
-}
-
-TEST(PlanExecutorTest, WavefrontPitPathBitwiseMatchesSequentialPit) {
-  // PIT steps are chained (the compiler mutates shared state), but the dense
-  // steps around them still parallelize — outputs must stay bitwise equal.
-  Rng rng(71);
-  PlannedFfnStack stack(2, 16, 64, rng);
-  Rng xr(72);
-  Tensor x = Tensor::Random({24, 16}, xr);
-  ScopedWavefrontGate gate_off(false);  // force real wavefront dispatch
-  Tensor base;
-  {
-    ScopedPlanSched sched(PlanSched::kSequential);
-    ScopedNumThreads threads(1);
-    PitCompiler compiler(V100());
-    base = stack.ForwardPit(x, compiler);
-  }
-  for (int t : {4, 7}) {
-    ScopedPlanSched sched(PlanSched::kWavefront);
-    ScopedNumThreads threads(t);
-    PitCompiler compiler(V100());
-    ExpectBitwiseEqual(stack.ForwardPit(x, compiler), base);
-  }
-}
-
-TEST(PlanExecutorTest, RandomizedGraphFuzzWavefrontMatchesSequential) {
+TEST(PlanExecutorTest, RandomizedGraphFuzzMatchesEagerAcrossThreadCounts) {
   // Randomized-graph differential fuzz: arbitrary legal op chains (with
   // shared subexpressions, aliasing reshapes, and block-reuse pressure) must
-  // replay identically under both schedulers at every thread count.
-  ScopedWavefrontGate gate_off(false);  // force real wavefront dispatch
+  // replay bitwise equal to eager execution at every thread count.
   Rng rng(73);
   for (int trial = 0; trial < 12; ++trial) {
     const int64_t rows = 8 + static_cast<int64_t>(rng.NextBelow(3)) * 4;   // 8/12/16
@@ -791,17 +723,10 @@ TEST(PlanExecutorTest, RandomizedGraphFuzzWavefrontMatchesSequential) {
     g.PropagateSparsity();
     Rng fr(100 + static_cast<uint64_t>(trial));
     std::map<std::string, Tensor> feeds{{"x", Tensor::Random({rows, cols}, fr)}};
-    Tensor base;
-    {
-      ScopedPlanSched sched(PlanSched::kSequential);
-      ScopedNumThreads threads(1);
-      base = g.Run(feeds);
-      ExpectBitwiseEqual(base, EagerExecute(g, feeds).at(g.size() - 1));
-    }
+    const Tensor eager = EagerExecute(g, feeds).at(g.size() - 1);
     for (int t : {1, 4, 7}) {
-      ScopedPlanSched sched(PlanSched::kWavefront);
       ScopedNumThreads threads(t);
-      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(g.Run(feeds), base))
+      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(g.Run(feeds), eager))
           << "fuzz trial " << trial << " at " << t << " threads";
     }
   }
@@ -860,7 +785,7 @@ TEST(PlanExecutorTest, FusionKeepsOperandsLiveUntilTheRelusPosition) {
   // nominal last consumer of t and sits BETWEEN the matmul and its ReLU:
   // without lifetime extension z would alias t's block in place (or free it
   // for reuse) and the fused step would read clobbered data — a silent
-  // miscompilation even under the sequential oracle.
+  // miscompilation.
   Rng rng(81);
   Graph g;
   const int x = g.AddInput("x", {8, 8});
@@ -876,15 +801,11 @@ TEST(PlanExecutorTest, FusionKeepsOperandsLiveUntilTheRelusPosition) {
 
   Rng xr(82);
   std::map<std::string, Tensor> feeds{{"x", Tensor::Random({8, 8}, xr)}};
-  ScopedWavefrontGate gate_off(false);  // force real wavefront dispatch
   for (const ComputeBackend backend : {ComputeBackend::kBlocked, ComputeBackend::kReference}) {
     ScopedBackend guard(backend);
-    for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-      ScopedPlanSched sched_guard(sched);
-      for (int threads : {1, 4}) {
-        ScopedNumThreads tguard(threads);
-        ExpectBitwiseEqual(g.Run(feeds), EagerExecute(g, feeds).at(g.size() - 1));
-      }
+    for (int threads : {1, 4}) {
+      ScopedNumThreads tguard(threads);
+      ExpectBitwiseEqual(g.Run(feeds), EagerExecute(g, feeds).at(g.size() - 1));
     }
   }
 }
@@ -997,15 +918,11 @@ TEST(PlanExecutorTest, ConcurrentStreamsOverOneSharedPlanAreBitwiseIdentical) {
   // The tentpole contract: one immutable plan, N private contexts, N OS
   // threads replaying concurrently with distinct inputs — every stream's
   // result must be bitwise identical to the single-stream default replay of
-  // its own input. Run under both schedulers and several pool widths (the
-  // pool is shared infrastructure the streams' nested kernels contend on).
+  // its own input. Run at several pool widths (the pool is shared
+  // infrastructure the streams' nested kernels contend on).
   Rng rng(87);
   Graph g = BuildAllOpsGraph(20, 12, rng);
   std::shared_ptr<ExecutionPlan> plan = g.PlanShared();
-  // Gate off so the wavefront iterations genuinely dispatch concurrent plan
-  // steps from several OS threads at once — the strongest TSan surface this
-  // suite has (concurrent ParallelTasks jobs over one shared pool).
-  ScopedWavefrontGate gate_off(false);
 
   constexpr int kStreams = 4;
   constexpr int kRepeats = 8;
@@ -1018,35 +935,31 @@ TEST(PlanExecutorTest, ConcurrentStreamsOverOneSharedPlanAreBitwiseIdentical) {
                           std::vector<float>(out.data(), out.data() + out.size()));
   }
 
-  for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-    for (int t : {1, 4}) {
-      ScopedPlanSched sched_guard(sched);
-      ScopedNumThreads threads(t);
-      std::vector<std::unique_ptr<ExecutionContext>> contexts;
-      for (int s = 0; s < kStreams; ++s) {
-        contexts.push_back(std::make_unique<ExecutionContext>(*plan));
-      }
-      std::atomic<int> failures{0};
-      std::vector<std::thread> workers;
-      for (int s = 0; s < kStreams; ++s) {
-        workers.emplace_back([&, s] {
-          for (int r = 0; r < kRepeats; ++r) {
-            ConstTensorView out =
-                plan->RunWith(*contexts[static_cast<size_t>(s)], feeds[static_cast<size_t>(s)]);
-            if (std::memcmp(out.data(), expected[static_cast<size_t>(s)].data(),
-                            static_cast<size_t>(out.size()) * sizeof(float)) != 0) {
-              failures.fetch_add(1);
-            }
-          }
-        });
-      }
-      for (auto& w : workers) {
-        w.join();
-      }
-      EXPECT_EQ(failures.load(), 0)
-          << "stream diverged from single-stream replay (sched="
-          << (sched == PlanSched::kWavefront ? "wavefront" : "seq") << ", threads=" << t << ")";
+  for (int t : {1, 4}) {
+    ScopedNumThreads threads(t);
+    std::vector<std::unique_ptr<ExecutionContext>> contexts;
+    for (int s = 0; s < kStreams; ++s) {
+      contexts.push_back(std::make_unique<ExecutionContext>(*plan));
     }
+    std::atomic<int> failures{0};
+    std::vector<std::thread> workers;
+    for (int s = 0; s < kStreams; ++s) {
+      workers.emplace_back([&, s] {
+        for (int r = 0; r < kRepeats; ++r) {
+          ConstTensorView out =
+              plan->RunWith(*contexts[static_cast<size_t>(s)], feeds[static_cast<size_t>(s)]);
+          if (std::memcmp(out.data(), expected[static_cast<size_t>(s)].data(),
+                          static_cast<size_t>(out.size()) * sizeof(float)) != 0) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& w : workers) {
+      w.join();
+    }
+    EXPECT_EQ(failures.load(), 0)
+        << "stream diverged from single-stream replay (threads=" << t << ")";
   }
 }
 
@@ -1103,59 +1016,6 @@ TEST(PlanExecutorTest, EncoderLayerStreamsForwardConcurrently) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// ---- Wavefront profitability gate (PR 5 satellite) -------------------------
-
-TEST(PlanExecutorTest, WavefrontGateKeepsSmallStepPlansSequential) {
-  // Serving-size encoder blocks carry ~17 MFLOP projection GEMMs in their
-  // widest wave — BENCH_pr4 measured wavefront replay losing there, so the
-  // compile-time gate must mark them unprofitable (replay falls back to seq
-  // and each kernel keeps the whole pool).
-  Rng rng(93);
-  TransformerEncoderLayer layer(256, 8, 1024, rng);
-  const PlanStats stats = layer.PlanStatsFor(128);
-  EXPECT_GT(stats.max_wavefront_width, 1);
-  EXPECT_GT(stats.parallel_step_work, 0.0);
-  EXPECT_FALSE(stats.wavefront_profitable)
-      << "mean parallel-step work " << stats.parallel_step_work
-      << " should fall below the gate threshold";
-}
-
-TEST(PlanExecutorTest, WavefrontGateEngagesForLargeIndependentSteps) {
-  // Four independent 384^3 GEMMs (~113 MFLOP each) in one wave: big enough
-  // that inter-op overlap amortizes the task dispatch — the gate must keep
-  // wavefront replay on, and the schedule must stay bitwise equal to seq.
-  Rng rng(94);
-  Graph g;
-  const int x = g.AddInput("x", {384, 384});
-  std::vector<int> branches;
-  for (int b = 0; b < 4; ++b) {
-    const int w = g.AddWeight("w" + std::to_string(b),
-                              Tensor::Random({384, 384}, rng, -0.1f, 0.1f));
-    branches.push_back(g.AddMatmul("mm" + std::to_string(b), x, w));
-  }
-  const int s1 = g.AddAdd("s1", branches[0], branches[1]);
-  const int s2 = g.AddAdd("s2", branches[2], branches[3]);
-  g.AddAdd("out", s1, s2);
-  g.PropagateSparsity();
-
-  const ExecutionPlan& plan = g.Plan();
-  EXPECT_GE(plan.stats().max_wavefront_width, 4);
-  EXPECT_TRUE(plan.stats().wavefront_profitable)
-      << "mean parallel-step work " << plan.stats().parallel_step_work;
-
-  Rng xr(95);
-  std::map<std::string, Tensor> feeds{{"x", Tensor::Random({384, 384}, xr)}};
-  Tensor base;
-  {
-    ScopedPlanSched sched(PlanSched::kSequential);
-    ScopedNumThreads threads(1);
-    base = g.Run(feeds);
-  }
-  ScopedPlanSched sched(PlanSched::kWavefront);
-  ScopedNumThreads threads(4);
-  ExpectBitwiseEqual(g.Run(feeds), base);  // gate-on wavefront dispatch, bitwise
-}
-
 // ---- Cooperative cancellation (PR 10) --------------------------------------
 
 TEST(PlanExecutorTest, PreCancelledTokenStopsReplayBeforeAnyStep) {
@@ -1167,12 +1027,8 @@ TEST(PlanExecutorTest, PreCancelledTokenStopsReplayBeforeAnyStep) {
   CancelToken token;
   token.Cancel();
   ctx.set_cancel_token(&token);
-  for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-    ScopedWavefrontGate gate_off(false);
-    ScopedPlanSched sched_guard(sched);
-    (void)plan->RunWith(ctx, feeds);
-    EXPECT_EQ(ctx.replay_status(), ReplayStatus::kCancelled);
-  }
+  (void)plan->RunWith(ctx, feeds);
+  EXPECT_EQ(ctx.replay_status(), ReplayStatus::kCancelled);
 }
 
 TEST(PlanExecutorTest, MidReplayCancelStopsAtStepBoundaryAndResetRecovers) {
@@ -1190,9 +1046,9 @@ TEST(PlanExecutorTest, MidReplayCancelStopsAtStepBoundaryAndResetRecovers) {
     std::copy(out.data(), out.data() + out.size(), base.data());
   }
 
-  // Observer-driven deterministic mid-replay cancel: observed runs replay
-  // sequentially, so firing the token after the first compute step must stop
-  // the replay at the very next step boundary.
+  // Observer-driven deterministic mid-replay cancel: firing the token after
+  // the first compute step must stop the replay at the very next step
+  // boundary.
   CancelToken token;
   ctx.set_cancel_token(&token);
   int steps_seen = 0;
@@ -1214,7 +1070,7 @@ TEST(PlanExecutorTest, MidReplayCancelStopsAtStepBoundaryAndResetRecovers) {
       Tensor(base.shape(), std::vector<float>(out.data(), out.data() + out.size())), base);
 }
 
-TEST(PlanExecutorTest, LapsedDeadlineCancelsReplayUnderBothSchedulers) {
+TEST(PlanExecutorTest, LapsedDeadlineCancelsReplay) {
   Rng rng(100);
   Graph g = BuildAllOpsGraph(24, 16, rng);
   auto feeds = AllOpsFeeds(24, 16, 101);
@@ -1222,21 +1078,17 @@ TEST(PlanExecutorTest, LapsedDeadlineCancelsReplayUnderBothSchedulers) {
   ExecutionContext ctx(*plan);
   CancelToken token;
   ctx.set_cancel_token(&token);
-  for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-    for (int t : {1, 4}) {
-      ScopedWavefrontGate gate_off(false);
-      ScopedPlanSched sched_guard(sched);
-      ScopedNumThreads threads(t);
-      token.ArmDeadline(SteadyNowUs() - 1);  // already lapsed
-      (void)plan->RunWith(ctx, feeds);
-      EXPECT_EQ(ctx.replay_status(), ReplayStatus::kCancelled);
-      EXPECT_TRUE(token.deadline_lapsed());
-      EXPECT_FALSE(token.cancelled_manual());
-      token.ClearDeadline();
-      ConstTensorView out = plan->RunWith(ctx, feeds);
-      EXPECT_EQ(ctx.replay_status(), ReplayStatus::kOk);
-      EXPECT_GT(out.size(), 0);
-    }
+  for (int t : {1, 4}) {
+    ScopedNumThreads threads(t);
+    token.ArmDeadline(SteadyNowUs() - 1);  // already lapsed
+    (void)plan->RunWith(ctx, feeds);
+    EXPECT_EQ(ctx.replay_status(), ReplayStatus::kCancelled);
+    EXPECT_TRUE(token.deadline_lapsed());
+    EXPECT_FALSE(token.cancelled_manual());
+    token.ClearDeadline();
+    ConstTensorView out = plan->RunWith(ctx, feeds);
+    EXPECT_EQ(ctx.replay_status(), ReplayStatus::kOk);
+    EXPECT_GT(out.size(), 0);
   }
 }
 

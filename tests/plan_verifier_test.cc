@@ -2,13 +2,13 @@
 //
 // Two halves, matching the verifier's contract:
 //   * Positive sweep — every OpKind, fused/in-place/PIT/masked/batched plans,
-//     both replay schedulers, the randomized-graph fuzzer's generator, and
-//     the serving engine's pooled plans must all verify with zero violations.
+//     the randomized-graph fuzzer's generator, and the serving engine's
+//     pooled plans must all verify with zero violations.
 //     A false positive here would turn the compile hook into a build breaker.
 //   * Corrupted-plan negative suite — each invariant class is violated once,
 //     through the PlanCorruptor test seam, and the verifier must report that
 //     specific class. A corruption the verifier misses is exactly the planner
-//     bug that would ship as a probabilistic data race.
+//     bug that would ship as a silent miscompilation.
 #include "pit/graph/plan_verifier.h"
 
 #include <gtest/gtest.h>
@@ -54,8 +54,8 @@ Graph BuildAllOpsGraph(Rng& rng) {
   return g;
 }
 
-// Masked + batched multi-head attention: three parallel projection GEMMs (a
-// wave of width 3), head split/merge through reshape+transpose aliases,
+// Masked + batched multi-head attention: three independent projection GEMMs,
+// head split/merge through reshape+transpose aliases,
 // broadcast-masked softmax, residual add, layernorm.
 Graph BuildAttentionGraph(Rng& rng) {
   constexpr int64_t kTokens = 24;
@@ -89,8 +89,7 @@ Graph BuildAttentionGraph(Rng& rng) {
   return g;
 }
 
-// Two PIT matmuls over independent inputs: disjoint arena footprints, so
-// their required total order comes only from the PIT chain, not from data.
+// Two PIT matmuls over independent inputs with disjoint arena footprints.
 Graph BuildIndependentPitGraph(Rng& rng, std::vector<MatmulDecision>* decisions) {
   Graph g;
   const int x1 = g.AddInput("x1", {16, 16});
@@ -117,10 +116,7 @@ TEST(PlanVerifierTest, AllOpsPlanHasZeroViolations) {
   EXPECT_TRUE(report.ok()) << report.ToString();
   // The sweep must have examined real structure, not vacuously passed.
   EXPECT_GT(report.steps_checked, 0);
-  EXPECT_GT(report.waves_checked, 0);
   EXPECT_GT(report.blocks_checked, 0);
-  EXPECT_GT(report.oracle_pairs, 0);
-  EXPECT_GT(report.oracle_edges, 0);
   EXPECT_EQ(plan.stats().num_fused, 1);  // the MatmulBias+ReLU pair collapsed
 }
 
@@ -130,7 +126,6 @@ TEST(PlanVerifierTest, MaskedBatchedAttentionPlanHasZeroViolations) {
   const ExecutionPlan plan(g, nullptr);
   const PlanVerifyReport report = Verify(plan);
   EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_GT(plan.stats().max_wavefront_width, 1);  // parallel q/k/v projections
 }
 
 TEST(PlanVerifierTest, FusedAndPitFfnPlansHaveZeroViolations) {
@@ -147,28 +142,13 @@ TEST(PlanVerifierTest, FusedAndPitFfnPlansHaveZeroViolations) {
   EXPECT_TRUE(Verify(pit_plan).ok()) << Verify(pit_plan).ToString();
 }
 
-TEST(PlanVerifierTest, IndependentPitMatmulsVerifyCleanAndTotallyOrdered) {
+TEST(PlanVerifierTest, IndependentPitMatmulsVerifyClean) {
   Rng rng(807);
   std::vector<MatmulDecision> decisions;
   Graph g = BuildIndependentPitGraph(rng, &decisions);
   const ExecutionPlan plan(g, &decisions);
   EXPECT_EQ(plan.stats().num_pit_steps, 2);
-  // The PIT chain must have serialized the data-independent matmuls.
-  EXPECT_EQ(plan.stats().max_wavefront_width, 1);
   EXPECT_TRUE(Verify(plan).ok()) << Verify(plan).ToString();
-}
-
-TEST(PlanVerifierTest, BothSchedulersCompileVerifiablePlans) {
-  // The wave partition is a compile artifact — PIT_PLAN_SCHED picks how waves
-  // dispatch, not what the plan contains — but pin both settings anyway so a
-  // future scheduler-dependent compile path cannot dodge verification.
-  for (PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-    ScopedPlanSched scoped(sched);
-    Rng rng(809);
-    Graph g = BuildAttentionGraph(rng);
-    const ExecutionPlan plan(g, nullptr);
-    EXPECT_TRUE(Verify(plan).ok()) << Verify(plan).ToString();
-  }
 }
 
 TEST(PlanVerifierTest, RandomizedGraphsAllVerifyClean) {
@@ -269,49 +249,9 @@ TEST(PlanVerifierTest, CompileHookAndPooledServingVerifyUnderForcedOn) {
 //
 // Each test compiles a healthy plan, mutates exactly one invariant through
 // the PlanCorruptor seam, and asserts the verifier reports that class. The
-// corruption may knock on into further violations (a moved block also shifts
-// hazards); tests assert the expected class is PRESENT, not exclusive.
-
-TEST(PlanVerifierCorruptionTest, MergedWavesReportConcurrentHazard) {
-  Rng rng(821);
-  Graph g = BuildAttentionGraph(rng);
-  ExecutionPlan plan(g, nullptr);
-  // Collapse the partition to one wave holding every dispatched step: every
-  // producer/consumer pair now claims to run concurrently.
-  std::vector<int>& offsets = PlanCorruptor::wave_offsets(plan);
-  offsets = {0, static_cast<int>(PlanCorruptor::wave_steps(plan).size())};
-  PlanCorruptor::stats(plan).num_wavefronts = 1;
-  PlanCorruptor::stats(plan).max_wavefront_width =
-      static_cast<int>(PlanCorruptor::wave_steps(plan).size());
-  const PlanVerifyReport report = Verify(plan);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has(PlanViolationKind::kConcurrentHazard)) << report.ToString();
-}
-
-TEST(PlanVerifierCorruptionTest, InvertedWaveOrderReportsMissingHazardEdge) {
-  Rng rng(823);
-  Graph g = BuildAttentionGraph(rng);
-  ExecutionPlan plan(g, nullptr);
-  // Reverse the wave order (keeping each wave's membership and internal step
-  // order): every dependency edge now points from a later wave to an earlier
-  // one — the schedule would replay consumers before their producers.
-  const std::vector<int> old_steps = PlanCorruptor::wave_steps(plan);
-  const std::vector<int> old_offsets = PlanCorruptor::wave_offsets(plan);
-  std::vector<int>& steps = PlanCorruptor::wave_steps(plan);
-  std::vector<int>& offsets = PlanCorruptor::wave_offsets(plan);
-  steps.clear();
-  offsets = {0};
-  for (int w = static_cast<int>(old_offsets.size()) - 2; w >= 0; --w) {
-    for (int i = old_offsets[static_cast<size_t>(w)];
-         i < old_offsets[static_cast<size_t>(w) + 1]; ++i) {
-      steps.push_back(old_steps[static_cast<size_t>(i)]);
-    }
-    offsets.push_back(static_cast<int>(steps.size()));
-  }
-  const PlanVerifyReport report = Verify(plan);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has(PlanViolationKind::kMissingHazardEdge)) << report.ToString();
-}
+// corruption may knock on into further violations (a moved block may also
+// land out of bounds); tests assert the expected class is PRESENT, not
+// exclusive.
 
 TEST(PlanVerifierCorruptionTest, MisalignedOffsetReported) {
   Rng rng(825);
@@ -352,25 +292,6 @@ TEST(PlanVerifierCorruptionTest, OverlappingReuseReportsClobberedRead) {
   const PlanVerifyReport report = Verify(plan);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Has(PlanViolationKind::kClobberedRead)) << report.ToString();
-}
-
-TEST(PlanVerifierCorruptionTest, ConcurrentPitStepsReportPitOrder) {
-  Rng rng(829);
-  std::vector<MatmulDecision> decisions;
-  Graph g = BuildIndependentPitGraph(rng, &decisions);
-  ExecutionPlan plan(g, &decisions);
-  // Healthy partition: {mm1}, {mm2}, {add} — the PIT chain split the
-  // data-independent matmuls. Merge the first two waves: no data hazard
-  // between them (disjoint blocks), but the PIT total order is gone.
-  std::vector<int>& offsets = PlanCorruptor::wave_offsets(plan);
-  ASSERT_EQ(offsets.size(), 4u);
-  offsets = {0, 2, 3};
-  PlanCorruptor::stats(plan).num_wavefronts = 2;
-  PlanCorruptor::stats(plan).max_wavefront_width = 2;
-  const PlanVerifyReport report = Verify(plan);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has(PlanViolationKind::kPitOrder)) << report.ToString();
-  EXPECT_FALSE(report.Has(PlanViolationKind::kConcurrentHazard)) << report.ToString();
 }
 
 TEST(PlanVerifierCorruptionTest, DroppedFeedBindingReported) {
@@ -424,21 +345,6 @@ TEST(PlanVerifierCorruptionTest, BlockPastArenaExtentReportsOutOfBounds) {
   EXPECT_TRUE(report.Has(PlanViolationKind::kArenaOutOfBounds)) << report.ToString();
 }
 
-TEST(PlanVerifierCorruptionTest, DroppedWaveStepReportsWavePartition) {
-  Rng rng(837);
-  Graph g = BuildAttentionGraph(rng);
-  ExecutionPlan plan(g, nullptr);
-  // Drop the final wave entry: one dispatched step is no longer scheduled.
-  std::vector<int>& steps = PlanCorruptor::wave_steps(plan);
-  std::vector<int>& offsets = PlanCorruptor::wave_offsets(plan);
-  ASSERT_FALSE(steps.empty());
-  steps.pop_back();
-  offsets.back() -= 1;
-  const PlanVerifyReport report = Verify(plan);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has(PlanViolationKind::kWavePartition)) << report.ToString();
-}
-
 TEST(PlanVerifierCorruptionTest, FuseFlagOnElementwiseStepReportsFusedStep) {
   Rng rng(839);
   Graph g = BuildAttentionGraph(rng);
@@ -489,10 +395,8 @@ TEST(PlanVerifierCorruptionTest, EveryCleanReportHasNoViolationOfAnyClass) {
   ASSERT_TRUE(report.ok()) << report.ToString();
   for (PlanViolationKind kind :
        {PlanViolationKind::kMalformedStep, PlanViolationKind::kArenaOutOfBounds,
-        PlanViolationKind::kMisalignedOffset, PlanViolationKind::kWavePartition,
-        PlanViolationKind::kConcurrentHazard, PlanViolationKind::kMissingHazardEdge,
-        PlanViolationKind::kClobberedRead, PlanViolationKind::kDanglingStorage,
-        PlanViolationKind::kFeedBinding, PlanViolationKind::kPitOrder,
+        PlanViolationKind::kMisalignedOffset, PlanViolationKind::kClobberedRead,
+        PlanViolationKind::kDanglingStorage, PlanViolationKind::kFeedBinding,
         PlanViolationKind::kFusedStep, PlanViolationKind::kStatsMismatch}) {
     EXPECT_FALSE(report.Has(kind)) << PlanViolationKindName(kind);
   }

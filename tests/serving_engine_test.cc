@@ -1,6 +1,6 @@
 // Differential suite for the multi-stream serving engine: per-request outputs
 // must be bitwise identical to single-stream replay (and to the stacks' eager
-// oracles) for any (streams x scheduler x thread count) combination, across
+// oracles) for any (streams x thread count) combination, across
 // mixed request shapes, masked and unmasked, with reused context pools. The
 // suite runs under TSan in CI: concurrent streams over shared immutable plans
 // must be provably race-free, not just stable on one machine.
@@ -71,7 +71,7 @@ RequestMix BuildMix(int64_t hidden, const std::vector<int64_t>& token_counts, in
   return mix;
 }
 
-TEST(ServingEngineTest, MatchesEagerAcrossStreamsSchedulersAndThreads) {
+TEST(ServingEngineTest, MatchesEagerAcrossStreamsAndThreads) {
   Rng wr(1);
   PlannedTransformerStack stack(2, 32, 4, 96, wr);
   RequestMix mix = BuildMix(32, {8, 12, 16}, 4, 2);
@@ -82,21 +82,17 @@ TEST(ServingEngineTest, MatchesEagerAcrossStreamsSchedulersAndThreads) {
     expected.push_back(stack.ForwardEager(req.x, req.attn_mask));
   }
 
-  for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-    for (int threads : {1, 4}) {
-      for (int streams : {1, 2, 4}) {
-        ScopedPlanSched sched_guard(sched);
-        ScopedNumThreads thread_guard(threads);
-        ServingEngineOptions options;
-        options.num_streams = streams;
-        ServingEngine engine(stack, options);
-        std::vector<Tensor> outputs = engine.Serve(mix.requests);
-        ASSERT_EQ(outputs.size(), expected.size());
-        for (size_t i = 0; i < outputs.size(); ++i) {
-          ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
-              << "request " << i << " (streams=" << streams << ", threads=" << threads
-              << ", sched=" << (sched == PlanSched::kWavefront ? "wavefront" : "seq") << ")";
-        }
+  for (int threads : {1, 4}) {
+    for (int streams : {1, 2, 4}) {
+      ScopedNumThreads thread_guard(threads);
+      ServingEngineOptions options;
+      options.num_streams = streams;
+      ServingEngine engine(stack, options);
+      std::vector<Tensor> outputs = engine.Serve(mix.requests);
+      ASSERT_EQ(outputs.size(), expected.size());
+      for (size_t i = 0; i < outputs.size(); ++i) {
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
+            << "request " << i << " (streams=" << streams << ", threads=" << threads << ")";
       }
     }
   }
@@ -290,7 +286,7 @@ TEST(ServingEngineTest, NumStreamsResolvesFromOptionsThenEnvThenThreads) {
 // Batched serving packs mixed-length requests into bucket-padded dense tiles
 // behind a block-diagonal mask. The contract under test: per-request outputs
 // are bitwise identical to the unbatched engine and the eager oracle at any
-// (streams x threads x scheduler x window x token budget) combination.
+// (streams x threads x window x token budget) combination.
 
 TEST(RaggedBatchingTest, MatchesEagerAndUnbatchedAcrossCombinations) {
   Rng wr(21);
@@ -302,26 +298,22 @@ TEST(RaggedBatchingTest, MatchesEagerAndUnbatchedAcrossCombinations) {
     expected.push_back(stack.ForwardEager(req.x, req.attn_mask));
   }
 
-  for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-    for (int threads : {1, 4}) {
-      for (int streams : {1, 2, 4}) {
-        ScopedPlanSched sched_guard(sched);
-        ScopedNumThreads thread_guard(threads);
-        ServingEngineOptions options;
-        options.num_streams = streams;
-        options.batch_window = 4;
-        options.max_batch_tokens = 48;
-        ServingEngine engine(stack, options);
-        std::vector<Tensor> outputs = engine.Serve(mix.requests);
-        ASSERT_EQ(outputs.size(), expected.size());
-        for (size_t i = 0; i < outputs.size(); ++i) {
-          ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
-              << "request " << i << " (streams=" << streams << ", threads=" << threads
-              << ", sched=" << (sched == PlanSched::kWavefront ? "wavefront" : "seq") << ")";
-        }
-        // Requests were actually coalesced, not served 1:1.
-        EXPECT_LT(engine.stats().batches, engine.stats().requests);
+  for (int threads : {1, 4}) {
+    for (int streams : {1, 2, 4}) {
+      ScopedNumThreads thread_guard(threads);
+      ServingEngineOptions options;
+      options.num_streams = streams;
+      options.batch_window = 4;
+      options.max_batch_tokens = 48;
+      ServingEngine engine(stack, options);
+      std::vector<Tensor> outputs = engine.Serve(mix.requests);
+      ASSERT_EQ(outputs.size(), expected.size());
+      for (size_t i = 0; i < outputs.size(); ++i) {
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
+            << "request " << i << " (streams=" << streams << ", threads=" << threads << ")";
       }
+      // Requests were actually coalesced, not served 1:1.
+      EXPECT_LT(engine.stats().batches, engine.stats().requests);
     }
   }
 }

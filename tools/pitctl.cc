@@ -118,13 +118,11 @@ void PrintPlan(int64_t m, int64_t k, int64_t n, int64_t gm, int64_t gn, double s
 //
 // Compiles one representative plan per planner regime — dense all-ops (every
 // OpKind through one graph, fusion and in-place reuse engaged), masked +
-// batched multi-head attention (parallel q/k/v waves, reshape/transpose
+// batched multi-head attention (independent q/k/v projections, reshape/transpose
 // aliasing, broadcast mask softmax), the fused FFN, and the PIT-decision FFN
-// (sparse steps, total PIT ordering) — and runs the independent static
-// verifier over each. The wave partition a plan compiles is identical under
-// both replay schedulers (PIT_PLAN_SCHED picks how waves dispatch, not what
-// the plan contains), so one compile proves both. Machine-grep-able output
-// (`verify=ok`) plus a non-zero exit on any violation, for CI gating.
+// (sparse steps) — and runs the independent static verifier over each.
+// Machine-grep-able output (`verify=ok`) plus a non-zero exit on any
+// violation, for CI gating.
 
 // Every OpKind in one graph: fused MatmulBias+ReLU, elementwise in-place
 // chain, masked softmax, layernorm, scale, transpose, reshape aliasing into a
@@ -152,8 +150,8 @@ Graph BuildAllOpsVerifyGraph(Rng& rng) {
   return g;
 }
 
-// Masked + batched multi-head attention block: three parallel projection
-// GEMMs (a wave of width 3), head split/merge via reshape+transpose aliases,
+// Masked + batched multi-head attention block: three independent projection
+// GEMMs, head split/merge via reshape+transpose aliases,
 // broadcast-masked softmax, residual add, layernorm.
 Graph BuildAttentionVerifyGraph(Rng& rng) {
   constexpr int64_t kTokens = 64;
@@ -214,11 +212,8 @@ int PrintVerify() {
   for (Case& c : cases) {
     const ExecutionPlan plan(c.graph, c.decisions.empty() ? nullptr : &c.decisions);
     const PlanVerifyReport report = VerifyPlan(plan);
-    std::printf("plan=%s steps=%d waves=%d blocks=%d oracle_pairs=%lld oracle_edges=%lld "
-                "pit_steps=%d fused=%d violations=%lld\n",
-                c.name, report.steps_checked, report.waves_checked, report.blocks_checked,
-                static_cast<long long>(report.oracle_pairs),
-                static_cast<long long>(report.oracle_edges), plan.stats().num_pit_steps,
+    std::printf("plan=%s steps=%d blocks=%d pit_steps=%d fused=%d violations=%lld\n", c.name,
+                report.steps_checked, report.blocks_checked, plan.stats().num_pit_steps,
                 plan.stats().num_fused, static_cast<long long>(report.violations_total));
     if (!report.ok()) {
       std::printf("%s\n", report.ToString().c_str());
@@ -239,7 +234,7 @@ void PrintIsa() {
 // ---- pitctl chaos ----------------------------------------------------------
 //
 // Randomized fault matrix over the serving engine: for every injection site x
-// streams {1, 4} x threads {1, 4, 7} x both plan schedulers, serve a fixed
+// streams {1, 4} x threads {1, 4, 7}, serve a fixed
 // mixed traffic (ragged lengths, some masked, plus adversarial requests that
 // must reject at admission) under high-rate deterministic fault injection and
 // require: no abort, every request ends in a definite ServeStatus equal to
@@ -252,7 +247,7 @@ void PrintIsa() {
 // (`chaos=ok`) plus a non-zero exit on any violation, for CI gating.
 //
 // PR 10 adds liveness cells: a watchdog-supervised stall matrix (seeded delay
-// faults at every streams x threads x scheduler cell; detection within 2x the
+// faults at every streams x threads cell; detection within 2x the
 // threshold, no aborts in report mode, outputs still bitwise) and mid-flight
 // deadline cells (all-lapsed batches cancelled and released kDeadlineExceeded
 // as one forward; mixed batches complete and mark lapsed members at egress).
@@ -320,7 +315,7 @@ ChaosTraffic BuildChaosTraffic(int64_t hidden, bool transformer, uint64_t seed) 
 }
 
 // The fault-free reference every cell is checked against: single-stream,
-// single-thread, sequential scheduler. Dense serving compares against 1:1
+// single-thread. Dense serving compares against 1:1
 // (window 1) replay — the strongest form of the PR 6 contract; PIT serving
 // compares against batched replay at the same admission knobs (identical
 // claim composition), since PIT kernel selection sees the packed tile.
@@ -330,7 +325,6 @@ std::vector<ServeOutcome> ChaosBaseline(const Stack& stack, const ChaosTraffic& 
   FaultInjectionConfig off;  // disabled: the baseline must be fault-free even
   ScopedFaultInjection guard(off);  // when PIT_FAULT is exported around us
   ScopedNumThreads one_thread(1);
-  ScopedPlanSched seq(PlanSched::kSequential);
   ServingEngineOptions opt;
   opt.num_streams = 1;
   opt.use_pit = use_pit;
@@ -352,49 +346,45 @@ int ChaosMatrix(const char* label, const Stack& stack, const ChaosTraffic& traff
     }
     for (int streams : {1, 4}) {
       for (int threads : thread_counts) {
-        for (PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-          const uint64_t cell_seed = rng.NextU64();
-          ScopedNumThreads thread_guard(threads);
-          ScopedPlanSched sched_guard(sched);
-          ScopedFaultInjection fault(static_cast<FaultSite>(site_i), 0.75, cell_seed);
-          ServingEngineOptions opt;
-          opt.num_streams = streams;
-          opt.use_pit = use_pit;
-          opt.batch_window = 4;
-          opt.max_batch_tokens = 48;
-          ServingEngine engine(stack, opt);
-          const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(traffic.requests);
-          const ServingEngineStats& stats = engine.stats();
-          fired_by_site[site_i] += stats.faults_injected;
-          const char* err = nullptr;
-          if (outcomes.size() != traffic.requests.size()) {
-            err = "lost requests";
+        const uint64_t cell_seed = rng.NextU64();
+        ScopedNumThreads thread_guard(threads);
+        ScopedFaultInjection fault(static_cast<FaultSite>(site_i), 0.75, cell_seed);
+        ServingEngineOptions opt;
+        opt.num_streams = streams;
+        opt.use_pit = use_pit;
+        opt.batch_window = 4;
+        opt.max_batch_tokens = 48;
+        ServingEngine engine(stack, opt);
+        const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(traffic.requests);
+        const ServingEngineStats& stats = engine.stats();
+        fired_by_site[site_i] += stats.faults_injected;
+        const char* err = nullptr;
+        if (outcomes.size() != traffic.requests.size()) {
+          err = "lost requests";
+        }
+        for (size_t i = 0; err == nullptr && i < outcomes.size(); ++i) {
+          if (outcomes[i].status != baseline[i].status) {
+            err = "status diverged from fault-free baseline";
+          } else if (outcomes[i].status == ServeStatus::kOk &&
+                     !BitwiseEqual(outcomes[i].output, baseline[i].output)) {
+            err = "kOk output diverged bitwise from fault-free baseline";
           }
-          for (size_t i = 0; err == nullptr && i < outcomes.size(); ++i) {
-            if (outcomes[i].status != baseline[i].status) {
-              err = "status diverged from fault-free baseline";
-            } else if (outcomes[i].status == ServeStatus::kOk &&
-                       !BitwiseEqual(outcomes[i].output, baseline[i].output)) {
-              err = "kOk output diverged bitwise from fault-free baseline";
-            }
-          }
-          if (err == nullptr && stats.internal_failures != 0) {
-            err = "internal failure under transient faults";
-          }
-          if (err == nullptr && stats.faults_injected != stats.retries + stats.degraded_forwards +
-                                                             stats.internal_failures) {
-            err = "fault ledger does not reconcile";
-          }
-          std::printf("chaos cell stack=%s site=%s streams=%d threads=%d sched=%s faults=%lld "
-                      "retries=%lld degraded=%lld %s\n",
-                      label, FaultSiteName(static_cast<FaultSite>(site_i)), streams, threads,
-                      sched == PlanSched::kSequential ? "seq" : "wavefront",
-                      static_cast<long long>(stats.faults_injected),
-                      static_cast<long long>(stats.retries),
-                      static_cast<long long>(stats.degraded_forwards), err != nullptr ? err : "ok");
-          if (err != nullptr) {
-            ++failures;
-          }
+        }
+        if (err == nullptr && stats.internal_failures != 0) {
+          err = "internal failure under transient faults";
+        }
+        if (err == nullptr && stats.faults_injected != stats.retries + stats.degraded_forwards +
+                                                           stats.internal_failures) {
+          err = "fault ledger does not reconcile";
+        }
+        std::printf("chaos cell stack=%s site=%s streams=%d threads=%d faults=%lld "
+                    "retries=%lld degraded=%lld %s\n",
+                    label, FaultSiteName(static_cast<FaultSite>(site_i)), streams, threads,
+                    static_cast<long long>(stats.faults_injected),
+                    static_cast<long long>(stats.retries),
+                    static_cast<long long>(stats.degraded_forwards), err != nullptr ? err : "ok");
+        if (err != nullptr) {
+          ++failures;
         }
       }
     }
@@ -487,8 +477,8 @@ int ChaosOverloadCell(const PlannedTransformerStack& stack, const ChaosTraffic& 
   return failures + (err != nullptr ? 1 : 0);
 }
 
-// Stall matrix (PR 10): rate-1.0 seeded stalls at every streams x threads x
-// scheduler cell under watchdog supervision in report mode. A stall is a
+// Stall matrix (PR 10): rate-1.0 seeded stalls at every streams x threads
+// cell under watchdog supervision in report mode. A stall is a
 // delay, never an error: every status must equal the fault-free baseline's,
 // every kOk output must stay bitwise, the error-fault ledger must stay empty,
 // and the watchdog must detect each stalled stream within 2x the threshold
@@ -501,66 +491,62 @@ int ChaosStallMatrix(const PlannedTransformerStack& stack, const ChaosTraffic& t
   int failures = 0;
   for (int streams : {1, 4}) {
     for (int threads : {1, 4, 7}) {
-      for (PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-        FaultInjectionConfig config;
-        config.enabled = true;
-        config.site_enabled[static_cast<int>(FaultSite::kStall)] = true;
-        config.rate = 1.0;
-        config.seed = rng.NextU64();
-        config.stall_us = kStallUs;
-        ScopedFaultInjection fault(config);
-        ScopedNumThreads thread_guard(threads);
-        ScopedPlanSched sched_guard(sched);
-        ServingEngineOptions opt;
-        opt.num_streams = streams;
-        opt.batch_window = 4;
-        opt.max_batch_tokens = 48;
-        opt.watchdog_us = kWatchdogUs;
-        opt.watchdog_mode = WatchdogMode::kReport;
-        ServingEngine engine(stack, opt);
-        const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(traffic.requests);
-        const ServingEngineStats& stats = engine.stats();
-        fired_by_site[static_cast<int>(FaultSite::kStall)] += stats.stalls_injected;
-        const char* err = nullptr;
-        if (outcomes.size() != traffic.requests.size()) {
-          err = "lost requests";
+      FaultInjectionConfig config;
+      config.enabled = true;
+      config.site_enabled[static_cast<int>(FaultSite::kStall)] = true;
+      config.rate = 1.0;
+      config.seed = rng.NextU64();
+      config.stall_us = kStallUs;
+      ScopedFaultInjection fault(config);
+      ScopedNumThreads thread_guard(threads);
+      ServingEngineOptions opt;
+      opt.num_streams = streams;
+      opt.batch_window = 4;
+      opt.max_batch_tokens = 48;
+      opt.watchdog_us = kWatchdogUs;
+      opt.watchdog_mode = WatchdogMode::kReport;
+      ServingEngine engine(stack, opt);
+      const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(traffic.requests);
+      const ServingEngineStats& stats = engine.stats();
+      fired_by_site[static_cast<int>(FaultSite::kStall)] += stats.stalls_injected;
+      const char* err = nullptr;
+      if (outcomes.size() != traffic.requests.size()) {
+        err = "lost requests";
+      }
+      for (size_t i = 0; err == nullptr && i < outcomes.size(); ++i) {
+        if (outcomes[i].status != baseline[i].status) {
+          err = "status diverged from fault-free baseline";
+        } else if (outcomes[i].status == ServeStatus::kOk &&
+                   !BitwiseEqual(outcomes[i].output, baseline[i].output)) {
+          err = "kOk output diverged bitwise under stalls";
         }
-        for (size_t i = 0; err == nullptr && i < outcomes.size(); ++i) {
-          if (outcomes[i].status != baseline[i].status) {
-            err = "status diverged from fault-free baseline";
-          } else if (outcomes[i].status == ServeStatus::kOk &&
-                     !BitwiseEqual(outcomes[i].output, baseline[i].output)) {
-            err = "kOk output diverged bitwise under stalls";
-          }
-        }
-        if (err == nullptr && stats.stalls_injected == 0) {
-          err = "stall site never fired";
-        }
-        if (err == nullptr && stats.stalls_detected == 0) {
-          err = "watchdog missed a stalled stream";
-        }
-        if (err == nullptr && (stats.stall_min_silence_us <= kWatchdogUs ||
-                               stats.stall_min_silence_us > 2 * kWatchdogUs)) {
-          err = "detection latency outside (threshold, 2x threshold]";
-        }
-        if (err == nullptr &&
-            stats.faults_injected !=
-                stats.retries + stats.degraded_forwards + stats.internal_failures) {
-          err = "fault ledger does not reconcile";
-        }
-        if (err == nullptr && stats.faults_injected != 0) {
-          err = "stall leaked into the error-fault ledger";
-        }
-        std::printf("chaos cell stack=transformer mode=stall streams=%d threads=%d sched=%s "
-                    "stalls=%lld detected=%lld min_silence_us=%lld %s\n",
-                    streams, threads, sched == PlanSched::kSequential ? "seq" : "wavefront",
-                    static_cast<long long>(stats.stalls_injected),
-                    static_cast<long long>(stats.stalls_detected),
-                    static_cast<long long>(stats.stall_min_silence_us),
-                    err != nullptr ? err : "ok");
-        if (err != nullptr) {
-          ++failures;
-        }
+      }
+      if (err == nullptr && stats.stalls_injected == 0) {
+        err = "stall site never fired";
+      }
+      if (err == nullptr && stats.stalls_detected == 0) {
+        err = "watchdog missed a stalled stream";
+      }
+      if (err == nullptr && (stats.stall_min_silence_us <= kWatchdogUs ||
+                             stats.stall_min_silence_us > 2 * kWatchdogUs)) {
+        err = "detection latency outside (threshold, 2x threshold]";
+      }
+      if (err == nullptr &&
+          stats.faults_injected !=
+              stats.retries + stats.degraded_forwards + stats.internal_failures) {
+        err = "fault ledger does not reconcile";
+      }
+      if (err == nullptr && stats.faults_injected != 0) {
+        err = "stall leaked into the error-fault ledger";
+      }
+      std::printf("chaos cell stack=transformer mode=stall streams=%d threads=%d "
+                  "stalls=%lld detected=%lld min_silence_us=%lld %s\n",
+                  streams, threads, static_cast<long long>(stats.stalls_injected),
+                  static_cast<long long>(stats.stalls_detected),
+                  static_cast<long long>(stats.stall_min_silence_us),
+                  err != nullptr ? err : "ok");
+      if (err != nullptr) {
+        ++failures;
       }
     }
   }
@@ -584,7 +570,6 @@ int ChaosInflightDeadlineCells(const PlannedTransformerStack& stack, uint64_t se
     FaultInjectionConfig off;
     ScopedFaultInjection guard(off);
     ScopedNumThreads one_thread(1);
-    ScopedPlanSched seq(PlanSched::kSequential);
     ServingEngineOptions opt;
     opt.num_streams = 1;
     opt.batch_window = 1;
@@ -682,8 +667,8 @@ int RunChaos(uint64_t seed) {
 
   int64_t fired_by_site[kNumFaultSites] = {};
   int failures = 0;
-  // The required matrix, dense: every site x streams {1,4} x threads {1,4,7}
-  // x both schedulers, on both stack families.
+  // The required matrix, dense: every site x streams {1,4} x threads {1,4,7},
+  // on both stack families.
   failures += ChaosMatrix("transformer", transformer, transformer_traffic, /*use_pit=*/false,
                           {1, 4, 7}, rng, fired_by_site);
   failures += ChaosMatrix("ffn", ffn, ffn_traffic, /*use_pit=*/false, {1, 4, 7}, rng,
