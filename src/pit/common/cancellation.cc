@@ -11,7 +11,7 @@ int64_t SteadyNowUs() {
 }
 
 namespace liveness_internal {
-thread_local std::atomic<uint64_t>* tls_heartbeat = nullptr;
+thread_local constinit std::atomic<uint64_t>* tls_heartbeat = nullptr;
 }  // namespace liveness_internal
 
 }  // namespace pit

@@ -10,7 +10,8 @@
 // threads publish step progress into a per-stream atomic counter via a
 // thread-local pointer (installed with ScopedThreadHeartbeat), and the serving
 // engine's watchdog thread reads those counters to spot streams that stopped
-// making progress (see PIT_WATCHDOG_US in runtime/serving_engine.h).
+// making progress (see ServingEngineOptions::watchdog_us in
+// runtime/serving_engine.h).
 #ifndef PIT_COMMON_CANCELLATION_H_
 #define PIT_COMMON_CANCELLATION_H_
 
@@ -77,8 +78,9 @@ class CancelToken {
 namespace liveness_internal {
 // Per-thread heartbeat sink. Null (the default) makes HeartbeatTick() a
 // single TLS load + branch, so replay outside a supervised engine pays
-// nothing measurable.
-extern thread_local std::atomic<uint64_t>* tls_heartbeat;
+// nothing measurable. constinit lets other TUs read it directly instead of
+// through a TLS init wrapper (whose null return UBSan reports).
+extern thread_local constinit std::atomic<uint64_t>* tls_heartbeat;
 }  // namespace liveness_internal
 
 // Bumps the calling thread's published heartbeat counter, if any. Called at

@@ -107,7 +107,7 @@ bool ParseSite(const std::string& text, FaultInjectionConfig* config) {
 }  // namespace
 
 namespace fault_internal {
-thread_local bool tls_armed = false;
+thread_local constinit bool tls_armed = false;
 
 bool StepProbeSlow() {
   if (tls_pending) {

@@ -108,7 +108,8 @@ void ResetFaultCounters();
 namespace fault_internal {
 // Thread-local fast-path flag behind the replay-loop step probe: reading one
 // thread-local bool is the entire per-step cost when injection is disarmed.
-extern thread_local bool tls_armed;
+// constinit keeps that read direct, with no TLS init wrapper call.
+extern thread_local constinit bool tls_armed;
 bool StepProbeSlow();
 }  // namespace fault_internal
 

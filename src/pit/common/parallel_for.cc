@@ -164,64 +164,22 @@ class Pool {
 
 }  // namespace
 
-// The single strict-parse core behind every positive-integer knob (reached
-// through the ParsePositiveEnv<T> template): a typo'd value must fail loudly,
-// never silently fall back to a default the operator did not ask for.
-namespace env_internal {
-int64_t ParsePositiveCore(const char* name, const char* value, int64_t max_value) {
+int ParseNumThreadsEnv(const char* value) {
+  constexpr long long kMaxThreads = 1 << 16;
   PIT_CHECK(value != nullptr && *value != '\0')
-      << name << " is set but empty; expected a positive integer";
+      << "PIT_NUM_THREADS is set but empty; expected a positive integer";
   // Strict decimal: digits only (strtoll would silently skip leading
   // whitespace and accept a sign).
   PIT_CHECK(*value >= '0' && *value <= '9')
-      << name << "=\"" << value << "\" is not a plain positive integer";
+      << "PIT_NUM_THREADS=\"" << value << "\" is not a plain positive integer";
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(value, &end, 10);
-  PIT_CHECK(end != value && *end == '\0') << name << "=\"" << value << "\" is not an integer";
-  PIT_CHECK(errno != ERANGE && v >= 1 && v <= max_value)
-      << name << "=\"" << value << "\" out of range; expected 1.." << max_value;
-  return static_cast<int64_t>(v);
-}
-}  // namespace env_internal
-
-int ParsePositiveIntEnv(const char* name, const char* value) {
-  return ParsePositiveEnv<int>(name, value, 1 << 16);
-}
-
-int64_t ParsePositiveInt64Env(const char* name, const char* value, int64_t max_value) {
-  return ParsePositiveEnv<int64_t>(name, value, max_value);
-}
-
-int ParseNumThreadsEnv(const char* value) {
-  return ParsePositiveIntEnv("PIT_NUM_THREADS", value);
-}
-
-int ParseNumStreamsEnv(const char* value) {
-  return ParsePositiveIntEnv("PIT_NUM_STREAMS", value);
-}
-
-int ParseBatchTokensEnv(const char* value) {
-  return ParsePositiveIntEnv("PIT_BATCH_TOKENS", value);
-}
-
-int ParseBatchWindowEnv(const char* value) {
-  return ParsePositiveIntEnv("PIT_BATCH_WINDOW", value);
-}
-
-int64_t ParseServeDeadlineEnv(const char* value) {
-  // Microsecond deadlines need headroom far past the count-knob ceiling; one
-  // day bounds any sane serving deadline while still rejecting overflow junk.
-  return ParsePositiveInt64Env("PIT_SERVE_DEADLINE_US", value, 86400000000LL);
-}
-
-int ParseServeQueueEnv(const char* value) {
-  return ParsePositiveIntEnv("PIT_SERVE_QUEUE", value);
-}
-
-int64_t ParseWatchdogUsEnv(const char* value) {
-  // Stall-detection thresholds share the deadline knobs' one-day envelope.
-  return ParsePositiveEnv<int64_t>("PIT_WATCHDOG_US", value, 86400000000LL);
+  PIT_CHECK(end != value && *end == '\0')
+      << "PIT_NUM_THREADS=\"" << value << "\" is not an integer";
+  PIT_CHECK(errno != ERANGE && v >= 1 && v <= kMaxThreads)
+      << "PIT_NUM_THREADS=\"" << value << "\" out of range; expected 1.." << kMaxThreads;
+  return static_cast<int>(v);
 }
 
 int NumThreads() {

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,66 +34,10 @@ namespace pit {
 int NumThreads();
 
 // Strict parser behind the PIT_NUM_THREADS resolution: the value must be a
-// plain positive decimal integer (no trailing junk, no zero, no negatives —
-// a typo'd thread count must fail loudly, not silently fall back to the
-// hardware default). Aborts via PIT_CHECK on anything else.
+// plain positive decimal integer in 1..65536 (no trailing junk, no zero, no
+// negatives — a typo'd thread count must fail loudly, not silently fall back
+// to the hardware default). Aborts via PIT_CHECK on anything else.
 int ParseNumThreadsEnv(const char* value);
-
-// Strict parser behind the ServingEngine's PIT_NUM_STREAMS resolution; same
-// contract as ParseNumThreadsEnv (plain positive decimal integer or a loud
-// PIT_CHECK abort — a typo'd stream count must never silently serve
-// single-stream).
-int ParseNumStreamsEnv(const char* value);
-
-namespace env_internal {
-// The single out-of-line strict-parse core every positive-integer knob
-// funnels through (one death-tested error path for the whole knob surface):
-// plain positive decimal in 1..max_value or a loud PIT_CHECK abort naming
-// `name`. Call through ParsePositiveEnv<T>, not directly.
-int64_t ParsePositiveCore(const char* name, const char* value, int64_t max_value);
-}  // namespace env_internal
-
-// The one shared strict positive-integer env parser behind every PIT_* knob
-// (thread/stream counts, batching admission, deadlines, watchdog): plain
-// positive decimal in 1..max_value or a loud PIT_CHECK abort naming `name` —
-// a typo'd knob must fail loudly, never silently fall back to a default the
-// operator did not ask for. All widths share the one core error path, so new
-// knobs inherit the exact contract (and its death tests) for free.
-template <typename T>
-T ParsePositiveEnv(const char* name, const char* value, T max_value) {
-  static_assert(std::is_integral_v<T> && std::is_signed_v<T> && sizeof(T) <= sizeof(int64_t),
-                "positive env knobs are signed integers up to 64 bits");
-  return static_cast<T>(
-      env_internal::ParsePositiveCore(name, value, static_cast<int64_t>(max_value)));
-}
-
-// Count-knob instantiation (historical 1..65536 envelope): the parser behind
-// PIT_NUM_THREADS, PIT_NUM_STREAMS, PIT_BATCH_TOKENS, PIT_BATCH_WINDOW and
-// PIT_SERVE_QUEUE.
-int ParsePositiveIntEnv(const char* name, const char* value);
-
-// Wide-range instantiation for knobs whose natural range exceeds the count
-// ceiling (microsecond deadlines and watchdog thresholds).
-int64_t ParsePositiveInt64Env(const char* name, const char* value, int64_t max_value);
-
-// Strict parsers behind the ServingEngine's ragged-batching admission knobs:
-// PIT_BATCH_TOKENS (token-row budget a packed batch never exceeds) and
-// PIT_BATCH_WINDOW (max requests coalesced into one packed forward). Same
-// contract as ParseNumThreadsEnv — a typo'd knob must never silently serve
-// unbatched.
-int ParseBatchTokensEnv(const char* value);
-int ParseBatchWindowEnv(const char* value);
-
-// Strict parsers behind the ServingEngine's fault-containment and liveness
-// knobs: PIT_SERVE_DEADLINE_US (default per-request latency budget in
-// microseconds, 1..86400000000 — one day), PIT_SERVE_QUEUE (bounded
-// admission-queue capacity in requests), and PIT_WATCHDOG_US (per-stream
-// stall-detection threshold in microseconds, same one-day envelope). Same
-// contract as ParseNumThreadsEnv — a typo'd knob must never silently serve
-// without the deadline/shedding/supervision the operator asked for.
-int64_t ParseServeDeadlineEnv(const char* value);
-int ParseServeQueueEnv(const char* value);
-int64_t ParseWatchdogUsEnv(const char* value);
 
 // Overrides the worker count at runtime (clamped to >= 1). Intended for tests
 // and benchmarks; takes effect for subsequent ParallelFor calls.

@@ -37,79 +37,8 @@ constexpr size_t kMaxPooledShapes = 16;
 // Floor of the power-of-two sum-token bucket grid: batches smaller than this
 // still replay the 16-token plan rather than minting tiny plan keys.
 constexpr int64_t kMinBatchBucket = 16;
-// Token budget per packed batch when neither the option nor PIT_BATCH_TOKENS
-// sets one.
+// Token budget per packed batch when the option does not set one.
 constexpr int kDefaultMaxBatchTokens = 512;
-
-int ResolveNumStreams(const ServingEngineOptions& options) {
-  if (options.num_streams > 0) {
-    return options.num_streams;
-  }
-  if (const char* env = std::getenv("PIT_NUM_STREAMS")) {
-    return ParseNumStreamsEnv(env);
-  }
-  return NumThreads();
-}
-
-int ResolveBatchWindow(const ServingEngineOptions& options) {
-  if (options.batch_window > 0) {
-    return options.batch_window;
-  }
-  if (const char* env = std::getenv("PIT_BATCH_WINDOW")) {
-    return ParseBatchWindowEnv(env);
-  }
-  return 1;  // batching off: every request replays at its exact token count
-}
-
-int ResolveMaxBatchTokens(const ServingEngineOptions& options) {
-  if (options.max_batch_tokens > 0) {
-    return options.max_batch_tokens;
-  }
-  if (const char* env = std::getenv("PIT_BATCH_TOKENS")) {
-    return ParseBatchTokensEnv(env);
-  }
-  return kDefaultMaxBatchTokens;
-}
-
-int64_t ResolveDeadlineUs(const ServingEngineOptions& options) {
-  if (options.deadline_us > 0) {
-    return options.deadline_us;
-  }
-  if (const char* env = std::getenv("PIT_SERVE_DEADLINE_US")) {
-    return ParseServeDeadlineEnv(env);
-  }
-  return 0;  // no default deadline
-}
-
-int ResolveQueueCapacity(const ServingEngineOptions& options) {
-  if (options.queue_capacity > 0) {
-    return options.queue_capacity;
-  }
-  if (const char* env = std::getenv("PIT_SERVE_QUEUE")) {
-    return ParseServeQueueEnv(env);
-  }
-  return 0;  // unbounded admission queue
-}
-
-int64_t ResolveWatchdogUs(const ServingEngineOptions& options) {
-  if (options.watchdog_us > 0) {
-    return options.watchdog_us;
-  }
-  if (const char* env = std::getenv("PIT_WATCHDOG_US")) {
-    return ParseWatchdogUsEnv(env);
-  }
-  return 0;  // supervision off
-}
-
-WatchdogMode ResolveWatchdogMode(const ServingEngineOptions& options) {
-  if (options.watchdog_mode != WatchdogMode::kDefault) {
-    return options.watchdog_mode;
-  }
-  if (const char* env = std::getenv("PIT_WATCHDOG")) {
-    return ParseWatchdogModeEnv(env);
-  }
-  return WatchdogMode::kReport;
-}
 
 // Finiteness scan: one NaN or inf in an activation (or mask) poisons every
 // dot product its rows feed, so non-finite inputs are rejected at admission
@@ -172,22 +101,6 @@ const char* ServeStatusName(ServeStatus status) {
   return "";
 }
 
-WatchdogMode ParseWatchdogModeEnv(const char* value) {
-  PIT_CHECK(value != nullptr && value[0] != '\0')
-      << "PIT_WATCHDOG is set but empty; expected report|abort";
-  const std::string text(value);
-  if (text == "report") {
-    return WatchdogMode::kReport;
-  }
-  if (text == "abort") {
-    return WatchdogMode::kAbort;
-  }
-  // A typo'd mode must never silently supervise in a different mode than the
-  // operator asked for (abort vs report is a production-impact decision).
-  PIT_CHECK(false) << "PIT_WATCHDOG must be report|abort, got \"" << text << "\"";
-  return WatchdogMode::kReport;
-}
-
 std::string ServingEngineStats::ToString() const {
   std::ostringstream os;
   os << "ServingEngineStats{requests=" << requests << " streams=" << num_streams
@@ -244,9 +157,18 @@ struct ServingEngine::StreamState {
   // deadline sweep and enter the packed forward.
   std::vector<int64_t> span;
   int64_t requests = 0;
-  // This stream's share of the engine-wide pool accounting.
-  int64_t pooled_contexts = 0;
-  int64_t pooled_arena_bytes = 0;
+  // This stream's share of the engine's lifetime ledgers, written only by
+  // the stream's own worker and summed by ServeWithStatus after the workers
+  // joined. The fault ledger reconciles across streams: faults ==
+  // retries + degraded + internal.
+  int64_t faults = 0;
+  int64_t retries = 0;
+  int64_t degraded = 0;
+  int64_t internal = 0;
+  int64_t timed_out_queued = 0;    // shed by the claim-time deadline sweep
+  int64_t timed_out_inflight = 0;  // lapsed after their batch was claimed
+  int64_t cancelled_forwards = 0;
+  int64_t stalls_injected = 0;
   // Liveness state. `cancel` is installed on every acquired stack stream's
   // contexts before a forward, so replays stop at the next step boundary
   // once it fires. `heartbeat` is the step-progress counter those
@@ -261,18 +183,18 @@ struct ServingEngine::StreamState {
 
 ServingEngine::ServingEngine(const PlannedTransformerStack& stack,
                              const ServingEngineOptions& options)
-    : transformer_(&stack) {
+    : transformer_(&stack), hidden_(stack.hidden()) {
   Init(options);
 }
 
 ServingEngine::ServingEngine(const PlannedFfnStack& stack, const ServingEngineOptions& options)
-    : ffn_(&stack) {
+    : ffn_(&stack), hidden_(stack.hidden()) {
   Init(options);
 }
 
 void ServingEngine::Init(const ServingEngineOptions& options) {
   // Option misuse is API misuse, not request data: fail fast at construction
-  // (0 always means "resolve env / default", never "negative").
+  // (0 always means "default", never "negative").
   PIT_CHECK(options.num_streams >= 0)
       << "ServingEngineOptions::num_streams must be >= 0, got " << options.num_streams;
   PIT_CHECK(options.batch_window >= 0)
@@ -285,14 +207,16 @@ void ServingEngine::Init(const ServingEngineOptions& options) {
       << "ServingEngineOptions::queue_capacity must be >= 0, got " << options.queue_capacity;
   PIT_CHECK(options.watchdog_us >= 0)
       << "ServingEngineOptions::watchdog_us must be >= 0, got " << options.watchdog_us;
-  num_streams_ = ResolveNumStreams(options);
+  num_streams_ = options.num_streams > 0 ? options.num_streams : NumThreads();
   use_pit_ = options.use_pit;
-  batch_window_ = ResolveBatchWindow(options);
-  max_batch_tokens_ = ResolveMaxBatchTokens(options);
-  deadline_us_ = ResolveDeadlineUs(options);
-  queue_capacity_ = ResolveQueueCapacity(options);
-  watchdog_us_ = ResolveWatchdogUs(options);
-  watchdog_mode_ = ResolveWatchdogMode(options);
+  // Window 1 is batching off: every request replays at its exact token count.
+  batch_window_ = options.batch_window > 0 ? options.batch_window : 1;
+  max_batch_tokens_ =
+      options.max_batch_tokens > 0 ? options.max_batch_tokens : kDefaultMaxBatchTokens;
+  deadline_us_ = options.deadline_us;        // 0: no default deadline
+  queue_capacity_ = options.queue_capacity;  // 0: unbounded admission queue
+  watchdog_us_ = options.watchdog_us;        // 0: no watchdog thread
+  watchdog_mode_ = options.watchdog_mode;
   streams_.reserve(static_cast<size_t>(num_streams_));
   for (int s = 0; s < num_streams_; ++s) {
     auto state = std::make_unique<StreamState>();
@@ -390,16 +314,11 @@ void ServingEngine::WatchdogLoop() {
         continue;
       }
       o.reported = true;
-      ctr_stalls_detected_.fetch_add(1, std::memory_order_relaxed);
-      int64_t cur = ctr_stall_min_silence_us_.load(std::memory_order_relaxed);
-      while ((cur == 0 || silence_us < cur) &&
-             !ctr_stall_min_silence_us_.compare_exchange_weak(cur, silence_us,
-                                                              std::memory_order_relaxed)) {
+      ++stalls_detected_;
+      if (stall_min_silence_us_ == 0 || silence_us < stall_min_silence_us_) {
+        stall_min_silence_us_ = silence_us;
       }
-      cur = ctr_stall_max_silence_us_.load(std::memory_order_relaxed);
-      while (silence_us > cur && !ctr_stall_max_silence_us_.compare_exchange_weak(
-                                     cur, silence_us, std::memory_order_relaxed)) {
-      }
+      stall_max_silence_us_ = std::max(stall_max_silence_us_, silence_us);
       const int64_t bucket = stream.hb_bucket.load(std::memory_order_relaxed);
       std::fprintf(stderr,
                    "[PIT WATCHDOG] stream %d stalled: token bucket %lld, step %llu, "
@@ -408,7 +327,7 @@ void ServingEngine::WatchdogLoop() {
                    static_cast<long long>(silence_us), static_cast<long long>(watchdog_us_),
                    watchdog_mode_ == WatchdogMode::kAbort ? "abort" : "report");
       if (watchdog_mode_ == WatchdogMode::kAbort) {
-        PIT_CHECK(false) << "PIT_WATCHDOG=abort: stream " << s << " stalled (token bucket "
+        PIT_CHECK(false) << "PIT WATCHDOG (abort mode): stream " << s << " stalled (token bucket "
                          << bucket << ", step " << count << ", silent " << silence_us
                          << " us > threshold " << watchdog_us_ << " us)";
       }
@@ -416,27 +335,15 @@ void ServingEngine::WatchdogLoop() {
   }
 }
 
-void ServingEngine::AccountPoolDelta(int64_t contexts_delta, int64_t bytes_delta) {
-  const int64_t contexts =
-      pool_contexts_.fetch_add(contexts_delta, std::memory_order_relaxed) + contexts_delta;
-  const int64_t bytes =
-      pool_arena_bytes_.fetch_add(bytes_delta, std::memory_order_relaxed) + bytes_delta;
+void ServingEngine::AccountPool(int64_t bucket, int64_t contexts_delta, int64_t bytes_delta) {
+  std::lock_guard<std::mutex> lock(pool_mu_);
   // Fold into the lifetime peaks at growth time: a pool evicted later in the
   // same Serve must not erase the peak it reached.
-  int64_t hw = pool_contexts_highwater_.load(std::memory_order_relaxed);
-  while (contexts > hw &&
-         !pool_contexts_highwater_.compare_exchange_weak(hw, contexts,
-                                                         std::memory_order_relaxed)) {
-  }
-  hw = pool_arena_bytes_highwater_.load(std::memory_order_relaxed);
-  while (bytes > hw && !pool_arena_bytes_highwater_.compare_exchange_weak(
-                           hw, bytes, std::memory_order_relaxed)) {
-  }
-}
-
-void ServingEngine::AccountBucketPool(int64_t bucket, int64_t contexts_delta) {
-  std::lock_guard<std::mutex> lock(bucket_pool_mu_);
-  std::pair<int64_t, int64_t>& entry = bucket_pool_[bucket];
+  pool_.contexts += contexts_delta;
+  pool_.contexts_highwater = std::max(pool_.contexts_highwater, pool_.contexts);
+  pool_.arena_bytes += bytes_delta;
+  pool_.arena_bytes_highwater = std::max(pool_.arena_bytes_highwater, pool_.arena_bytes);
+  std::pair<int64_t, int64_t>& entry = pool_.buckets[bucket];
   entry.first += contexts_delta;
   entry.second = std::max(entry.second, entry.first);
 }
@@ -453,11 +360,9 @@ typename Pool::mapped_type* ServingEngine::PooledStream(StreamState& stream, Poo
   ++stream.bucket_counters[bucket].plan_misses;
   if (pool.size() >= kMaxPooledShapes) {
     for (const auto& entry : pool) {
-      AccountBucketPool(BucketOfPoolKey(entry.first), -entry.second.NumContexts());
+      AccountPool(BucketOfPoolKey(entry.first), -entry.second.NumContexts(),
+                  -entry.second.ArenaBytes());
     }
-    AccountPoolDelta(-stream.pooled_contexts, -stream.pooled_arena_bytes);
-    stream.pooled_contexts = 0;
-    stream.pooled_arena_bytes = 0;
     pool.clear();
   }
   auto built = make();
@@ -470,10 +375,7 @@ typename Pool::mapped_type* ServingEngine::PooledStream(StreamState& stream, Poo
   if (PlanVerifyEngaged()) {
     VerifyPooledPlans(it->second);
   }
-  stream.pooled_contexts += it->second.NumContexts();
-  stream.pooled_arena_bytes += it->second.ArenaBytes();
-  AccountPoolDelta(it->second.NumContexts(), it->second.ArenaBytes());
-  AccountBucketPool(bucket, it->second.NumContexts());
+  AccountPool(bucket, it->second.NumContexts(), it->second.ArenaBytes());
   return &it->second;
 }
 
@@ -487,8 +389,8 @@ typename Pool::mapped_type* ServingEngine::AcquireStream(
     // shared plans — identical bits (the plans are immutable and shared;
     // only the private contexts are fresh), nothing pinned once the span
     // completes, and the pool itself is left untouched.
-    ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-    ctr_degraded_.fetch_add(1, std::memory_order_relaxed);
+    ++stream.faults;
+    ++stream.degraded;
     ScopedFaultRetryImmunity immune;
     transient.emplace(make());
     return &*transient;
@@ -496,12 +398,12 @@ typename Pool::mapped_type* ServingEngine::AcquireStream(
   return PooledStream(stream, pool, key, [&]() -> std::optional<Mapped> {
     if (FaultProbe(FaultSite::kPlanCompile)) {
       // Transient compile failure: retry the build once.
-      ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-      ctr_retries_.fetch_add(1, std::memory_order_relaxed);
+      ++stream.faults;
+      ++stream.retries;
       ScopedFaultRetryImmunity immune;
       if (FaultProbe(FaultSite::kPlanCompile)) {
         // Persistent (fail_retries configs only): surface to the caller.
-        ctr_faults_.fetch_add(1, std::memory_order_relaxed);
+        ++stream.faults;
         return std::nullopt;
       }
       return make();
@@ -511,8 +413,7 @@ typename Pool::mapped_type* ServingEngine::AcquireStream(
 }
 
 ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
-  const int64_t hidden = transformer_ != nullptr ? transformer_->hidden() : ffn_->hidden();
-  if (request.x.rank() != 2 || request.x.dim(0) <= 0 || request.x.dim(1) != hidden) {
+  if (request.x.rank() != 2 || request.x.dim(0) <= 0 || request.x.dim(1) != hidden_) {
     return ServeStatus::kInvalidArgument;
   }
   if (request.deadline_us < 0) {
@@ -550,59 +451,50 @@ ServeStatus ServingEngine::ServeOne(StreamState& stream, const ServeRequest& req
   // cleared on every exit path. A 1:1 forward has a single member, so the
   // "every member lapsed" in-flight rule degenerates to its own deadline.
   stream.cancel.ArmDeadline(deadline_abs_us);
-  if (transformer_ != nullptr) {
-    const std::pair<int64_t, bool> key{tokens, request.attn_mask != nullptr};
-    std::optional<PlannedTransformerStack::Stream> transient;
-    PlannedTransformerStack::Stream* pooled = AcquireStream(
-        stream, stream.transformer_pool, key,
-        [&] { return transformer_->MakeStream(key.first, key.second, use_pit_); }, transient);
+  // One retry ladder for both stacks: the pool, the stream builder and the
+  // replay call are the only stack-specific parts.
+  const auto replay = [&](auto& pool, const auto& key, auto make, auto forward) {
+    std::optional<decltype(make())> transient;
+    auto* pooled = AcquireStream(stream, pool, key, make, transient);
     if (pooled == nullptr) {
-      stream.cancel.ClearDeadline();
-      ctr_internal_.fetch_add(1, std::memory_order_relaxed);
-      return ServeStatus::kInternal;
+      ++stream.internal;
+      return false;
     }
     pooled->SetCancelToken(&stream.cancel);
-    transformer_->ForwardWith(*pooled, request.x, request.attn_mask, compiler, out);
+    forward(*pooled);
     if (ConsumeFaultPending()) {
       // Kernel-dispatch fault: retry the identical forward once — the plan
       // and context are intact (an abandoned replay only leaves stale arena
       // data, fully overwritten by the retry). A cancelled token makes the
       // retry exit at replay entry, so the ladder stays hang-free.
-      ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-      ctr_retries_.fetch_add(1, std::memory_order_relaxed);
+      ++stream.faults;
+      ++stream.retries;
       ScopedFaultRetryImmunity immune;
-      transformer_->ForwardWith(*pooled, request.x, request.attn_mask, compiler, out);
+      forward(*pooled);
       if (ConsumeFaultPending()) {
-        stream.cancel.ClearDeadline();
-        ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-        ctr_internal_.fetch_add(1, std::memory_order_relaxed);
-        return ServeStatus::kInternal;
+        ++stream.faults;
+        ++stream.internal;
+        return false;
       }
     }
-  } else {
-    std::optional<PlannedFfnStack::Stream> transient;
-    PlannedFfnStack::Stream* pooled =
-        AcquireStream(stream, stream.ffn_pool, tokens,
-                      [&] { return ffn_->MakeStream(tokens, use_pit_); }, transient);
-    if (pooled == nullptr) {
-      stream.cancel.ClearDeadline();
-      ctr_internal_.fetch_add(1, std::memory_order_relaxed);
-      return ServeStatus::kInternal;
-    }
-    pooled->SetCancelToken(&stream.cancel);
-    ffn_->ForwardWith(*pooled, request.x, compiler, out);
-    if (ConsumeFaultPending()) {
-      ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-      ctr_retries_.fetch_add(1, std::memory_order_relaxed);
-      ScopedFaultRetryImmunity immune;
-      ffn_->ForwardWith(*pooled, request.x, compiler, out);
-      if (ConsumeFaultPending()) {
-        stream.cancel.ClearDeadline();
-        ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-        ctr_internal_.fetch_add(1, std::memory_order_relaxed);
-        return ServeStatus::kInternal;
-      }
-    }
+    return true;
+  };
+  const bool masked = request.attn_mask != nullptr;
+  const bool replayed =
+      transformer_ != nullptr
+          ? replay(stream.transformer_pool, std::pair<int64_t, bool>{tokens, masked},
+                   [&] { return transformer_->MakeStream(tokens, masked, use_pit_); },
+                   [&](PlannedTransformerStack::Stream& pooled) {
+                     transformer_->ForwardWith(pooled, request.x, request.attn_mask, compiler,
+                                               out);
+                   })
+          : replay(stream.ffn_pool, tokens, [&] { return ffn_->MakeStream(tokens, use_pit_); },
+                   [&](PlannedFfnStack::Stream& pooled) {
+                     ffn_->ForwardWith(pooled, request.x, compiler, out);
+                   });
+  if (!replayed) {
+    stream.cancel.ClearDeadline();
+    return ServeStatus::kInternal;
   }
   const bool manual_cancel = stream.cancel.cancelled_manual();
   const bool lapsed = stream.cancel.deadline_lapsed();
@@ -610,12 +502,12 @@ ServeStatus ServingEngine::ServeOne(StreamState& stream, const ServeRequest& req
   if (manual_cancel) {
     // Drain cut the forward (or it finished right at the cut): either way
     // the request resolves kCancelled and surrenders its output.
-    ctr_cancelled_forwards_.fetch_add(1, std::memory_order_relaxed);
+    ++stream.cancelled_forwards;
     return ServeStatus::kCancelled;
   }
   if (lapsed) {
-    ctr_timed_out_inflight_.fetch_add(1, std::memory_order_relaxed);
-    ctr_cancelled_forwards_.fetch_add(1, std::memory_order_relaxed);
+    ++stream.timed_out_inflight;
+    ++stream.cancelled_forwards;
     return ServeStatus::kDeadlineExceeded;
   }
   // 1:1 serving degenerates to one "bucket" per distinct request length —
@@ -635,7 +527,6 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
                                      const std::vector<int64_t>& deadline_abs,
                                      std::vector<ServeOutcome>& outcomes,
                                      std::vector<int64_t>& bucket_of) {
-  const int64_t hidden = transformer_ != nullptr ? transformer_->hidden() : ffn_->hidden();
   // In-flight deadline arming: the batch is cancellable mid-replay only when
   // EVERY member carries a deadline — the token then arms with the latest
   // member deadline, so a mid-replay lapse proves every member has already
@@ -679,8 +570,8 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
   }
   StreamState::BatchStaging& st = stream.staging[bucket];
   if (st.x.empty()) {
-    st.x = Tensor({bucket, hidden});
-    st.out = Tensor({bucket, hidden});
+    st.x = Tensor({bucket, hidden_});
+    st.out = Tensor({bucket, hidden_});
     if (transformer_ != nullptr) {
       st.mask = Tensor({bucket, bucket});
     }
@@ -690,7 +581,7 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
   // non-finite value there would poison the real rows through 0 * NaN in the
   // masked context matmul. Zeroed padding rows keep every padded computation
   // finite, so the real rows' bits depend only on the real rows.
-  std::fill(st.x.data() + sum * hidden, st.x.data() + bucket * hidden, 0.0f);
+  std::fill(st.x.data() + sum * hidden_, st.x.data() + bucket * hidden_, 0.0f);
   int64_t off = 0;
   for (size_t i = 0; i < span.size(); ++i) {
     const int64_t len = stream.lens[i];
@@ -733,7 +624,7 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
     // takes next (1:1 fallback, packed retry, or terminal failure). A fired
     // cancel token makes every later rung exit at replay entry, so the
     // ladder re-lands here immediately with no fault pending.
-    ctr_faults_.fetch_add(1, std::memory_order_relaxed);
+    ++stream.faults;
     return false;
   }
   if (manual_cancel) {
@@ -742,7 +633,7 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
     for (const int64_t idx : span) {
       outcomes[static_cast<size_t>(idx)].status = ServeStatus::kCancelled;
     }
-    ctr_cancelled_forwards_.fetch_add(1, std::memory_order_relaxed);
+    ++stream.cancelled_forwards;
     return true;
   }
   if (batch_lapsed) {
@@ -752,9 +643,8 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
     for (const int64_t idx : span) {
       outcomes[static_cast<size_t>(idx)].status = ServeStatus::kDeadlineExceeded;
     }
-    ctr_timed_out_inflight_.fetch_add(static_cast<int64_t>(span.size()),
-                                      std::memory_order_relaxed);
-    ctr_cancelled_forwards_.fetch_add(1, std::memory_order_relaxed);
+    stream.timed_out_inflight += static_cast<int64_t>(span.size());
+    ++stream.cancelled_forwards;
     return true;
   }
   // Egress: one clock read decides which members still have a live deadline;
@@ -768,7 +658,7 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
     const int64_t len = stream.lens[i];
     if (deadline_abs[static_cast<size_t>(idx)] <= egress_now_us) {
       outcomes[static_cast<size_t>(idx)].status = ServeStatus::kDeadlineExceeded;
-      ctr_timed_out_inflight_.fetch_add(1, std::memory_order_relaxed);
+      ++stream.timed_out_inflight;
       off += len;
       continue;
     }
@@ -807,24 +697,24 @@ void ServingEngine::ServeSpan(StreamState& stream, const std::vector<ServeReques
                               std::vector<ServeOutcome>& outcomes,
                               std::vector<int64_t>& bucket_of) {
   const auto mark_internal = [&] {
-    ctr_internal_.fetch_add(1, std::memory_order_relaxed);
+    ++stream.internal;
     for (const int64_t idx : span) {
       outcomes[static_cast<size_t>(idx)].status = ServeStatus::kInternal;
     }
   };
   if (FaultProbe(FaultSite::kBatchPack)) {
-    ctr_faults_.fetch_add(1, std::memory_order_relaxed);
+    ++stream.faults;
     if (!use_pit_) {
       // Pack failure, dense stack: unbatch. The PR 6 contract makes each
       // request's output independent of batch composition, so the 1:1
       // fallback is bitwise invisible to the requests.
-      ctr_degraded_.fetch_add(1, std::memory_order_relaxed);
+      ++stream.degraded;
       ServeSpanOneByOne(stream, requests, span, deadline_abs, outcomes, bucket_of);
       return;
     }
     // PIT: kernel selection sees the packed tile's sparsity, so unbatching
     // would change bits — retry the pack at identical composition instead.
-    ctr_retries_.fetch_add(1, std::memory_order_relaxed);
+    ++stream.retries;
     ScopedFaultRetryImmunity immune;
     if (!TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
       mark_internal();
@@ -838,11 +728,11 @@ void ServingEngine::ServeSpan(StreamState& stream, const std::vector<ServeReques
   // (compile double-fault or kernel dispatch fault): same split as above —
   // dense unbatches, PIT retries the identical packed composition once.
   if (!use_pit_) {
-    ctr_degraded_.fetch_add(1, std::memory_order_relaxed);
+    ++stream.degraded;
     ServeSpanOneByOne(stream, requests, span, deadline_abs, outcomes, bucket_of);
     return;
   }
-  ctr_retries_.fetch_add(1, std::memory_order_relaxed);
+  ++stream.retries;
   ScopedFaultRetryImmunity immune;
   if (!TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
     mark_internal();
@@ -865,8 +755,8 @@ void ServingEngine::MergeBucketStats(const std::vector<int64_t>& bucket_of,
     }
   }
   {
-    std::lock_guard<std::mutex> lock(bucket_pool_mu_);
-    for (const auto& [bucket, live_and_peak] : bucket_pool_) {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    for (const auto& [bucket, live_and_peak] : pool_.buckets) {
       ServingBucketStats& b = merged[bucket];
       b.bucket = bucket;
       b.pool_contexts = live_and_peak.first;
@@ -920,7 +810,6 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
     }
     ++serve_active_;
   }
-  const int64_t hidden = transformer_ != nullptr ? transformer_->hidden() : ffn_->hidden();
   const int64_t t0_abs_us = SteadyNowUs();
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_us = [&t0] {
@@ -970,7 +859,7 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
       deadline_abs[static_cast<size_t>(idx)] = t0_abs_us + budget_us;
     }
     outcomes[static_cast<size_t>(idx)].status = ServeStatus::kCancelled;
-    outcomes[static_cast<size_t>(idx)].output = Tensor({request.x.dim(0), hidden});
+    outcomes[static_cast<size_t>(idx)].output = Tensor({request.x.dim(0), hidden_});
   }
   const int64_t qn = static_cast<int64_t>(queue.size());
   std::vector<double> latencies(static_cast<size_t>(n), 0.0);
@@ -983,8 +872,6 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
   // composition is independent of which stream claims what — per-request
   // replay bits are independent of the claim interleaving.
   std::atomic<int64_t> next{0};
-  std::atomic<int64_t> timed_out{0};
-  const int64_t inflight_lapses_before = ctr_timed_out_inflight_.load(std::memory_order_relaxed);
   const int budget = std::max(1, NumThreads() / std::max(1, num_streams_));
   const int64_t window = batch_window_;
   const int64_t max_tokens = max_batch_tokens_;
@@ -1034,7 +921,7 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
           const int64_t idx = queue[static_cast<size_t>(j)];
           if (deadline_abs[static_cast<size_t>(idx)] <= sweep_now_us) {
             outcomes[static_cast<size_t>(idx)].status = ServeStatus::kDeadlineExceeded;
-            timed_out.fetch_add(1, std::memory_order_relaxed);
+            ++stream.timed_out_queued;
           } else {
             stream.span.push_back(idx);
           }
@@ -1053,7 +940,7 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
               std::memory_order_relaxed);
           stream.hb_active.store(true, std::memory_order_release);
           if (FaultProbe(FaultSite::kStall)) {
-            ctr_stalls_injected_.fetch_add(1, std::memory_order_relaxed);
+            ++stream.stalls_injected;
             std::this_thread::sleep_for(std::chrono::microseconds(ActiveFaultConfig().stall_us));
           }
           if (window > 1) {
@@ -1114,27 +1001,38 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
       wall_us > 0.0 ? static_cast<double>(served_ok) / (wall_us / 1e6) : 0.0;
   stats_.rejected_invalid += rejected_invalid;
   stats_.rejected_overload += rejected_overload;
-  stats_.timed_out += timed_out.load(std::memory_order_relaxed) +
-                      (ctr_timed_out_inflight_.load(std::memory_order_relaxed) -
-                       inflight_lapses_before);
-  stats_.timed_out_inflight = ctr_timed_out_inflight_.load(std::memory_order_relaxed);
   stats_.cancelled += cancelled_now;
-  stats_.cancelled_forwards = ctr_cancelled_forwards_.load(std::memory_order_relaxed);
-  stats_.stalls_injected = ctr_stalls_injected_.load(std::memory_order_relaxed);
-  stats_.stalls_detected = ctr_stalls_detected_.load(std::memory_order_relaxed);
-  stats_.stall_min_silence_us = ctr_stall_min_silence_us_.load(std::memory_order_relaxed);
-  stats_.stall_max_silence_us = ctr_stall_max_silence_us_.load(std::memory_order_relaxed);
-  stats_.faults_injected = ctr_faults_.load(std::memory_order_relaxed);
-  stats_.retries = ctr_retries_.load(std::memory_order_relaxed);
-  stats_.degraded_forwards = ctr_degraded_.load(std::memory_order_relaxed);
-  stats_.internal_failures = ctr_internal_.load(std::memory_order_relaxed);
+  const auto total = [this](int64_t StreamState::*counter) {
+    int64_t sum = 0;
+    for (const std::unique_ptr<StreamState>& stream : streams_) {
+      sum += (*stream).*counter;
+    }
+    return sum;
+  };
+  stats_.timed_out_inflight = total(&StreamState::timed_out_inflight);
+  stats_.timed_out = total(&StreamState::timed_out_queued) + stats_.timed_out_inflight;
+  stats_.cancelled_forwards = total(&StreamState::cancelled_forwards);
+  stats_.stalls_injected = total(&StreamState::stalls_injected);
+  stats_.faults_injected = total(&StreamState::faults);
+  stats_.retries = total(&StreamState::retries);
+  stats_.degraded_forwards = total(&StreamState::degraded);
+  stats_.internal_failures = total(&StreamState::internal);
   for (int s = 0; s < num_streams_; ++s) {
     stats_.per_stream_requests[static_cast<size_t>(s)] = streams_[static_cast<size_t>(s)]->requests;
   }
-  stats_.pool_contexts = pool_contexts_.load(std::memory_order_relaxed);
-  stats_.pool_contexts_highwater = pool_contexts_highwater_.load(std::memory_order_relaxed);
-  stats_.pool_arena_bytes = pool_arena_bytes_.load(std::memory_order_relaxed);
-  stats_.pool_arena_bytes_highwater = pool_arena_bytes_highwater_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(watchdog_mu_);
+    stats_.stalls_detected = stalls_detected_;
+    stats_.stall_min_silence_us = stall_min_silence_us_;
+    stats_.stall_max_silence_us = stall_max_silence_us_;
+  }
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    stats_.pool_contexts = pool_.contexts;
+    stats_.pool_contexts_highwater = pool_.contexts_highwater;
+    stats_.pool_arena_bytes = pool_.arena_bytes;
+    stats_.pool_arena_bytes_highwater = pool_.arena_bytes_highwater;
+  }
   MergeBucketStats(ok_buckets, ok_latencies);
   if (served_ok > 0) {
     double sum = 0.0;

@@ -71,24 +71,17 @@
 // bitwise identical to fault-free 1:1 replay. An engine-owned watchdog thread
 // reads per-stream heartbeat counters (bumped at replay checkpoints) for
 // bounded time-to-*detection*: a mid-request stream silent past
-// PIT_WATCHDOG_US is logged and counted (stalls_detected), and PIT_WATCHDOG=
-// abort escalates to fail-fast. The deterministic `stall` fault site
-// (PIT_FAULT=stall:rate:seed, a seeded worker sleep) makes both provable in
-// chaos. Drain()/the destructor stop claiming, cancel or finish in-flight
-// work per policy, release queued requests kCancelled, and reject later
-// Serves with a definite status.
+// ServingEngineOptions::watchdog_us is logged and counted (stalls_detected),
+// and WatchdogMode::kAbort escalates to fail-fast. The deterministic `stall`
+// fault site (PIT_FAULT=stall:rate:seed, a seeded worker sleep) makes both
+// provable in chaos. Drain()/the destructor stop claiming, cancel or finish
+// in-flight work per policy, release queued requests kCancelled, and reject
+// later Serves with a definite status.
 //
-// The stream count resolves from ServingEngineOptions::num_streams, else the
-// strict-parsed PIT_NUM_STREAMS environment knob, else NumThreads(). The
-// batching admission knobs resolve the same way from
-// ServingEngineOptions::batch_window / max_batch_tokens, else the
-// strict-parsed PIT_BATCH_WINDOW / PIT_BATCH_TOKENS knobs, else defaults
-// (window 1 — batching off — and 512 token rows). The containment knobs
-// resolve from ServingEngineOptions::deadline_us / queue_capacity, else the
-// strict-parsed PIT_SERVE_DEADLINE_US / PIT_SERVE_QUEUE knobs, else 0 (no
-// default deadline, unbounded queue). The liveness knobs resolve from
-// ServingEngineOptions::watchdog_us / watchdog_mode, else the strict-parsed
-// PIT_WATCHDOG_US / PIT_WATCHDOG knobs, else off / report.
+// ServingEngineOptions is the engine's only configuration: each field takes
+// its explicit value, else (0) its default — NumThreads() streams, batch
+// window 1 (batching off), 512 batch token rows, no default deadline, an
+// unbounded admission queue, and no watchdog.
 #ifndef PIT_RUNTIME_SERVING_ENGINE_H_
 #define PIT_RUNTIME_SERVING_ENGINE_H_
 
@@ -126,20 +119,13 @@ enum class ServeStatus {
 const char* ServeStatusName(ServeStatus status);
 
 // What the watchdog does when a stream stays silent past the threshold.
-// kDefault resolves the strict-parsed PIT_WATCHDOG knob (report | abort),
-// falling back to report. Report increments stalls_detected and logs the
-// diagnostic; abort additionally fail-fasts the process with the dump — for
-// deployments where a wedged stream is worse dead than slow.
+// Report increments stalls_detected and logs the diagnostic; abort
+// additionally fail-fasts the process with the dump — for deployments where a
+// wedged stream is worse dead than slow.
 enum class WatchdogMode {
-  kDefault = 0,
-  kReport = 1,
-  kAbort = 2,
+  kReport = 0,
+  kAbort = 1,
 };
-
-// Strict parser behind the PIT_WATCHDOG resolution: exactly "report" or
-// "abort", anything else is a loud PIT_CHECK abort (a typo'd mode must never
-// silently supervise with the wrong escalation).
-WatchdogMode ParseWatchdogModeEnv(const char* value);
 
 // What Drain() does with spans already claimed by a stream worker. Unclaimed
 // queued requests are always released unserved with kCancelled — draining
@@ -160,9 +146,9 @@ struct ServeRequest {
   // a request still waiting for a stream when its budget lapses is shed with
   // kDeadlineExceeded before packing, so an overloaded engine stops spending
   // compute on requests nobody is waiting for anymore. 0 inherits the
-  // engine's default deadline (ServingEngineOptions::deadline_us /
-  // PIT_SERVE_DEADLINE_US; 0 there too means no deadline). Negative budgets
-  // are rejected at admission with kInvalidArgument.
+  // engine's default deadline (ServingEngineOptions::deadline_us; 0 there
+  // too means no deadline). Negative budgets are rejected at admission with
+  // kInvalidArgument.
   int64_t deadline_us = 0;
 };
 
@@ -174,8 +160,7 @@ struct ServeOutcome {
 };
 
 struct ServingEngineOptions {
-  // > 0: explicit stream count. 0: resolve PIT_NUM_STREAMS (strict-parsed,
-  // like PIT_NUM_THREADS), falling back to NumThreads().
+  // > 0: explicit stream count. 0: NumThreads().
   int num_streams = 0;
   // Route the stacks' sparse matmuls through PIT. Each stream owns a private
   // PitCompiler (the compiler's JIT cache is not thread-safe) with periodic
@@ -187,33 +172,27 @@ struct ServingEngineOptions {
   // per claim (the latency bound: a request waits for at most window - 1
   // batchmates); max_batch_tokens closes a batch early when admitting the
   // next request would push the packed row count past it (the compute bound;
-  // a single longer request forms its own batch). > 0: explicit. 0: resolve
-  // the strict-parsed PIT_BATCH_WINDOW / PIT_BATCH_TOKENS knobs, falling back
-  // to 1 (batching off — every request replays at its exact token count, the
-  // pre-PR 6 behavior) and 512.
+  // a single longer request forms its own batch). > 0: explicit. 0: 1
+  // (batching off — every request replays at its exact token count) and 512.
   int batch_window = 0;
   int max_batch_tokens = 0;
   // Default per-request latency budget in microseconds (requests may carry a
   // tighter or looser one in ServeRequest::deadline_us). > 0: explicit.
-  // 0: resolve the strict-parsed PIT_SERVE_DEADLINE_US knob, falling back to
-  // no deadline. Negative values are API misuse (PIT_CHECK).
+  // 0: no deadline. Negative values are API misuse (PIT_CHECK).
   int64_t deadline_us = 0;
   // Bounded admission queue: at most this many requests per Serve call are
   // admitted; the rest are shed with kRejectedOverload (admission order, so
-  // shedding is deterministic). > 0: explicit. 0: resolve the strict-parsed
-  // PIT_SERVE_QUEUE knob, falling back to unbounded. Negative values are API
-  // misuse (PIT_CHECK).
+  // shedding is deterministic). > 0: explicit. 0: unbounded. Negative values
+  // are API misuse (PIT_CHECK).
   int queue_capacity = 0;
   // Per-stream stall-detection threshold in microseconds: an engine-owned
   // watchdog thread reads the streams' heartbeat counters (bumped at replay
   // step checkpoints) and flags any stream that is mid-request but
-  // silent for longer than this. > 0: explicit. 0: resolve the strict-parsed
-  // PIT_WATCHDOG_US knob, falling back to no watchdog. Negative values are
-  // API misuse (PIT_CHECK).
+  // silent for longer than this. > 0: explicit. 0: no watchdog. Negative
+  // values are API misuse (PIT_CHECK).
   int64_t watchdog_us = 0;
-  // Escalation on detection; kDefault resolves PIT_WATCHDOG (report|abort),
-  // falling back to report.
-  WatchdogMode watchdog_mode = WatchdogMode::kDefault;
+  // Escalation on detection.
+  WatchdogMode watchdog_mode = WatchdogMode::kReport;
 };
 
 // Per-bucket plan-pool and service accounting. A "bucket" is the padded
@@ -426,14 +405,12 @@ class ServingEngine {
   template <typename Pool, typename Key, typename MakeStreamFn>
   typename Pool::mapped_type* PooledStream(StreamState& stream, Pool& pool, const Key& key,
                                            MakeStreamFn&& make);
-  // Adjusts the live pool totals by the given deltas and folds the result
-  // into the high-water marks. Called from concurrent stream workers at the
-  // moment a pool grows (or is evicted), so the marks capture mid-Serve
-  // peaks, not just the Serve-end snapshot.
-  void AccountPoolDelta(int64_t contexts_delta, int64_t bytes_delta);
-  // Per-bucket share of the context-pool accounting (mutex-protected: only
-  // touched when a pool entry is built or evicted, never per request).
-  void AccountBucketPool(int64_t bucket, int64_t contexts_delta);
+  // Moves the live pool totals (engine-wide and for `bucket`) by the given
+  // deltas and folds them into the high-water marks. Called from concurrent
+  // stream workers at the moment a pool entry is built or evicted — never
+  // per request — so the marks capture mid-Serve peaks, not just the
+  // Serve-end snapshot.
+  void AccountPool(int64_t bucket, int64_t contexts_delta, int64_t bytes_delta);
   // Folds the streams' per-bucket counters and the last Serve's per-request
   // (bucket, latency) pairs — kOk requests only — into stats_.buckets.
   void MergeBucketStats(const std::vector<int64_t>& bucket_of,
@@ -441,13 +418,14 @@ class ServingEngine {
   // The supervision thread's body: every ~watchdog_us_/4 it compares each
   // mid-request stream's heartbeat counter against the last observation;
   // a stream silent past watchdog_us_ is flagged once per stall episode
-  // (diagnostic to stderr, stalls_detected, silence bounds; PIT_CHECK abort
-  // under WatchdogMode::kAbort).
+  // (diagnostic to stderr, stall counters; PIT_CHECK abort under
+  // WatchdogMode::kAbort).
   void WatchdogLoop();
   void StopWatchdog();
 
   const PlannedTransformerStack* transformer_ = nullptr;  // exactly one of the
   const PlannedFfnStack* ffn_ = nullptr;                  // two stacks is set
+  int64_t hidden_ = 0;                                    // the stack's width
   int num_streams_ = 1;
   bool use_pit_ = false;
   int batch_window_ = 1;
@@ -463,6 +441,11 @@ class ServingEngine {
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  // guarded by watchdog_mu_
+  // Watchdog detections and the min/max silence observed at detection
+  // (lifetime), written by the watchdog thread; guarded by watchdog_mu_.
+  int64_t stalls_detected_ = 0;
+  int64_t stall_min_silence_us_ = 0;
+  int64_t stall_max_silence_us_ = 0;
   // Drain/lifecycle synchronization: draining_ stops span claiming (workers
   // poll it at claim boundaries) and permanently rejects later Serves;
   // serve_active_/serve_cv_ let Drain wait for in-flight Serve calls to exit
@@ -472,28 +455,17 @@ class ServingEngine {
   std::mutex serve_mu_;
   std::condition_variable serve_cv_;
   int serve_active_ = 0;  // guarded by serve_mu_
-  // Live pool totals + lifetime peaks, updated by workers as pools change.
-  std::atomic<int64_t> pool_contexts_{0};
-  std::atomic<int64_t> pool_arena_bytes_{0};
-  std::atomic<int64_t> pool_contexts_highwater_{0};
-  std::atomic<int64_t> pool_arena_bytes_highwater_{0};
-  // Fault-containment ledger (lifetime, updated by concurrent workers).
-  std::atomic<int64_t> ctr_faults_{0};
-  std::atomic<int64_t> ctr_retries_{0};
-  std::atomic<int64_t> ctr_degraded_{0};
-  std::atomic<int64_t> ctr_internal_{0};
-  // Liveness accounting (lifetime): in-flight deadline lapses, cancelled
-  // forwards, injected stalls, and watchdog detections with the min/max
-  // silence observed at detection. (Cancelled *requests* are tallied from
-  // the outcome statuses at Serve aggregation, not a worker counter.)
-  std::atomic<int64_t> ctr_timed_out_inflight_{0};
-  std::atomic<int64_t> ctr_cancelled_forwards_{0};
-  std::atomic<int64_t> ctr_stalls_injected_{0};
-  std::atomic<int64_t> ctr_stalls_detected_{0};
-  std::atomic<int64_t> ctr_stall_min_silence_us_{0};
-  std::atomic<int64_t> ctr_stall_max_silence_us_{0};
-  std::mutex bucket_pool_mu_;
-  std::map<int64_t, std::pair<int64_t, int64_t>> bucket_pool_;  // live, highwater
+  // Live pool totals + lifetime peaks, engine-wide and per bucket, updated
+  // by workers as pools change.
+  struct PoolLedger {
+    int64_t contexts = 0;
+    int64_t contexts_highwater = 0;
+    int64_t arena_bytes = 0;
+    int64_t arena_bytes_highwater = 0;
+    std::map<int64_t, std::pair<int64_t, int64_t>> buckets;  // live, highwater
+  };
+  std::mutex pool_mu_;
+  PoolLedger pool_;  // guarded by pool_mu_
   ServingEngineStats stats_;
 };
 

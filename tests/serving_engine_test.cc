@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -249,35 +248,39 @@ TEST(ServingEngineTest, PitServingMatchesSingleStreamPit) {
   }
 }
 
-TEST(ServingEngineTest, NumStreamsResolvesFromOptionsThenEnvThenThreads) {
+// ServingEngineOptions is the engine's only configuration: every field takes
+// its explicit value, and its zero value selects the documented default.
+TEST(ServingEngineTest, OptionsTakeExplicitValueElseDefault) {
   Rng wr(11);
   PlannedFfnStack stack(1, 8, 16, wr);
-  // Pin the environment so the test exercises all three resolution tiers
-  // deterministically, whatever the invoking shell exported.
-  const char* saved = std::getenv("PIT_NUM_STREAMS");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  setenv("PIT_NUM_STREAMS", "7", /*overwrite=*/1);
   {
-    // Explicit option wins over the environment.
     ServingEngineOptions options;
     options.num_streams = 5;
+    options.batch_window = 3;
+    options.max_batch_tokens = 128;
+    options.deadline_us = 777;
+    options.queue_capacity = 9;
+    options.watchdog_us = 54321;
+    options.watchdog_mode = WatchdogMode::kAbort;
     ServingEngine engine(stack, options);
     EXPECT_EQ(engine.num_streams(), 5);
+    EXPECT_EQ(engine.batch_window(), 3);
+    EXPECT_EQ(engine.max_batch_tokens(), 128);
+    EXPECT_EQ(engine.deadline_us(), 777);
+    EXPECT_EQ(engine.queue_capacity(), 9);
+    EXPECT_EQ(engine.watchdog_us(), 54321);
+    EXPECT_EQ(engine.watchdog_mode(), WatchdogMode::kAbort);
   }
   {
-    // No option: the strict-parsed environment knob decides.
-    ServingEngine engine(stack, {});
-    EXPECT_EQ(engine.num_streams(), 7);
-  }
-  unsetenv("PIT_NUM_STREAMS");
-  {
-    // Neither: the engine defaults to the worker count.
     ScopedNumThreads threads(3);
     ServingEngine engine(stack, {});
-    EXPECT_EQ(engine.num_streams(), 3);
-  }
-  if (saved != nullptr) {
-    setenv("PIT_NUM_STREAMS", saved_value.c_str(), 1);
+    EXPECT_EQ(engine.num_streams(), 3);          // the worker count
+    EXPECT_EQ(engine.batch_window(), 1);         // batching off
+    EXPECT_EQ(engine.max_batch_tokens(), 512);
+    EXPECT_EQ(engine.deadline_us(), 0);          // no default deadline
+    EXPECT_EQ(engine.queue_capacity(), 0);       // unbounded
+    EXPECT_EQ(engine.watchdog_us(), 0);          // no watchdog
+    EXPECT_EQ(engine.watchdog_mode(), WatchdogMode::kReport);
   }
 }
 
@@ -489,46 +492,6 @@ TEST(RaggedBatchingTest, StatsReportBucketsUtilizationAndPlanReuse) {
     hits += again.buckets[i].plan_hits;
   }
   EXPECT_GT(hits, 0);
-}
-
-TEST(RaggedBatchingTest, KnobsResolveFromOptionsThenEnvThenDefault) {
-  Rng wr(31);
-  PlannedFfnStack stack(1, 8, 16, wr);
-  const char* saved_window = std::getenv("PIT_BATCH_WINDOW");
-  const std::string saved_window_value = saved_window != nullptr ? saved_window : "";
-  const char* saved_tokens = std::getenv("PIT_BATCH_TOKENS");
-  const std::string saved_tokens_value = saved_tokens != nullptr ? saved_tokens : "";
-  setenv("PIT_BATCH_WINDOW", "6", /*overwrite=*/1);
-  setenv("PIT_BATCH_TOKENS", "96", /*overwrite=*/1);
-  {
-    // Explicit options win over the environment.
-    ServingEngineOptions options;
-    options.batch_window = 3;
-    options.max_batch_tokens = 128;
-    ServingEngine engine(stack, options);
-    EXPECT_EQ(engine.batch_window(), 3);
-    EXPECT_EQ(engine.max_batch_tokens(), 128);
-  }
-  {
-    // No options: the strict-parsed environment knobs decide.
-    ServingEngine engine(stack, {});
-    EXPECT_EQ(engine.batch_window(), 6);
-    EXPECT_EQ(engine.max_batch_tokens(), 96);
-  }
-  unsetenv("PIT_BATCH_WINDOW");
-  unsetenv("PIT_BATCH_TOKENS");
-  {
-    // Neither: batching off (window 1) with the default token budget.
-    ServingEngine engine(stack, {});
-    EXPECT_EQ(engine.batch_window(), 1);
-    EXPECT_EQ(engine.max_batch_tokens(), 512);
-  }
-  if (saved_window != nullptr) {
-    setenv("PIT_BATCH_WINDOW", saved_window_value.c_str(), 1);
-  }
-  if (saved_tokens != nullptr) {
-    setenv("PIT_BATCH_TOKENS", saved_tokens_value.c_str(), 1);
-  }
 }
 
 // ---- fault containment (PR 9) ----------------------------------------------
@@ -846,45 +809,6 @@ TEST(FaultContainmentTest, PersistentFaultsEndInInternalThenRecover) {
   }
 }
 
-// The containment knobs resolve option > env > default, mirroring
-// KnobsResolveFromOptionsThenEnvThenDefault for the batching knobs.
-TEST(FaultContainmentTest, DeadlineAndQueueKnobsResolveFromOptionsThenEnvThenDefault) {
-  Rng wr(471);
-  PlannedFfnStack stack(1, 8, 16, wr);
-  const char* saved_deadline = std::getenv("PIT_SERVE_DEADLINE_US");
-  const std::string saved_deadline_value = saved_deadline != nullptr ? saved_deadline : "";
-  const char* saved_queue = std::getenv("PIT_SERVE_QUEUE");
-  const std::string saved_queue_value = saved_queue != nullptr ? saved_queue : "";
-  setenv("PIT_SERVE_DEADLINE_US", "12345", /*overwrite=*/1);
-  setenv("PIT_SERVE_QUEUE", "9", /*overwrite=*/1);
-  {
-    ServingEngineOptions options;
-    options.deadline_us = 777;
-    options.queue_capacity = 3;
-    ServingEngine engine(stack, options);
-    EXPECT_EQ(engine.deadline_us(), 777);
-    EXPECT_EQ(engine.queue_capacity(), 3);
-  }
-  {
-    ServingEngine engine(stack, {});
-    EXPECT_EQ(engine.deadline_us(), 12345);
-    EXPECT_EQ(engine.queue_capacity(), 9);
-  }
-  unsetenv("PIT_SERVE_DEADLINE_US");
-  unsetenv("PIT_SERVE_QUEUE");
-  {
-    ServingEngine engine(stack, {});
-    EXPECT_EQ(engine.deadline_us(), 0);
-    EXPECT_EQ(engine.queue_capacity(), 0);
-  }
-  if (saved_deadline != nullptr) {
-    setenv("PIT_SERVE_DEADLINE_US", saved_deadline_value.c_str(), 1);
-  }
-  if (saved_queue != nullptr) {
-    setenv("PIT_SERVE_QUEUE", saved_queue_value.c_str(), 1);
-  }
-}
-
 // ---- Liveness: in-flight deadlines, watchdog, drain (PR 10) ----------------
 
 // Unmasked fixed-shape requests that pack into a single span (one claim, one
@@ -1104,43 +1028,6 @@ TEST(LivenessTest, DoubleDrainIsIdempotentAndServeAfterDrainIsRejected) {
   }
   EXPECT_EQ(engine.stats().cancelled, 3);
   EXPECT_EQ(engine.stats().requests, 3);
-}
-
-TEST(LivenessTest, WatchdogKnobsResolveFromOptionsThenEnvThenDefault) {
-  Rng wr(531);
-  PlannedFfnStack stack(2, 16, 48, wr);
-  const char* saved_us = std::getenv("PIT_WATCHDOG_US");
-  const std::string saved_us_value = saved_us != nullptr ? saved_us : "";
-  const char* saved_mode = std::getenv("PIT_WATCHDOG");
-  const std::string saved_mode_value = saved_mode != nullptr ? saved_mode : "";
-  setenv("PIT_WATCHDOG_US", "54321", 1);
-  setenv("PIT_WATCHDOG", "abort", 1);
-  {
-    ServingEngineOptions options;
-    options.watchdog_us = 777;
-    options.watchdog_mode = WatchdogMode::kReport;
-    ServingEngine engine(stack, options);
-    EXPECT_EQ(engine.watchdog_us(), 777);
-    EXPECT_EQ(engine.watchdog_mode(), WatchdogMode::kReport);
-  }
-  {
-    ServingEngine engine(stack, {});
-    EXPECT_EQ(engine.watchdog_us(), 54321);
-    EXPECT_EQ(engine.watchdog_mode(), WatchdogMode::kAbort);
-  }
-  unsetenv("PIT_WATCHDOG_US");
-  unsetenv("PIT_WATCHDOG");
-  {
-    ServingEngine engine(stack, {});
-    EXPECT_EQ(engine.watchdog_us(), 0);  // watchdog off by default
-    EXPECT_EQ(engine.watchdog_mode(), WatchdogMode::kReport);
-  }
-  if (saved_us != nullptr) {
-    setenv("PIT_WATCHDOG_US", saved_us_value.c_str(), 1);
-  }
-  if (saved_mode != nullptr) {
-    setenv("PIT_WATCHDOG", saved_mode_value.c_str(), 1);
-  }
 }
 
 }  // namespace
