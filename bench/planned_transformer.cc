@@ -204,6 +204,25 @@ int main(int argc, char** argv) {
     }
   }
 
+  {  // Arena one pooled serving context set pins per packed bucket, for the
+     // serving benchmark's stack shape (2 layers, hidden 128, 4 heads).
+    bench::PrintHeader("Per-bucket stack arenas", "bytes one stream's contexts pin per bucket");
+    bench::Table arenas({"bucket", "masked KiB", "unmasked KiB", "steps/layer"});
+    Rng wr(5);
+    PlannedTransformerStack stack(2, 128, 4, 512, wr);
+    for (const int64_t bucket : {64, 128, 256, 512}) {
+      const PlanStats masked = stack.StatsFor(bucket, true);
+      const PlanStats unmasked = stack.StatsFor(bucket, false);
+      arenas.Row({std::to_string(bucket), bench::Fmt(masked.arena_bytes / 1024.0, "%.0f"),
+                  bench::Fmt(unmasked.arena_bytes / 1024.0, "%.0f"),
+                  std::to_string(masked.num_steps / stack.layers())});
+      report.Add("stack_arena_2x" + std::to_string(bucket) + "x128",
+                 {{"masked_arena_bytes", static_cast<double>(masked.arena_bytes)},
+                  {"unmasked_arena_bytes", static_cast<double>(unmasked.arena_bytes)},
+                  {"num_steps", static_cast<double>(masked.num_steps)}});
+    }
+  }
+
   if (!report.WriteFile(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;

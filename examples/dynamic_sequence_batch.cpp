@@ -3,7 +3,8 @@
 // A padded batch is a dynamically row-sparse tensor — and the serving engine's
 // continuous ragged batching is the micro-tile permutation applied to the
 // batch axis: mixed-length requests SRead-gather into one bucket-padded dense
-// tile, replay a shared plan behind a block-diagonal attention mask, and
+// tile, replay a shared plan with one attention segment per request (each
+// request attends only to itself, at sum(t_i^2) score entries), and
 // SWrite-scatter back out. The example serves a mixed-length request stream
 // end-to-end twice — 1:1 and batched — verifies the outputs are bitwise
 // identical, and contrasts pad-to-max waste with packed-bucket utilization

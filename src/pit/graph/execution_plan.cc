@@ -146,6 +146,16 @@ Shape InferShape(const Graph& g, const GraphNode& n) {
       PIT_CHECK_EQ(a[2], b[1]);
       return {a[0], a[1], b[2]};
     }
+    case OpKind::kAttention: {
+      const Shape& q = g.node(n.inputs[0]).shape;
+      PIT_CHECK_EQ(q.size(), 2u);
+      PIT_CHECK(g.node(n.inputs[1]).shape == q && g.node(n.inputs[2]).shape == q);
+      PIT_CHECK(n.iattr0 > 0 && q[1] % n.iattr0 == 0);
+      if (n.inputs.size() == 4) {
+        PIT_CHECK(g.node(n.inputs[3]).shape == (Shape{q[0], q[0]}));
+      }
+      return q;
+    }
   }
   PIT_CHECK(false) << "unreachable op kind";
   return {};
@@ -341,7 +351,7 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
     call.iattr0 = node.iattr0;
     call.iattr1 = node.iattr1;
     call.num_in = static_cast<int>(node.inputs.size());
-    PIT_CHECK_LE(call.num_in, 3);
+    PIT_CHECK_LE(call.num_in, kMaxOpInputs);
     for (int i = 0; i < call.num_in; ++i) {
       call.in[i] = loc[static_cast<size_t>(node.inputs[static_cast<size_t>(i)])];
     }
@@ -515,6 +525,17 @@ void ExecutionPlan::Dispatch(int step_index, ExecutionContext& ctx, PitCompiler*
       break;
     case OpKind::kBatchMatmul:
       BatchMatMulInto(in(0), in(1), out);
+      break;
+    case OpKind::kAttention:
+      if (ctx.segments_.empty()) {
+        // The whole tile is one request, masked by the plan's feed if any.
+        const AttentionSegment whole{0, out.dim(0), call.num_in == 4 ? in(3) : ConstTensorView()};
+        SegmentAttentionInto(in(0), in(1), in(2), call.iattr0, {&whole, 1}, out);
+      } else {
+        PIT_CHECK(call.num_in == 3)
+            << "attention segments carry their own masks; bind them on an unmasked plan";
+        SegmentAttentionInto(in(0), in(1), in(2), call.iattr0, ctx.segments_, out);
+      }
       break;
   }
 }

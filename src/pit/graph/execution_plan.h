@@ -41,12 +41,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "pit/common/cancellation.h"
 #include "pit/core/compiler.h"
 #include "pit/graph/graph.h"
+#include "pit/tensor/ops.h"
 #include "pit/tensor/tensor.h"
 
 namespace pit {
@@ -67,6 +69,9 @@ struct ValueRef {
   int64_t offset = 0;  // element offset; meaningful for kArena only
 };
 
+// Most operands any step reads (kAttention: q, k, v and an optional mask).
+constexpr int kMaxOpInputs = 4;
+
 // One kernel-dispatch step. This is the unified seam between the two
 // execution paths: `use_pit` false runs the dense reference kernel for
 // `kind`; true routes the matmul through the PitCompiler using the execution
@@ -80,10 +85,10 @@ struct OpCall {
   bool fuse_relu = false;  // matmul(+bias) step with a fused ReLU epilogue;
                            // node_id is the elided ReLU's node
   ValueRef out;
-  ValueRef in[3];
+  ValueRef in[kMaxOpInputs];
   int num_in = 0;
   float fattr = 0.0f;       // kScale factor / kLayerNorm epsilon
-  int iattr0 = 0;           // kTranspose axes
+  int iattr0 = 0;           // kTranspose axes / kAttention heads
   int iattr1 = 1;
 };
 
@@ -141,6 +146,17 @@ class ExecutionContext {
   // (or the token itself) before trusting the result.
   ReplayStatus replay_status() const { return replay_status_; }
 
+  // Binds the attention segments every kAttention step of later replays
+  // runs over: one per packed request, each attending only within itself
+  // (AttentionSegment, tensor/ops.h). Borrowed like the cancel token: the
+  // segments and their masks must outlive every replay that sees them.
+  // Empty (the default) means one segment [0, T) carrying the plan's mask
+  // feed, i.e. plain attention over the whole tile. Segments carry their own
+  // masks, so binding them on a plan with a mask feed is a checked error.
+  void set_attention_segments(std::span<const AttentionSegment> segments) {
+    segments_ = segments;
+  }
+
  private:
   friend class ExecutionPlan;
 
@@ -161,6 +177,7 @@ class ExecutionContext {
   // after each replay.
   const CancelToken* cancel_ = nullptr;
   ReplayStatus replay_status_ = ReplayStatus::kOk;
+  std::span<const AttentionSegment> segments_;  // borrowed; empty = whole tile
 };
 
 // Called after each compute step with the node id and a view of its value

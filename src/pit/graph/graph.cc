@@ -38,6 +38,8 @@ const char* OpKindName(OpKind kind) {
       return "reshape";
     case OpKind::kBatchMatmul:
       return "batch_matmul";
+    case OpKind::kAttention:
+      return "attention";
   }
   return "?";
 }
@@ -320,6 +322,24 @@ int Graph::AddBatchMatmul(std::string name, int a, int b) {
   return Add(std::move(n));
 }
 
+int Graph::AddAttention(std::string name, int q, int k, int v, int64_t heads, int mask) {
+  const Shape& s = node(q).shape;
+  PIT_CHECK_EQ(s.size(), 2u);
+  PIT_CHECK(node(k).shape == s && node(v).shape == s) << "q/k/v shapes differ";
+  PIT_CHECK(heads > 0 && s[1] % heads == 0) << "hidden " << s[1] << " not split by " << heads;
+  GraphNode n;
+  n.kind = OpKind::kAttention;
+  n.name = std::move(name);
+  n.inputs = {q, k, v};
+  if (mask >= 0) {
+    PIT_CHECK(node(mask).shape == (Shape{s[0], s[0]})) << "attention mask must be [tokens, tokens]";
+    n.inputs.push_back(mask);
+  }
+  n.shape = s;
+  n.iattr0 = static_cast<int>(heads);
+  return Add(std::move(n));
+}
+
 void Graph::PropagateSparsity() {
   // Forward pass in construction (= topological) order.
   for (auto& n : nodes_) {
@@ -392,8 +412,10 @@ void Graph::PropagateSparsity() {
       case OpKind::kMatmul:
       case OpKind::kMatmulBias:
       case OpKind::kBatchMatmul:
+      case OpKind::kAttention:
         // Dense output: a contraction densifies (unless both operands are
-        // extremely sparse, which the runtime detector would catch anyway).
+        // extremely sparse, which the runtime detector would catch anyway);
+        // attention ends in the probs x v contraction.
         break;
     }
   }

@@ -44,6 +44,9 @@ enum class OpKind {
   kTranspose,    // axis-swap copy; swaps axes (iattr0, iattr1)
   kReshape,      // zero-cost shape reinterpretation (aliases its input)
   kBatchMatmul,  // C[b,m,n] = A[b,m,k] * B[b,k,n] (per-head batched GEMM)
+  kAttention,    // multi-head attention ctx over [T, hidden] q (scaled), k, v
+                 // and an optional [T, T] mask; iattr0 = heads. Replays per
+                 // segment bound on the execution context (SegmentAttentionInto)
 };
 const char* OpKindName(OpKind kind);
 
@@ -65,7 +68,7 @@ struct GraphNode {
   Shape shape;
 
   // Small op attributes: fattr is kScale's factor / kLayerNorm's epsilon;
-  // iattr0/iattr1 are kTranspose's swapped axes.
+  // iattr0/iattr1 are kTranspose's swapped axes; iattr0 is kAttention's heads.
   float fattr = 0.0f;
   int iattr0 = 0;
   int iattr1 = 1;
@@ -124,6 +127,12 @@ class Graph {
   // executor aliases the input's storage — no copy, no arena block.
   int AddReshape(std::string name, int x, Shape shape);
   int AddBatchMatmul(std::string name, int a, int b);
+  // Multi-head attention context [tokens, hidden] from [tokens, hidden]
+  // projections `q` (already scaled), `k`, `v`, split into `heads` column
+  // blocks; `mask` >= 0 adds a [tokens, tokens] 0/1 mask input. Replay
+  // attends within each segment bound on the execution context, or over the
+  // whole tile (with the mask) when none are bound.
+  int AddAttention(std::string name, int q, int k, int v, int64_t heads, int mask = -1);
 
   const GraphNode& node(int id) const { return nodes_.at(static_cast<size_t>(id)); }
   int size() const { return static_cast<int>(nodes_.size()); }

@@ -67,6 +67,10 @@ void ExpectedInputs(OpKind kind, int* lo, int* hi) {
     case OpKind::kLayerNorm:
       *lo = *hi = 3;
       break;
+    case OpKind::kAttention:
+      *lo = 3;
+      *hi = 4;  // optional attention mask operand
+      break;
   }
 }
 
@@ -238,7 +242,7 @@ class Verifier {
       if (c.out.loc == ValueLoc::kArena) {
         block_offsets.insert(c.out.offset);
       }
-      for (int i = 0; i < c.num_in && i < 3; ++i) {
+      for (int i = 0; i < c.num_in && i < kMaxOpInputs; ++i) {
         CheckArenaRef(s, c.in[i], "input");
       }
     }
@@ -329,7 +333,7 @@ class Verifier {
       }
       // Reshape inputs resolve like reads (the alias must view produced
       // storage) but carry no runtime access; dispatched inputs are reads.
-      for (int i = 0; i < c.num_in && i < 3; ++i) {
+      for (int i = 0; i < c.num_in && i < kMaxOpInputs; ++i) {
         check_read(s, c.in[i], "input");
       }
     }
@@ -355,7 +359,7 @@ class Verifier {
       }
     };
     auto check_reads_of = [&](int reader, const OpCall& c) {
-      for (int i = 0; i < c.num_in && i < 3; ++i) {
+      for (int i = 0; i < c.num_in && i < kMaxOpInputs; ++i) {
         const ValueRef& r = c.in[i];
         if (r.loc != ValueLoc::kArena || !RefIdsOk(r)) {
           continue;
@@ -367,10 +371,31 @@ class Verifier {
         check_interval(prod, reader, {r.offset, r.offset + Elems(r.shape_id)}, r.node_id);
       }
     };
+    // A step that reads its operands while it writes (kAttention reads the
+    // q/k/v rows of every head tile it writes) clobbers its own reads when
+    // its output aliases one of them.
+    auto check_no_self_alias = [&](int t, const OpCall& c) {
+      const Span& write = fp_[static_cast<size_t>(t)].write;
+      for (int i = 0; i < c.num_in && i < kMaxOpInputs; ++i) {
+        const ValueRef& r = c.in[i];
+        if (r.loc != ValueLoc::kArena || !RefIdsOk(r)) {
+          continue;
+        }
+        const Span read{r.offset, r.offset + Elems(r.shape_id)};
+        if (write.Overlaps(read)) {
+          Add(PlanViolationKind::kClobberedRead, t, t, write.Intersect(read),
+              "step's output aliases its input " + std::to_string(i) + " (node " +
+                  std::to_string(r.node_id) + ") while it still reads it");
+        }
+      }
+    };
     for (int t = 0; t < n; ++t) {
       const OpCall& c = steps[static_cast<size_t>(t)];
       if (fp_[static_cast<size_t>(t)].dispatched) {
         check_reads_of(t, c);
+        if (c.kind == OpKind::kAttention) {
+          check_no_self_alias(t, c);
+        }
       }
     }
     // The result block must survive from its producer to the end of replay.

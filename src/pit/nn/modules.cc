@@ -143,9 +143,7 @@ MultiHeadAttention::MultiHeadAttention(int64_t hidden, int64_t heads, Rng& rng)
 }
 
 int MultiHeadAttention::AppendToGraph(Graph& g, int x, int mask) const {
-  const int64_t tokens = g.node(x).shape[0];
-  const int64_t hidden = qkv_.in_features();
-  const int64_t dh = hidden / heads_;
+  const int64_t dh = qkv_.in_features() / heads_;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
 
   const int wq = g.AddWeightRef("wq", &wq_);
@@ -155,26 +153,13 @@ int MultiHeadAttention::AppendToGraph(Graph& g, int x, int mask) const {
   const int wv = g.AddWeightRef("wv", &wv_);
   const int bv = g.AddWeightRef("bv", &bv_);
 
-  // Per-part projections, scaled q, then the head split: [tokens, hidden]
-  // reinterpreted as [tokens, heads, dk] and transposed to [heads, tokens, dk]
-  // (k additionally to [heads, dk, tokens] for the score GEMM).
+  // Per-part projections and scaled q, then one attention step that runs
+  // ForwardEager's per-head calls (per bound segment) and merges the heads.
   const int q_proj = g.AddMatmulBias("q_proj", x, wq, bq);
-  const int q_scaled = g.AddScale("q_scale", q_proj, scale);
-  const int q_split = g.AddReshape("q_split", q_scaled, {tokens, heads_, dh});
-  const int q = g.AddTranspose("q_heads", q_split, 0, 1);
-  const int k_proj = g.AddMatmulBias("k_proj", x, wk, bk);
-  const int k_split = g.AddReshape("k_split", k_proj, {tokens, heads_, dh});
-  const int k_heads = g.AddTranspose("k_heads", k_split, 0, 1);
-  const int k_t = g.AddTranspose("k_t", k_heads, 1, 2);
-  const int v_proj = g.AddMatmulBias("v_proj", x, wv, bv);
-  const int v_split = g.AddReshape("v_split", v_proj, {tokens, heads_, dh});
-  const int v = g.AddTranspose("v_heads", v_split, 0, 1);
-
-  const int scores = g.AddBatchMatmul("scores", q, k_t);     // [heads, T, T]
-  const int probs = g.AddSoftmax("probs", scores, mask);     // masked rows excluded
-  const int ctx_heads = g.AddBatchMatmul("ctx_heads", probs, v);  // [heads, T, dk]
-  const int ctx_merge = g.AddTranspose("ctx_merge", ctx_heads, 0, 1);
-  const int ctx = g.AddReshape("ctx", ctx_merge, {tokens, hidden});
+  const int q = g.AddScale("q_scale", q_proj, scale);
+  const int k = g.AddMatmulBias("k_proj", x, wk, bk);
+  const int v = g.AddMatmulBias("v_proj", x, wv, bv);
+  const int ctx = g.AddAttention("attention", q, k, v, heads_, mask);
 
   const int wo = g.AddWeightRef("wo", &out_.weight());
   const int bo = g.AddWeightRef("bo", &out_.bias());

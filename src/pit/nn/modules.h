@@ -96,9 +96,11 @@ class FeedForward {
 // means full attention.
 //
 // Forward runs through cached ExecutionPlans (one graph per distinct
-// (token count, masked?) shape): per-part q/k/v projections, per-head
-// [heads, tokens, dk] batched score/context GEMMs, masked softmax, all over
-// referenced weights and a reused arena. The result is bitwise identical to
+// (token count, masked?) shape): per-part q/k/v projections, scaled q, one
+// kAttention step (ForwardEager's per-head score GEMM, masked softmax and
+// context GEMM over each attention segment the replay binds — one [0, T)
+// segment by default), and the output projection, all over referenced
+// weights and a reused arena. The result is bitwise identical to
 // ForwardEager — the original per-head slicing loop, kept as the oracle.
 // Plans reference the module's weights in place: the module is pinned.
 class MultiHeadAttention {
@@ -113,7 +115,7 @@ class MultiHeadAttention {
   // verbatim as the differential oracle and the eager bench baseline.
   Tensor ForwardEager(const Tensor& x, const Tensor* mask = nullptr) const;
 
-  // Appends the attention block (projections -> per-head batched attention
+  // Appends the attention block (q/k/v projections -> q scale -> attention
   // -> output projection) to a caller-owned graph; `x` is a [tokens, hidden]
   // node, `mask` a [tokens, tokens] node or -1. Returns the output node.
   int AppendToGraph(Graph& g, int x, int mask = -1) const;
@@ -165,12 +167,16 @@ class MoELayer {
 
 // Pre-norm transformer encoder layer: x + Attn(LN(x)); x + FFN(LN(x)).
 //
-// The whole block — both layernorms, the attention (per-head batched), both
-// residual adds, and the FFN — is one Graph compiled to one ExecutionPlan per
-// distinct (token count, masked?) shape: a steady-state dense forward replays
-// kernel dispatches over a single reused arena with ~zero heap allocations,
-// bitwise identical to ForwardEager. ForwardSparse runs the same plan with
-// the PIT pass decisions (the FFN down-projection consumes its ReLU
+// The whole block is one Graph compiled to one ExecutionPlan per distinct
+// (token count, masked?) shape, 12 steps: ln1, q/k/v projections, q scale,
+// attention, output projection, residual add, ln2, the FFN's fused
+// up-projection+ReLU and down-projection, residual add. A steady-state dense
+// forward replays them over a single reused arena with ~zero heap
+// allocations, bitwise identical to ForwardEager. The attention step runs per
+// segment bound on the stream's context (ExecutionContext::
+// set_attention_segments), so a packed tile of several requests costs
+// sum(t_i^2) score entries and no [T, T] mask. ForwardSparse runs the same
+// plan with the PIT pass decisions (the FFN down-projection consumes its ReLU
 // activation through the compiler's per-site kernel handle). Plans reference
 // the module's weights in place: the module is pinned.
 class TransformerEncoderLayer {

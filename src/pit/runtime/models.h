@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -198,9 +199,9 @@ class PlannedFfnStack {
 //
 // The PlannedFfnStack's seam extended to whole encoder blocks: a stack of
 // TransformerEncoderLayers (pre-norm attention + FFN) whose per-layer
-// forwards replay cached whole-block ExecutionPlans — layernorms, per-head
-// batched attention, masked softmax, residuals, and the FFN all dispatch as
-// compiled arena steps. Steady-state dense forwards perform ~zero heap
+// forwards replay cached whole-block ExecutionPlans — layernorms, q/k/v
+// projections, segment-aware attention, residuals, and the FFN all dispatch
+// as compiled arena steps. Steady-state dense forwards perform ~zero heap
 // allocations: layer outputs stage into per-token-count buffers allocated
 // once, and each layer's plan reuses its own arena.
 class PlannedTransformerStack {
@@ -248,6 +249,14 @@ class PlannedTransformerStack {
     void SetCancelToken(const CancelToken* token) {
       for (TransformerEncoderLayer::Stream& layer : layers) {
         layer.ctx->set_cancel_token(token);
+      }
+    }
+    // Binds one set of attention segments on every layer's context
+    // (ExecutionContext::set_attention_segments: borrowed, unmasked streams
+    // only; empty restores whole-tile attention).
+    void SetAttentionSegments(std::span<const AttentionSegment> segments) {
+      for (TransformerEncoderLayer::Stream& layer : layers) {
+        layer.ctx->set_attention_segments(segments);
       }
     }
   };

@@ -22,7 +22,6 @@
 #include "pit/graph/plan_verifier.h"
 #include "pit/gpusim/device.h"
 #include "pit/runtime/serving.h"
-#include "pit/workloads/attention_masks.h"
 #include "pit/workloads/seq_len.h"
 
 namespace pit {
@@ -124,14 +123,12 @@ std::string ServingEngineStats::ToString() const {
 // stream's private PitCompiler and packed-batch staging. Nothing in here is
 // ever touched by another stream.
 struct ServingEngine::StreamState {
-  // Reused packed tiles for one bucket: requests gather into x, the plan
-  // replays into out, and (transformer only) the block-diagonal mask is
-  // rebuilt in place per batch. Keyed by bucket so steady-state batching
-  // allocates nothing.
+  // Reused packed tiles for one bucket: requests gather into x and the plan
+  // replays into out. Keyed by bucket so steady-state batching allocates
+  // nothing.
   struct BatchStaging {
-    Tensor x;     // [bucket, hidden]
-    Tensor out;   // [bucket, hidden]
-    Tensor mask;  // [bucket, bucket], transformer stacks only
+    Tensor x;    // [bucket, hidden]
+    Tensor out;  // [bucket, hidden]
   };
   struct BucketCounters {
     int64_t batches = 0;
@@ -150,9 +147,10 @@ struct ServingEngine::StreamState {
   // Identity row ids 0..max_len-1: every request's token rows are a prefix
   // span of this one reusable vector for SRead/SWrite purposes.
   std::vector<int64_t> iota;
-  // Per-batch scratch (lengths and embedded per-request masks).
+  // Per-batch scratch: request lengths and (transformer only) one attention
+  // segment per request, carrying the request's own mask.
   std::vector<int64_t> lens;
-  std::vector<const Tensor*> request_masks;
+  std::vector<AttentionSegment> segments;
   // Per-claim scratch: the original request indices that survived the
   // deadline sweep and enter the packed forward.
   std::vector<int64_t> span;
@@ -427,8 +425,8 @@ ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
     }
     const Tensor& mask = *request.attn_mask;
     const int64_t tokens = request.x.dim(0);
-    // A mismatched mask used to abort deep inside the packed masked-softmax
-    // with a kernel-level diagnostic; reject it at the request boundary.
+    // A mismatched mask would abort deep inside the attention kernel with a
+    // kernel-level diagnostic; reject it at the request boundary.
     if (mask.rank() != 2 || mask.dim(0) != tokens || mask.dim(1) != tokens) {
       return ServeStatus::kInvalidArgument;
     }
@@ -549,14 +547,18 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
     stream.cancel.ClearDeadline();
   }
   stream.lens.clear();
-  stream.request_masks.clear();
+  stream.segments.clear();
   int64_t sum = 0;
   int64_t max_len = 0;
   for (const int64_t idx : span) {
     const ServeRequest& request = requests[static_cast<size_t>(idx)];
     const int64_t len = request.x.dim(0);
     stream.lens.push_back(len);
-    stream.request_masks.push_back(request.attn_mask);
+    if (transformer_ != nullptr) {
+      stream.segments.push_back({sum, len,
+                                 request.attn_mask != nullptr ? ConstTensorView(*request.attn_mask)
+                                                              : ConstTensorView()});
+    }
     sum += len;
     max_len = std::max(max_len, len);
   }
@@ -572,15 +574,11 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
   if (st.x.empty()) {
     st.x = Tensor({bucket, hidden_});
     st.out = Tensor({bucket, hidden_});
-    if (transformer_ != nullptr) {
-      st.mask = Tensor({bucket, bucket});
-    }
   }
-  // Padding rows must be re-zeroed every batch: stale activations from a
-  // previous fuller batch would replay through the padding rows, and a
-  // non-finite value there would poison the real rows through 0 * NaN in the
-  // masked context matmul. Zeroed padding rows keep every padded computation
-  // finite, so the real rows' bits depend only on the real rows.
+  // Padding rows belong to no attention segment, and every other kernel is
+  // row-wise, so real rows never read them. They are re-zeroed every batch
+  // only to keep their own (discarded) rows finite, whatever an earlier,
+  // fuller batch left in the tile.
   std::fill(st.x.data() + sum * hidden_, st.x.data() + bucket * hidden_, 0.0f);
   int64_t off = 0;
   for (size_t i = 0; i < span.size(); ++i) {
@@ -592,17 +590,23 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
   }
   PitCompiler* compiler = stream.compiler.get();
   if (transformer_ != nullptr) {
-    BlockDiagonalMaskInto(stream.lens, stream.request_masks, st.mask);
+    // Unmasked bucket plan: each request attends only within its own
+    // segment, under its own mask.
     std::optional<PlannedTransformerStack::Stream> transient;
     PlannedTransformerStack::Stream* pooled =
-        AcquireStream(stream, stream.transformer_pool, std::pair<int64_t, bool>{bucket, true},
-                      [&] { return transformer_->MakeStream(bucket, true, use_pit_); }, transient);
+        AcquireStream(stream, stream.transformer_pool, std::pair<int64_t, bool>{bucket, false},
+                      [&] { return transformer_->MakeStream(bucket, false, use_pit_); },
+                      transient);
     if (pooled == nullptr) {
       stream.cancel.ClearDeadline();
       return false;  // injected compile double-fault; caller's ladder decides
     }
     pooled->SetCancelToken(&stream.cancel);
-    transformer_->ForwardWith(*pooled, st.x, &st.mask, compiler, &st.out);
+    pooled->SetAttentionSegments(stream.segments);
+    transformer_->ForwardWith(*pooled, st.x, nullptr, compiler, &st.out);
+    // The same pooled stream serves 1:1 requests of exactly `bucket` tokens,
+    // which attend over the whole tile.
+    pooled->SetAttentionSegments({});
   } else {
     std::optional<PlannedFfnStack::Stream> transient;
     PlannedFfnStack::Stream* pooled =

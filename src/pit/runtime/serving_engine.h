@@ -15,16 +15,18 @@
 // row-sparse tensor (§2.1 Fig. 2c), so a stream coalesces several in-flight
 // requests of *different* token counts into one dense forward by
 // SRead-gathering each request's token rows into a packed
-// [sum_tokens, hidden] tile, replaying the stack's shared plan over it with a
-// block-diagonal attention mask (requests never attend across batch
-// boundaries; padding rows self-attend), and SWrite-scattering per-request
-// outputs back. Packed batches are padded to power-of-two sum-token buckets,
-// so the plan pool holds O(log max_tokens) keys instead of one per distinct
-// request length. The batched result is bitwise identical per request to 1:1
-// single-stream replay for dense serving: every kernel in the stack is
-// row-independent (GEMM rows, layernorm, residuals) and the masked softmax
-// contributes exact 0.0f for foreign columns, so a request's rows cannot
-// observe its batch neighbours.
+// [sum_tokens, hidden] tile, replaying the stack's shared plan over it with
+// one attention segment per request (a request's rows attend only to each
+// other, under its own mask, so attention costs sum(t_i^2) score entries
+// rather than sum(t)^2; padding rows belong to no segment), and
+// SWrite-scattering per-request outputs back. Packed batches are padded to
+// power-of-two sum-token buckets, so the plan pool holds O(log max_tokens)
+// keys instead of one per distinct request length. The batched result is
+// bitwise identical per request to 1:1 single-stream replay for dense
+// serving: every other kernel in the stack is row-independent (GEMM rows,
+// layernorm, residuals) and each segment runs exactly the attention calls of
+// its request served alone, so a request's rows cannot observe its batch
+// neighbours.
 //
 // Scheduling: one worker per stream on the task-capable ParallelFor pool
 // (ParallelTasks), each greedily pulling the next request span off a shared
@@ -371,7 +373,7 @@ class ServingEngine {
                          const std::vector<int64_t>& span,
                          const std::vector<int64_t>& deadline_abs,
                          std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
-  // One packed forward attempt: gather, mask, replay, scatter. In-flight
+  // One packed forward attempt: gather, segment, replay, scatter. In-flight
   // deadline enforcement happens here: the stream's token is armed with the
   // latest member deadline iff *every* member carries one (the batch is
   // cancelled mid-replay only when every member has lapsed — all end

@@ -574,6 +574,74 @@ void LayerNormInto(ConstTensorView a, ConstTensorView gamma, ConstTensorView bet
               });
 }
 
+void SegmentAttentionInto(ConstTensorView q, ConstTensorView k, ConstTensorView v, int64_t heads,
+                          std::span<const AttentionSegment> segments, TensorView ctx) {
+  PIT_CHECK(q.rank() == 2 && q.ShapeEquals(k) && q.ShapeEquals(v) && q.ShapeEquals(ctx))
+      << "attention q/k/v/ctx must share one [tokens, hidden] shape";
+  const int64_t tokens = q.dim(0), hidden = q.dim(1);
+  PIT_CHECK(heads > 0 && hidden % heads == 0) << "hidden " << hidden << " not split by " << heads;
+  const int64_t dk = hidden / heads;
+  int64_t end = 0;  // one past the previous segment's last row
+  for (const AttentionSegment& s : segments) {
+    PIT_CHECK(s.length > 0 && s.offset >= end && s.offset + s.length <= tokens)
+        << "attention segment [" << s.offset << ", " << s.offset + s.length
+        << ") must be non-empty, sorted, disjoint and inside [0, " << tokens << ")";
+    PIT_CHECK(s.mask.data() == nullptr ||
+              (s.mask.rank() == 2 && s.mask.dim(0) == s.length && s.mask.dim(1) == s.length))
+        << "attention segment mask must be [length, length]";
+    // Rows in no segment attend to nothing.
+    std::fill(ctx.data() + end * hidden, ctx.data() + s.offset * hidden, 0.0f);
+    end = s.offset + s.length;
+  }
+  std::fill(ctx.data() + end * hidden, ctx.data() + tokens * hidden, 0.0f);
+
+  const int64_t pairs = static_cast<int64_t>(segments.size()) * heads;
+  // As in BatchMatMulInto: fan the pairs out when there are enough to fill
+  // the pool, else keep them serial so each pair's kernels use every worker.
+  const int64_t grain = pairs >= NumThreads() ? 1 : pairs;
+  ParallelFor(pairs, grain, [&](int64_t p0, int64_t p1) {
+    // Per-thread head tiles (like SoftmaxInto's spans): q_h, v_h and the
+    // head context [t, dk], k_h^T [dk, t], and the [t, t] scores that the
+    // softmax turns into probabilities in place. The shapes are reused too,
+    // so a warm call allocates nothing.
+    thread_local std::vector<float> buf;
+    thread_local Shape rows_dk(2), dk_rows(2), rows_rows(2);
+    for (int64_t p = p0; p < p1; ++p) {
+      const AttentionSegment& s = segments[static_cast<size_t>(p / heads)];
+      const int64_t t = s.length;
+      const int64_t col = (p % heads) * dk;
+      const size_t need = static_cast<size_t>(4 * t * dk + t * t);
+      if (buf.size() < need) {
+        buf.resize(need);
+      }
+      rows_dk = {t, dk};
+      dk_rows = {dk, t};
+      rows_rows = {t, t};
+      float* qh = buf.data();
+      float* kt = qh + t * dk;
+      float* vh = kt + t * dk;
+      float* head_ctx = vh + t * dk;
+      float* scores = head_ctx + t * dk;
+      for (int64_t r = 0; r < t; ++r) {
+        const int64_t at = (s.offset + r) * hidden + col;
+        std::memcpy(qh + r * dk, q.data() + at, static_cast<size_t>(dk) * sizeof(float));
+        std::memcpy(vh + r * dk, v.data() + at, static_cast<size_t>(dk) * sizeof(float));
+        for (int64_t d = 0; d < dk; ++d) {
+          kt[d * t + r] = k.data()[at + d];
+        }
+      }
+      const TensorView score_view(scores, rows_rows);
+      MatMulInto(ConstTensorView(qh, rows_dk), ConstTensorView(kt, dk_rows), score_view);
+      SoftmaxInto(score_view, s.mask.data() != nullptr ? &s.mask : nullptr, score_view);
+      MatMulInto(score_view, ConstTensorView(vh, rows_dk), TensorView(head_ctx, rows_dk));
+      for (int64_t r = 0; r < t; ++r) {
+        std::memcpy(ctx.data() + (s.offset + r) * hidden + col, head_ctx + r * dk,
+                    static_cast<size_t>(dk) * sizeof(float));
+      }
+    }
+  });
+}
+
 Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta, float eps) {
   PIT_CHECK_EQ(a.rank(), 2);
   Tensor c({a.dim(0), a.dim(1)});

@@ -4,6 +4,8 @@
 #ifndef PIT_TENSOR_OPS_H_
 #define PIT_TENSOR_OPS_H_
 
+#include <span>
+
 #include "pit/tensor/tensor.h"
 
 namespace pit {
@@ -109,6 +111,30 @@ class ScopedSoftmaxMaskSkip {
 // alias `a` (each row's statistics are read before the row is rewritten).
 void LayerNormInto(ConstTensorView a, ConstTensorView gamma, ConstTensorView beta, TensorView c,
                    float eps = 1e-5f);
+
+// One request's rows inside a packed attention operand: rows
+// [offset, offset + length) attend only to each other, through `mask`
+// ([length, length]; zero entries are excluded) or fully when the view is
+// null. The mask view borrows: its storage must outlive the call.
+struct AttentionSegment {
+  int64_t offset = 0;
+  int64_t length = 0;
+  ConstTensorView mask;
+};
+
+// Segment-aware multi-head attention over packed [T, hidden] operands: `q`
+// (already scaled), `k` and `v`, head h in columns [h*dk, (h+1)*dk). For each
+// (segment, head) pair it makes exactly the per-head calls of
+// MultiHeadAttention::ForwardEager on [t, t] tiles — MatMulInto(q_h, k_h^T),
+// SoftmaxInto with the segment's mask or none, MatMulInto(p, v_h) — and
+// writes ctx[offset:offset+t, h*dk:(h+1)*dk]; rows in no segment are zeroed.
+// So each segment's rows are bitwise equal to its request attended alone, and
+// a packed tile costs sum(t_i^2) score entries, not T^2. Segments must be
+// non-empty, sorted, disjoint and inside [0, T). Pairs are split across the
+// pool; the head tiles live in per-thread scratch that grows to the largest
+// segment seen, so warm calls allocate nothing. `ctx` must not alias q/k/v.
+void SegmentAttentionInto(ConstTensorView q, ConstTensorView k, ConstTensorView v, int64_t heads,
+                          std::span<const AttentionSegment> segments, TensorView ctx);
 
 }  // namespace pit
 

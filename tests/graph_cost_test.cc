@@ -58,5 +58,45 @@ TEST(GraphCostTest, ElementwiseOpsArePriced) {
   EXPECT_EQ(report.matmuls_dense + report.matmuls_sparse, 0);
 }
 
+TEST(GraphCostTest, AttentionCostsTheChainItReplaces) {
+  // kAttention is priced as the transpose / batched-GEMM / softmax chain the
+  // encoder plan used before it, so cost estimates did not move with it.
+  constexpr int64_t kTokens = 256;
+  constexpr int64_t kHeads = 8;
+  constexpr int64_t kDk = 64;
+  constexpr int64_t kHidden = kHeads * kDk;
+  Ctx ctx;
+  for (const bool masked : {false, true}) {
+    Graph fused;
+    Graph chain;
+    for (Graph* g : {&fused, &chain}) {
+      g->AddInput("q", {kTokens, kHidden});
+      g->AddInput("k", {kTokens, kHidden});
+      g->AddInput("v", {kTokens, kHidden});
+      if (masked) {
+        g->AddInput("mask", {kTokens, kTokens});
+      }
+    }
+    const int mask = masked ? 3 : -1;
+    fused.AddAttention("attention", 0, 1, 2, kHeads, mask);
+    const auto heads = [&](int from) {
+      return chain.AddTranspose("heads", chain.AddReshape("split", from, {kTokens, kHeads, kDk}),
+                                0, 1);
+    };
+    const int qh = heads(0);
+    const int kt = chain.AddTranspose("k_t", heads(1), 1, 2);
+    const int vh = heads(2);
+    const int probs = chain.AddSoftmax("probs", chain.AddBatchMatmul("scores", qh, kt), mask);
+    const int ctx_heads = chain.AddBatchMatmul("ctx_heads", probs, vh);
+    chain.AddReshape("ctx", chain.AddTranspose("merge", ctx_heads, 0, 1), {kTokens, kHidden});
+
+    const GraphCostReport a = EstimateGraphCost(fused, ctx.model, ctx.db, nullptr);
+    const GraphCostReport b = EstimateGraphCost(chain, ctx.model, ctx.db, nullptr);
+    EXPECT_EQ(a.matmuls_dense, b.matmuls_dense);
+    EXPECT_NEAR(a.total.Total(), b.total.Total(), 1e-9 * b.total.Total());
+    EXPECT_NEAR(a.total.memory_us, b.total.memory_us, 1e-9 * b.total.memory_us);
+  }
+}
+
 }  // namespace
 }  // namespace pit

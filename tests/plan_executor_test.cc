@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "pit/common/backend.h"
 #include "pit/common/cancellation.h"
@@ -18,6 +21,7 @@
 #include "pit/nn/modules.h"
 #include "pit/runtime/models.h"
 #include "pit/tensor/ops.h"
+#include "pit/workloads/attention_masks.h"
 
 namespace pit {
 namespace {
@@ -26,6 +30,33 @@ void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   ASSERT_EQ(std::memcmp(a.data(), b.data(), static_cast<size_t>(a.size()) * sizeof(float)), 0)
       << "max abs diff " << MaxAbsDiff(a, b);
+}
+
+// MultiHeadAttention::ForwardEager's per-head loop over rows
+// [offset, offset + length) of already-projected, already-scaled [T, hidden]
+// q/k/v: the oracle of one attention segment. Returns [length, hidden].
+Tensor EagerAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t heads,
+                      int64_t offset, int64_t length, const Tensor* mask) {
+  const int64_t hidden = q.dim(1);
+  const int64_t dh = hidden / heads;
+  Tensor ctx({length, hidden});
+  for (int64_t head = 0; head < heads; ++head) {
+    Tensor qh({length, dh}), kt({dh, length}), vh({length, dh});
+    for (int64_t t = 0; t < length; ++t) {
+      for (int64_t d = 0; d < dh; ++d) {
+        qh.At(t, d) = q.At(offset + t, head * dh + d);
+        kt.At(d, t) = k.At(offset + t, head * dh + d);
+        vh.At(t, d) = v.At(offset + t, head * dh + d);
+      }
+    }
+    Tensor head_ctx = MatMul(Softmax(MatMul(qh, kt), mask), vh);
+    for (int64_t t = 0; t < length; ++t) {
+      for (int64_t d = 0; d < dh; ++d) {
+        ctx.At(t, head * dh + d) = head_ctx.At(t, d);
+      }
+    }
+  }
+  return ctx;
 }
 
 // The pre-refactor eager executor, kept verbatim here as the oracle: one
@@ -92,16 +123,17 @@ std::map<int, Tensor> EagerExecute(const Graph& g, const std::map<std::string, T
       case OpKind::kMask:
         values.emplace(id, ApplyMask(values.at(n.inputs[0]), values.at(n.inputs[1])));
         break;
-      case OpKind::kSoftmax:
+      case OpKind::kSoftmax: {
+        Tensor out(n.shape);
         if (n.inputs.size() == 2) {
-          Tensor out(n.shape);
           const ConstTensorView mask(values.at(n.inputs[1]));
           SoftmaxInto(values.at(n.inputs[0]), &mask, out);
-          values.emplace(id, std::move(out));
         } else {
-          values.emplace(id, Softmax(values.at(n.inputs[0])));
+          SoftmaxInto(values.at(n.inputs[0]), nullptr, out);  // rank 2 or 3
         }
+        values.emplace(id, std::move(out));
         break;
+      }
       case OpKind::kLayerNorm:
         values.emplace(id, LayerNorm(values.at(n.inputs[0]), values.at(n.inputs[1]),
                                      values.at(n.inputs[2]), n.fattr));
@@ -121,6 +153,13 @@ std::map<int, Tensor> EagerExecute(const Graph& g, const std::map<std::string, T
       case OpKind::kBatchMatmul:
         values.emplace(id, BatchMatMul(values.at(n.inputs[0]), values.at(n.inputs[1])));
         break;
+      case OpKind::kAttention: {
+        const Tensor& q = values.at(n.inputs[0]);
+        values.emplace(id, EagerAttention(q, values.at(n.inputs[1]), values.at(n.inputs[2]),
+                                          n.iattr0, 0, q.dim(0),
+                                          n.inputs.size() == 4 ? &values.at(n.inputs[3]) : nullptr));
+        break;
+      }
     }
   }
   return values;
@@ -1113,6 +1152,258 @@ TEST(PlanExecutorTest, CancelTokenStateMachine) {
   token.Reset();
   EXPECT_FALSE(token.cancelled());
   EXPECT_FALSE(token.deadline_armed());
+}
+
+// ---- Segment-aware packed attention ----------------------------------------
+//
+// kAttention replays over the segments bound on the execution context: each
+// segment's rows must equal its request attended alone, bit for bit, whatever
+// shares the packed tile with it.
+
+// A random partition of [0, tokens) into attention segments, with occasional
+// gaps and trailing rows that no segment covers. Each segment draws one of
+// four masks: none, a Longformer window with a global token, random entries
+// with values other than 0/1, or random 0/1 entries with one row that has no
+// live column.
+struct Partition {
+  std::vector<AttentionSegment> segments;
+  std::vector<const Tensor*> masks;  // parallel to segments
+  std::vector<std::unique_ptr<Tensor>> owned;
+};
+
+Partition RandomPartition(int64_t tokens, Rng& rng) {
+  Partition p;
+  int64_t off = 0;
+  while (off < tokens) {
+    if (!p.segments.empty() && rng.NextBool(0.15)) {
+      off += 1 + static_cast<int64_t>(rng.NextBelow(2));  // a gap
+      continue;
+    }
+    const int64_t len = 1 + static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(tokens - off)));
+    const Tensor* mask = nullptr;
+    switch (rng.NextBelow(4)) {
+      case 0:
+        break;
+      case 1: {
+        LongformerMaskConfig config;
+        config.seq_len = len;
+        config.window = 4;
+        config.num_global = 1;
+        p.owned.push_back(std::make_unique<Tensor>(LongformerMask(config, rng)));
+        mask = p.owned.back().get();
+        break;
+      }
+      case 2: {
+        constexpr float kValues[] = {0.0f, 0.5f, -2.0f, 3.0f};
+        auto m = std::make_unique<Tensor>(Shape{len, len});
+        for (int64_t i = 0; i < m->size(); ++i) {
+          (*m)[i] = kValues[rng.NextBelow(4)];
+        }
+        p.owned.push_back(std::move(m));
+        mask = p.owned.back().get();
+        break;
+      }
+      default: {
+        auto m = std::make_unique<Tensor>(Shape{len, len});
+        for (int64_t i = 0; i < m->size(); ++i) {
+          (*m)[i] = rng.NextBool(0.6) ? 1.0f : 0.0f;
+        }
+        const int64_t dead = static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(len)));
+        for (int64_t j = 0; j < len; ++j) {
+          m->At(dead, j) = 0.0f;
+        }
+        p.owned.push_back(std::move(m));
+        mask = p.owned.back().get();
+        break;
+      }
+    }
+    p.masks.push_back(mask);
+    p.segments.push_back({off, len, mask != nullptr ? ConstTensorView(*mask) : ConstTensorView()});
+    off += len;
+    if (rng.NextBool(0.25)) {
+      break;  // trailing rows in no segment
+    }
+  }
+  return p;
+}
+
+Tensor Rows(const Tensor& x, int64_t offset, int64_t length) {
+  Tensor rows({length, x.dim(1)});
+  std::copy(x.data() + offset * x.dim(1), x.data() + (offset + length) * x.dim(1), rows.data());
+  return rows;
+}
+
+bool RowsBitwiseEqual(ConstTensorView packed, int64_t offset, const Tensor& rows) {
+  return std::memcmp(packed.data() + offset * packed.dim(1), rows.data(),
+                     static_cast<size_t>(rows.size()) * sizeof(float)) == 0;
+}
+
+TEST(SegmentAttentionTest, RandomPartitionsMatchEachRequestsEagerLayer) {
+  Rng wr(201);
+  TransformerEncoderLayer layer(32, 4, 96, wr);
+  Rng rng(202);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int64_t tokens = 6 + static_cast<int64_t>(rng.NextBelow(40));
+    const Partition part = RandomPartition(tokens, rng);
+    Tensor x = Tensor::Random({tokens, 32}, rng);
+    // Rows in no segment hold NaN: no segment may ever read them.
+    std::vector<char> covered(static_cast<size_t>(tokens), 0);
+    for (const AttentionSegment& s : part.segments) {
+      std::fill(covered.begin() + s.offset, covered.begin() + s.offset + s.length, 1);
+    }
+    for (int64_t r = 0; r < tokens; ++r) {
+      if (covered[static_cast<size_t>(r)] == 0) {
+        std::fill(x.data() + r * 32, x.data() + (r + 1) * 32, std::nanf(""));
+      }
+    }
+    TransformerEncoderLayer::Stream stream = layer.MakeStream(tokens, /*masked=*/false);
+    EXPECT_EQ(stream.plan->stats().num_steps, 12);
+    stream.ctx->set_attention_segments(part.segments);
+    for (const IsaTier isa : {ActiveIsa(), IsaTier::kScalar}) {
+      ScopedIsa tier(isa);
+      std::vector<Tensor> expected;
+      for (size_t s = 0; s < part.segments.size(); ++s) {
+        const AttentionSegment& seg = part.segments[s];
+        expected.push_back(layer.ForwardEager(Rows(x, seg.offset, seg.length), part.masks[s]));
+      }
+      for (int threads : {1, 4, 7}) {
+        ScopedNumThreads scoped(threads);
+        Tensor out({tokens, 32});
+        layer.ForwardWith(stream, x, nullptr, nullptr, &out);
+        for (size_t s = 0; s < part.segments.size(); ++s) {
+          ASSERT_TRUE(RowsBitwiseEqual(out, part.segments[s].offset, expected[s]))
+              << "trial " << trial << " segment " << s << " (offset "
+              << part.segments[s].offset << ", length " << part.segments[s].length
+              << ") isa " << IsaName(isa) << " threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(SegmentAttentionTest, UncoveredRowsAreZeroAndSegmentsMatchEagerHeads) {
+  constexpr int64_t kTokens = 37;
+  constexpr int64_t kHidden = 24;
+  constexpr int64_t kHeads = 3;
+  Graph g;
+  const int q = g.AddInput("q", {kTokens, kHidden});
+  const int k = g.AddInput("k", {kTokens, kHidden});
+  const int v = g.AddInput("v", {kTokens, kHidden});
+  g.AddAttention("attention", q, k, v, kHeads);
+  std::shared_ptr<ExecutionPlan> plan = g.PlanShared();
+  ExecutionContext ctx(*plan);
+  Rng rng(211);
+  const std::map<std::string, Tensor> feeds{{"q", Tensor::Random({kTokens, kHidden}, rng)},
+                                            {"k", Tensor::Random({kTokens, kHidden}, rng)},
+                                            {"v", Tensor::Random({kTokens, kHidden}, rng)}};
+  const Tensor zero_row({1, kHidden});
+  for (int trial = 0; trial < 8; ++trial) {
+    const Partition part = RandomPartition(kTokens, rng);
+    ctx.set_attention_segments(part.segments);
+    for (int threads : {1, 4, 7}) {
+      ScopedNumThreads scoped(threads);
+      const ConstTensorView out = plan->RunWith(ctx, feeds);
+      int64_t next = 0;
+      for (size_t s = 0; s <= part.segments.size(); ++s) {
+        const int64_t start = s < part.segments.size() ? part.segments[s].offset : kTokens;
+        for (int64_t r = next; r < start; ++r) {
+          ASSERT_TRUE(RowsBitwiseEqual(out, r, zero_row)) << "trial " << trial << " row " << r;
+        }
+        if (s == part.segments.size()) {
+          break;
+        }
+        const AttentionSegment& seg = part.segments[s];
+        ASSERT_TRUE(RowsBitwiseEqual(out, seg.offset,
+                                     EagerAttention(feeds.at("q"), feeds.at("k"), feeds.at("v"),
+                                                    kHeads, seg.offset, seg.length,
+                                                    part.masks[s])))
+            << "trial " << trial << " segment " << s << " threads " << threads;
+        next = seg.offset + seg.length;
+      }
+    }
+  }
+}
+
+TEST(SegmentAttentionTest, SingleSegmentDefaultMatchesTheBatchMatmulChain) {
+  // With no segments bound, kAttention must be bitwise the 12-step chain it
+  // replaced in the encoder plan: head split/merge transposes, kBatchMatmul
+  // scores and context, broadcast-masked softmax.
+  constexpr int64_t kTokens = 20;
+  constexpr int64_t kHeads = 4;
+  constexpr int64_t kDk = 8;
+  constexpr int64_t kHidden = kHeads * kDk;
+  Rng rng(221);
+  std::map<std::string, Tensor> feeds = TransformerOpsFeeds(kTokens, kHidden, 222);
+  for (const char* name : {"q", "k", "v"}) {
+    feeds[name] = Tensor::Random({kTokens, kHidden}, rng);
+  }
+  for (const bool masked : {false, true}) {
+    Graph fused;
+    Graph chain;
+    for (Graph* g : {&fused, &chain}) {
+      g->AddInput("q", {kTokens, kHidden});
+      g->AddInput("k", {kTokens, kHidden});
+      g->AddInput("v", {kTokens, kHidden});
+      if (masked) {
+        g->AddInput("mask", {kTokens, kTokens});
+      }
+    }
+    const int mask = masked ? 3 : -1;
+    fused.AddAttention("attention", 0, 1, 2, kHeads, mask);
+    const auto heads = [&](const char* name, int from) {
+      const int split = chain.AddReshape(std::string(name) + "_split", from, {kTokens, kHeads, kDk});
+      return chain.AddTranspose(std::string(name) + "_heads", split, 0, 1);
+    };
+    const int qh = heads("q", 0);
+    const int kt = chain.AddTranspose("k_t", heads("k", 1), 1, 2);
+    const int vh = heads("v", 2);
+    const int scores = chain.AddBatchMatmul("scores", qh, kt);
+    const int probs = chain.AddSoftmax("probs", scores, mask);
+    const int ctx = chain.AddBatchMatmul("ctx_heads", probs, vh);
+    chain.AddReshape("ctx", chain.AddTranspose("ctx_merge", ctx, 0, 1), {kTokens, kHidden});
+
+    const Tensor eager = EagerExecute(chain, feeds).at(chain.size() - 1);
+    for (int threads : {1, 4, 7}) {
+      ScopedNumThreads scoped(threads);
+      const Tensor out = fused.Run(feeds);
+      ExpectBitwiseEqual(out, chain.Run(feeds));
+      ExpectBitwiseEqual(out, eager);
+    }
+  }
+}
+
+TEST(SegmentAttentionTest, MalformedSegmentsAbort) {
+  // Forks while the worker pool may be live: use the re-executing style.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr int64_t kTokens = 16;
+  Graph plain;
+  Graph masked;
+  for (Graph* g : {&plain, &masked}) {
+    const int q = g->AddInput("q", {kTokens, 8});
+    const int k = g->AddInput("k", {kTokens, 8});
+    const int v = g->AddInput("v", {kTokens, 8});
+    g->AddAttention("attention", q, k, v, 2,
+                    g == &masked ? g->AddInput("mask", {kTokens, kTokens}) : -1);
+  }
+  Rng rng(231);
+  const std::map<std::string, Tensor> feeds{{"q", Tensor::Random({kTokens, 8}, rng)},
+                                            {"k", Tensor::Random({kTokens, 8}, rng)},
+                                            {"v", Tensor::Random({kTokens, 8}, rng)},
+                                            {"mask", Tensor::Full({kTokens, kTokens}, 1.0f)}};
+  const Tensor small_mask = Tensor::Full({3, 3}, 1.0f);
+  const auto run = [&](const Graph& g, const std::vector<AttentionSegment>& segments) {
+    std::shared_ptr<ExecutionPlan> plan = g.PlanShared();
+    ExecutionContext ctx(*plan);
+    ctx.set_attention_segments(segments);
+    (void)plan->RunWith(ctx, feeds);
+  };
+  EXPECT_DEATH(run(plain, {{0, 8, {}}, {4, 8, {}}}), "sorted, disjoint");  // overlapping
+  EXPECT_DEATH(run(plain, {{8, 4, {}}, {0, 4, {}}}), "sorted, disjoint");  // unsorted
+  EXPECT_DEATH(run(plain, {{10, 8, {}}}), "inside");                       // past the tile
+  EXPECT_DEATH(run(plain, {{-1, 4, {}}}), "inside");                       // before it
+  EXPECT_DEATH(run(plain, {{0, 0, {}}}), "non-empty");
+  EXPECT_DEATH(run(plain, {{0, 4, small_mask}}), "length, length");
+  EXPECT_DEATH(run(masked, {{0, 4, {}}}), "unmasked plan");
 }
 
 }  // namespace

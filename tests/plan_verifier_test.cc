@@ -89,6 +89,25 @@ Graph BuildAttentionGraph(Rng& rng) {
   return g;
 }
 
+// The encoder layer's attention block: q/k/v projections, scaled q, one
+// kAttention step (optionally masked), output projection, residual add.
+Graph BuildSegmentAttentionGraph(Rng& rng, bool masked) {
+  constexpr int64_t kTokens = 24;
+  constexpr int64_t kHidden = 32;
+  Graph g;
+  const int x = g.AddInput("x", {kTokens, kHidden});
+  const int mask = masked ? g.AddInput("mask", {kTokens, kTokens}) : -1;
+  auto proj = [&](const char* name) {
+    return g.AddMatmul(name, x, g.AddWeight(std::string("w_") + name,
+                                            Tensor::Random({kHidden, kHidden}, rng)));
+  };
+  const int q = g.AddScale("q_scale", proj("q"), 0.35f);
+  const int ctx = g.AddAttention("attention", q, proj("k"), proj("v"), /*heads=*/4, mask);
+  const int w_out = g.AddWeight("w_out", Tensor::Random({kHidden, kHidden}, rng));
+  g.AddAdd("res", g.AddMatmul("out", ctx, w_out), x);
+  return g;
+}
+
 // Two PIT matmuls over independent inputs with disjoint arena footprints.
 Graph BuildIndependentPitGraph(Rng& rng, std::vector<MatmulDecision>* decisions) {
   Graph g;
@@ -126,6 +145,16 @@ TEST(PlanVerifierTest, MaskedBatchedAttentionPlanHasZeroViolations) {
   const ExecutionPlan plan(g, nullptr);
   const PlanVerifyReport report = Verify(plan);
   EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+TEST(PlanVerifierTest, SegmentAttentionPlansHaveZeroViolations) {
+  Rng rng(804);
+  for (const bool masked : {false, true}) {
+    Graph g = BuildSegmentAttentionGraph(rng, masked);
+    const ExecutionPlan plan(g, nullptr);
+    const PlanVerifyReport report = Verify(plan);
+    EXPECT_TRUE(report.ok()) << (masked ? "masked: " : "unmasked: ") << report.ToString();
+  }
 }
 
 TEST(PlanVerifierTest, FusedAndPitFfnPlansHaveZeroViolations) {
@@ -289,6 +318,38 @@ TEST(PlanVerifierCorruptionTest, OverlappingReuseReportsClobberedRead) {
   ASSERT_NE(steps[1].out.offset, mm1_offset);  // healthy plan: distinct blocks
   steps[1].out.offset = mm1_offset;  // mm2 now clobbers mm1's block
   steps[2].in[1].offset = mm1_offset;  // keep the add's read of mm2 coherent
+  const PlanVerifyReport report = Verify(plan);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Has(PlanViolationKind::kClobberedRead)) << report.ToString();
+}
+
+TEST(PlanVerifierCorruptionTest, AttentionOutputAliasingQReportsClobberedRead) {
+  // The attention step reads q's rows for every head tile it writes; an
+  // output block placed on q's block would overwrite rows it still reads.
+  Rng rng(828);
+  Graph g = BuildSegmentAttentionGraph(rng, /*masked=*/false);
+  ExecutionPlan plan(g, nullptr);
+  ASSERT_TRUE(Verify(plan).ok());
+  std::vector<OpCall>& steps = PlanCorruptor::steps(plan);
+  bool corrupted = false;
+  for (size_t s = 0; s < steps.size() && !corrupted; ++s) {
+    if (steps[s].kind != OpKind::kAttention) {
+      continue;
+    }
+    ASSERT_EQ(steps[s].in[0].loc, ValueLoc::kArena);
+    const int64_t old_offset = steps[s].out.offset;
+    steps[s].out.offset = steps[s].in[0].offset;
+    // Keep the attention output's readers coherent with the move.
+    for (size_t r = s + 1; r < steps.size(); ++r) {
+      for (int i = 0; i < steps[r].num_in; ++i) {
+        if (steps[r].in[i].node_id == steps[s].out.node_id && steps[r].in[i].offset == old_offset) {
+          steps[r].in[i].offset = steps[s].out.offset;
+        }
+      }
+    }
+    corrupted = true;
+  }
+  ASSERT_TRUE(corrupted) << "plan has no attention step";
   const PlanVerifyReport report = Verify(plan);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Has(PlanViolationKind::kClobberedRead)) << report.ToString();

@@ -119,8 +119,10 @@ void PrintPlan(int64_t m, int64_t k, int64_t n, int64_t gm, int64_t gn, double s
 // Compiles one representative plan per planner regime — dense all-ops (every
 // OpKind through one graph, fusion and in-place reuse engaged), masked +
 // batched multi-head attention (independent q/k/v projections, reshape/transpose
-// aliasing, broadcast mask softmax), the fused FFN, and the PIT-decision FFN
-// (sparse steps) — and runs the independent static verifier over each.
+// aliasing, broadcast mask softmax), the fused FFN, the PIT-decision FFN
+// (sparse steps), and the encoder-layer plan the serving engine replays with
+// per-request attention segments — and runs the independent static verifier
+// over each.
 // Machine-grep-able output (`verify=ok`) plus a non-zero exit on any
 // violation, for CI gating.
 
@@ -209,17 +211,23 @@ int PrintVerify() {
   }
 
   int64_t total = 0;
-  for (Case& c : cases) {
-    const ExecutionPlan plan(c.graph, c.decisions.empty() ? nullptr : &c.decisions);
+  const auto verify = [&total](const char* name, const ExecutionPlan& plan) {
     const PlanVerifyReport report = VerifyPlan(plan);
-    std::printf("plan=%s steps=%d blocks=%d pit_steps=%d fused=%d violations=%lld\n", c.name,
+    std::printf("plan=%s steps=%d blocks=%d pit_steps=%d fused=%d violations=%lld\n", name,
                 report.steps_checked, report.blocks_checked, plan.stats().num_pit_steps,
                 plan.stats().num_fused, static_cast<long long>(report.violations_total));
     if (!report.ok()) {
       std::printf("%s\n", report.ToString().c_str());
     }
     total += report.violations_total;
+  };
+  for (Case& c : cases) {
+    verify(c.name, ExecutionPlan(c.graph, c.decisions.empty() ? nullptr : &c.decisions));
   }
+  // The encoder-layer plan the serving engine replays over packed tiles with
+  // one attention segment per request.
+  const TransformerEncoderLayer layer(/*hidden=*/64, /*heads=*/4, /*ffn_hidden=*/256, rng);
+  verify("segmented_encoder_layer", *layer.MakeStream(/*tokens=*/128, /*masked=*/false).plan);
   std::printf("verify=%s\n", total == 0 ? "ok" : "fail");
   return total == 0 ? 0 : 1;
 }
