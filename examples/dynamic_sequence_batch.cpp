@@ -7,8 +7,9 @@
 // request attends only to itself, at sum(t_i^2) score entries), and
 // SWrite-scatter back out. The example serves a mixed-length request stream
 // end-to-end twice — 1:1 and batched — verifies the outputs are bitwise
-// identical, and contrasts pad-to-max waste with packed-bucket utilization
-// and plan-pool cardinality.
+// identical, and contrasts pad-to-max waste with packed-bucket utilization.
+// Either way each serving stream holds one stack stream, compiled once at its
+// capacity and replayed at every request's or batch's row count.
 #include <cstdio>
 #include <cstring>
 
@@ -38,7 +39,7 @@ int main() {
     requests.push_back(std::move(req));
   }
 
-  // 1:1 serving: one plan key (and one pinned arena) per distinct length.
+  // 1:1 serving: each request replays at its exact length.
   ServingEngineOptions unbatched_opts;
   unbatched_opts.num_streams = 2;
   unbatched_opts.batch_window = 1;
@@ -67,20 +68,13 @@ int main() {
   std::printf("                  1:1        batched\n");
   std::printf("forwards          %-10lld %lld\n", static_cast<long long>(u.batches),
               static_cast<long long>(b.batches));
-  std::printf("plan-pool keys    %-10zu %zu\n", u.buckets.size(), b.buckets.size());
+  std::printf("pooled streams    %-10lld %lld\n",
+              static_cast<long long>(u.pool_contexts / stack.layers()),
+              static_cast<long long>(b.pool_contexts / stack.layers()));
   std::printf("packed util       %-10.3f %.3f\n", u.packed_utilization, b.packed_utilization);
   std::printf("p50 latency (us)  %-10.0f %.0f\n", u.p50_latency_us, b.p50_latency_us);
   std::printf("p99 latency (us)  %-10.0f %.0f\n", u.p99_latency_us, b.p99_latency_us);
 
-  std::printf("\nbatched per-bucket stats:\n");
-  std::printf("  bucket  batches  requests  packed  computed  hits  misses\n");
-  for (const ServingBucketStats& s : b.buckets) {
-    std::printf("  %-7lld %-8lld %-9lld %-7lld %-9lld %-5lld %lld\n",
-                static_cast<long long>(s.bucket), static_cast<long long>(s.batches),
-                static_cast<long long>(s.requests), static_cast<long long>(s.packed_tokens),
-                static_cast<long long>(s.computed_tokens), static_cast<long long>(s.plan_hits),
-                static_cast<long long>(s.plan_misses));
-  }
   std::printf("\nbucket padding costs %.1f%% of computed rows; pad-to-max would cost %.1f%%\n",
               (1.0 - b.packed_utilization) * 100.0, PaddingWaste(lens) * 100.0);
   return bitwise ? 0 : 1;

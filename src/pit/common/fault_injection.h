@@ -50,8 +50,8 @@ namespace pit {
 // config enables one site (or all), and each site draws from its own
 // deterministic probe sequence.
 enum class FaultSite : int {
-  kPlanCompile = 0,     // building a pooled plan+context set (ServingEngine)
-  kContextAcquire = 1,  // acquiring a pooled execution context (ServingEngine)
+  kPlanCompile = 0,     // building a stream's plan+context set (ServingEngine)
+  kContextAcquire = 1,  // acquiring a stream's execution contexts (ServingEngine)
   kBatchPack = 2,       // packing a ragged batch (ServingEngine)
   kKernelDispatch = 3,  // dispatching a plan step (ExecutionPlan replay)
   kStall = 4,           // seeded sleep inside a stream worker (liveness chaos)

@@ -173,6 +173,90 @@ const MatmulDecision* DecisionFor(const std::vector<MatmulDecision>* decisions, 
   return nullptr;
 }
 
+// Token-row provenance over the IR. A feed is token-major by definition (its
+// leading axis is the token axis); a weight, and anything computed from
+// weights alone, is constant. A node computed from token data stays
+// token-major only if its op keeps the token axis leading and computes each
+// output row from the same input row: GEMM rows against constant operands,
+// elementwise ops over token-major operands of one shape, row-wise
+// layernorm/softmax with constant parameters, and kAttention without a mask
+// operand (bound segments drive it; a [T, T] mask indexes tokens on both
+// axes). Anything else touching token data (transpose, reshape, batched
+// GEMM, a token-dependent right-hand GEMM operand, a mask) makes the plan
+// non-polymorphic. Fills `token_major` (all zero unless polymorphic) and the
+// token extent (the first feed's leading dim); returns polymorphism.
+bool DeriveTokenRows(const Graph& g, std::vector<char>* token_major, int64_t* extent) {
+  const int n = g.size();
+  std::vector<char> tok(static_cast<size_t>(n), 0);
+  *extent = 0;
+  bool polymorphic = true;
+  bool have_feed = false;
+  for (int id = 0; id < n; ++id) {
+    const GraphNode& node = g.node(id);
+    if (node.kind == OpKind::kInput) {
+      if (node.shape.empty()) {
+        polymorphic = false;
+        continue;
+      }
+      if (!have_feed) {
+        *extent = node.shape[0];
+        have_feed = true;
+      }
+      // Every feed must share the one token axis.
+      polymorphic = polymorphic && node.shape[0] == *extent;
+      tok[static_cast<size_t>(id)] = 1;
+      continue;
+    }
+    const auto is_tok = [&](size_t i) {
+      return tok[static_cast<size_t>(node.inputs[i])] != 0;
+    };
+    bool any = false;
+    bool rest_const = true;  // every operand after the first is constant
+    bool all = true;
+    for (size_t i = 0; i < node.inputs.size(); ++i) {
+      any = any || is_tok(i);
+      all = all && is_tok(i);
+      rest_const = rest_const && (i == 0 || !is_tok(i));
+    }
+    if (!any) {
+      continue;  // constant (weights only)
+    }
+    bool row_wise = false;
+    switch (node.kind) {
+      case OpKind::kMatmul:
+      case OpKind::kMatmulBias:
+      case OpKind::kLayerNorm:
+        row_wise = is_tok(0) && rest_const;
+        break;
+      case OpKind::kRelu:
+      case OpKind::kScale:
+      case OpKind::kAdd:
+      case OpKind::kMask:
+        row_wise = all;
+        break;
+      case OpKind::kSoftmax:
+        row_wise = node.inputs.size() == 1;
+        break;
+      case OpKind::kAttention:
+        row_wise = node.inputs.size() == 3 && all;
+        break;
+      case OpKind::kInput:
+      case OpKind::kWeight:
+      case OpKind::kTranspose:
+      case OpKind::kReshape:
+      case OpKind::kBatchMatmul:
+        break;
+    }
+    polymorphic = polymorphic && row_wise;
+    tok[static_cast<size_t>(id)] = 1;
+  }
+  if (!polymorphic) {
+    std::fill(tok.begin(), tok.end(), 0);
+  }
+  *token_major = std::move(tok);
+  return polymorphic;
+}
+
 bool ElementwiseInPlaceOk(OpKind kind) {
   // Relu/Add/Mask/Scale read each element before writing it, so the output
   // may alias a dying input; LayerNorm reads a row's statistics before
@@ -198,6 +282,8 @@ ExecutionContext::ExecutionContext(const ExecutionPlan& plan) : plan_(&plan) {
   bound_ = plan.compile_bound_;
   // One kernel slot per step; only PIT steps ever read or warm theirs.
   pit_.assign(plan.steps_.size(), PitKernelHandle{});
+  shapes_ = plan.shapes_;
+  shaped_rows_ = plan.token_extent_;
 }
 
 ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecision>* decisions) {
@@ -408,6 +494,7 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
   }
 
   result_ = loc[static_cast<size_t>(final_id)];
+  token_polymorphic_ = DeriveTokenRows(graph, &token_major_, &token_extent_);
   arena_elems_ = planner.extent();
   stats_.arena_bytes = planner.extent() * static_cast<int64_t>(sizeof(float));
   stats_.num_steps = static_cast<int>(steps_.size());
@@ -433,6 +520,24 @@ ExecutionContext& ExecutionPlan::DefaultCtx() const {
 
 const float* ExecutionPlan::arena_base() const { return DefaultCtx().arena_base(); }
 
+void ExecutionPlan::BindTokenRows(ExecutionContext& ctx) const {
+  const int64_t rows = ctx.token_rows_ > 0 ? ctx.token_rows_ : token_extent_;
+  PIT_CHECK(rows <= token_extent_) << "token rows exceed the plan's capacity:" << rows << ">"
+                                   << token_extent_;
+  PIT_CHECK(rows == token_extent_ || token_polymorphic_)
+      << "plan is not token-polymorphic, so it replays only at its extent of" << token_extent_
+      << "rows, not" << rows;
+  if (rows == ctx.shaped_rows_) {
+    return;
+  }
+  for (size_t id = 0; id < token_major_.size(); ++id) {
+    if (token_major_[id] != 0) {
+      ctx.shapes_[id][0] = rows;
+    }
+  }
+  ctx.shaped_rows_ = rows;
+}
+
 const float* ExecutionPlan::ResolveConst(const ValueRef& ref, const ExecutionContext& ctx) const {
   switch (ref.loc) {
     case ValueLoc::kArena:
@@ -454,11 +559,11 @@ void ExecutionPlan::Dispatch(int step_index, ExecutionContext& ctx, PitCompiler*
   if (call.kind == OpKind::kReshape) {
     return;  // alias-only: the value is its input's storage, reinterpreted
   }
-  const Shape& out_shape = shapes_[static_cast<size_t>(call.out.shape_id)];
+  const Shape& out_shape = ctx.shapes_[static_cast<size_t>(call.out.shape_id)];
   TensorView out(ResolveArena(call.out, ctx), out_shape);
   auto in = [&](int i) {
     return ConstTensorView(ResolveConst(call.in[i], ctx),
-                           shapes_[static_cast<size_t>(call.in[i].shape_id)]);
+                           ctx.shapes_[static_cast<size_t>(call.in[i].shape_id)]);
   };
   // The context's per-site kernel slot: concurrent streams each warm their
   // own, so the JIT cache hook never races across streams.
@@ -564,7 +669,7 @@ void ExecutionPlan::RunSequential(ExecutionContext& ctx, PitCompiler* compiler,
       const OpCall& step = steps_[static_cast<size_t>(s)];
       (*observer)(step.node_id,
                   ConstTensorView(ResolveConst(step.out, ctx),
-                                  shapes_[static_cast<size_t>(step.out.shape_id)]));
+                                  ctx.shapes_[static_cast<size_t>(step.out.shape_id)]));
     }
   }
 }
@@ -585,33 +690,43 @@ ConstTensorView ExecutionPlan::RunImpl(ExecutionContext& ctx, const FeedMap& fee
                                        const StepObserver* observer) const {
   PIT_CHECK(ctx.plan_ == this) << "execution context belongs to a different plan";
   ctx.replay_status_ = ReplayStatus::kOk;
+  BindTokenRows(ctx);
+  const auto result = [&] {
+    return ConstTensorView(ResolveConst(result_, ctx),
+                           ctx.shapes_[static_cast<size_t>(result_.shape_id)]);
+  };
   if (FaultPending()) {
     // An injected dispatch fault already aborted this forward (multi-plan
     // forwards replay one plan per layer): skip the remaining replays fast.
     // The returned view is dead data; the engine discards the whole attempt
     // when it consumes the pending fault.
-    return ConstTensorView(ResolveConst(result_, ctx),
-                           shapes_[static_cast<size_t>(result_.shape_id)]);
+    return result();
   }
   if (ctx.cancel_ != nullptr && ctx.cancel_->cancelled()) {
     // Already-cancelled token (drain cut in, or the batch deadline lapsed
     // during an earlier layer of a multi-plan forward): skip the whole
     // replay. The returned view is dead data, flagged by replay_status().
     ctx.replay_status_ = ReplayStatus::kCancelled;
-    return ConstTensorView(ResolveConst(result_, ctx),
-                           shapes_[static_cast<size_t>(result_.shape_id)]);
+    return result();
   }
   for (const FeedBinding& binding : feed_bindings_) {
     auto it = feeds.find(binding.name);
     PIT_CHECK(it != feeds.end()) << "missing feed: " << binding.name;
     const Tensor& feed = DerefFeed(it->second);
-    PIT_CHECK(feed.shape() == shapes_[static_cast<size_t>(binding.node_id)])
-        << "feed shape mismatch for " << binding.name;
+    const Shape& want = ctx.shapes_[static_cast<size_t>(binding.node_id)];
+    // A token feed may carry more rows than the bound row count (capacity
+    // staging feeding the next layer); only its first rows are read.
+    const bool shape_ok =
+        token_major(binding.node_id)
+            ? feed.rank() == static_cast<int>(want.size()) && feed.dim(0) >= want[0] &&
+                  std::equal(want.begin() + 1, want.end(), feed.shape().begin() + 1)
+            : feed.shape() == want;
+    PIT_CHECK(shape_ok) << "feed shape mismatch for " << binding.name << ": got "
+                        << ShapeToString(feed.shape()) << ", plan reads " << ShapeToString(want);
     ctx.bound_[static_cast<size_t>(binding.node_id)] = feed.data();
   }
   RunSequential(ctx, compiler, observer != nullptr && *observer ? observer : nullptr);
-  return ConstTensorView(ResolveConst(result_, ctx),
-                         shapes_[static_cast<size_t>(result_.shape_id)]);
+  return result();
 }
 
 ConstTensorView ExecutionPlan::Run(const std::map<std::string, Tensor>& feeds,

@@ -26,6 +26,19 @@
 // semantics by delegating to an internal default context, and stays
 // not-thread-safe for the same reason it always was (one arena).
 //
+// Token-row replay. The token axis is a PIT-axis of every row-wise op
+// (§3.2): GEMM rows, layernorm, residuals, ReLU and the fused epilogues each
+// compute an output row from the same input row alone, and kAttention reads
+// across rows only inside the segments bound on the context. A plan built
+// only from such steps is *token-polymorphic*: compiled once at a token
+// extent (its capacity), it replays at any row count T <= capacity bound on
+// the context (ExecutionContext::set_token_rows). Every token-major value
+// then occupies the first T rows of its capacity-sized arena block, which
+// is a prefix of that block, so the compiled offsets and liveness stay valid
+// and rows [T, capacity) are never read. Polymorphism is derived at compile
+// from provenance: which values descend from a feed, and whether every step
+// on that path keeps the token axis leading and reads within rows.
+//
 // Replay runs the steps strictly in order; parallelism lives inside the
 // kernels (each one splits its work across the ParallelFor pool). Replay is
 // bitwise identical to the eager executor for any thread count: the steps
@@ -157,6 +170,15 @@ class ExecutionContext {
     segments_ = segments;
   }
 
+  // Binds the row count T later replays run at: every token-major value
+  // (ExecutionPlan::token_major) is viewed with T leading rows, and token
+  // feeds may carry more rows than T (only the first T are read). 0 (the
+  // default) means the plan's compiled token extent. T above the extent, or
+  // T != extent on a plan that is not token-polymorphic, is a checked error
+  // at replay.
+  void set_token_rows(int64_t rows) { token_rows_ = rows; }
+  int64_t token_rows() const { return token_rows_; }
+
  private:
   friend class ExecutionPlan;
 
@@ -178,6 +200,13 @@ class ExecutionContext {
   const CancelToken* cancel_ = nullptr;
   ReplayStatus replay_status_ = ReplayStatus::kOk;
   std::span<const AttentionSegment> segments_;  // borrowed; empty = whole tile
+  // Bound row count (0 = token extent), and the context's copy of the plan's
+  // node shapes with every token-major leading dim set to `shaped_rows_`:
+  // the views replay hands to kernels borrow these, so rebinding T rewrites
+  // one dim per token-major node and allocates nothing.
+  int64_t token_rows_ = 0;
+  int64_t shaped_rows_ = 0;
+  std::vector<Shape> shapes_;
 };
 
 // Called after each compute step with the node id and a view of its value
@@ -229,6 +258,17 @@ class ExecutionPlan {
 
   const PlanStats& stats() const { return stats_; }
   const std::vector<OpCall>& steps() const { return steps_; }
+  // Token-row replay (see the header comment). The token extent is the
+  // leading dim of the plan's first feed (0 without feeds): the row count an
+  // unbound replay runs at, and a token-polymorphic plan's capacity.
+  bool token_polymorphic() const { return token_polymorphic_; }
+  int64_t token_extent() const { return token_extent_; }
+  // Whether node `node_id`'s leading axis is the token axis in a
+  // token-polymorphic plan (always false in any other plan).
+  bool token_major(int node_id) const {
+    return node_id >= 0 && node_id < static_cast<int>(token_major_.size()) &&
+           token_major_[static_cast<size_t>(node_id)] != 0;
+  }
   // 64-byte-aligned base of the default context's arena (alignment is
   // asserted by plan_executor_test; every ExecutionContext satisfies the same
   // contract via ExecutionContext::arena_base).
@@ -265,6 +305,7 @@ class ExecutionPlan {
                           const StepObserver* observer) const;
   void RunSequential(ExecutionContext& ctx, PitCompiler* compiler,
                      const StepObserver* observer) const;
+  void BindTokenRows(ExecutionContext& ctx) const;
   const float* ResolveConst(const ValueRef& ref, const ExecutionContext& ctx) const;
   float* ResolveArena(const ValueRef& ref, ExecutionContext& ctx) const;
   void Dispatch(int step_index, ExecutionContext& ctx, PitCompiler* compiler) const;
@@ -282,6 +323,9 @@ class ExecutionPlan {
   std::vector<FeedBinding> feed_bindings_;
   ValueRef result_;
   PlanStats stats_;
+  bool token_polymorphic_ = false;
+  int64_t token_extent_ = 0;
+  std::vector<char> token_major_;  // per node id; all zero unless polymorphic
 
   // ---- Default execution state (the classic single-stream Run path) -------
   // Created lazily on first Run()/arena_base(): plans that are only ever

@@ -85,6 +85,7 @@ class Verifier {
     CheckProducersAndBindings();
     CheckClobberedReads();
     CheckStats();
+    CheckTokenRows();
     report_.steps_checked = static_cast<int>(plan_.steps().size());
     return std::move(report_);
   }
@@ -435,6 +436,97 @@ class Verifier {
            "arena_bytes");
   }
 
+  // ---- (F) token polymorphism ----------------------------------------------
+  // A plan that claims token polymorphism replays with T < extent rows, so
+  // every step on token data must keep the token axis leading and compute
+  // each output row from the same input row (kAttention reads across rows
+  // only within its bound segments). Re-derived from the step list by shape
+  // id — feeds are token data, weights are constant — independently of the
+  // compile-time provenance pass, whose per-node marks must then agree.
+  void CheckTokenRows() {
+    if (!plan_.token_polymorphic()) {
+      return;  // replays only at the extent: nothing to prove
+    }
+    const auto& steps = plan_.steps();
+    const size_t num_nodes = plan_.shapes().size();
+    std::vector<char> tok(num_nodes, 0);
+    std::vector<char> seen(num_nodes, 0);  // touched by a binding or a step
+    for (const auto& b : plan_.feed_bindings()) {
+      if (ShapeIdOk(b.node_id)) {
+        tok[static_cast<size_t>(b.node_id)] = 1;
+        seen[static_cast<size_t>(b.node_id)] = 1;
+      }
+    }
+    for (int s = 0; s < static_cast<int>(steps.size()); ++s) {
+      const OpCall& c = steps[static_cast<size_t>(s)];
+      if (!RefIdsOk(c.out) || c.num_in < 0 || c.num_in > kMaxOpInputs) {
+        continue;  // malformed: reported by (A)
+      }
+      bool first = false;  // operand 0 is token data
+      bool any = false;
+      bool all = true;
+      bool rest_const = true;  // every operand after the first is constant
+      for (int i = 0; i < c.num_in; ++i) {
+        const ValueRef& r = c.in[i];
+        if (!RefIdsOk(r)) {
+          continue;  // malformed: reported by (A)
+        }
+        seen[static_cast<size_t>(r.shape_id)] = 1;
+        const bool t = r.loc == ValueLoc::kFeed ||
+                       (r.loc == ValueLoc::kArena && tok[static_cast<size_t>(r.shape_id)] != 0);
+        first = first || (i == 0 && t);
+        any = any || t;
+        all = all && t;
+        rest_const = rest_const && (i == 0 || !t);
+      }
+      seen[static_cast<size_t>(c.out.shape_id)] = 1;
+      if (!any) {
+        continue;
+      }
+      bool row_wise = false;
+      switch (c.kind) {
+        case OpKind::kMatmul:
+        case OpKind::kMatmulBias:
+        case OpKind::kLayerNorm:
+          row_wise = first && rest_const;
+          break;
+        case OpKind::kRelu:
+        case OpKind::kScale:
+        case OpKind::kAdd:
+        case OpKind::kMask:
+          row_wise = all;
+          break;
+        case OpKind::kSoftmax:
+          row_wise = c.num_in == 1;
+          break;
+        case OpKind::kAttention:
+          row_wise = c.num_in == 3 && all;
+          break;
+        case OpKind::kInput:
+        case OpKind::kWeight:
+        case OpKind::kTranspose:
+        case OpKind::kReshape:
+        case OpKind::kBatchMatmul:
+          break;
+      }
+      if (!row_wise) {
+        Add(PlanViolationKind::kTokenRows, s, -1, {},
+            std::string(OpKindName(c.kind)) +
+                " step on token data moves the token axis or reads across rows in a plan "
+                "claiming token polymorphism");
+      }
+      tok[static_cast<size_t>(c.out.shape_id)] = 1;
+    }
+    for (size_t id = 0; id < num_nodes; ++id) {
+      if (seen[id] != 0 && (tok[id] != 0) != plan_.token_major(static_cast<int>(id))) {
+        Add(PlanViolationKind::kTokenRows, -1, -1, {},
+            "node " + std::to_string(id) + (tok[id] != 0 ? " descends from a feed but is not"
+                                                          : " is constant but is") +
+                " marked token-major");
+      }
+    }
+  }
+
   const ExecutionPlan& plan_;
   PlanVerifyReport report_;
   std::vector<Footprint> fp_;
@@ -461,6 +553,8 @@ const char* PlanViolationKindName(PlanViolationKind kind) {
       return "fused-step";
     case PlanViolationKind::kStatsMismatch:
       return "stats-mismatch";
+    case PlanViolationKind::kTokenRows:
+      return "token-rows";
   }
   return "unknown";
 }

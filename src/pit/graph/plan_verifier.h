@@ -6,7 +6,8 @@
 // planner is *supposed* to guarantee: arena blocks are in-bounds and 64-byte
 // aligned, a block is never recycled while a later step still has to read it,
 // reshape aliases resolve to storage some step actually produced, and fused
-// matmul+relu steps leave no dangling references to the elided node. A
+// matmul+relu steps leave no dangling references to the elided node, and a
+// plan replayed below its compiled row count really is row-wise. A
 // planner bug in any of these ships straight into a silent miscompilation.
 // This pass proves them deterministically, per plan. Replay dispatches the
 // steps strictly in order, so every RAW/WAR/WAW hazard and every PIT step is
@@ -24,7 +25,7 @@
 //   * automatically on every plan compile when PIT_VERIFY_PLAN engages
 //     (strict-parsed auto|on|off; "auto" engages in debug builds — see
 //     backend.h), aborting loudly on any violation,
-//   * on pooled-plan creation in the ServingEngine under the same knob,
+//   * on every stack stream the ServingEngine builds, under the same knob,
 //   * on demand through VerifyPlan() (tests, `pitctl verify`).
 #ifndef PIT_GRAPH_PLAN_VERIFIER_H_
 #define PIT_GRAPH_PLAN_VERIFIER_H_
@@ -52,6 +53,9 @@ enum class PlanViolationKind {
   kFusedStep,        // fused-step inconsistency: duplicate node producer or
                      // fuse_relu on a non-matmul / PIT step
   kStatsMismatch,    // PlanStats disagree with re-derived counts
+  kTokenRows,        // a plan claiming token polymorphism has a step that
+                     // moves the token axis or reads across rows, or marks
+                     // token-major values its provenance disagrees with
 };
 const char* PlanViolationKindName(PlanViolationKind kind);
 
@@ -88,7 +92,7 @@ PlanVerifyReport VerifyPlan(const ExecutionPlan& plan);
 // VerifyPlan + loud PIT_CHECK abort on any violation, with the full report in
 // the failure message. `what` names the plan for the abort message (e.g. the
 // compile site). This is the hook ExecutionPlan's constructor and the
-// ServingEngine's pooled-plan creation call when PlanVerifyEngaged().
+// ServingEngine's stack-stream builds call when PlanVerifyEngaged().
 void VerifyPlanOrDie(const ExecutionPlan& plan, const char* what);
 
 // Test-only mutation seam: hands the negative suite mutable references into a
@@ -105,6 +109,8 @@ struct PlanCorruptor {
   static ValueRef& result(ExecutionPlan& plan) { return plan.result_; }
   static int64_t& arena_elems(ExecutionPlan& plan) { return plan.arena_elems_; }
   static PlanStats& stats(ExecutionPlan& plan) { return plan.stats_; }
+  static bool& token_polymorphic(ExecutionPlan& plan) { return plan.token_polymorphic_; }
+  static std::vector<char>& token_major(ExecutionPlan& plan) { return plan.token_major_; }
 };
 
 }  // namespace pit

@@ -426,22 +426,27 @@ TransformerEncoderLayer::Stream TransformerEncoderLayer::MakeStream(int64_t toke
 
 void TransformerEncoderLayer::ForwardWith(Stream& stream, const Tensor& x,
                                           const Tensor* attn_mask, PitCompiler* compiler,
-                                          Tensor* out) const {
+                                          Tensor* out, int64_t rows) const {
   PIT_CHECK(stream.plan != nullptr && stream.ctx != nullptr) << "stream not initialized";
   PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK(x.dim(0) == stream.tokens && x.dim(1) == ln1_gamma_.dim(0))
+  if (rows == 0) {
+    rows = x.dim(0);
+  }
+  PIT_CHECK(rows <= x.dim(0) && x.dim(1) == ln1_gamma_.dim(0))
       << "input shape does not match the stream's plan";
   PIT_CHECK((attn_mask != nullptr) == stream.masked)
       << "mask presence does not match the stream's plan";
   PIT_CHECK(out != nullptr);
-  PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
+  PIT_CHECK(out->dim(0) >= rows && out->dim(1) == x.dim(1));
   stream.feeds["x"] = &x;
   if (attn_mask != nullptr) {
-    PIT_CHECK(attn_mask->rank() == 2 && attn_mask->dim(0) == x.dim(0) &&
-              attn_mask->dim(1) == x.dim(0))
+    PIT_CHECK(attn_mask->rank() == 2 && attn_mask->dim(0) == rows && attn_mask->dim(1) == rows)
         << "attention mask must be [tokens, tokens]";
     stream.feeds["mask"] = attn_mask;
   }
+  // The row count is this replay's binding; the plan checks it against its
+  // capacity and polymorphism.
+  stream.ctx->set_token_rows(rows);
   ConstTensorView result = stream.plan->RunWith(*stream.ctx, stream.feeds, compiler);
   std::copy(result.data(), result.data() + result.size(), out->data());
 }

@@ -177,8 +177,10 @@ class MoELayer {
 // set_attention_segments), so a packed tile of several requests costs
 // sum(t_i^2) score entries and no [T, T] mask. ForwardSparse runs the same
 // plan with the PIT pass decisions (the FFN down-projection consumes its ReLU
-// activation through the compiler's per-site kernel handle). Plans reference
-// the module's weights in place: the module is pinned.
+// activation through the compiler's per-site kernel handle). The unmasked
+// plan is token-polymorphic (execution_plan.h): compiled at a capacity, it
+// replays any row count up to it. Plans reference the module's weights in
+// place: the module is pinned.
 class TransformerEncoderLayer {
  public:
   TransformerEncoderLayer(int64_t hidden, int64_t heads, int64_t ffn_hidden, Rng& rng);
@@ -214,8 +216,12 @@ class TransformerEncoderLayer {
   // Lock-free forward over a stream's private context: safe to call
   // concurrently with any other stream's ForwardWith on this layer, bitwise
   // identical to ForwardInto. Steady-state dense calls allocate nothing.
+  // Replays the first `rows` rows of `x` (0: all of them) into the first
+  // `rows` rows of `out`; x and out may carry more. An unmasked stream
+  // replays any rows <= stream.tokens (its plan is token-polymorphic); a
+  // masked one only its exact token count.
   void ForwardWith(Stream& stream, const Tensor& x, const Tensor* attn_mask,
-                   PitCompiler* compiler, Tensor* out) const;
+                   PitCompiler* compiler, Tensor* out, int64_t rows = 0) const;
   // The pre-planning composition (eager attention + explicit FFN ops), kept
   // as the differential oracle and the eager bench baseline.
   Tensor ForwardEager(const Tensor& x, const Tensor* attn_mask = nullptr) const;

@@ -751,16 +751,20 @@ PlannedFfnStack::Stream PlannedFfnStack::MakeStream(int64_t tokens, bool pit) co
 }
 
 void PlannedFfnStack::ForwardWith(Stream& stream, const Tensor& x, PitCompiler* compiler,
-                                  Tensor* out) const {
+                                  Tensor* out, int64_t rows) const {
   PIT_CHECK(!stream.plans.empty()) << "stream not initialized";
   PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK(x.dim(0) == stream.tokens && x.dim(1) == hidden_)
+  if (rows == 0) {
+    rows = x.dim(0);
+  }
+  PIT_CHECK(rows <= x.dim(0) && x.dim(1) == hidden_)
       << "input shape does not match the stream's plans";
   PIT_CHECK(out != nullptr);
-  PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
+  PIT_CHECK(out->dim(0) >= rows && out->dim(1) == x.dim(1));
   const Tensor* cur = &x;
   for (size_t l = 0; l < stream.plans.size(); ++l) {
     stream.feeds["x"] = cur;
+    stream.contexts[l]->set_token_rows(rows);
     ConstTensorView res = stream.plans[l]->RunWith(*stream.contexts[l], stream.feeds, compiler);
     // Stage into the stream-private buffer (the caller's `out` for the last
     // layer): the next layer binds it as its feed while this layer's arena
@@ -886,19 +890,22 @@ PlannedTransformerStack::Stream PlannedTransformerStack::MakeStream(int64_t toke
 
 void PlannedTransformerStack::ForwardWith(Stream& stream, const Tensor& x,
                                           const Tensor* attn_mask, PitCompiler* compiler,
-                                          Tensor* out) const {
+                                          Tensor* out, int64_t rows) const {
   PIT_CHECK_EQ(stream.layers.size(), layers_.size()) << "stream not initialized for this stack";
   PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK(x.dim(0) == stream.tokens && x.dim(1) == hidden_)
+  if (rows == 0) {
+    rows = x.dim(0);
+  }
+  PIT_CHECK(rows <= x.dim(0) && x.dim(1) == hidden_)
       << "input shape does not match the stream's plans";
   PIT_CHECK((attn_mask != nullptr) == stream.masked)
       << "mask presence does not match the stream's plans";
   PIT_CHECK(out != nullptr);
-  PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
+  PIT_CHECK(out->dim(0) >= rows && out->dim(1) == x.dim(1));
   const Tensor* cur = &x;
   for (size_t l = 0; l < layers_.size(); ++l) {
     Tensor* dst = l + 1 < layers_.size() ? &stream.staging[l] : out;
-    layers_[l]->ForwardWith(stream.layers[l], *cur, attn_mask, compiler, dst);
+    layers_[l]->ForwardWith(stream.layers[l], *cur, attn_mask, compiler, dst, rows);
     cur = dst;
   }
 }

@@ -141,7 +141,9 @@ class PlannedFfnStack {
   // Per-stream replay state over the stack's shared compiled plans for one
   // token count: a co-owning plan handle + private ExecutionContext + feed
   // map per layer, plus private staging buffers. Distinct streams forward
-  // concurrently over the same plans with zero shared mutable state.
+  // concurrently over the same plans with zero shared mutable state. The
+  // plans are token-polymorphic, so `tokens` is a capacity: ForwardWith
+  // replays any row count up to it.
   struct Stream {
     std::vector<std::shared_ptr<ExecutionPlan>> plans;          // one per layer
     std::vector<std::unique_ptr<ExecutionContext>> contexts;    // one per layer
@@ -167,8 +169,11 @@ class PlannedFfnStack {
   // concurrent stream.
   Stream MakeStream(int64_t tokens, bool pit = false) const;
   // Lock-free forward over a stream's private contexts: safe concurrently
-  // with other streams' ForwardWith, bitwise identical to Forward.
-  void ForwardWith(Stream& stream, const Tensor& x, PitCompiler* compiler, Tensor* out) const;
+  // with other streams' ForwardWith, bitwise identical to Forward. Replays
+  // the first `rows` rows of `x` (0: all of them; at most stream.tokens)
+  // into the first `rows` rows of `out`; x and out may carry more rows.
+  void ForwardWith(Stream& stream, const Tensor& x, PitCompiler* compiler, Tensor* out,
+                   int64_t rows = 0) const;
 
   // Aggregate memory-planning stats over the dense plans for this token
   // count (compiles them if needed).
@@ -235,7 +240,8 @@ class PlannedTransformerStack {
   // (tokens, masked?) shape: a layer stream per encoder block plus private
   // staging buffers. ForwardWith over distinct streams is concurrency-safe
   // and bitwise identical to single-stream Forward — the ServingEngine's
-  // execution seam.
+  // execution seam. Unmasked plans are token-polymorphic, so an unmasked
+  // stream's `tokens` is a capacity: it replays any row count up to it.
   struct Stream {
     std::vector<TransformerEncoderLayer::Stream> layers;
     std::vector<Tensor> staging;  // layers-1 buffers; last layer writes `out`
@@ -267,8 +273,11 @@ class PlannedTransformerStack {
   Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
   // Lock-free forward over a stream's private contexts: safe concurrently
   // with other streams' ForwardWith, bitwise identical to Forward/ForwardInto.
+  // Replays the first `rows` rows of `x` (0: all of them) into the first
+  // `rows` rows of `out`; x and out may carry more rows. An unmasked stream
+  // takes any rows <= stream.tokens, a masked one exactly stream.tokens.
   void ForwardWith(Stream& stream, const Tensor& x, const Tensor* attn_mask,
-                   PitCompiler* compiler, Tensor* out) const;
+                   PitCompiler* compiler, Tensor* out, int64_t rows = 0) const;
 
   // Aggregate memory-planning stats over the layers' dense plans for this
   // shape (compiles them if needed).

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "pit/common/backend.h"
@@ -28,16 +29,17 @@ namespace pit {
 
 namespace {
 
-// Per-stream shape-pool bound, matching the nn-layer plan-cache bound: a
-// long-lived engine under variable-length traffic must not pin arenas for
-// every token count it ever saw. Ragged batching keeps the working set far
-// under this bound by construction (power-of-two buckets).
-constexpr size_t kMaxPooledShapes = 16;
-// Floor of the power-of-two sum-token bucket grid: batches smaller than this
-// still replay the 16-token plan rather than minting tiny plan keys.
+// Floor of the power-of-two row-count grid packed batches replay at.
 constexpr int64_t kMinBatchBucket = 16;
 // Token budget per packed batch when the option does not set one.
 constexpr int kDefaultMaxBatchTokens = 512;
+
+// The row capacity a serving stream's plans and staging are built at: the
+// batch token budget, or `rows` when a longer request needs more, on the
+// power-of-two grid.
+int64_t CapacityFor(int64_t rows, int64_t max_batch_tokens) {
+  return BucketTokensPow2(std::max(max_batch_tokens, rows), kMinBatchBucket);
+}
 
 // Finiteness scan: one NaN or inf in an activation (or mask) poisons every
 // dot product its rows feed, so non-finite inputs are rejected at admission
@@ -53,17 +55,12 @@ bool AllFinite(const Tensor& t) {
   return true;
 }
 
-// The padded token count a pool entry is keyed by, for the per-bucket pool
-// accounting (the transformer pool's key carries a masked flag on top).
-int64_t BucketOfPoolKey(const std::pair<int64_t, bool>& key) { return key.first; }
-int64_t BucketOfPoolKey(int64_t key) { return key; }
-
-// Pooled-plan verification (PIT_VERIFY_PLAN): a stream entering the pool
-// replays its plans for the rest of the engine's lifetime, so the invariants
-// concurrent replay rides on are proven once at pool entry. The compile hook
-// already verified freshly compiled plans; this catches pool entries built
-// from plans cached before the knob engaged.
-void VerifyPooledPlans(const PlannedTransformerStack::Stream& pooled) {
+// Stream-plan verification (PIT_VERIFY_PLAN): a serving stream replays its
+// stack stream's plans for the rest of the engine's lifetime (or until it
+// grows), so the invariants concurrent replay rides on are proven once when
+// it is built. The compile hook already verified freshly compiled plans;
+// this catches streams built from plans cached before the knob engaged.
+void VerifyStreamPlans(const PlannedTransformerStack::Stream& pooled) {
   for (const TransformerEncoderLayer::Stream& layer : pooled.layers) {
     if (layer.plan != nullptr) {
       VerifyPlanOrDie(*layer.plan, "ServingEngine pooled transformer plan");
@@ -71,7 +68,7 @@ void VerifyPooledPlans(const PlannedTransformerStack::Stream& pooled) {
   }
 }
 
-void VerifyPooledPlans(const PlannedFfnStack::Stream& pooled) {
+void VerifyStreamPlans(const PlannedFfnStack::Stream& pooled) {
   for (const std::shared_ptr<ExecutionPlan>& plan : pooled.plans) {
     if (plan != nullptr) {
       VerifyPlanOrDie(*plan, "ServingEngine pooled FFN plan");
@@ -118,18 +115,11 @@ std::string ServingEngineStats::ToString() const {
   return os.str();
 }
 
-// One request stream: a private pool of per-shape stack streams (shared plan
-// + private contexts), reused across requests and Serve calls, plus the
-// stream's private PitCompiler and packed-batch staging. Nothing in here is
-// ever touched by another stream.
+// One request stream: one stack stream (shared capacity plans + private
+// contexts), built on first use and reused across requests and Serve calls,
+// plus the stream's private PitCompiler and packed-batch staging. Nothing in
+// here is ever touched by another stream.
 struct ServingEngine::StreamState {
-  // Reused packed tiles for one bucket: requests gather into x and the plan
-  // replays into out. Keyed by bucket so steady-state batching allocates
-  // nothing.
-  struct BatchStaging {
-    Tensor x;    // [bucket, hidden]
-    Tensor out;  // [bucket, hidden]
-  };
   struct BucketCounters {
     int64_t batches = 0;
     int64_t requests = 0;
@@ -139,16 +129,22 @@ struct ServingEngine::StreamState {
     int64_t plan_misses = 0;
   };
 
-  std::map<std::pair<int64_t, bool>, PlannedTransformerStack::Stream> transformer_pool;
-  std::map<int64_t, PlannedFfnStack::Stream> ffn_pool;
+  // The stack stream of whichever stack the engine drives (the other stays
+  // empty), compiled at the stream's capacity; tokens == 0 until built.
+  PlannedTransformerStack::Stream transformer;
+  PlannedFfnStack::Stream ffn;
   std::unique_ptr<PitCompiler> compiler;
-  std::map<int64_t, BatchStaging> staging;
+  // Packed tile at capacity: requests gather into x's first rows and the
+  // plans replay into out's.
+  Tensor x;
+  Tensor out;
+  // Keyed by replayed row count.
   std::map<int64_t, BucketCounters> bucket_counters;
   // Identity row ids 0..max_len-1: every request's token rows are a prefix
   // span of this one reusable vector for SRead/SWrite purposes.
   std::vector<int64_t> iota;
-  // Per-batch scratch: request lengths and (transformer only) one attention
-  // segment per request, carrying the request's own mask.
+  // Per-forward scratch: request lengths and (transformer only) one
+  // attention segment per request, carrying the request's own mask.
   std::vector<int64_t> lens;
   std::vector<AttentionSegment> segments;
   // Per-claim scratch: the original request indices that survived the
@@ -172,11 +168,12 @@ struct ServingEngine::StreamState {
   // once it fires. `heartbeat` is the step-progress counter those
   // replays bump (via the thread-local sink); `hb_active` marks the worker
   // mid-claim so the watchdog only measures silence while work is actually
-  // in flight, and `hb_bucket` is the claim's token bucket for diagnostics.
+  // in flight, and `hb_rows` is the row count the claim replays at, for
+  // diagnostics.
   CancelToken cancel;
   std::atomic<uint64_t> heartbeat{0};
   std::atomic<bool> hb_active{false};
-  std::atomic<int64_t> hb_bucket{0};
+  std::atomic<int64_t> hb_rows{0};
 };
 
 ServingEngine::ServingEngine(const PlannedTransformerStack& stack,
@@ -317,97 +314,28 @@ void ServingEngine::WatchdogLoop() {
         stall_min_silence_us_ = silence_us;
       }
       stall_max_silence_us_ = std::max(stall_max_silence_us_, silence_us);
-      const int64_t bucket = stream.hb_bucket.load(std::memory_order_relaxed);
+      const int64_t rows = stream.hb_rows.load(std::memory_order_relaxed);
       std::fprintf(stderr,
-                   "[PIT WATCHDOG] stream %d stalled: token bucket %lld, step %llu, "
+                   "[PIT WATCHDOG] stream %d stalled: replaying %lld rows, step %llu, "
                    "silent %lld us (threshold %lld us, mode %s)\n",
-                   s, static_cast<long long>(bucket), static_cast<unsigned long long>(count),
+                   s, static_cast<long long>(rows), static_cast<unsigned long long>(count),
                    static_cast<long long>(silence_us), static_cast<long long>(watchdog_us_),
                    watchdog_mode_ == WatchdogMode::kAbort ? "abort" : "report");
       if (watchdog_mode_ == WatchdogMode::kAbort) {
-        PIT_CHECK(false) << "PIT WATCHDOG (abort mode): stream " << s << " stalled (token bucket "
-                         << bucket << ", step " << count << ", silent " << silence_us
+        PIT_CHECK(false) << "PIT WATCHDOG (abort mode): stream " << s << " stalled (replaying "
+                         << rows << " rows, step " << count << ", silent " << silence_us
                          << " us > threshold " << watchdog_us_ << " us)";
       }
     }
   }
 }
 
-void ServingEngine::AccountPool(int64_t bucket, int64_t contexts_delta, int64_t bytes_delta) {
+void ServingEngine::AccountPool(int64_t contexts_delta, int64_t bytes_delta) {
   std::lock_guard<std::mutex> lock(pool_mu_);
-  // Fold into the lifetime peaks at growth time: a pool evicted later in the
-  // same Serve must not erase the peak it reached.
   pool_.contexts += contexts_delta;
   pool_.contexts_highwater = std::max(pool_.contexts_highwater, pool_.contexts);
   pool_.arena_bytes += bytes_delta;
   pool_.arena_bytes_highwater = std::max(pool_.arena_bytes_highwater, pool_.arena_bytes);
-  std::pair<int64_t, int64_t>& entry = pool_.buckets[bucket];
-  entry.first += contexts_delta;
-  entry.second = std::max(entry.second, entry.first);
-}
-
-template <typename Pool, typename Key, typename MakeStreamFn>
-typename Pool::mapped_type* ServingEngine::PooledStream(StreamState& stream, Pool& pool,
-                                                        const Key& key, MakeStreamFn&& make) {
-  const int64_t bucket = BucketOfPoolKey(key);
-  auto it = pool.find(key);
-  if (it != pool.end()) {
-    ++stream.bucket_counters[bucket].plan_hits;
-    return &it->second;
-  }
-  ++stream.bucket_counters[bucket].plan_misses;
-  if (pool.size() >= kMaxPooledShapes) {
-    for (const auto& entry : pool) {
-      AccountPool(BucketOfPoolKey(entry.first), -entry.second.NumContexts(),
-                  -entry.second.ArenaBytes());
-    }
-    pool.clear();
-  }
-  auto built = make();
-  if (!built.has_value()) {
-    // Injected persistent compile failure: nothing enters the pool; the
-    // caller's degradation ladder owns what happens to the requests.
-    return nullptr;
-  }
-  it = pool.emplace(key, std::move(*built)).first;
-  if (PlanVerifyEngaged()) {
-    VerifyPooledPlans(it->second);
-  }
-  AccountPool(bucket, it->second.NumContexts(), it->second.ArenaBytes());
-  return &it->second;
-}
-
-template <typename Pool, typename Key, typename MakeStreamFn>
-typename Pool::mapped_type* ServingEngine::AcquireStream(
-    StreamState& stream, Pool& pool, const Key& key, MakeStreamFn&& make,
-    std::optional<typename Pool::mapped_type>& transient) {
-  using Mapped = typename Pool::mapped_type;
-  if (FaultProbe(FaultSite::kContextAcquire)) {
-    // Pool-exhaustion rung: degrade to a transient stream over the same
-    // shared plans — identical bits (the plans are immutable and shared;
-    // only the private contexts are fresh), nothing pinned once the span
-    // completes, and the pool itself is left untouched.
-    ++stream.faults;
-    ++stream.degraded;
-    ScopedFaultRetryImmunity immune;
-    transient.emplace(make());
-    return &*transient;
-  }
-  return PooledStream(stream, pool, key, [&]() -> std::optional<Mapped> {
-    if (FaultProbe(FaultSite::kPlanCompile)) {
-      // Transient compile failure: retry the build once.
-      ++stream.faults;
-      ++stream.retries;
-      ScopedFaultRetryImmunity immune;
-      if (FaultProbe(FaultSite::kPlanCompile)) {
-        // Persistent (fail_retries configs only): surface to the caller.
-        ++stream.faults;
-        return std::nullopt;
-      }
-      return make();
-    }
-    return make();
-  });
 }
 
 ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
@@ -440,27 +368,54 @@ ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
   return ServeStatus::kOk;
 }
 
-ServeStatus ServingEngine::ServeOne(StreamState& stream, const ServeRequest& request,
-                                    int64_t deadline_abs_us, Tensor* out, int64_t* bucket_out) {
-  const int64_t tokens = request.x.dim(0);
+bool ServingEngine::ReplayStack(StreamState& stream, const Tensor& x, int64_t rows, Tensor* out,
+                                bool retry_kernel_fault) {
   PitCompiler* compiler = stream.compiler.get();
-  // The stream token guards exactly this forward: armed with the request's
-  // absolute deadline (kNoDeadline leaves only manual cancellation live) and
-  // cleared on every exit path. A 1:1 forward has a single member, so the
-  // "every member lapsed" in-flight rule degenerates to its own deadline.
-  stream.cancel.ArmDeadline(deadline_abs_us);
-  // One retry ladder for both stacks: the pool, the stream builder and the
-  // replay call are the only stack-specific parts.
-  const auto replay = [&](auto& pool, const auto& key, auto make, auto forward) {
-    std::optional<decltype(make())> transient;
-    auto* pooled = AcquireStream(stream, pool, key, make, transient);
-    if (pooled == nullptr) {
-      ++stream.internal;
-      return false;
+  // One ladder for both stacks: the stack stream, its builder and the replay
+  // call are the only stack-specific parts.
+  const auto replay = [&](auto& pooled, auto make, auto forward) {
+    // Capacity only ever grows, so a stream rebuilds at most once per
+    // doubling of the longest request.
+    const int64_t capacity = std::max(pooled.tokens, CapacityFor(rows, max_batch_tokens_));
+    std::optional<std::remove_reference_t<decltype(pooled)>> transient;
+    auto* acquired = &pooled;
+    if (FaultProbe(FaultSite::kContextAcquire)) {
+      // Context-exhaustion rung: degrade to a transient stream over the same
+      // shared plans — identical bits (the plans are immutable and shared;
+      // only the private contexts are fresh), nothing pinned once the
+      // forward completes, and the pooled stream itself is left untouched.
+      ++stream.faults;
+      ++stream.degraded;
+      ScopedFaultRetryImmunity immune;
+      acquired = &transient.emplace(make(capacity));
+    } else if (rows <= pooled.tokens) {
+      ++stream.bucket_counters[rows].plan_hits;
+    } else {
+      // First use, or a request longer than the capacity: (re)build.
+      ++stream.bucket_counters[rows].plan_misses;
+      if (FaultProbe(FaultSite::kPlanCompile)) {
+        // Transient compile failure: retry the build once.
+        ++stream.faults;
+        ++stream.retries;
+        ScopedFaultRetryImmunity immune;
+        if (FaultProbe(FaultSite::kPlanCompile)) {
+          // Persistent (fail_retries configs only): keep the old stream and
+          // surface the failure to the caller's ladder.
+          ++stream.faults;
+          return false;
+        }
+      }
+      auto built = make(capacity);
+      if (PlanVerifyEngaged()) {
+        VerifyStreamPlans(built);
+      }
+      AccountPool(built.NumContexts() - pooled.NumContexts(),
+                  built.ArenaBytes() - pooled.ArenaBytes());
+      pooled = std::move(built);
     }
-    pooled->SetCancelToken(&stream.cancel);
-    forward(*pooled);
-    if (ConsumeFaultPending()) {
+    acquired->SetCancelToken(&stream.cancel);
+    forward(*acquired);
+    if (retry_kernel_fault && ConsumeFaultPending()) {
       // Kernel-dispatch fault: retry the identical forward once — the plan
       // and context are intact (an abandoned replay only leaves stale arena
       // data, fully overwritten by the retry). A cancelled token makes the
@@ -468,29 +423,45 @@ ServeStatus ServingEngine::ServeOne(StreamState& stream, const ServeRequest& req
       ++stream.faults;
       ++stream.retries;
       ScopedFaultRetryImmunity immune;
-      forward(*pooled);
+      forward(*acquired);
       if (ConsumeFaultPending()) {
         ++stream.faults;
-        ++stream.internal;
         return false;
       }
     }
     return true;
   };
-  const bool masked = request.attn_mask != nullptr;
-  const bool replayed =
-      transformer_ != nullptr
-          ? replay(stream.transformer_pool, std::pair<int64_t, bool>{tokens, masked},
-                   [&] { return transformer_->MakeStream(tokens, masked, use_pit_); },
-                   [&](PlannedTransformerStack::Stream& pooled) {
-                     transformer_->ForwardWith(pooled, request.x, request.attn_mask, compiler,
-                                               out);
-                   })
-          : replay(stream.ffn_pool, tokens, [&] { return ffn_->MakeStream(tokens, use_pit_); },
-                   [&](PlannedFfnStack::Stream& pooled) {
-                     ffn_->ForwardWith(pooled, request.x, compiler, out);
-                   });
-  if (!replayed) {
+  if (transformer_ != nullptr) {
+    return replay(
+        stream.transformer,
+        [&](int64_t capacity) { return transformer_->MakeStream(capacity, false, use_pit_); },
+        [&](PlannedTransformerStack::Stream& acquired) {
+          acquired.SetAttentionSegments(stream.segments);
+          transformer_->ForwardWith(acquired, x, nullptr, compiler, out, rows);
+        });
+  }
+  return replay(
+      stream.ffn, [&](int64_t capacity) { return ffn_->MakeStream(capacity, use_pit_); },
+      [&](PlannedFfnStack::Stream& acquired) {
+        ffn_->ForwardWith(acquired, x, compiler, out, rows);
+      });
+}
+
+ServeStatus ServingEngine::ServeOne(StreamState& stream, const ServeRequest& request,
+                                    int64_t deadline_abs_us, Tensor* out, int64_t* bucket_out) {
+  const int64_t tokens = request.x.dim(0);
+  // The stream token guards exactly this forward: armed with the request's
+  // absolute deadline (kNoDeadline leaves only manual cancellation live) and
+  // cleared on every exit path. A 1:1 forward has a single member, so the
+  // "every member lapsed" in-flight rule degenerates to its own deadline.
+  stream.cancel.ArmDeadline(deadline_abs_us);
+  // The request is one attention segment carrying its own mask, so a masked
+  // request replays the same unmasked capacity plans.
+  stream.segments.assign(
+      1, {0, tokens,
+          request.attn_mask != nullptr ? ConstTensorView(*request.attn_mask) : ConstTensorView()});
+  if (!ReplayStack(stream, request.x, tokens, out, /*retry_kernel_fault=*/true)) {
+    ++stream.internal;
     stream.cancel.ClearDeadline();
     return ServeStatus::kInternal;
   }
@@ -508,8 +479,7 @@ ServeStatus ServingEngine::ServeOne(StreamState& stream, const ServeRequest& req
     ++stream.cancelled_forwards;
     return ServeStatus::kDeadlineExceeded;
   }
-  // 1:1 serving degenerates to one "bucket" per distinct request length —
-  // exactly the plan-pool cardinality contrast batching exists to collapse.
+  // 1:1 serving replays at the request's exact length.
   StreamState::BucketCounters& c = stream.bucket_counters[tokens];
   ++c.batches;
   ++c.requests;
@@ -570,54 +540,30 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
       stream.iota[static_cast<size_t>(i)] = i;
     }
   }
-  StreamState::BatchStaging& st = stream.staging[bucket];
-  if (st.x.empty()) {
-    st.x = Tensor({bucket, hidden_});
-    st.out = Tensor({bucket, hidden_});
+  if (stream.x.empty() || stream.x.dim(0) < bucket) {
+    // Staging at the capacity the stream's plans are (or will be) built at.
+    const int64_t capacity = CapacityFor(bucket, max_batch_tokens_);
+    stream.x = Tensor({capacity, hidden_});
+    stream.out = Tensor({capacity, hidden_});
   }
-  // Padding rows belong to no attention segment, and every other kernel is
-  // row-wise, so real rows never read them. They are re-zeroed every batch
-  // only to keep their own (discarded) rows finite, whatever an earlier,
-  // fuller batch left in the tile.
-  std::fill(st.x.data() + sum * hidden_, st.x.data() + bucket * hidden_, 0.0f);
+  // Padding rows [sum, bucket) belong to no attention segment, and every
+  // other kernel is row-wise, so real rows never read them. They are
+  // re-zeroed every batch to keep their own (discarded) rows finite, whatever
+  // an earlier, fuller batch left in the tile, and because PIT's sparsity
+  // detection reads them.
+  std::fill(stream.x.data() + sum * hidden_, stream.x.data() + bucket * hidden_, 0.0f);
   int64_t off = 0;
   for (size_t i = 0; i < span.size(); ++i) {
     const int64_t len = stream.lens[i];
     SReadRowsInto(requests[static_cast<size_t>(span[i])].x,
-                  std::span<const int64_t>(stream.iota.data(), static_cast<size_t>(len)), st.x,
-                  off);
+                  std::span<const int64_t>(stream.iota.data(), static_cast<size_t>(len)),
+                  stream.x, off);
     off += len;
   }
-  PitCompiler* compiler = stream.compiler.get();
-  if (transformer_ != nullptr) {
-    // Unmasked bucket plan: each request attends only within its own
-    // segment, under its own mask.
-    std::optional<PlannedTransformerStack::Stream> transient;
-    PlannedTransformerStack::Stream* pooled =
-        AcquireStream(stream, stream.transformer_pool, std::pair<int64_t, bool>{bucket, false},
-                      [&] { return transformer_->MakeStream(bucket, false, use_pit_); },
-                      transient);
-    if (pooled == nullptr) {
-      stream.cancel.ClearDeadline();
-      return false;  // injected compile double-fault; caller's ladder decides
-    }
-    pooled->SetCancelToken(&stream.cancel);
-    pooled->SetAttentionSegments(stream.segments);
-    transformer_->ForwardWith(*pooled, st.x, nullptr, compiler, &st.out);
-    // The same pooled stream serves 1:1 requests of exactly `bucket` tokens,
-    // which attend over the whole tile.
-    pooled->SetAttentionSegments({});
-  } else {
-    std::optional<PlannedFfnStack::Stream> transient;
-    PlannedFfnStack::Stream* pooled =
-        AcquireStream(stream, stream.ffn_pool, bucket,
-                      [&] { return ffn_->MakeStream(bucket, use_pit_); }, transient);
-    if (pooled == nullptr) {
-      stream.cancel.ClearDeadline();
-      return false;
-    }
-    pooled->SetCancelToken(&stream.cancel);
-    ffn_->ForwardWith(*pooled, st.x, compiler, &st.out);
+  // Each request attends only within its own segment, under its own mask.
+  if (!ReplayStack(stream, stream.x, bucket, &stream.out, /*retry_kernel_fault=*/false)) {
+    stream.cancel.ClearDeadline();
+    return false;  // injected compile double-fault; caller's ladder decides
   }
   const bool manual_cancel = stream.cancel.cancelled_manual();
   const bool batch_lapsed = all_deadlined && stream.cancel.deadline_lapsed();
@@ -666,7 +612,7 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
       off += len;
       continue;
     }
-    SWriteRowsFrom(st.out, off,
+    SWriteRowsFrom(stream.out, off,
                    std::span<const int64_t>(stream.iota.data(), static_cast<size_t>(len)),
                    outcomes[static_cast<size_t>(idx)].output);
     off += len;
@@ -756,15 +702,6 @@ void ServingEngine::MergeBucketStats(const std::vector<int64_t>& bucket_of,
       b.computed_tokens += c.computed_tokens;
       b.plan_hits += c.plan_hits;
       b.plan_misses += c.plan_misses;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    for (const auto& [bucket, live_and_peak] : pool_.buckets) {
-      ServingBucketStats& b = merged[bucket];
-      b.bucket = bucket;
-      b.pool_contexts = live_and_peak.first;
-      b.pool_contexts_highwater = live_and_peak.second;
     }
   }
   std::map<int64_t, std::vector<double>> latencies_by_bucket;
@@ -939,7 +876,7 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
           for (const int64_t idx : stream.span) {
             span_tokens += requests[static_cast<size_t>(idx)].x.dim(0);
           }
-          stream.hb_bucket.store(
+          stream.hb_rows.store(
               window > 1 ? BucketTokensPow2(span_tokens, kMinBatchBucket) : span_tokens,
               std::memory_order_relaxed);
           stream.hb_active.store(true, std::memory_order_release);

@@ -4,11 +4,19 @@
 // served one request stream: a plan's arena was its execution state, so a
 // second in-flight forward had to wait. This engine exploits the plan/context
 // split: every stream holds private ExecutionContexts over the stack's shared
-// plans (one per layer per served shape, pooled and reused across requests),
-// so N streams replay the same compiled plans concurrently with zero
+// plans, so N streams replay the same compiled plans concurrently with zero
 // cross-stream shared mutable state — inter-request parallelism, which is
 // where the hardware headroom is at serving-size shapes (small per-step
 // work leaves little for intra-op parallelism alone).
+//
+// Compile once, replay at any row count (Fig. 5; the token axis is a
+// PIT-axis of every row-wise op, §3.2): each stream holds exactly one stack
+// stream — one context per layer — over token-polymorphic plans compiled at
+// a capacity of max_batch_tokens rows (on the power-of-two grid), built on
+// first use and grown only when a longer request arrives. Every forward
+// binds its own row count: a packed batch replays at the power-of-two
+// bucket of its summed tokens, a 1:1 request at its exact length. Pooled
+// memory is therefore streams x one capacity stream, whatever the length mix.
 //
 // Continuous ragged batching (PR 6) applies the paper's micro-tile
 // permutation to the batch axis: a padded mixed-length batch is a dynamically
@@ -20,13 +28,14 @@
 // other, under its own mask, so attention costs sum(t_i^2) score entries
 // rather than sum(t)^2; padding rows belong to no segment), and
 // SWrite-scattering per-request outputs back. Packed batches are padded to
-// power-of-two sum-token buckets, so the plan pool holds O(log max_tokens)
-// keys instead of one per distinct request length. The batched result is
-// bitwise identical per request to 1:1 single-stream replay for dense
-// serving: every other kernel in the stack is row-independent (GEMM rows,
-// layernorm, residuals) and each segment runs exactly the attention calls of
-// its request served alone, so a request's rows cannot observe its batch
-// neighbours.
+// power-of-two sum-token buckets, so PIT's kernel cache (keyed on the exact
+// row count) sees O(log max_tokens) shapes instead of one per distinct sum;
+// padding rows are zeroed every pack. The batched result is bitwise
+// identical per request to 1:1 single-stream replay for dense serving:
+// every other kernel in the stack is row-independent (GEMM rows, layernorm,
+// residuals) and each segment runs exactly the attention calls of its
+// request served alone, so a request's rows cannot observe its batch
+// neighbours. A masked 1:1 request is one segment carrying its mask.
 //
 // Scheduling: one worker per stream on the task-capable ParallelFor pool
 // (ParallelTasks), each greedily pulling the next request span off a shared
@@ -50,7 +59,7 @@
 // overflow (kRejectedOverload), a deadline sweep sheds requests whose latency
 // budget lapsed while queued (kDeadlineExceeded), and injected or transient
 // infrastructure faults ride a degradation ladder — retry a failed plan
-// compile once, fall back to a transient unpooled context on pool
+// compile once, fall back to a transient unpooled stream on context
 // exhaustion, fall back to 1:1 unbatched serving on pack failure (dense;
 // PIT retries at identical batch composition since its kernel selection sees
 // the packed tile) — that ends in kOk or, only under persistent injected
@@ -63,7 +72,7 @@
 //
 // Liveness (PR 10): fault containment alone still hangs when work *stops*
 // instead of failing, so the engine carries the liveness half of isolation.
-// Every stream owns a CancelToken installed on its pooled contexts; plan
+// Every stream owns a CancelToken installed on its contexts; plan
 // replay polls it at step boundaries (kernels stay
 // uninterruptible), giving bounded time-to-release: deadlines are enforced
 // *in flight*, not just at claim time — a packed batch whose every member
@@ -90,10 +99,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,8 +181,10 @@ struct ServingEngineOptions {
   // per claim (the latency bound: a request waits for at most window - 1
   // batchmates); max_batch_tokens closes a batch early when admitting the
   // next request would push the packed row count past it (the compute bound;
-  // a single longer request forms its own batch). > 0: explicit. 0: 1
-  // (batching off — every request replays at its exact token count) and 512.
+  // a single longer request forms its own batch). max_batch_tokens also sets
+  // the row capacity every stream's plans are compiled at; a longer request
+  // grows it. > 0: explicit. 0: 1 (batching off — every request replays at
+  // its exact token count) and 512.
   int batch_window = 0;
   int max_batch_tokens = 0;
   // Default per-request latency budget in microseconds (requests may carry a
@@ -197,26 +206,21 @@ struct ServingEngineOptions {
   WatchdogMode watchdog_mode = WatchdogMode::kReport;
 };
 
-// Per-bucket plan-pool and service accounting. A "bucket" is the padded
-// token count a plan is keyed by: the power-of-two sum-token capacity of a
-// packed batch under ragged batching, or a request's exact token count when
-// serving 1:1 — so the bucket list is exactly the engine's plan-pool key
-// cardinality, and the 1:1 vs batched contrast (distinct lengths vs
-// O(log max) buckets) is directly observable.
+// Per-bucket service accounting. A "bucket" is the row count a forward
+// replays the stream's capacity plans at: the power-of-two sum-token bucket
+// of a packed batch under ragged batching, or a request's exact token count
+// when serving 1:1. Every serving stream holds one stack stream, so buckets
+// describe replay shapes, not plan sets.
 struct ServingBucketStats {
-  int64_t bucket = 0;           // padded token count (plan-pool key)
-  int64_t batches = 0;          // lifetime packed forwards at this bucket
+  int64_t bucket = 0;           // replayed row count
+  int64_t batches = 0;          // lifetime forwards at this row count
   int64_t requests = 0;         // lifetime requests served through them
   int64_t packed_tokens = 0;    // lifetime real token rows packed
   int64_t computed_tokens = 0;  // lifetime rows computed (batches x bucket)
-  // Pooled-stream lookups: hits reused a pooled plan+context set, misses
-  // built (and possibly compiled) one.
+  // Stack-stream acquisitions at this row count: hits replayed the built
+  // stream, misses built it (first use) or grew it (a longer request).
   int64_t plan_hits = 0;
   int64_t plan_misses = 0;
-  // ExecutionContexts currently pooled for this bucket across all streams,
-  // and the lifetime peak.
-  int64_t pool_contexts = 0;
-  int64_t pool_contexts_highwater = 0;
   // Nearest-rank latency percentiles of the last Serve call's kOk requests
   // that landed in this bucket (0 when none did).
   double p50_latency_us = 0.0;
@@ -274,9 +278,9 @@ struct ServingEngineStats {
   int64_t retries = 0;            // same-composition retry rungs taken
   int64_t degraded_forwards = 0;  // transient-context / 1:1-fallback rungs taken
   int64_t internal_failures = 0;  // forwards whose ladder exhausted (kInternal)
-  // Context/arena pool accounting: streams cache one context set per served
-  // bucket and reuse it across requests; high-water marks track the peak
-  // pinned footprint over the engine's lifetime.
+  // Context/arena pool accounting: each stream pins one context per layer
+  // at its capacity once it has served a request; high-water marks track the
+  // peak pinned footprint over the engine's lifetime.
   int64_t pool_contexts = 0;             // currently pooled ExecutionContexts
   int64_t pool_contexts_highwater = 0;
   int64_t pool_arena_bytes = 0;          // bytes pinned by pooled arenas
@@ -291,9 +295,9 @@ struct ServingEngineStats {
 
 // Drives a pinned PlannedTransformerStack (or PlannedFfnStack) over request
 // streams. The engine is itself single-caller (one Serve at a time); all
-// parallelism is internal. Streams and their context pools persist across
+// parallelism is internal. Streams and their stack streams persist across
 // Serve calls, so steady-state serving recompiles and reallocates nothing
-// for already-seen shapes.
+// for requests up to the capacity.
 class ServingEngine {
  public:
   explicit ServingEngine(const PlannedTransformerStack& stack,
@@ -353,6 +357,20 @@ class ServingEngine {
   // activation shape, deadline sign, mask shape (and absence for FFN
   // stacks), finiteness of activations and mask. Pure per-request.
   ServeStatus AdmissionStatus(const ServeRequest& request) const;
+  // Replays the first `rows` rows of `x` into `out` through the stream's
+  // one stack stream, with the stream's cancel token and — transformer
+  // stacks — its bound attention segments. The stack stream is built on
+  // first use, at the capacity (max_batch_tokens on the power-of-two grid),
+  // and grown when `rows` exceeds it; the hit or miss is tallied under
+  // `rows`. Carries the infrastructure fault taps: a context-acquire fault
+  // degrades to a transient stream over the same shared plans (same bits,
+  // nothing pinned afterwards); a plan-compile fault retries the build once.
+  // `retry_kernel_fault` retries a kernel-dispatch fault once (the 1:1
+  // rung); otherwise the fault stays pending for the caller's ladder. False
+  // when the retried build failed again (persistent faults; the old stack
+  // stream stays) or the retried forward faulted again.
+  bool ReplayStack(StreamState& stream, const Tensor& x, int64_t rows, Tensor* out,
+                   bool retry_kernel_fault);
   // Serves one request 1:1 with the kernel-fault retry rung; returns its
   // terminal status and records its bucket. `deadline_abs_us` is the
   // request's absolute steady-clock lapse time (CancelToken::kNoDeadline for
@@ -389,30 +407,10 @@ class ServingEngine {
                         const std::vector<int64_t>& span,
                         const std::vector<int64_t>& deadline_abs,
                         std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
-  // Pooled-stream acquisition with the infrastructure fault taps: a
-  // context-acquire fault degrades to a transient unpooled stream (same
-  // shared plans, same bits, nothing pinned afterwards — built into
-  // `transient`, which must outlive the forward); a plan-compile fault
-  // retries the build once. Returns nullptr only when the retried build
-  // failed again (persistent faults), for the caller's ladder.
-  template <typename Pool, typename Key, typename MakeStreamFn>
-  typename Pool::mapped_type* AcquireStream(StreamState& stream, Pool& pool, const Key& key,
-                                            MakeStreamFn&& make,
-                                            std::optional<typename Pool::mapped_type>& transient);
-  // Finds (or builds, evicting at the shape bound) the stream's pooled state
-  // for `key` — the one implementation of the lookup/evict/account protocol
-  // both stack types go through. Tallies the hit/miss and per-bucket context
-  // accounting. `make` returns an optional: nullopt (a failed injected
-  // build) enters nothing into the pool and returns nullptr.
-  template <typename Pool, typename Key, typename MakeStreamFn>
-  typename Pool::mapped_type* PooledStream(StreamState& stream, Pool& pool, const Key& key,
-                                           MakeStreamFn&& make);
-  // Moves the live pool totals (engine-wide and for `bucket`) by the given
-  // deltas and folds them into the high-water marks. Called from concurrent
-  // stream workers at the moment a pool entry is built or evicted — never
-  // per request — so the marks capture mid-Serve peaks, not just the
-  // Serve-end snapshot.
-  void AccountPool(int64_t bucket, int64_t contexts_delta, int64_t bytes_delta);
+  // Moves the live pool totals by the given deltas and folds them into the
+  // high-water marks. Called from concurrent stream workers when a stack
+  // stream is built or grown — never per request.
+  void AccountPool(int64_t contexts_delta, int64_t bytes_delta);
   // Folds the streams' per-bucket counters and the last Serve's per-request
   // (bucket, latency) pairs — kOk requests only — into stats_.buckets.
   void MergeBucketStats(const std::vector<int64_t>& bucket_of,
@@ -457,14 +455,13 @@ class ServingEngine {
   std::mutex serve_mu_;
   std::condition_variable serve_cv_;
   int serve_active_ = 0;  // guarded by serve_mu_
-  // Live pool totals + lifetime peaks, engine-wide and per bucket, updated
-  // by workers as pools change.
+  // Live pool totals + lifetime peaks, updated by workers as stack streams
+  // are built or grown.
   struct PoolLedger {
     int64_t contexts = 0;
     int64_t contexts_highwater = 0;
     int64_t arena_bytes = 0;
     int64_t arena_bytes_highwater = 0;
-    std::map<int64_t, std::pair<int64_t, int64_t>> buckets;  // live, highwater
   };
   std::mutex pool_mu_;
   PoolLedger pool_;  // guarded by pool_mu_

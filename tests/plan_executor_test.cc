@@ -1406,5 +1406,207 @@ TEST(SegmentAttentionTest, MalformedSegmentsAbort) {
   EXPECT_DEATH(run(masked, {{0, 4, {}}}), "unmasked plan");
 }
 
+// ---- Token-row replay -------------------------------------------------------
+//
+// A token-polymorphic plan compiled at a capacity replays at any row count
+// T <= capacity bound on its context. Each such replay must be bitwise equal
+// to a plan compiled at exactly T and to the eager oracle, whatever larger
+// replays left in the arena and whatever the feed carries past row T.
+
+constexpr int64_t kCapacity = 64;
+constexpr int64_t kReplayRows[] = {kCapacity, 1, 17, 3, 63, 16};  // smaller after larger
+
+// [kCapacity, cols] tile whose first rows are `x` and whose rows past them
+// are NaN: a replay that reads past its bound row count poisons its output.
+Tensor CapacityTile(const Tensor& x) {
+  Tensor tile = Tensor::Full({kCapacity, x.dim(1)}, std::nanf(""));
+  std::copy(x.data(), x.data() + x.size(), tile.data());
+  return tile;
+}
+
+TEST(TokenRowsReplayTest, EncoderLayerBelowCapacityMatchesExactPlanAndEager) {
+  constexpr int64_t kHidden = 32;
+  Rng wr(301);
+  TransformerEncoderLayer layer(kHidden, 4, 96, wr);
+  Rng rng(302);
+  for (const bool pit : {false, true}) {
+    for (const bool segmented : {false, true}) {
+      SCOPED_TRACE(std::string(pit ? "pit" : "dense") + (segmented ? " segmented" : " whole"));
+      TransformerEncoderLayer::Stream cap = layer.MakeStream(kCapacity, /*masked=*/false, pit);
+      ASSERT_TRUE(cap.plan->token_polymorphic());
+      ASSERT_EQ(cap.plan->token_extent(), kCapacity);
+      PitCompiler compiler(V100());
+      PitCompiler* pc = pit ? &compiler : nullptr;
+      // Poison the whole arena first: NaN rows left by a full-capacity
+      // replay must never reach a later, smaller one.
+      Tensor out_cap({kCapacity, kHidden});
+      layer.ForwardWith(cap, Tensor::Full({kCapacity, kHidden}, std::nanf("")), nullptr, pc,
+                        &out_cap);
+      for (const int64_t rows : kReplayRows) {
+        const Tensor x = Tensor::Random({rows, kHidden}, rng);
+        const Tensor tile = CapacityTile(x);
+        const Partition part =
+            segmented ? RandomPartition(rows, rng) : Partition{{{0, rows, {}}}, {nullptr}, {}};
+        TransformerEncoderLayer::Stream exact = layer.MakeStream(rows, /*masked=*/false, pit);
+        cap.ctx->set_attention_segments(part.segments);
+        exact.ctx->set_attention_segments(part.segments);
+        for (const IsaTier isa : {ActiveIsa(), IsaTier::kScalar}) {
+          ScopedIsa tier(isa);
+          std::vector<Tensor> eager;
+          for (size_t s = 0; s < part.segments.size(); ++s) {
+            const AttentionSegment& seg = part.segments[s];
+            eager.push_back(layer.ForwardEager(Rows(x, seg.offset, seg.length), part.masks[s]));
+          }
+          for (int threads : {1, 4, 7}) {
+            ScopedNumThreads scoped(threads);
+            Tensor want({rows, kHidden});
+            layer.ForwardWith(exact, x, nullptr, pc, &want);
+            layer.ForwardWith(cap, tile, nullptr, pc, &out_cap, rows);
+            const Tensor got = Rows(out_cap, 0, rows);
+            ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(got, want))
+                << "rows " << rows << " isa " << IsaName(isa) << " threads " << threads;
+            for (size_t s = 0; s < part.segments.size(); ++s) {
+              ASSERT_TRUE(RowsBitwiseEqual(got, part.segments[s].offset, eager[s]))
+                  << "rows " << rows << " segment " << s << " isa " << IsaName(isa)
+                  << " threads " << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TokenRowsReplayTest, FfnPlansBelowCapacityMatchExactPlanAndEager) {
+  // hidden == capacity: the weights' leading dim equals the token extent, so
+  // only provenance (not size) can tell token-major values from weights.
+  constexpr int64_t kHidden = kCapacity;
+  Rng wr(311);
+  PlannedFfnStack stack(2, kHidden, 96, wr);
+  Rng rng(312);
+  for (const bool pit : {false, true}) {
+    SCOPED_TRACE(pit ? "pit" : "dense");
+    PlannedFfnStack::Stream cap = stack.MakeStream(kCapacity, pit);
+    for (const auto& plan : cap.plans) {
+      ASSERT_TRUE(plan->token_polymorphic());
+      ASSERT_EQ(plan->token_extent(), kCapacity);
+    }
+    PitCompiler compiler(V100());
+    PitCompiler* pc = pit ? &compiler : nullptr;
+    Tensor out_cap({kCapacity, kHidden});
+    stack.ForwardWith(cap, Tensor::Full({kCapacity, kHidden}, std::nanf("")), pc, &out_cap);
+    for (const int64_t rows : kReplayRows) {
+      const Tensor x = Tensor::Random({rows, kHidden}, rng);
+      const Tensor tile = CapacityTile(x);
+      PlannedFfnStack::Stream exact = stack.MakeStream(rows, pit);
+      for (const IsaTier isa : {ActiveIsa(), IsaTier::kScalar}) {
+        ScopedIsa tier(isa);
+        const Tensor eager = stack.ForwardEager(x);
+        for (int threads : {1, 4, 7}) {
+          ScopedNumThreads scoped(threads);
+          Tensor want({rows, kHidden});
+          stack.ForwardWith(exact, x, pc, &want);
+          stack.ForwardWith(cap, tile, pc, &out_cap, rows);
+          const Tensor got = Rows(out_cap, 0, rows);
+          ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(got, want))
+              << "rows " << rows << " isa " << IsaName(isa) << " threads " << threads;
+          ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(got, eager))
+              << "rows " << rows << " isa " << IsaName(isa) << " threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(TokenRowsReplayTest, TransformerStackStagesAtCapacityBitwise) {
+  // Stack-level replay: each layer's output stages into a capacity-sized
+  // buffer that feeds the next layer with more rows than T.
+  Rng wr(321);
+  PlannedTransformerStack stack(2, 32, 4, 96, wr);
+  PlannedTransformerStack::Stream cap = stack.MakeStream(kCapacity, /*masked=*/false);
+  Rng rng(322);
+  Tensor out_cap({kCapacity, 32});
+  for (const int64_t rows : kReplayRows) {
+    const Tensor x = Tensor::Random({rows, 32}, rng);
+    const Tensor eager = stack.ForwardEager(x);
+    for (int threads : {1, 4}) {
+      ScopedNumThreads scoped(threads);
+      stack.ForwardWith(cap, CapacityTile(x), nullptr, nullptr, &out_cap, rows);
+      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(Rows(out_cap, 0, rows), eager))
+          << "rows " << rows << " threads " << threads;
+    }
+  }
+}
+
+// The pre-kAttention head-split attention chain, unmasked: reshape to heads,
+// transpose, kBatchMatmul scores, softmax, kBatchMatmul context, merge.
+Graph HeadSplitChain(int64_t tokens) {
+  Graph g;
+  const int x = g.AddInput("x", {tokens, 8});
+  const int heads = g.AddTranspose("heads", g.AddReshape("split", x, {tokens, 2, 4}), 0, 1);
+  const int scores = g.AddBatchMatmul("scores", heads, g.AddTranspose("kt", heads, 1, 2));
+  const int ctx = g.AddBatchMatmul("ctx", g.AddSoftmax("probs", scores), heads);
+  g.AddReshape("flat", g.AddTranspose("merge", ctx, 0, 1), {tokens, 8});
+  return g;
+}
+
+TEST(TokenRowsReplayTest, PolymorphismIsDerivedFromProvenance) {
+  Rng wr(331);
+  TransformerEncoderLayer layer(16, 2, 32, wr);
+  EXPECT_TRUE(layer.MakeStream(32, /*masked=*/false).plan->token_polymorphic());
+  // A [T, T] mask feed indexes tokens on both axes.
+  EXPECT_FALSE(layer.MakeStream(32, /*masked=*/true).plan->token_polymorphic());
+  // The head-split chain moves the token axis off the front.
+  EXPECT_FALSE(HeadSplitChain(8).Plan().token_polymorphic());
+  // x * x^T reads across rows through a token-dependent right operand.
+  Graph gram;
+  const int x = gram.AddInput("x", {8, 8});
+  gram.AddMatmul("gram", x, gram.AddTranspose("x_t", x, 0, 1));
+  EXPECT_FALSE(gram.Plan().token_polymorphic());
+  // A weight-only chain is constant, whatever its leading dim.
+  Graph affine;
+  const int a = affine.AddInput("x", {8, 8});
+  const int w = affine.AddWeight("w", Tensor::Full({8, 8}, 0.5f));
+  const int w_relu = affine.AddRelu("w_relu", w);
+  const int xw = affine.AddMatmul("xw", a, w_relu);
+  affine.AddAdd("y", xw, a);
+  const ExecutionPlan& plan = affine.Plan();
+  EXPECT_TRUE(plan.token_polymorphic());
+  EXPECT_TRUE(plan.token_major(a));
+  EXPECT_TRUE(plan.token_major(xw));
+  EXPECT_FALSE(plan.token_major(w));
+  EXPECT_FALSE(plan.token_major(w_relu));
+}
+
+TEST(TokenRowsReplayTest, RowCountsThePlanCannotReplayAbort) {
+  // Forks while the worker pool may be live: use the re-executing style.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng wr(341);
+  TransformerEncoderLayer layer(16, 2, 32, wr);
+  Rng rng(342);
+  const Tensor x = Tensor::Random({16, 16}, rng);
+  const Tensor mask = Tensor::Full({4, 4}, 1.0f);
+  const auto replay = [&](bool masked, int64_t rows) {
+    TransformerEncoderLayer::Stream stream = layer.MakeStream(8, masked);
+    Tensor out({16, 16});
+    layer.ForwardWith(stream, x, masked ? &mask : nullptr, nullptr, &out, rows);
+  };
+  EXPECT_DEATH(replay(false, 9), "exceed the plan's capacity");
+  EXPECT_DEATH(replay(true, 4), "not token-polymorphic");
+
+  // The explicit kBatchMatmul attention chain only replays at its extent.
+  Graph chain = HeadSplitChain(8);
+  const std::map<std::string, Tensor> feeds{{"x", Tensor::Random({8, 8}, rng)}};
+  const auto run_chain = [&](int64_t rows) {
+    std::shared_ptr<ExecutionPlan> plan = chain.PlanShared();
+    ExecutionContext ctx(*plan);
+    ctx.set_token_rows(rows);
+    (void)plan->RunWith(ctx, feeds);
+  };
+  EXPECT_DEATH(run_chain(4), "not token-polymorphic");
+  EXPECT_DEATH(run_chain(9), "exceed the plan's capacity");
+  run_chain(8);  // the extent itself replays
+}
+
 }  // namespace
 }  // namespace pit

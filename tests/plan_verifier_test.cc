@@ -2,8 +2,9 @@
 //
 // Two halves, matching the verifier's contract:
 //   * Positive sweep — every OpKind, fused/in-place/PIT/masked/batched plans,
-//     the randomized-graph fuzzer's generator, and the serving engine's
-//     pooled plans must all verify with zero violations.
+//     token-polymorphic capacity plans, the randomized-graph fuzzer's
+//     generator, and the serving engine's stream plans must all verify with
+//     zero violations.
 //     A false positive here would turn the compile hook into a build breaker.
 //   * Corrupted-plan negative suite — each invariant class is violated once,
 //     through the PlanCorruptor test seam, and the verifier must report that
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -171,6 +173,25 @@ TEST(PlanVerifierTest, FusedAndPitFfnPlansHaveZeroViolations) {
   EXPECT_TRUE(Verify(pit_plan).ok()) << Verify(pit_plan).ToString();
 }
 
+TEST(PlanVerifierTest, TokenPolymorphicCapacityPlansHaveZeroViolations) {
+  // The plans a serving stream compiles at its capacity and replays at every
+  // smaller row count: encoder layers and FFN stacks, dense and PIT.
+  Rng rng(806);
+  TransformerEncoderLayer layer(32, 4, 96, rng);
+  PlannedFfnStack ffn(2, 32, 96, rng);
+  for (const bool pit : {false, true}) {
+    std::vector<std::shared_ptr<ExecutionPlan>> plans = ffn.MakeStream(64, pit).plans;
+    plans.push_back(layer.MakeStream(64, /*masked=*/false, pit).plan);
+    for (const auto& plan : plans) {
+      EXPECT_TRUE(plan->token_polymorphic());
+      const PlanVerifyReport report = Verify(*plan);
+      EXPECT_TRUE(report.ok()) << (pit ? "pit: " : "dense: ") << report.ToString();
+    }
+  }
+  Graph g = BuildFfnGraph(48, 16, 64, rng);
+  EXPECT_TRUE(g.Plan().token_polymorphic());
+}
+
 TEST(PlanVerifierTest, IndependentPitMatmulsVerifyClean) {
   Rng rng(807);
   std::vector<MatmulDecision> decisions;
@@ -255,8 +276,8 @@ TEST(PlanVerifierTest, RandomizedGraphsAllVerifyClean) {
 }
 
 TEST(PlanVerifierTest, CompileHookAndPooledServingVerifyUnderForcedOn) {
-  // PIT_VERIFY_PLAN=on: every plan compile and every serving-pool entry runs
-  // VerifyPlanOrDie. Serving a healthy engine to completion proves the hooks
+  // PIT_VERIFY_PLAN=on: every plan compile and every serving stream build
+  // runs VerifyPlanOrDie. Serving a healthy engine to completion proves the hooks
   // fire on valid plans without killing the process.
   ScopedPlanVerify on(PlanVerifyMode::kOn);
   Rng rng(813);
@@ -446,6 +467,35 @@ TEST(PlanVerifierCorruptionTest, InflatedStatsReportStatsMismatch) {
   EXPECT_TRUE(report.Has(PlanViolationKind::kStatsMismatch)) << report.ToString();
 }
 
+TEST(PlanVerifierCorruptionTest, TransposeClaimingPolymorphismReportsTokenRows) {
+  // The all-ops plan transposes token data, so it replays only at its extent;
+  // claiming polymorphism would let it replay fewer rows through a step that
+  // moves the token axis.
+  Rng rng(844);
+  Graph g = BuildAllOpsGraph(rng);
+  ExecutionPlan plan(g, nullptr);
+  ASSERT_FALSE(plan.token_polymorphic());
+  ASSERT_TRUE(Verify(plan).ok());
+  PlanCorruptor::token_polymorphic(plan) = true;
+  const PlanVerifyReport report = Verify(plan);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Has(PlanViolationKind::kTokenRows)) << report.ToString();
+}
+
+TEST(PlanVerifierCorruptionTest, WeightMarkedTokenMajorReportsTokenRows) {
+  // A weight marked token-major would be viewed with T rows at replay.
+  Rng rng(846);
+  Graph g = BuildFfnGraph(32, 32, 64, rng);
+  ExecutionPlan plan(g, nullptr);
+  ASSERT_TRUE(plan.token_polymorphic());
+  const int w_up = 1;
+  ASSERT_EQ(g.node(w_up).kind, OpKind::kWeight);
+  PlanCorruptor::token_major(plan)[w_up] = 1;
+  const PlanVerifyReport report = Verify(plan);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Has(PlanViolationKind::kTokenRows)) << report.ToString();
+}
+
 TEST(PlanVerifierCorruptionTest, EveryCleanReportHasNoViolationOfAnyClass) {
   // Guard against Has() giving vacuous positives: a clean report must carry
   // none of the classes the suite above asserts.
@@ -458,7 +508,8 @@ TEST(PlanVerifierCorruptionTest, EveryCleanReportHasNoViolationOfAnyClass) {
        {PlanViolationKind::kMalformedStep, PlanViolationKind::kArenaOutOfBounds,
         PlanViolationKind::kMisalignedOffset, PlanViolationKind::kClobberedRead,
         PlanViolationKind::kDanglingStorage, PlanViolationKind::kFeedBinding,
-        PlanViolationKind::kFusedStep, PlanViolationKind::kStatsMismatch}) {
+        PlanViolationKind::kFusedStep, PlanViolationKind::kStatsMismatch,
+        PlanViolationKind::kTokenRows}) {
     EXPECT_FALSE(report.Has(kind)) << PlanViolationKindName(kind);
   }
 }

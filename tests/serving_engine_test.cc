@@ -1,7 +1,8 @@
 // Differential suite for the multi-stream serving engine: per-request outputs
 // must be bitwise identical to single-stream replay (and to the stacks' eager
 // oracles) for any (streams x thread count) combination, across
-// mixed request shapes, masked and unmasked, with reused context pools. The
+// mixed request shapes, masked and unmasked, over each stream's one reused
+// capacity stack stream. The
 // suite runs under TSan in CI: concurrent streams over shared immutable plans
 // must be provably race-free, not just stable on one machine.
 #include <gtest/gtest.h>
@@ -71,6 +72,8 @@ RequestMix BuildMix(int64_t hidden, const std::vector<int64_t>& token_counts, in
 }
 
 TEST(ServingEngineTest, MatchesEagerAcrossStreamsAndThreads) {
+  // Masked requests replay as one attention segment carrying their mask on
+  // the same unmasked capacity plans as the unmasked ones.
   Rng wr(1);
   PlannedTransformerStack stack(2, 32, 4, 96, wr);
   RequestMix mix = BuildMix(32, {8, 12, 16}, 4, 2);
@@ -144,59 +147,146 @@ TEST(ServingEngineTest, RandomizedRequestMixFuzzMatchesSingleStream) {
   }
 }
 
-TEST(ServingEngineTest, ContextPoolsReuseAndReportHighWater) {
+int64_t TotalPlanMisses(const ServingEngineStats& stats) {
+  int64_t misses = 0;
+  for (const ServingBucketStats& b : stats.buckets) {
+    misses += b.plan_misses;
+  }
+  return misses;
+}
+
+// Streams that served at least one request, and therefore built their stack
+// stream (greedy claiming may leave a stream idle on a small request mix).
+int64_t ActiveStreams(const ServingEngineStats& stats) {
+  int64_t active = 0;
+  for (int64_t r : stats.per_stream_requests) {
+    active += r > 0 ? 1 : 0;
+  }
+  return active;
+}
+
+// Every serving stream holds exactly one stack stream, compiled at the
+// capacity (the batch token budget on the power-of-two grid) and built on
+// first use: the pool is one context per layer per active stream, each
+// pinning the capacity plan's arena, and a second Serve builds nothing.
+TEST(ServingEngineTest, OneCapacityStreamPerServingStream) {
   Rng wr(5);
   PlannedTransformerStack stack(2, 16, 2, 48, wr);
   RequestMix mix = BuildMix(16, {8, 12}, 3, 6);
+  const int64_t capacity_bytes = stack.StatsFor(512).arena_bytes;
 
   ScopedNumThreads threads(2);
-  ServingEngineOptions options;
-  options.num_streams = 2;
-  ServingEngine engine(stack, options);
-  engine.Serve(mix.requests);
-  const ServingEngineStats first = engine.stats();
-  EXPECT_EQ(first.requests, static_cast<int64_t>(mix.requests.size()));
-  EXPECT_EQ(first.num_streams, 2);
-  EXPECT_GT(first.requests_per_sec, 0.0);
-  EXPECT_GE(first.p99_latency_us, first.p50_latency_us);
-  EXPECT_LE(first.p99_latency_us, first.wall_us);
-  // Pools exist and the high-water covers the current footprint. Each stream
-  // pools at most one context set per (tokens, masked?) it actually served.
-  EXPECT_GT(first.pool_contexts, 0);
-  EXPECT_GT(first.pool_arena_bytes, 0);
-  EXPECT_GE(first.pool_contexts_highwater, first.pool_contexts);
-  EXPECT_GE(first.pool_arena_bytes_highwater, first.pool_arena_bytes);
-  const int64_t max_sets = 2 * 4;  // streams x (2 token counts x masked?)
-  EXPECT_LE(first.pool_contexts, max_sets * stack.layers());
-  int64_t assigned = 0;
-  for (int64_t r : first.per_stream_requests) {
-    assigned += r;
+  for (int streams : {1, 2}) {
+    SCOPED_TRACE(streams);
+    ServingEngineOptions options;
+    options.num_streams = streams;
+    ServingEngine engine(stack, options);
+    engine.Serve(mix.requests);
+    const ServingEngineStats first = engine.stats();
+    EXPECT_EQ(first.requests, static_cast<int64_t>(mix.requests.size()));
+    EXPECT_EQ(first.num_streams, streams);
+    EXPECT_GT(first.requests_per_sec, 0.0);
+    EXPECT_GE(first.p99_latency_us, first.p50_latency_us);
+    EXPECT_LE(first.p99_latency_us, first.wall_us);
+    int64_t assigned = 0;
+    for (int64_t r : first.per_stream_requests) {
+      assigned += r;
+    }
+    EXPECT_EQ(assigned, first.requests);
+    const int64_t active = ActiveStreams(first);
+    EXPECT_GE(active, 1);
+    EXPECT_EQ(TotalPlanMisses(first), active);
+    EXPECT_EQ(first.pool_contexts, active * stack.layers());
+    EXPECT_EQ(first.pool_arena_bytes, active * capacity_bytes);
+    EXPECT_EQ(first.pool_arena_bytes_highwater, first.pool_arena_bytes);
+    EXPECT_EQ(first.pool_contexts_highwater, first.pool_contexts);
+
+    // A second Serve replays the built streams; a stream meets its first
+    // request here at most once (claiming is timing-dependent), so misses
+    // still equal the active stream count.
+    engine.Serve(mix.requests);
+    const ServingEngineStats second = engine.stats();
+    EXPECT_EQ(second.requests, 2 * first.requests);
+    EXPECT_EQ(TotalPlanMisses(second), ActiveStreams(second));
+    EXPECT_EQ(second.pool_contexts, ActiveStreams(second) * stack.layers());
+    EXPECT_EQ(second.pool_arena_bytes, ActiveStreams(second) * capacity_bytes);
+    if (streams == 1) {
+      EXPECT_EQ(TotalPlanMisses(second), TotalPlanMisses(first));  // zero new misses
+    }
   }
-  EXPECT_EQ(assigned, first.requests);
+}
 
-  // A second Serve over the same shapes at most fills pool gaps (the greedy
-  // request claiming is timing-dependent, so a stream may meet a shape for
-  // the first time here): the pool never exceeds the per-shape bound and the
-  // high-water only moves up.
-  engine.Serve(mix.requests);
-  const ServingEngineStats second = engine.stats();
-  EXPECT_EQ(second.requests, 2 * first.requests);
-  EXPECT_GE(second.pool_contexts, first.pool_contexts);
-  EXPECT_LE(second.pool_contexts, max_sets * stack.layers());
-  EXPECT_GE(second.pool_arena_bytes_highwater, first.pool_arena_bytes_highwater);
+// 1:1 serving over more distinct lengths than any shape-keyed pool would
+// hold: each replays the stream's one capacity plan set at its exact length,
+// so each stream builds once, and every output is bitwise the eager oracle.
+TEST(ServingEngineTest, OneToOneOverManyLengthsBuildsOncePerStream) {
+  Rng wr(13);
+  PlannedTransformerStack stack(2, 16, 2, 48, wr);
+  Rng rr(14);
+  std::vector<Tensor> masks;
+  masks.reserve(40);
+  std::vector<ServeRequest> requests;
+  for (int64_t tokens = 3; tokens < 43; ++tokens) {
+    ServeRequest req;
+    req.x = Tensor::Random({tokens, 16}, rr);
+    if (tokens % 3 == 0) {
+      masks.push_back(MakeMask(tokens, rr));
+      req.attn_mask = &masks.back();
+    }
+    requests.push_back(std::move(req));
+  }
+  std::vector<Tensor> expected;
+  for (const ServeRequest& req : requests) {
+    expected.push_back(stack.ForwardEager(req.x, req.attn_mask));
+  }
+  ScopedNumThreads threads(4);
+  for (int streams : {1, 3}) {
+    SCOPED_TRACE(streams);
+    ServingEngineOptions options;
+    options.num_streams = streams;
+    ServingEngine engine(stack, options);
+    std::vector<Tensor> outputs = engine.Serve(requests);
+    for (size_t i = 0; i < outputs.size(); ++i) {
+      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
+    }
+    const ServingEngineStats& stats = engine.stats();
+    EXPECT_EQ(stats.buckets.size(), requests.size());  // one replay row count per length
+    EXPECT_EQ(TotalPlanMisses(stats), ActiveStreams(stats));
+    EXPECT_EQ(stats.pool_contexts, ActiveStreams(stats) * stack.layers());
+  }
+}
 
-  // A single-stream engine claims deterministically: its pool is complete
-  // after one Serve and strictly reused afterwards — zero growth.
-  ServingEngineOptions one;
-  one.num_streams = 1;
-  ServingEngine single(stack, one);
-  single.Serve(mix.requests);
-  const ServingEngineStats s1 = single.stats();
-  single.Serve(mix.requests);
-  const ServingEngineStats s2 = single.stats();
-  EXPECT_EQ(s2.pool_contexts, s1.pool_contexts);
-  EXPECT_EQ(s2.pool_arena_bytes, s1.pool_arena_bytes);
-  EXPECT_EQ(s2.pool_arena_bytes_highwater, s1.pool_arena_bytes_highwater);
+// A 1:1 request longer than the capacity grows the stream once, to the next
+// power of two; shorter and equally long requests then replay it.
+TEST(ServingEngineTest, LongRequestGrowsTheStreamOnce) {
+  Rng wr(15);
+  PlannedTransformerStack stack(2, 16, 2, 48, wr);
+  Rng rr(16);
+  std::vector<ServeRequest> requests;
+  for (int64_t tokens : {8, 20, 48, 50, 5, 64}) {
+    ServeRequest req;
+    req.x = Tensor::Random({tokens, 16}, rr);
+    requests.push_back(std::move(req));
+  }
+  ServingEngineOptions options;
+  options.num_streams = 1;
+  options.max_batch_tokens = 32;  // capacity 32
+  ServingEngine engine(stack, options);
+  std::vector<Tensor> outputs = engine.Serve(requests);
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], stack.ForwardEager(requests[i].x)))
+        << "request " << i;
+  }
+  const ServingEngineStats& stats = engine.stats();
+  ASSERT_EQ(stats.buckets.size(), requests.size());
+  EXPECT_EQ(TotalPlanMisses(stats), 2);  // built at 8 tokens, grown at 48
+  EXPECT_EQ(stats.buckets[0].bucket, 5);
+  EXPECT_EQ(stats.buckets[0].plan_hits, 1);
+  EXPECT_EQ(stats.buckets[1].plan_misses, 1);  // 8: first use
+  EXPECT_EQ(stats.buckets[3].plan_misses, 1);  // 48: past capacity 32
+  EXPECT_EQ(stats.pool_contexts, stack.layers());
+  EXPECT_EQ(stats.pool_arena_bytes, stack.StatsFor(64).arena_bytes);
+  EXPECT_GE(stats.pool_arena_bytes_highwater, stats.pool_arena_bytes);
 }
 
 TEST(ServingEngineTest, FfnStackServingMatchesEager) {
@@ -433,14 +523,14 @@ TEST(RaggedBatchingTest, PitBatchedServingMatchesSingleStreamBatched) {
   }
 }
 
-TEST(RaggedBatchingTest, StatsReportBucketsUtilizationAndPlanReuse) {
+TEST(RaggedBatchingTest, StatsReportReplayRowCountsAndOneBuild) {
   Rng wr(29);
   PlannedTransformerStack stack(2, 16, 2, 48, wr);
   RequestMix mix = BuildMix(16, {5, 9, 13}, 4, 30);
 
   // Single stream: claims (and therefore the batch -> stream mapping) are
   // deterministic, so the second-pass pure-hit assertions below cannot be
-  // perturbed by which stream first meets a bucket.
+  // perturbed by which stream serves a batch.
   ScopedNumThreads threads(2);
   ServingEngineOptions options;
   options.num_streams = 1;
@@ -462,36 +552,33 @@ TEST(RaggedBatchingTest, StatsReportBucketsUtilizationAndPlanReuse) {
   for (const ServingBucketStats& b : stats.buckets) {
     EXPECT_GT(b.bucket, prev_bucket);  // ascending, distinct
     prev_bucket = b.bucket;
-    // Power-of-two bucket grid, floored at 16.
+    // Power-of-two replay row counts, floored at 16.
     EXPECT_GE(b.bucket, 16);
     EXPECT_EQ(b.bucket & (b.bucket - 1), 0) << "bucket " << b.bucket;
     EXPECT_GE(b.requests, b.batches);
     EXPECT_GE(b.packed_tokens, b.batches);  // at least one real row per batch
     EXPECT_EQ(b.computed_tokens, b.batches * b.bucket);
-    EXPECT_GE(b.plan_misses, 1);  // someone compiled the bucket's plan
-    EXPECT_GE(b.pool_contexts_highwater, b.pool_contexts);
+    EXPECT_EQ(b.plan_hits + b.plan_misses, b.batches);
     EXPECT_GE(b.p99_latency_us, b.p50_latency_us);
     bucket_requests += b.requests;
   }
   EXPECT_EQ(bucket_requests, stats.requests);
+  // One stack stream, built once at capacity 64 (the 40-token budget on the
+  // power-of-two grid), whatever buckets the batches replay at.
+  EXPECT_EQ(TotalPlanMisses(stats), 1);
+  EXPECT_EQ(stats.pool_contexts, stack.layers());
+  EXPECT_EQ(stats.pool_arena_bytes, stack.StatsFor(64).arena_bytes);
 
-  // A second pass over the same mix composes the same batches: pure plan-pool
-  // hits, no new misses, unchanged pooled contexts.
-  std::vector<int64_t> misses_before;
-  for (const ServingBucketStats& b : stats.buckets) {
-    misses_before.push_back(b.plan_misses);
-  }
-  const int64_t contexts_before = stats.pool_contexts;
+  // A second pass over the same mix composes the same batches: pure hits.
   engine.Serve(mix.requests);
   const ServingEngineStats& again = engine.stats();
-  EXPECT_EQ(again.pool_contexts, contexts_before);
-  ASSERT_EQ(again.buckets.size(), misses_before.size());
+  EXPECT_EQ(TotalPlanMisses(again), 1);
+  EXPECT_EQ(again.pool_contexts, stack.layers());
   int64_t hits = 0;
-  for (size_t i = 0; i < again.buckets.size(); ++i) {
-    EXPECT_EQ(again.buckets[i].plan_misses, misses_before[i]) << "bucket " << i;
-    hits += again.buckets[i].plan_hits;
+  for (const ServingBucketStats& b : again.buckets) {
+    hits += b.plan_hits;
   }
-  EXPECT_GT(hits, 0);
+  EXPECT_EQ(hits, again.batches - 1);
 }
 
 // ---- fault containment (PR 9) ----------------------------------------------

@@ -11,6 +11,7 @@
 //                                      the static plan verifier over each
 //   pitctl chaos [seed]                randomized fault-injection matrix over
 //                                      the serving engine (CI containment gate)
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -120,9 +121,11 @@ void PrintPlan(int64_t m, int64_t k, int64_t n, int64_t gm, int64_t gn, double s
 // OpKind through one graph, fusion and in-place reuse engaged), masked +
 // batched multi-head attention (independent q/k/v projections, reshape/transpose
 // aliasing, broadcast mask softmax), the fused FFN, the PIT-decision FFN
-// (sparse steps), and the encoder-layer plan the serving engine replays with
-// per-request attention segments — and runs the independent static verifier
-// over each.
+// (sparse steps) — and runs the independent static verifier over each. Then
+// it compiles the plans a serving stream replays at every batch's row count
+// (encoder layer and FFN, dense and PIT, at the engine's default 512-row
+// capacity): each must verify, be token-polymorphic, and replay below its
+// capacity bitwise equal to a plan compiled at exactly that row count.
 // Machine-grep-able output (`verify=ok`) plus a non-zero exit on any
 // violation, for CI gating.
 
@@ -224,10 +227,47 @@ int PrintVerify() {
   for (Case& c : cases) {
     verify(c.name, ExecutionPlan(c.graph, c.decisions.empty() ? nullptr : &c.decisions));
   }
-  // The encoder-layer plan the serving engine replays over packed tiles with
-  // one attention segment per request.
-  const TransformerEncoderLayer layer(/*hidden=*/64, /*heads=*/4, /*ffn_hidden=*/256, rng);
-  verify("segmented_encoder_layer", *layer.MakeStream(/*tokens=*/128, /*masked=*/false).plan);
+  // The serving engine's capacity plans, replayed below capacity the way a
+  // packed batch or a 1:1 request replays them.
+  constexpr int64_t kCapacity = 512;
+  constexpr int64_t kRows = 37;
+  const PlannedTransformerStack encoder(/*layers=*/1, /*hidden=*/64, /*heads=*/4,
+                                        /*ffn_hidden=*/256, rng);
+  const PlannedFfnStack ffn(/*layers=*/1, /*hidden=*/64, /*ffn_hidden=*/256, rng);
+  const Tensor x = Tensor::Random({kRows, 64}, rng);
+  Tensor tile({kCapacity, 64});
+  std::copy(x.data(), x.data() + x.size(), tile.data());
+  const auto replay = [&total](const char* name, const ExecutionPlan& plan, const Tensor& got,
+                               const Tensor& want) {
+    const bool bitwise =
+        std::memcmp(got.data(), want.data(), static_cast<size_t>(want.size()) * sizeof(float)) ==
+        0;
+    std::printf("plan=%s token_polymorphic=%d replay_rows=%lld of %lld bitwise=%d\n", name,
+                plan.token_polymorphic() ? 1 : 0, static_cast<long long>(kRows),
+                static_cast<long long>(plan.token_extent()), bitwise ? 1 : 0);
+    total += (plan.token_polymorphic() ? 0 : 1) + (bitwise ? 0 : 1);
+  };
+  for (const bool pit : {false, true}) {
+    PitCompiler compiler(V100());
+    PitCompiler* pc = pit ? &compiler : nullptr;
+    Tensor got({kCapacity, 64});
+    Tensor want({kRows, 64});
+    PlannedTransformerStack::Stream cap = encoder.MakeStream(kCapacity, /*masked=*/false, pit);
+    PlannedTransformerStack::Stream exact = encoder.MakeStream(kRows, /*masked=*/false, pit);
+    const char* encoder_name = pit ? "capacity_encoder_pit" : "capacity_encoder_dense";
+    verify(encoder_name, *cap.layers[0].plan);
+    encoder.ForwardWith(cap, tile, nullptr, pc, &got, kRows);
+    encoder.ForwardWith(exact, x, nullptr, pc, &want);
+    replay(encoder_name, *cap.layers[0].plan, got, want);
+
+    PlannedFfnStack::Stream ffn_cap = ffn.MakeStream(kCapacity, pit);
+    PlannedFfnStack::Stream ffn_exact = ffn.MakeStream(kRows, pit);
+    const char* ffn_name = pit ? "capacity_ffn_pit" : "capacity_ffn_dense";
+    verify(ffn_name, *ffn_cap.plans[0]);
+    ffn.ForwardWith(ffn_cap, tile, pc, &got, kRows);
+    ffn.ForwardWith(ffn_exact, x, pc, &want);
+    replay(ffn_name, *ffn_cap.plans[0], got, want);
+  }
   std::printf("verify=%s\n", total == 0 ? "ok" : "fail");
   return total == 0 ? 0 : 1;
 }
