@@ -11,14 +11,7 @@ namespace {
 
 constexpr int kUnresolved = -1;
 
-ComputeBackend DefaultBackend() {
-  if (const char* env = std::getenv("PIT_BACKEND")) {
-    return ParseBackendEnv(env);
-  }
-  return ComputeBackend::kBlocked;
-}
-
-std::atomic<int> g_backend{kUnresolved};
+std::atomic<int> g_backend{static_cast<int>(ComputeBackend::kBlocked)};
 
 IsaTier DefaultIsa() {
   if (const char* env = std::getenv("PIT_ISA")) {
@@ -40,24 +33,8 @@ std::atomic<int> g_plan_verify{kUnresolved};
 
 }  // namespace
 
-ComputeBackend ParseBackendEnv(const char* value) {
-  PIT_CHECK(value != nullptr && *value != '\0')
-      << "PIT_BACKEND is set but empty; expected \"blocked\" or \"reference\"";
-  if (std::strcmp(value, "reference") == 0) {
-    return ComputeBackend::kReference;
-  }
-  PIT_CHECK(std::strcmp(value, "blocked") == 0)
-      << "unrecognized PIT_BACKEND=\"" << value << "\"; expected \"blocked\" or \"reference\"";
-  return ComputeBackend::kBlocked;
-}
-
 ComputeBackend ActiveBackend() {
-  int v = g_backend.load(std::memory_order_relaxed);
-  if (v == kUnresolved) {
-    v = static_cast<int>(DefaultBackend());
-    g_backend.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<ComputeBackend>(v);
+  return static_cast<ComputeBackend>(g_backend.load(std::memory_order_relaxed));
 }
 
 void SetBackend(ComputeBackend backend) {

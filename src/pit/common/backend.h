@@ -6,9 +6,10 @@
 //  - kBlocked: the register-blocked, cache-tiled, multi-threaded backend
 //    (gemm_microkernel + parallel_for). Default.
 //
-// The active backend is process-global. Select it with SetBackend(), the
-// ScopedBackend RAII guard (tests), or the PIT_BACKEND environment variable
-// ("reference" or "blocked").
+// The active backend is process-global and defaults to kBlocked. The
+// reference oracle is selected in code, with SetBackend() or the
+// ScopedBackend RAII guard (differential tests and benches); no environment
+// variable reaches it.
 #ifndef PIT_COMMON_BACKEND_H_
 #define PIT_COMMON_BACKEND_H_
 
@@ -21,15 +22,9 @@ enum class ComputeBackend {
   kBlocked,    // cache-blocked + multi-threaded
 };
 
-// The backend hot paths dispatch on. First call resolves PIT_BACKEND; defaults
-// to kBlocked.
+// The backend hot paths dispatch on (kBlocked unless SetBackend chose
+// otherwise).
 ComputeBackend ActiveBackend();
-
-// Strict parser behind the PIT_BACKEND resolution: "blocked" or "reference"
-// only. A typo'd backend name must fail loudly (PIT_CHECK abort), not
-// silently run the default backend while the operator believes the oracle is
-// active.
-ComputeBackend ParseBackendEnv(const char* value);
 
 void SetBackend(ComputeBackend backend);
 

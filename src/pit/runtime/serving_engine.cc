@@ -41,6 +41,13 @@ int64_t CapacityFor(int64_t rows, int64_t max_batch_tokens) {
   return BucketTokensPow2(std::max(max_batch_tokens, rows), kMinBatchBucket);
 }
 
+// The row count a span of `tokens` summed request rows replays at: the
+// power-of-two bucket when batching, so PIT's kernel cache (keyed on the exact
+// row count) sees O(log max_tokens) shapes, or the exact sum at window 1.
+int64_t ReplayRows(int64_t tokens, int batch_window) {
+  return batch_window > 1 ? BucketTokensPow2(tokens, kMinBatchBucket) : tokens;
+}
+
 // Finiteness scan: one NaN or inf in an activation (or mask) poisons every
 // dot product its rows feed, so non-finite inputs are rejected at admission
 // rather than silently corrupting a packed batch's shared forward.
@@ -117,8 +124,9 @@ std::string ServingEngineStats::ToString() const {
 
 // One request stream: one stack stream (shared capacity plans + private
 // contexts), built on first use and reused across requests and Serve calls,
-// plus the stream's private PitCompiler and packed-batch staging. Nothing in
-// here is ever touched by another stream.
+// plus the stream's private PitCompiler and the staging every forward packs
+// into (a 1:1 request is a span of one). Nothing in here is ever touched by
+// another stream.
 struct ServingEngine::StreamState {
   struct BucketCounters {
     int64_t batches = 0;
@@ -330,14 +338,6 @@ void ServingEngine::WatchdogLoop() {
   }
 }
 
-void ServingEngine::AccountPool(int64_t contexts_delta, int64_t bytes_delta) {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  pool_.contexts += contexts_delta;
-  pool_.contexts_highwater = std::max(pool_.contexts_highwater, pool_.contexts);
-  pool_.arena_bytes += bytes_delta;
-  pool_.arena_bytes_highwater = std::max(pool_.arena_bytes_highwater, pool_.arena_bytes);
-}
-
 ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
   if (request.x.rank() != 2 || request.x.dim(0) <= 0 || request.x.dim(1) != hidden_) {
     return ServeStatus::kInvalidArgument;
@@ -368,8 +368,7 @@ ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
   return ServeStatus::kOk;
 }
 
-bool ServingEngine::ReplayStack(StreamState& stream, const Tensor& x, int64_t rows, Tensor* out,
-                                bool retry_kernel_fault) {
+bool ServingEngine::ReplayStack(StreamState& stream, int64_t rows) {
   PitCompiler* compiler = stream.compiler.get();
   // One ladder for both stacks: the stack stream, its builder and the replay
   // call are the only stack-specific parts.
@@ -409,26 +408,10 @@ bool ServingEngine::ReplayStack(StreamState& stream, const Tensor& x, int64_t ro
       if (PlanVerifyEngaged()) {
         VerifyStreamPlans(built);
       }
-      AccountPool(built.NumContexts() - pooled.NumContexts(),
-                  built.ArenaBytes() - pooled.ArenaBytes());
       pooled = std::move(built);
     }
     acquired->SetCancelToken(&stream.cancel);
     forward(*acquired);
-    if (retry_kernel_fault && ConsumeFaultPending()) {
-      // Kernel-dispatch fault: retry the identical forward once — the plan
-      // and context are intact (an abandoned replay only leaves stale arena
-      // data, fully overwritten by the retry). A cancelled token makes the
-      // retry exit at replay entry, so the ladder stays hang-free.
-      ++stream.faults;
-      ++stream.retries;
-      ScopedFaultRetryImmunity immune;
-      forward(*acquired);
-      if (ConsumeFaultPending()) {
-        ++stream.faults;
-        return false;
-      }
-    }
     return true;
   };
   if (transformer_ != nullptr) {
@@ -437,64 +420,21 @@ bool ServingEngine::ReplayStack(StreamState& stream, const Tensor& x, int64_t ro
         [&](int64_t capacity) { return transformer_->MakeStream(capacity, false, use_pit_); },
         [&](PlannedTransformerStack::Stream& acquired) {
           acquired.SetAttentionSegments(stream.segments);
-          transformer_->ForwardWith(acquired, x, nullptr, compiler, out, rows);
+          transformer_->ForwardWith(acquired, stream.x, nullptr, compiler, &stream.out, rows);
         });
   }
   return replay(
       stream.ffn, [&](int64_t capacity) { return ffn_->MakeStream(capacity, use_pit_); },
       [&](PlannedFfnStack::Stream& acquired) {
-        ffn_->ForwardWith(acquired, x, compiler, out, rows);
+        ffn_->ForwardWith(acquired, stream.x, compiler, &stream.out, rows);
       });
 }
 
-ServeStatus ServingEngine::ServeOne(StreamState& stream, const ServeRequest& request,
-                                    int64_t deadline_abs_us, Tensor* out, int64_t* bucket_out) {
-  const int64_t tokens = request.x.dim(0);
-  // The stream token guards exactly this forward: armed with the request's
-  // absolute deadline (kNoDeadline leaves only manual cancellation live) and
-  // cleared on every exit path. A 1:1 forward has a single member, so the
-  // "every member lapsed" in-flight rule degenerates to its own deadline.
-  stream.cancel.ArmDeadline(deadline_abs_us);
-  // The request is one attention segment carrying its own mask, so a masked
-  // request replays the same unmasked capacity plans.
-  stream.segments.assign(
-      1, {0, tokens,
-          request.attn_mask != nullptr ? ConstTensorView(*request.attn_mask) : ConstTensorView()});
-  if (!ReplayStack(stream, request.x, tokens, out, /*retry_kernel_fault=*/true)) {
-    ++stream.internal;
-    stream.cancel.ClearDeadline();
-    return ServeStatus::kInternal;
-  }
-  const bool manual_cancel = stream.cancel.cancelled_manual();
-  const bool lapsed = stream.cancel.deadline_lapsed();
-  stream.cancel.ClearDeadline();
-  if (manual_cancel) {
-    // Drain cut the forward (or it finished right at the cut): either way
-    // the request resolves kCancelled and surrenders its output.
-    ++stream.cancelled_forwards;
-    return ServeStatus::kCancelled;
-  }
-  if (lapsed) {
-    ++stream.timed_out_inflight;
-    ++stream.cancelled_forwards;
-    return ServeStatus::kDeadlineExceeded;
-  }
-  // 1:1 serving replays at the request's exact length.
-  StreamState::BucketCounters& c = stream.bucket_counters[tokens];
-  ++c.batches;
-  ++c.requests;
-  c.packed_tokens += tokens;
-  c.computed_tokens += tokens;
-  *bucket_out = tokens;
-  return ServeStatus::kOk;
-}
-
-bool ServingEngine::TryPackedForward(StreamState& stream,
-                                     const std::vector<ServeRequest>& requests,
-                                     const std::vector<int64_t>& span,
-                                     const std::vector<int64_t>& deadline_abs,
-                                     std::vector<ServeOutcome>& outcomes,
-                                     std::vector<int64_t>& bucket_of) {
+bool ServingEngine::ForwardSpan(StreamState& stream, const std::vector<ServeRequest>& requests,
+                                const std::vector<int64_t>& span,
+                                const std::vector<int64_t>& deadline_abs,
+                                std::vector<ServeOutcome>& outcomes,
+                                std::vector<int64_t>& bucket_of) {
   // In-flight deadline arming: the batch is cancellable mid-replay only when
   // EVERY member carries a deadline — the token then arms with the latest
   // member deadline, so a mid-replay lapse proves every member has already
@@ -532,7 +472,7 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
     sum += len;
     max_len = std::max(max_len, len);
   }
-  const int64_t bucket = BucketTokensPow2(sum, kMinBatchBucket);
+  const int64_t rows = ReplayRows(sum, batch_window_);
   if (static_cast<int64_t>(stream.iota.size()) < max_len) {
     const int64_t old = static_cast<int64_t>(stream.iota.size());
     stream.iota.resize(static_cast<size_t>(max_len));
@@ -540,18 +480,18 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
       stream.iota[static_cast<size_t>(i)] = i;
     }
   }
-  if (stream.x.empty() || stream.x.dim(0) < bucket) {
+  if (stream.x.empty() || stream.x.dim(0) < rows) {
     // Staging at the capacity the stream's plans are (or will be) built at.
-    const int64_t capacity = CapacityFor(bucket, max_batch_tokens_);
+    const int64_t capacity = CapacityFor(rows, max_batch_tokens_);
     stream.x = Tensor({capacity, hidden_});
     stream.out = Tensor({capacity, hidden_});
   }
-  // Padding rows [sum, bucket) belong to no attention segment, and every
+  // Padding rows [sum, rows) belong to no attention segment, and every
   // other kernel is row-wise, so real rows never read them. They are
   // re-zeroed every batch to keep their own (discarded) rows finite, whatever
   // an earlier, fuller batch left in the tile, and because PIT's sparsity
   // detection reads them.
-  std::fill(stream.x.data() + sum * hidden_, stream.x.data() + bucket * hidden_, 0.0f);
+  std::fill(stream.x.data() + sum * hidden_, stream.x.data() + rows * hidden_, 0.0f);
   int64_t off = 0;
   for (size_t i = 0; i < span.size(); ++i) {
     const int64_t len = stream.lens[i];
@@ -561,19 +501,19 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
     off += len;
   }
   // Each request attends only within its own segment, under its own mask.
-  if (!ReplayStack(stream, stream.x, bucket, &stream.out, /*retry_kernel_fault=*/false)) {
+  if (!ReplayStack(stream, rows)) {
     stream.cancel.ClearDeadline();
-    return false;  // injected compile double-fault; caller's ladder decides
+    return false;  // injected compile double-fault; the caller retries once
   }
   const bool manual_cancel = stream.cancel.cancelled_manual();
   const bool batch_lapsed = all_deadlined && stream.cancel.deadline_lapsed();
   stream.cancel.ClearDeadline();
   if (ConsumeFaultPending()) {
     // Kernel-dispatch fault mid-replay: staging holds garbage; scatter
-    // nothing. The fired probe is compensated by whichever rung the caller
-    // takes next (1:1 fallback, packed retry, or terminal failure). A fired
-    // cancel token makes every later rung exit at replay entry, so the
-    // ladder re-lands here immediately with no fault pending.
+    // nothing. The fired probe is compensated by the caller's next rung (the
+    // identical retry, or terminal failure). A fired cancel token makes the
+    // retry exit at replay entry, so the ladder re-lands here immediately
+    // with no fault pending.
     ++stream.faults;
     return false;
   }
@@ -616,29 +556,15 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
                    std::span<const int64_t>(stream.iota.data(), static_cast<size_t>(len)),
                    outcomes[static_cast<size_t>(idx)].output);
     off += len;
-    bucket_of[static_cast<size_t>(idx)] = bucket;
+    bucket_of[static_cast<size_t>(idx)] = rows;
     outcomes[static_cast<size_t>(idx)].status = ServeStatus::kOk;
   }
-  StreamState::BucketCounters& c = stream.bucket_counters[bucket];
+  StreamState::BucketCounters& c = stream.bucket_counters[rows];
   ++c.batches;
   c.requests += static_cast<int64_t>(span.size());
   c.packed_tokens += sum;
-  c.computed_tokens += bucket;
+  c.computed_tokens += rows;
   return true;
-}
-
-void ServingEngine::ServeSpanOneByOne(StreamState& stream,
-                                      const std::vector<ServeRequest>& requests,
-                                      const std::vector<int64_t>& span,
-                                      const std::vector<int64_t>& deadline_abs,
-                                      std::vector<ServeOutcome>& outcomes,
-                                      std::vector<int64_t>& bucket_of) {
-  for (const int64_t idx : span) {
-    ServeOutcome& outcome = outcomes[static_cast<size_t>(idx)];
-    outcome.status = ServeOne(stream, requests[static_cast<size_t>(idx)],
-                              deadline_abs[static_cast<size_t>(idx)], &outcome.output,
-                              &bucket_of[static_cast<size_t>(idx)]);
-  }
 }
 
 void ServingEngine::ServeSpan(StreamState& stream, const std::vector<ServeRequest>& requests,
@@ -646,46 +572,23 @@ void ServingEngine::ServeSpan(StreamState& stream, const std::vector<ServeReques
                               const std::vector<int64_t>& deadline_abs,
                               std::vector<ServeOutcome>& outcomes,
                               std::vector<int64_t>& bucket_of) {
-  const auto mark_internal = [&] {
-    ++stream.internal;
-    for (const int64_t idx : span) {
-      outcomes[static_cast<size_t>(idx)].status = ServeStatus::kInternal;
-    }
-  };
+  // One ladder for both stacks and every window: a failed forward (the
+  // batch_pack probe, a plan-compile double fault or a kernel-dispatch fault)
+  // is retried once at identical composition — same span, same rows, same
+  // kernels, so the retry is bitwise invisible for dense and PIT alike. A
+  // second failure is terminal.
   if (FaultProbe(FaultSite::kBatchPack)) {
     ++stream.faults;
-    if (!use_pit_) {
-      // Pack failure, dense stack: unbatch. The PR 6 contract makes each
-      // request's output independent of batch composition, so the 1:1
-      // fallback is bitwise invisible to the requests.
-      ++stream.degraded;
-      ServeSpanOneByOne(stream, requests, span, deadline_abs, outcomes, bucket_of);
-      return;
-    }
-    // PIT: kernel selection sees the packed tile's sparsity, so unbatching
-    // would change bits — retry the pack at identical composition instead.
-    ++stream.retries;
-    ScopedFaultRetryImmunity immune;
-    if (!TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
-      mark_internal();
-    }
-    return;
-  }
-  if (TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
-    return;
-  }
-  // A rung inside the packed attempt failed terminally for this composition
-  // (compile double-fault or kernel dispatch fault): same split as above —
-  // dense unbatches, PIT retries the identical packed composition once.
-  if (!use_pit_) {
-    ++stream.degraded;
-    ServeSpanOneByOne(stream, requests, span, deadline_abs, outcomes, bucket_of);
+  } else if (ForwardSpan(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
     return;
   }
   ++stream.retries;
   ScopedFaultRetryImmunity immune;
-  if (!TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
-    mark_internal();
+  if (!ForwardSpan(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
+    ++stream.internal;
+    for (const int64_t idx : span) {
+      outcomes[static_cast<size_t>(idx)].status = ServeStatus::kInternal;
+    }
   }
 }
 
@@ -835,22 +738,21 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
       const int64_t i_end = std::min(i0 + window, qn);
       int64_t b0 = i0;
       while (b0 < i_end) {
+        // Greedy admission under the token budget: extend while the next
+        // request still fits; a single oversized request forms its own
+        // batch (and at window 1 every request does). Composition depends
+        // only on (window, budget, request order), never on the stream count
+        // or claim timing.
         int64_t b1 = b0 + 1;
-        if (window > 1) {
-          // Greedy admission under the token budget: extend while the next
-          // request still fits; a single oversized request forms its own
-          // batch. Composition depends only on (window, budget, request
-          // order), never on the stream count or claim timing.
-          int64_t sum = requests[static_cast<size_t>(queue[static_cast<size_t>(b0)])].x.dim(0);
-          while (b1 < i_end) {
-            const int64_t len =
-                requests[static_cast<size_t>(queue[static_cast<size_t>(b1)])].x.dim(0);
-            if (sum + len > max_tokens) {
-              break;
-            }
-            sum += len;
-            ++b1;
+        int64_t sum = requests[static_cast<size_t>(queue[static_cast<size_t>(b0)])].x.dim(0);
+        while (b1 < i_end) {
+          const int64_t len =
+              requests[static_cast<size_t>(queue[static_cast<size_t>(b1)])].x.dim(0);
+          if (sum + len > max_tokens) {
+            break;
           }
+          sum += len;
+          ++b1;
         }
         // Deadline-expiry sweep at claim time: a request whose latency
         // budget lapsed while it waited for a stream is shed before packing,
@@ -876,23 +778,13 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
           for (const int64_t idx : stream.span) {
             span_tokens += requests[static_cast<size_t>(idx)].x.dim(0);
           }
-          stream.hb_rows.store(
-              window > 1 ? BucketTokensPow2(span_tokens, kMinBatchBucket) : span_tokens,
-              std::memory_order_relaxed);
+          stream.hb_rows.store(ReplayRows(span_tokens, batch_window_), std::memory_order_relaxed);
           stream.hb_active.store(true, std::memory_order_release);
           if (FaultProbe(FaultSite::kStall)) {
             ++stream.stalls_injected;
             std::this_thread::sleep_for(std::chrono::microseconds(ActiveFaultConfig().stall_us));
           }
-          if (window > 1) {
-            ServeSpan(stream, requests, stream.span, deadline_abs, outcomes, bucket_of);
-          } else {
-            const int64_t idx = stream.span[0];
-            ServeOutcome& outcome = outcomes[static_cast<size_t>(idx)];
-            outcome.status = ServeOne(stream, requests[static_cast<size_t>(idx)],
-                                      deadline_abs[static_cast<size_t>(idx)], &outcome.output,
-                                      &bucket_of[static_cast<size_t>(idx)]);
-          }
+          ServeSpan(stream, requests, stream.span, deadline_abs, outcomes, bucket_of);
           stream.hb_active.store(false, std::memory_order_release);
           const double done = elapsed_us();
           int64_t completed = 0;
@@ -967,13 +859,17 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
     stats_.stall_min_silence_us = stall_min_silence_us_;
     stats_.stall_max_silence_us = stall_max_silence_us_;
   }
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    stats_.pool_contexts = pool_.contexts;
-    stats_.pool_contexts_highwater = pool_.contexts_highwater;
-    stats_.pool_arena_bytes = pool_.arena_bytes;
-    stats_.pool_arena_bytes_highwater = pool_.arena_bytes_highwater;
+  // Pool gauges: a stream's stack stream is only ever replaced by a larger
+  // one, so the pinned footprint is whatever the streams hold now.
+  stats_.pool_contexts = 0;
+  stats_.pool_arena_bytes = 0;
+  for (const std::unique_ptr<StreamState>& stream : streams_) {
+    stats_.pool_contexts += stream->transformer.NumContexts() + stream->ffn.NumContexts();
+    stats_.pool_arena_bytes += stream->transformer.ArenaBytes() + stream->ffn.ArenaBytes();
   }
+  stats_.pool_contexts_highwater = std::max(stats_.pool_contexts_highwater, stats_.pool_contexts);
+  stats_.pool_arena_bytes_highwater =
+      std::max(stats_.pool_arena_bytes_highwater, stats_.pool_arena_bytes);
   MergeBucketStats(ok_buckets, ok_latencies);
   if (served_ok > 0) {
     double sum = 0.0;

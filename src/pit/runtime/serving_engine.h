@@ -15,8 +15,9 @@
 // a capacity of max_batch_tokens rows (on the power-of-two grid), built on
 // first use and grown only when a longer request arrives. Every forward
 // binds its own row count: a packed batch replays at the power-of-two
-// bucket of its summed tokens, a 1:1 request at its exact length. Pooled
-// memory is therefore streams x one capacity stream, whatever the length mix.
+// bucket of its summed tokens, a 1:1 request (a packed span of one) at its
+// exact length. Pooled memory is therefore streams x one capacity stream,
+// whatever the length mix.
 //
 // Continuous ragged batching (PR 6) applies the paper's micro-tile
 // permutation to the batch axis: a padded mixed-length batch is a dynamically
@@ -58,15 +59,15 @@
 // finiteness up front (kInvalidArgument), a bounded admission queue sheds
 // overflow (kRejectedOverload), a deadline sweep sheds requests whose latency
 // budget lapsed while queued (kDeadlineExceeded), and injected or transient
-// infrastructure faults ride a degradation ladder — retry a failed plan
-// compile once, fall back to a transient unpooled stream on context
-// exhaustion, fall back to 1:1 unbatched serving on pack failure (dense;
-// PIT retries at identical batch composition since its kernel selection sees
-// the packed tile) — that ends in kOk or, only under persistent injected
-// faults, kInternal. A rejected request is excluded from its packed batch
-// without perturbing batchmates: the PR 6 contract makes per-request outputs
-// independent of batch composition, so every degradation rung is bitwise
-// invisible to the surviving requests. The fault taps themselves live in
+// infrastructure faults ride one degradation ladder for both stacks and every
+// batch window — retry a failed plan compile once, fall back to a transient
+// unpooled stream on context exhaustion, and retry a failed forward (pack,
+// compile double fault, kernel dispatch) once at identical composition —
+// that ends in kOk or, only under persistent injected faults, kInternal.
+// A rejected request is excluded from its packed batch without perturbing
+// batchmates: the PR 6 contract makes per-request outputs independent of
+// batch composition, so every degradation rung is bitwise invisible to the
+// surviving requests. The fault taps themselves live in
 // common/fault_injection.h (PIT_FAULT=site:rate:seed) and fire only inside
 // the engine's stream workers.
 //
@@ -276,7 +277,7 @@ struct ServingEngineStats {
   int64_t stall_max_silence_us = 0;
   int64_t faults_injected = 0;    // fault-injection probes that fired in this engine
   int64_t retries = 0;            // same-composition retry rungs taken
-  int64_t degraded_forwards = 0;  // transient-context / 1:1-fallback rungs taken
+  int64_t degraded_forwards = 0;  // transient-context rungs taken (context_acquire)
   int64_t internal_failures = 0;  // forwards whose ladder exhausted (kInternal)
   // Context/arena pool accounting: each stream pins one context per layer
   // at its capacity once it has served a request; high-water marks track the
@@ -357,60 +358,44 @@ class ServingEngine {
   // activation shape, deadline sign, mask shape (and absence for FFN
   // stacks), finiteness of activations and mask. Pure per-request.
   ServeStatus AdmissionStatus(const ServeRequest& request) const;
-  // Replays the first `rows` rows of `x` into `out` through the stream's
-  // one stack stream, with the stream's cancel token and — transformer
-  // stacks — its bound attention segments. The stack stream is built on
-  // first use, at the capacity (max_batch_tokens on the power-of-two grid),
-  // and grown when `rows` exceeds it; the hit or miss is tallied under
-  // `rows`. Carries the infrastructure fault taps: a context-acquire fault
-  // degrades to a transient stream over the same shared plans (same bits,
-  // nothing pinned afterwards); a plan-compile fault retries the build once.
-  // `retry_kernel_fault` retries a kernel-dispatch fault once (the 1:1
-  // rung); otherwise the fault stays pending for the caller's ladder. False
-  // when the retried build failed again (persistent faults; the old stack
-  // stream stays) or the retried forward faulted again.
-  bool ReplayStack(StreamState& stream, const Tensor& x, int64_t rows, Tensor* out,
-                   bool retry_kernel_fault);
-  // Serves one request 1:1 with the kernel-fault retry rung; returns its
-  // terminal status and records its bucket. `deadline_abs_us` is the
-  // request's absolute steady-clock lapse time (CancelToken::kNoDeadline for
-  // none): the stream's token is armed with it so a mid-replay lapse stops
-  // the forward at the next step boundary (kDeadlineExceeded).
-  ServeStatus ServeOne(StreamState& stream, const ServeRequest& request, int64_t deadline_abs_us,
-                       Tensor* out, int64_t* bucket_out);
-  // Serves the span's requests (original indices) through one packed
-  // bucket-padded forward, running the batch-level degradation ladder:
-  // dense falls back to 1:1 unbatched serving (bitwise-free by the PR 6
-  // contract), PIT retries at identical composition. `deadline_abs` maps
-  // every original request index to its absolute lapse time.
+  // Replays the first `rows` rows of the stream's staging tile into its
+  // output tile through the stream's one stack stream, with the stream's
+  // cancel token and — transformer stacks — its bound attention segments.
+  // The stack stream is built on first use, at the capacity (max_batch_tokens
+  // on the power-of-two grid), and grown when `rows` exceeds it; the hit or
+  // miss is tallied under `rows`. Carries two infrastructure fault taps: a
+  // context-acquire fault degrades to a transient stream over the same shared
+  // plans (same bits, nothing pinned afterwards); a plan-compile fault
+  // retries the build once. False when the retried build failed again
+  // (persistent faults; the old stack stream stays). A kernel-dispatch fault
+  // stays pending for ForwardSpan.
+  bool ReplayStack(StreamState& stream, int64_t rows);
+  // Serves the span's requests (original indices) through ForwardSpan under
+  // the one degradation ladder, for both stacks and every batch window: a
+  // failed forward (batch_pack probe, compile double fault, kernel dispatch
+  // fault) is retried once at identical composition; a second failure ends
+  // every member kInternal. `deadline_abs` maps every original request index
+  // to its absolute lapse time (CancelToken::kNoDeadline for none).
   void ServeSpan(StreamState& stream, const std::vector<ServeRequest>& requests,
                  const std::vector<int64_t>& span, const std::vector<int64_t>& deadline_abs,
                  std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
-  // The 1:1 fallback rung: serves every span request individually.
-  void ServeSpanOneByOne(StreamState& stream, const std::vector<ServeRequest>& requests,
-                         const std::vector<int64_t>& span,
-                         const std::vector<int64_t>& deadline_abs,
-                         std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
-  // One packed forward attempt: gather, segment, replay, scatter. In-flight
-  // deadline enforcement happens here: the stream's token is armed with the
-  // latest member deadline iff *every* member carries one (the batch is
-  // cancelled mid-replay only when every member has lapsed — all end
+  // The one forward every span takes — a 1:1 request is a span of one:
+  // gather, segment, replay, scatter. The span replays at the power-of-two
+  // bucket of its summed tokens when batching, at the exact sum at window 1.
+  // In-flight deadline enforcement happens here: the stream's token is armed
+  // with the latest member deadline iff *every* member carries one (the span
+  // is cancelled mid-replay only when every member has lapsed — all end
   // kDeadlineExceeded without the forward completing); otherwise the forward
   // completes and members whose own budget lapsed are marked at egress
   // without scattering, so surviving outputs stay bitwise identical to
   // fault-free 1:1 replay. Returns false when a rung inside failed (injected
   // compile double-fault or kernel dispatch fault) — staging contents are
-  // then undefined and nothing was scattered; the caller's ladder decides
-  // the next rung. Cancellation and lapse are definitive outcomes (true),
-  // never ladder rungs.
-  bool TryPackedForward(StreamState& stream, const std::vector<ServeRequest>& requests,
-                        const std::vector<int64_t>& span,
-                        const std::vector<int64_t>& deadline_abs,
-                        std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
-  // Moves the live pool totals by the given deltas and folds them into the
-  // high-water marks. Called from concurrent stream workers when a stack
-  // stream is built or grown — never per request.
-  void AccountPool(int64_t contexts_delta, int64_t bytes_delta);
+  // then undefined and nothing was scattered; ServeSpan decides the next
+  // rung. Cancellation and lapse are definitive outcomes (true), never
+  // ladder rungs.
+  bool ForwardSpan(StreamState& stream, const std::vector<ServeRequest>& requests,
+                   const std::vector<int64_t>& span, const std::vector<int64_t>& deadline_abs,
+                   std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
   // Folds the streams' per-bucket counters and the last Serve's per-request
   // (bucket, latency) pairs — kOk requests only — into stats_.buckets.
   void MergeBucketStats(const std::vector<int64_t>& bucket_of,
@@ -455,16 +440,6 @@ class ServingEngine {
   std::mutex serve_mu_;
   std::condition_variable serve_cv_;
   int serve_active_ = 0;  // guarded by serve_mu_
-  // Live pool totals + lifetime peaks, updated by workers as stack streams
-  // are built or grown.
-  struct PoolLedger {
-    int64_t contexts = 0;
-    int64_t contexts_highwater = 0;
-    int64_t arena_bytes = 0;
-    int64_t arena_bytes_highwater = 0;
-  };
-  std::mutex pool_mu_;
-  PoolLedger pool_;  // guarded by pool_mu_
   ServingEngineStats stats_;
 };
 

@@ -183,18 +183,6 @@ TEST(EnvParsingTest, FaultEnvRejectsMalformedTriples) {
   EXPECT_DEATH(ParseFaultEnv("batch_pack:0.5:99999999999999999999999"), "PIT_FAULT");
 }
 
-TEST(EnvParsingTest, BackendAcceptsKnownNames) {
-  EXPECT_EQ(ParseBackendEnv("blocked"), ComputeBackend::kBlocked);
-  EXPECT_EQ(ParseBackendEnv("reference"), ComputeBackend::kReference);
-}
-
-TEST(EnvParsingTest, BackendRejectsUnknownNames) {
-  EXPECT_DEATH(ParseBackendEnv("Reference"), "PIT_BACKEND");
-  EXPECT_DEATH(ParseBackendEnv("naive"), "PIT_BACKEND");
-  EXPECT_DEATH(ParseBackendEnv(""), "PIT_BACKEND");
-  EXPECT_DEATH(ParseBackendEnv("blocked "), "PIT_BACKEND");
-}
-
 TEST(EnvParsingTest, PlanVerifyAcceptsKnownNames) {
   EXPECT_EQ(ParsePlanVerifyEnv("auto"), PlanVerifyMode::kAuto);
   EXPECT_EQ(ParsePlanVerifyEnv("on"), PlanVerifyMode::kOn);

@@ -807,49 +807,57 @@ TEST(FaultContainmentTest, ZeroRequestAndFullyRejectedServesKeepStatsFinite) {
   }
 }
 
-// Rate-1.0 injection at every site: transient faults (retries immune, the
-// PIT_FAULT model) must leave every request kOk with bits identical to the
-// fault-free run, and the ledger must reconcile exactly — every injected
-// fault compensated by one retry or one degraded forward.
+// Rate-1.0 injection at every site, served 1:1 and batched: transient faults
+// (retries immune, the PIT_FAULT model) must leave every request kOk with
+// bits identical to the fault-free run, and the ledger must reconcile
+// exactly — every injected fault compensated by one retry or one degraded
+// forward. Both windows share one ladder, whose only degraded rung is the
+// transient context.
 TEST(FaultContainmentTest, EverySiteTransientFaultSweepStaysBitwise) {
   Rng wr(451);
   PlannedTransformerStack stack(2, 32, 4, 96, wr);
   RequestMix mix = BuildMix(32, {5, 9, 16}, /*per_shape=*/2, /*seed=*/452);
-  ServingEngineOptions options;
-  options.num_streams = 4;
-  options.batch_window = 3;
-  options.max_batch_tokens = 64;
-  std::vector<ServeOutcome> clean;
-  {
-    ServingEngine engine(stack, options);
-    clean = engine.ServeWithStatus(mix.requests);
-  }
-  ScopedNumThreads threads(4);
-  for (int site = 0; site < kNumFaultSites; ++site) {
-    SCOPED_TRACE(FaultSiteName(static_cast<FaultSite>(site)));
-    FaultInjectionConfig config;
-    config.enabled = true;
-    config.site_enabled[site] = true;
-    config.rate = 1.0;
-    config.seed = 1000 + static_cast<uint64_t>(site);
-    config.stall_us = 2000;  // keep the stall leg wall-clock bounded
-    ScopedFaultInjection fault(config);
-    ServingEngine engine(stack, options);
-    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      ASSERT_EQ(outcomes[i].status, ServeStatus::kOk);
-      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outcomes[i].output, clean[i].output));
+  for (const int window : {1, 3}) {
+    SCOPED_TRACE("batch_window=" + std::to_string(window));
+    ServingEngineOptions options;
+    options.num_streams = 4;
+    options.batch_window = window;
+    options.max_batch_tokens = 64;
+    std::vector<ServeOutcome> clean;
+    {
+      ServingEngine engine(stack, options);
+      clean = engine.ServeWithStatus(mix.requests);
     }
-    const ServingEngineStats& stats = engine.stats();
-    if (static_cast<FaultSite>(site) == FaultSite::kStall) {
-      // A stall is a delay, not a failure: outputs stay bitwise, the fault
-      // ledger stays empty, and the sleeps are tallied on their own counter.
-      EXPECT_EQ(stats.faults_injected, 0);
-      EXPECT_GT(stats.stalls_injected, 0);
-    } else {
-      EXPECT_GT(stats.faults_injected, 0);
-      EXPECT_EQ(stats.internal_failures, 0);
-      EXPECT_EQ(stats.faults_injected, stats.retries + stats.degraded_forwards);
+    ScopedNumThreads threads(4);
+    for (int site = 0; site < kNumFaultSites; ++site) {
+      SCOPED_TRACE(FaultSiteName(static_cast<FaultSite>(site)));
+      FaultInjectionConfig config;
+      config.enabled = true;
+      config.site_enabled[site] = true;
+      config.rate = 1.0;
+      config.seed = 1000 + static_cast<uint64_t>(site);
+      config.stall_us = 2000;  // keep the stall leg wall-clock bounded
+      ScopedFaultInjection fault(config);
+      ServingEngine engine(stack, options);
+      const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
+      for (size_t i = 0; i < outcomes.size(); ++i) {
+        ASSERT_EQ(outcomes[i].status, ServeStatus::kOk);
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outcomes[i].output, clean[i].output));
+      }
+      const ServingEngineStats& stats = engine.stats();
+      if (static_cast<FaultSite>(site) == FaultSite::kStall) {
+        // A stall is a delay, not a failure: outputs stay bitwise, the fault
+        // ledger stays empty, and the sleeps are tallied on their own counter.
+        EXPECT_EQ(stats.faults_injected, 0);
+        EXPECT_GT(stats.stalls_injected, 0);
+      } else {
+        EXPECT_GT(stats.faults_injected, 0);
+        EXPECT_EQ(stats.internal_failures, 0);
+        EXPECT_EQ(stats.faults_injected, stats.retries + stats.degraded_forwards);
+        if (static_cast<FaultSite>(site) != FaultSite::kContextAcquire) {
+          EXPECT_EQ(stats.degraded_forwards, 0);
+        }
+      }
     }
   }
 }
@@ -861,38 +869,41 @@ TEST(FaultContainmentTest, PersistentFaultsEndInInternalThenRecover) {
   Rng wr(461);
   PlannedTransformerStack stack(2, 32, 4, 96, wr);
   RequestMix mix = BuildMix(32, {5, 9}, /*per_shape=*/2, /*seed=*/462);
-  ServingEngineOptions options;
-  options.num_streams = 2;
-  options.batch_window = 2;
-  std::vector<ServeOutcome> clean;
-  {
-    ServingEngine engine(stack, options);
-    clean = engine.ServeWithStatus(mix.requests);
-  }
-  for (FaultSite site : {FaultSite::kPlanCompile, FaultSite::kKernelDispatch}) {
-    SCOPED_TRACE(FaultSiteName(site));
-    ServingEngine engine(stack, options);
+  for (const int window : {1, 2}) {
+    SCOPED_TRACE("batch_window=" + std::to_string(window));
+    ServingEngineOptions options;
+    options.num_streams = 2;
+    options.batch_window = window;
+    std::vector<ServeOutcome> clean;
     {
-      ScopedFaultInjection fault(site, 1.0, /*seed=*/77, /*fail_retries=*/true);
-      const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
-      for (const ServeOutcome& outcome : outcomes) {
-        EXPECT_EQ(outcome.status, ServeStatus::kInternal);
-        EXPECT_TRUE(outcome.output.empty());
+      ServingEngine engine(stack, options);
+      clean = engine.ServeWithStatus(mix.requests);
+    }
+    for (FaultSite site : {FaultSite::kPlanCompile, FaultSite::kKernelDispatch}) {
+      SCOPED_TRACE(FaultSiteName(site));
+      ServingEngine engine(stack, options);
+      {
+        ScopedFaultInjection fault(site, 1.0, /*seed=*/77, /*fail_retries=*/true);
+        const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
+        for (const ServeOutcome& outcome : outcomes) {
+          EXPECT_EQ(outcome.status, ServeStatus::kInternal);
+          EXPECT_TRUE(outcome.output.empty());
+        }
+        const ServingEngineStats& stats = engine.stats();
+        EXPECT_GT(stats.internal_failures, 0);
+        EXPECT_EQ(stats.faults_injected,
+                  stats.retries + stats.degraded_forwards + stats.internal_failures);
+      }
+      // Injection scope gone: the same engine must recover to clean bits.
+      const std::vector<ServeOutcome> recovered = engine.ServeWithStatus(mix.requests);
+      for (size_t i = 0; i < recovered.size(); ++i) {
+        ASSERT_EQ(recovered[i].status, ServeStatus::kOk);
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(recovered[i].output, clean[i].output));
       }
       const ServingEngineStats& stats = engine.stats();
-      EXPECT_GT(stats.internal_failures, 0);
       EXPECT_EQ(stats.faults_injected,
                 stats.retries + stats.degraded_forwards + stats.internal_failures);
     }
-    // Injection scope gone: the same engine must recover to clean bits.
-    const std::vector<ServeOutcome> recovered = engine.ServeWithStatus(mix.requests);
-    for (size_t i = 0; i < recovered.size(); ++i) {
-      ASSERT_EQ(recovered[i].status, ServeStatus::kOk);
-      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(recovered[i].output, clean[i].output));
-    }
-    const ServingEngineStats& stats = engine.stats();
-    EXPECT_EQ(stats.faults_injected,
-              stats.retries + stats.degraded_forwards + stats.internal_failures);
   }
 }
 
