@@ -15,12 +15,11 @@
 // over a mixed-length request stream (alpaca + mnli length distributions).
 // Either way each stream compiles one plan set at its capacity: serving that
 // traffic 1:1 replays it at every distinct token count, while batched serving
-// packs requests into power-of-two sum-token buckets, each request one
-// attention segment, so `buckets.size()` (reported as replay row counts)
-// counts distinct replay shapes, not plan sets. Outputs must stay bitwise
-// identical, and wherever the
-// probe finds real >= 4-way concurrency, batched throughput must be >= 1.5x
-// the 1:1 engine at high load.
+// packs requests, each one attention segment, and replays each batch at
+// exactly its summed tokens, so `buckets.size()` (reported as replay row
+// counts) counts distinct packed sums, not plan sets. Outputs must stay
+// bitwise identical, and wherever the probe finds real >= 4-way concurrency,
+// batched throughput must be >= 1.5x the 1:1 engine at high load.
 //
 // Emits BENCH_pr5.json (stream sweep) and BENCH_pr6.json (ragged batching).
 #include <cstdio>

@@ -1,5 +1,7 @@
 #include "pit/core/compiler.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "pit/common/check.h"
@@ -12,9 +14,14 @@ PitCompiler::PitCompiler(DeviceSpec device, Precision precision)
 
 PitCompiler::CacheKey PitCompiler::MakeKey(int64_t m, int64_t k, int64_t n,
                                            double sparsity) const {
+  // Bucket rows on the power-of-two grid (floor 16): m is the token axis, a
+  // PIT-axis absorbed at run time (§3.2), so every kernel runs at any m and a
+  // packed batch's exact row count must not cost a fresh selection.
   // Bucket sparsity at 5% steps: a kernel selected at 90% sparsity stays
   // optimal in a neighbourhood, so re-selection would be wasted work.
-  return {m, k, n, static_cast<int>(std::lround(sparsity * 20.0))};
+  const int64_t m_bucket =
+      std::max<int64_t>(16, static_cast<int64_t>(std::bit_ceil(static_cast<uint64_t>(m))));
+  return {m_bucket, k, n, static_cast<int>(std::lround(sparsity * 20.0))};
 }
 
 SelectionResult PitCompiler::Plan(const SparsityPattern& pattern, int64_t m, int64_t k, int64_t n,
@@ -47,16 +54,17 @@ PitDispatch PitCompiler::SparseMatmulInto(ConstTensorView a, ConstTensorView b, 
   MaskPattern pattern(a);
   const double sparsity = a.SparsityRatio();
   const CacheKey key = MakeKey(m, k, n, sparsity);
+  const int64_t m_bucket = std::get<0>(key);
   const int bucket = std::get<3>(key);
   ++exec_count_;
   const bool resample = resample_every_ > 0 && exec_count_ % resample_every_ == 0;
 
   const SelectionResult* sel = nullptr;
   if (handle != nullptr && handle->valid && handle->compiler == this && !resample &&
-      handle->m == m && handle->k == k && handle->n == n && handle->sparsity_bucket == bucket &&
-      handle->generation == selection_generation_) {
-    // Plan-site hit: same shape and sparsity bucket as when this step's
-    // kernel was selected — reuse it without consulting the cache map.
+      handle->m == m_bucket && handle->k == k && handle->n == n &&
+      handle->sparsity_bucket == bucket && handle->generation == selection_generation_) {
+    // Plan-site hit: same cache key as when this step's kernel was selected —
+    // reuse it without consulting the cache map.
     ++cache_hits_;
     dispatch.cache_hit = true;
     sel = &handle->selection;
@@ -90,7 +98,7 @@ PitDispatch PitCompiler::SparseMatmulInto(ConstTensorView a, ConstTensorView b, 
     if (handle != nullptr) {
       handle->valid = true;
       handle->compiler = this;
-      handle->m = m;
+      handle->m = m_bucket;
       handle->k = k;
       handle->n = n;
       handle->sparsity_bucket = bucket;

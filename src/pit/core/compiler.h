@@ -1,9 +1,10 @@
 // PitCompiler: the user-facing facade (Fig. 5).
 //
 // Owns the device cost model, the offline-profiled tile database, and a JIT
-// cache of selected kernels keyed by (operator shape, sparsity signature).
-// Given a sparse operand it runs online detection, selects (or re-uses) a
-// kernel via Algorithm 1, and executes the corresponding functional path.
+// cache of selected kernels keyed by (row-count bucket, k, n, sparsity
+// signature). Given a sparse operand it runs online detection, selects (or
+// re-uses) a kernel via Algorithm 1, and executes the corresponding
+// functional path.
 #ifndef PIT_CORE_COMPILER_H_
 #define PIT_CORE_COMPILER_H_
 
@@ -33,14 +34,15 @@ struct PitDispatch {
 };
 
 // Per-call-site kernel slot for planned execution. An ExecutionPlan owns one
-// handle per PIT dispatch step; when the step's shape and sparsity bucket
-// match the handle (and no periodic resample is due) the dispatch reuses the
-// kernel selected at the same site without touching the JIT cache map — the
-// compiler is hooked into the plan rather than consulted per call.
+// handle per PIT dispatch step; when the step's cache key (row-count bucket,
+// k, n, sparsity bucket) matches the handle and no periodic resample is due,
+// the dispatch reuses the kernel selected at the same site without touching
+// the JIT cache map — the compiler is hooked into the plan rather than
+// consulted per call.
 struct PitKernelHandle {
   bool valid = false;
   const void* compiler = nullptr;  // the PitCompiler that filled the handle
-  int64_t m = 0, k = 0, n = 0;
+  int64_t m = 0, k = 0, n = 0;     // m is the row-count bucket, as in the cache key
   int sparsity_bucket = -1;  // 5%-step bucket, same granularity as the cache key
   int64_t generation = -1;   // compiler's reselection generation at fill time
   SelectionResult selection;
@@ -81,8 +83,11 @@ class PitCompiler {
   int64_t cache_hits() const { return cache_hits_; }
 
  private:
-  // Sparsity signature: coarse bucket of sparsity ratio + shape, the cache key
-  // granularity at which a selected kernel stays optimal.
+  // Sparsity signature: (row-count bucket, k, n, sparsity bucket), the
+  // granularity at which a selected kernel stays optimal. m is bucketed on the
+  // power-of-two grid (floor 16) because it is a PIT-axis: selection happens
+  // once per bucket and the chosen kernel runs (and is re-priced) at the exact
+  // m, so packed batches of every distinct row count share one selection.
   using CacheKey = std::tuple<int64_t, int64_t, int64_t, int>;
   CacheKey MakeKey(int64_t m, int64_t k, int64_t n, double sparsity) const;
 

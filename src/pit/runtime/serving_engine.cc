@@ -29,8 +29,8 @@ namespace pit {
 
 namespace {
 
-// Floor of the power-of-two row-count grid packed batches replay at.
-constexpr int64_t kMinBatchBucket = 16;
+// Floor of the power-of-two grid a serving stream's capacity grows on.
+constexpr int64_t kMinCapacityBucket = 16;
 // Token budget per packed batch when the option does not set one.
 constexpr int kDefaultMaxBatchTokens = 512;
 
@@ -38,14 +38,7 @@ constexpr int kDefaultMaxBatchTokens = 512;
 // batch token budget, or `rows` when a longer request needs more, on the
 // power-of-two grid.
 int64_t CapacityFor(int64_t rows, int64_t max_batch_tokens) {
-  return BucketTokensPow2(std::max(max_batch_tokens, rows), kMinBatchBucket);
-}
-
-// The row count a span of `tokens` summed request rows replays at: the
-// power-of-two bucket when batching, so PIT's kernel cache (keyed on the exact
-// row count) sees O(log max_tokens) shapes, or the exact sum at window 1.
-int64_t ReplayRows(int64_t tokens, int batch_window) {
-  return batch_window > 1 ? BucketTokensPow2(tokens, kMinBatchBucket) : tokens;
+  return BucketTokensPow2(std::max(max_batch_tokens, rows), kMinCapacityBucket);
 }
 
 // Finiteness scan: one NaN or inf in an activation (or mask) poisons every
@@ -458,21 +451,21 @@ bool ServingEngine::ForwardSpan(StreamState& stream, const std::vector<ServeRequ
   }
   stream.lens.clear();
   stream.segments.clear();
-  int64_t sum = 0;
+  // The span replays at exactly its summed request rows: no padding rows.
+  int64_t rows = 0;
   int64_t max_len = 0;
   for (const int64_t idx : span) {
     const ServeRequest& request = requests[static_cast<size_t>(idx)];
     const int64_t len = request.x.dim(0);
     stream.lens.push_back(len);
     if (transformer_ != nullptr) {
-      stream.segments.push_back({sum, len,
+      stream.segments.push_back({rows, len,
                                  request.attn_mask != nullptr ? ConstTensorView(*request.attn_mask)
                                                               : ConstTensorView()});
     }
-    sum += len;
+    rows += len;
     max_len = std::max(max_len, len);
   }
-  const int64_t rows = ReplayRows(sum, batch_window_);
   if (static_cast<int64_t>(stream.iota.size()) < max_len) {
     const int64_t old = static_cast<int64_t>(stream.iota.size());
     stream.iota.resize(static_cast<size_t>(max_len));
@@ -486,12 +479,6 @@ bool ServingEngine::ForwardSpan(StreamState& stream, const std::vector<ServeRequ
     stream.x = Tensor({capacity, hidden_});
     stream.out = Tensor({capacity, hidden_});
   }
-  // Padding rows [sum, rows) belong to no attention segment, and every
-  // other kernel is row-wise, so real rows never read them. They are
-  // re-zeroed every batch to keep their own (discarded) rows finite, whatever
-  // an earlier, fuller batch left in the tile, and because PIT's sparsity
-  // detection reads them.
-  std::fill(stream.x.data() + sum * hidden_, stream.x.data() + rows * hidden_, 0.0f);
   int64_t off = 0;
   for (size_t i = 0; i < span.size(); ++i) {
     const int64_t len = stream.lens[i];
@@ -562,7 +549,7 @@ bool ServingEngine::ForwardSpan(StreamState& stream, const std::vector<ServeRequ
   StreamState::BucketCounters& c = stream.bucket_counters[rows];
   ++c.batches;
   c.requests += static_cast<int64_t>(span.size());
-  c.packed_tokens += sum;
+  c.packed_tokens += rows;
   c.computed_tokens += rows;
   return true;
 }
@@ -778,7 +765,7 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
           for (const int64_t idx : stream.span) {
             span_tokens += requests[static_cast<size_t>(idx)].x.dim(0);
           }
-          stream.hb_rows.store(ReplayRows(span_tokens, batch_window_), std::memory_order_relaxed);
+          stream.hb_rows.store(span_tokens, std::memory_order_relaxed);
           stream.hb_active.store(true, std::memory_order_release);
           if (FaultProbe(FaultSite::kStall)) {
             ++stream.stalls_injected;

@@ -14,10 +14,10 @@
 // stream — one context per layer — over token-polymorphic plans compiled at
 // a capacity of max_batch_tokens rows (on the power-of-two grid), built on
 // first use and grown only when a longer request arrives. Every forward
-// binds its own row count: a packed batch replays at the power-of-two
-// bucket of its summed tokens, a 1:1 request (a packed span of one) at its
-// exact length. Pooled memory is therefore streams x one capacity stream,
-// whatever the length mix.
+// binds its own row count: a packed batch replays at exactly its summed
+// tokens, a 1:1 request (a packed span of one) at its length, so no padding
+// row is ever computed. Pooled memory is therefore streams x one capacity
+// stream, whatever the length mix.
 //
 // Continuous ragged batching (PR 6) applies the paper's micro-tile
 // permutation to the batch axis: a padded mixed-length batch is a dynamically
@@ -27,12 +27,11 @@
 // [sum_tokens, hidden] tile, replaying the stack's shared plan over it with
 // one attention segment per request (a request's rows attend only to each
 // other, under its own mask, so attention costs sum(t_i^2) score entries
-// rather than sum(t)^2; padding rows belong to no segment), and
-// SWrite-scattering per-request outputs back. Packed batches are padded to
-// power-of-two sum-token buckets, so PIT's kernel cache (keyed on the exact
-// row count) sees O(log max_tokens) shapes instead of one per distinct sum;
-// padding rows are zeroed every pack. The batched result is bitwise
-// identical per request to 1:1 single-stream replay for dense serving:
+// rather than sum(t)^2), and SWrite-scattering per-request outputs back.
+// PIT's kernel cache selects once per power-of-two row-count bucket and runs
+// the chosen kernel at the exact sum, so the distinct sums of one bucket share
+// one selection (PitCompiler). The batched result is bitwise identical per
+// request to 1:1 single-stream replay for dense serving:
 // every other kernel in the stack is row-independent (GEMM rows, layernorm,
 // residuals) and each segment runs exactly the attention calls of its
 // request served alone, so a request's rows cannot observe its batch
@@ -208,16 +207,15 @@ struct ServingEngineOptions {
 };
 
 // Per-bucket service accounting. A "bucket" is the row count a forward
-// replays the stream's capacity plans at: the power-of-two sum-token bucket
-// of a packed batch under ragged batching, or a request's exact token count
-// when serving 1:1. Every serving stream holds one stack stream, so buckets
-// describe replay shapes, not plan sets.
+// replays the stream's capacity plans at: the summed token count of a packed
+// batch, or a request's token count when serving 1:1. Every serving stream
+// holds one stack stream, so buckets describe replay shapes, not plan sets.
 struct ServingBucketStats {
   int64_t bucket = 0;           // replayed row count
   int64_t batches = 0;          // lifetime forwards at this row count
   int64_t requests = 0;         // lifetime requests served through them
   int64_t packed_tokens = 0;    // lifetime real token rows packed
-  int64_t computed_tokens = 0;  // lifetime rows computed (batches x bucket)
+  int64_t computed_tokens = 0;  // lifetime rows computed (== packed_tokens)
   // Stack-stream acquisitions at this row count: hits replayed the built
   // stream, misses built it (first use) or grew it (a longer request).
   int64_t plan_hits = 0;
@@ -244,9 +242,8 @@ struct ServingEngineStats {
   double mean_latency_us = 0.0;  // arrival (= Serve start) -> completion
   double p50_latency_us = 0.0;   // nearest-rank percentiles (PercentileNearestRank)
   double p99_latency_us = 0.0;
-  // Lifetime fraction of computed token rows that were real request rows
-  // (1.0 unbatched or before any forward; batching trades bucket-padding
-  // waste for plan reuse and dense-batch efficiency).
+  // Lifetime fraction of computed token rows that were real request rows.
+  // Every forward replays at its exact summed rows, so this is 1.0.
   double packed_utilization = 1.0;
   // Fault-containment accounting (lifetime). The injected-fault ledger
   // reconciles exactly: faults_injected == retries + degraded_forwards +
@@ -380,8 +377,8 @@ class ServingEngine {
                  const std::vector<int64_t>& span, const std::vector<int64_t>& deadline_abs,
                  std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
   // The one forward every span takes — a 1:1 request is a span of one:
-  // gather, segment, replay, scatter. The span replays at the power-of-two
-  // bucket of its summed tokens when batching, at the exact sum at window 1.
+  // gather, segment, replay, scatter. The span replays at exactly its summed
+  // tokens, whatever the window.
   // In-flight deadline enforcement happens here: the stream's token is armed
   // with the latest member deadline iff *every* member carries one (the span
   // is cancelled mid-replay only when every member has lapsed — all end

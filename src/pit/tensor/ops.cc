@@ -596,10 +596,7 @@ void SegmentAttentionInto(ConstTensorView q, ConstTensorView k, ConstTensorView 
   std::fill(ctx.data() + end * hidden, ctx.data() + tokens * hidden, 0.0f);
 
   const int64_t pairs = static_cast<int64_t>(segments.size()) * heads;
-  // As in BatchMatMulInto: fan the pairs out when there are enough to fill
-  // the pool, else keep them serial so each pair's kernels use every worker.
-  const int64_t grain = pairs >= NumThreads() ? 1 : pairs;
-  ParallelFor(pairs, grain, [&](int64_t p0, int64_t p1) {
+  const auto run_pairs = [&](int64_t p0, int64_t p1) {
     // Per-thread head tiles (like SoftmaxInto's spans): q_h, v_h and the
     // head context [t, dk], k_h^T [dk, t], and the [t, t] scores that the
     // softmax turns into probabilities in place. The shapes are reused too,
@@ -638,6 +635,40 @@ void SegmentAttentionInto(ConstTensorView q, ConstTensorView k, ConstTensorView 
         std::memcpy(ctx.data() + (s.offset + r) * hidden + col, head_ctx + r * dk,
                     static_cast<size_t>(dk) * sizeof(float));
       }
+    }
+  };
+  // As in BatchMatMulInto: fan the pairs out when there are enough to fill
+  // the pool, else keep them serial so each pair's kernels use every worker.
+  const int chunks = ParallelChunkCount(pairs, pairs >= NumThreads() ? 1 : pairs);
+  if (chunks <= 1) {
+    run_pairs(0, pairs);
+    return;
+  }
+  // A pair costs ~t^2, so equal-count chunks would leave one worker with a
+  // long request's heads while the rest idle after the short ones. Each pair
+  // goes to the chunk its midpoint on the prefix sum of t^2 falls in instead
+  // (contiguous, as balanced as whole pairs allow). Pairs are computed
+  // independently, so the split never changes the bits.
+  int64_t total = 0;
+  for (const AttentionSegment& s : segments) {
+    total += heads * s.length * s.length;
+  }
+  std::vector<int64_t> cut(static_cast<size_t>(chunks) + 1, pairs);
+  cut[0] = 0;
+  int next = 1;
+  int64_t before = 0;
+  for (int64_t p = 0; p < pairs; ++p) {
+    const int64_t t = segments[static_cast<size_t>(p / heads)].length;
+    const int64_t chunk =
+        std::min<int64_t>(chunks - 1, (2 * before + t * t) * chunks / (2 * total));
+    while (next <= chunk) {
+      cut[static_cast<size_t>(next++)] = p;
+    }
+    before += t * t;
+  }
+  ParallelForChunks(chunks, chunks, [&](int /*chunk*/, int64_t c0, int64_t c1) {
+    for (int64_t c = c0; c < c1; ++c) {
+      run_pairs(cut[static_cast<size_t>(c)], cut[static_cast<size_t>(c) + 1]);
     }
   });
 }

@@ -131,8 +131,9 @@ struct AttentionSegment {
 // So each segment's rows are bitwise equal to its request attended alone, and
 // a packed tile costs sum(t_i^2) score entries, not T^2. Segments must be
 // non-empty, sorted, disjoint and inside [0, T). Pairs are split across the
-// pool; the head tiles live in per-thread scratch that grows to the largest
-// segment seen, so warm calls allocate nothing. `ctx` must not alias q/k/v.
+// pool in contiguous chunks of about equal t^2 work; the head tiles live in
+// per-thread scratch that grows to the largest segment seen, so warm calls
+// allocate no tiles. `ctx` must not alias q/k/v.
 void SegmentAttentionInto(ConstTensorView q, ConstTensorView k, ConstTensorView v, int64_t heads,
                           std::span<const AttentionSegment> segments, TensorView ctx);
 

@@ -1281,6 +1281,42 @@ TEST(SegmentAttentionTest, RandomPartitionsMatchEachRequestsEagerLayer) {
   }
 }
 
+TEST(SegmentAttentionTest, SkewedPartitionSplitsByWorkBitwise) {
+  // One 200-row segment among fifteen 4-row ones: the (segment, head) pairs
+  // are split by t^2 work, so the long segment's heads land in chunks of
+  // their own. The split must not change a bit.
+  constexpr int64_t kHidden = 32;
+  Rng wr(221);
+  TransformerEncoderLayer layer(kHidden, 4, 96, wr);
+  std::vector<AttentionSegment> segments;
+  int64_t tokens = 0;
+  for (int s = 0; s < 16; ++s) {
+    const int64_t len = s == 7 ? 200 : 4;
+    segments.push_back({tokens, len, ConstTensorView()});
+    tokens += len;
+  }
+  Rng rng(222);
+  const Tensor x = Tensor::Random({tokens, kHidden}, rng);
+  TransformerEncoderLayer::Stream stream = layer.MakeStream(tokens, /*masked=*/false);
+  stream.ctx->set_attention_segments(segments);
+  for (const IsaTier isa : {ActiveIsa(), IsaTier::kScalar}) {
+    ScopedIsa tier(isa);
+    std::vector<Tensor> expected;
+    for (const AttentionSegment& seg : segments) {
+      expected.push_back(layer.ForwardEager(Rows(x, seg.offset, seg.length), nullptr));
+    }
+    for (int threads : {1, 4, 7}) {
+      ScopedNumThreads scoped(threads);
+      Tensor out({tokens, kHidden});
+      layer.ForwardWith(stream, x, nullptr, nullptr, &out);
+      for (size_t s = 0; s < segments.size(); ++s) {
+        ASSERT_TRUE(RowsBitwiseEqual(out, segments[s].offset, expected[s]))
+            << "segment " << s << " isa " << IsaName(isa) << " threads " << threads;
+      }
+    }
+  }
+}
+
 TEST(SegmentAttentionTest, UncoveredRowsAreZeroAndSegmentsMatchEagerHeads) {
   constexpr int64_t kTokens = 37;
   constexpr int64_t kHidden = 24;
@@ -1576,6 +1612,46 @@ TEST(TokenRowsReplayTest, PolymorphismIsDerivedFromProvenance) {
   EXPECT_TRUE(plan.token_major(xw));
   EXPECT_FALSE(plan.token_major(w));
   EXPECT_FALSE(plan.token_major(w_relu));
+}
+
+TEST(TokenRowsReplayTest, PitCapacityPlanSelectsOncePerRowBucket) {
+  // PIT selects per power-of-two row-count bucket and runs the kernel at the
+  // bound row count, so replays at several T inside one bucket keep the
+  // selected kernel and hit the step's handle. Every row keeps the same
+  // columns (7 of 64) live, so every T lands in one sparsity bucket.
+  Rng wr(351);
+  const Tensor w = Tensor::Random({64, 32}, wr);
+  Graph g;
+  const int x = g.AddInput("x", {kCapacity, 64}, /*expected_sparsity=*/0.9);
+  g.AddMatmul("proj", x, g.AddWeight("w", w));
+  const std::vector<MatmulDecision> decisions = g.PitPass();
+  ASSERT_TRUE(decisions[0].use_pit);
+  std::shared_ptr<ExecutionPlan> plan = g.PlanShared(&decisions);
+  ASSERT_TRUE(plan->token_polymorphic());
+  ExecutionContext ctx(*plan);
+  Tensor tile({kCapacity, 64});
+  Rng rng(352);
+  for (int64_t i = 0; i < kCapacity; ++i) {
+    for (int64_t j = 0; j < 64; j += 10) {
+      tile.At(i, j) = rng.NextFloat(0.5f, 1.0f);
+    }
+  }
+  const std::map<std::string, Tensor> feeds{{"x", tile}};
+  PitCompiler compiler(V100());
+  int64_t hits = 0;
+  for (const int64_t rows : {40, 33, 64, 47}) {  // all in bucket 64
+    ctx.set_token_rows(rows);
+    const ConstTensorView out = plan->RunWith(ctx, feeds, &compiler);
+    ASSERT_EQ(out.dim(0), rows);
+    EXPECT_EQ(compiler.kernels_compiled(), 1) << "rows " << rows;
+    if (rows != 40) {
+      EXPECT_EQ(compiler.cache_hits(), hits + 1) << "rows " << rows;
+    }
+    hits = compiler.cache_hits();
+    Tensor got({rows, 32});
+    std::copy(out.data(), out.data() + got.size(), got.data());
+    EXPECT_TRUE(AllClose(got, MatMul(Rows(tile, 0, rows), w), 1e-3f, 1e-4f)) << "rows " << rows;
+  }
 }
 
 TEST(TokenRowsReplayTest, RowCountsThePlanCannotReplayAbort) {

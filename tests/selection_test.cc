@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "pit/core/compiler.h"
 #include "pit/core/kernel_selection.h"
 #include "pit/tensor/ops.h"
@@ -137,6 +139,35 @@ TEST(CompilerTest, DifferentSparsityBucketsRecompile) {
   compiler.SparseMatmul(a1, b);
   compiler.SparseMatmul(a2, b);
   EXPECT_EQ(compiler.kernels_compiled(), 2);
+}
+
+TEST(CompilerTest, SelectionCachedPerRowBucket) {
+  // m is a PIT-axis: selection happens once per power-of-two row-count
+  // bucket and the chosen kernel runs at the exact m. Every row keeps the
+  // same columns (7 of 64) live, so all m share one sparsity bucket.
+  PitCompiler compiler(V100());
+  Rng rng(9);
+  Tensor b = Tensor::Random({64, 32}, rng);
+  for (int64_t m = 17; m <= 33; ++m) {
+    Tensor a({m, 64});
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < 64; j += 10) {
+        a.At(i, j) = rng.NextFloat(0.5f, 1.0f);
+      }
+    }
+    PitExecution exec = compiler.SparseMatmul(a, b);
+    EXPECT_EQ(compiler.kernels_compiled(), m <= 32 ? 1 : 2) << "m " << m;
+    const Tensor dense = MatMul(a, b);
+    if (exec.plan.fallback_dense) {
+      EXPECT_EQ(std::memcmp(exec.output.data(), dense.data(),
+                            static_cast<size_t>(dense.size()) * sizeof(float)),
+                0)
+          << "m " << m;
+    } else {
+      EXPECT_TRUE(AllClose(exec.output, dense, 1e-3f, 1e-4f)) << "m " << m;
+    }
+  }
+  EXPECT_EQ(compiler.cache_hits(), 15);  // m = 18..32
 }
 
 TEST(CompilerTest, DenseFallbackProducesExactResult) {

@@ -405,8 +405,9 @@ TEST(RaggedBatchingTest, MatchesEagerAndUnbatchedAcrossCombinations) {
         ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
             << "request " << i << " (streams=" << streams << ", threads=" << threads << ")";
       }
-      // Requests were actually coalesced, not served 1:1.
+      // Requests were actually coalesced, not served 1:1, with no padding.
       EXPECT_LT(engine.stats().batches, engine.stats().requests);
+      EXPECT_EQ(engine.stats().packed_utilization, 1.0);
     }
   }
 }
@@ -414,8 +415,8 @@ TEST(RaggedBatchingTest, MatchesEagerAndUnbatchedAcrossCombinations) {
 TEST(RaggedBatchingTest, RandomizedMixedLengthFuzzMatchesOneToOne) {
   // Fuzzed lengths, masks, and admission knobs: the batched engine must
   // reproduce the unbatched single-stream engine bitwise for every request —
-  // batch composition, bucket padding, and the block-diagonal mask are
-  // invisible in the results.
+  // batch composition and per-request attention segments are invisible in
+  // the results.
   Rng wr(23);
   PlannedTransformerStack stack(2, 16, 2, 48, wr);
   Rng fuzz(24);
@@ -521,6 +522,8 @@ TEST(RaggedBatchingTest, PitBatchedServingMatchesSingleStreamBatched) {
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
   }
+  // PIT batches replay at their exact sums too: no padding rows.
+  EXPECT_EQ(engine.stats().packed_utilization, 1.0);
 }
 
 TEST(RaggedBatchingTest, StatsReportReplayRowCountsAndOneBuild) {
@@ -544,27 +547,25 @@ TEST(RaggedBatchingTest, StatsReportReplayRowCountsAndOneBuild) {
   EXPECT_EQ(stats.max_batch_tokens, 40);
   EXPECT_GT(stats.batches, 0);
   EXPECT_LT(stats.batches, stats.requests);
-  EXPECT_GT(stats.packed_utilization, 0.0);
-  EXPECT_LE(stats.packed_utilization, 1.0);
+  // Every batch replays at exactly its summed tokens: no padding rows.
+  EXPECT_EQ(stats.packed_utilization, 1.0);
   ASSERT_FALSE(stats.buckets.empty());
   int64_t bucket_requests = 0;
   int64_t prev_bucket = 0;
   for (const ServingBucketStats& b : stats.buckets) {
     EXPECT_GT(b.bucket, prev_bucket);  // ascending, distinct
     prev_bucket = b.bucket;
-    // Power-of-two replay row counts, floored at 16.
-    EXPECT_GE(b.bucket, 16);
-    EXPECT_EQ(b.bucket & (b.bucket - 1), 0) << "bucket " << b.bucket;
     EXPECT_GE(b.requests, b.batches);
     EXPECT_GE(b.packed_tokens, b.batches);  // at least one real row per batch
     EXPECT_EQ(b.computed_tokens, b.batches * b.bucket);
+    EXPECT_EQ(b.computed_tokens, b.packed_tokens) << "bucket " << b.bucket;
     EXPECT_EQ(b.plan_hits + b.plan_misses, b.batches);
     EXPECT_GE(b.p99_latency_us, b.p50_latency_us);
     bucket_requests += b.requests;
   }
   EXPECT_EQ(bucket_requests, stats.requests);
   // One stack stream, built once at capacity 64 (the 40-token budget on the
-  // power-of-two grid), whatever buckets the batches replay at.
+  // power-of-two grid), whatever row counts the batches replay at.
   EXPECT_EQ(TotalPlanMisses(stats), 1);
   EXPECT_EQ(stats.pool_contexts, stack.layers());
   EXPECT_EQ(stats.pool_arena_bytes, stack.StatsFor(64).arena_bytes);
