@@ -184,18 +184,6 @@ inline const MachineProbe& GetMachineProbe() {
   return probe;
 }
 
-// Times `planned` at each swept worker count (warming once per width) and
-// appends the planned_us_tN fields every BENCH_*.json case records — one
-// helper so every bench sweeps the same thread set with the same naming.
-template <typename Fn>
-inline void SweepPlannedThreads(JsonFields* fields, Fn&& planned) {
-  for (const int t : {1, 4, 8}) {
-    ScopedNumThreads threads(t);
-    planned();  // warm plans/scratch at this width
-    fields->emplace_back("planned_us_t" + std::to_string(t), TimeUs(planned, 5));
-  }
-}
-
 // Accumulates named records of typed fields and writes them as a BENCH_*.json
 // trajectory file:
 //   {"bench": "...", "meta": {...}, "results": [{"name": "...", ...}, ...]}

@@ -1,7 +1,6 @@
 #include "pit/common/gemm_microkernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -21,8 +20,6 @@ using scalar_kernels::kMr;
 using scalar_kernels::kNr;
 
 constexpr int64_t kKc = 256;  // k-panel depth: panel of B stays hot in L2
-
-std::atomic<bool> g_pack_b{true};
 
 // A chunk must reuse the packed panel across at least this many 4-row blocks
 // before the pack pass (one read + one write of the panel) pays for itself.
@@ -95,8 +92,7 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
     // original, so packing never changes the floating-point result.
     const int64_t n_tiles = (n + kNr - 1) / kNr;
     const int64_t scratch_elems = kKc * n_tiles * kNr;
-    const bool pack = g_pack_b.load(std::memory_order_relaxed) &&
-                      blk1 - blk0 >= kMinRowBlocksToPack &&
+    const bool pack = blk1 - blk0 >= kMinRowBlocksToPack &&
                       k * n * static_cast<int64_t>(sizeof(float)) >= kMinBBytesToPack &&
                       scratch_elems * static_cast<int64_t>(sizeof(float)) <= kMaxPackScratchBytes;
     thread_local std::vector<float> bpack;
@@ -155,9 +151,5 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
     }
   });
 }
-
-bool GemmPackBEnabled() { return g_pack_b.load(std::memory_order_relaxed); }
-
-void SetGemmPackB(bool enabled) { g_pack_b.store(enabled, std::memory_order_relaxed); }
 
 }  // namespace pit

@@ -23,32 +23,13 @@ namespace pit {
 // formula) after the bias add, so a fused matmul(+bias)+relu is bitwise
 // identical to the two separate passes. Runs on the ParallelFor pool; safe to
 // call from inside another ParallelFor (it then runs inline or fans out to
-// the caller's width budget).
+// the caller's width budget). Once B is large enough that its panels thrash
+// L2 (>= 2 MiB), each worker packs the current k-panel of B into contiguous
+// 16-wide tiles before streaming it through the register kernels; packing
+// copies values only, so the result is bit-identical either way.
 void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const float* b,
              int64_t ldb, float* c, int64_t ldc, const float* bias = nullptr,
              bool relu = false);
-
-// B-panel packing switch. When enabled (default) and B is large enough that
-// its panels thrash L2 (>= 2 MiB), each worker packs the current k-panel of B
-// into a contiguous thread-local scratch panel (16-wide tiles, zero-padded at
-// the ragged edge) before streaming it through the register kernels: the
-// inner loop then reads dense 64-byte rows instead of ldb-strided ones.
-// Packing copies values only — the accumulation order, and therefore the
-// result, is bit-identical either way. The switch exists so the bench harness
-// can measure the packed-vs-unpacked single-core delta.
-bool GemmPackBEnabled();
-void SetGemmPackB(bool enabled);
-
-class ScopedGemmPackB {
- public:
-  explicit ScopedGemmPackB(bool enabled) : saved_(GemmPackBEnabled()) { SetGemmPackB(enabled); }
-  ~ScopedGemmPackB() { SetGemmPackB(saved_); }
-  ScopedGemmPackB(const ScopedGemmPackB&) = delete;
-  ScopedGemmPackB& operator=(const ScopedGemmPackB&) = delete;
-
- private:
-  bool saved_;
-};
 
 }  // namespace pit
 

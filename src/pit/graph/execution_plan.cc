@@ -498,8 +498,8 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
   arena_elems_ = planner.extent();
   stats_.arena_bytes = planner.extent() * static_cast<int64_t>(sizeof(float));
   stats_.num_steps = static_cast<int>(steps_.size());
-  // From here on the plan is immutable; all replay state lives in execution
-  // contexts (the default one materializes lazily on first classic Run).
+  // From here on the plan is immutable; all replay state lives in
+  // caller-owned execution contexts.
 
   // Independent static verification of the freshly compiled plan (debug/test
   // builds by default; always under PIT_VERIFY_PLAN=on): the verifier
@@ -511,14 +511,6 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
     VerifyPlanOrDie(*this, "ExecutionPlan compile");
   }
 }
-
-ExecutionContext& ExecutionPlan::DefaultCtx() const {
-  std::call_once(default_ctx_once_,
-                 [this] { default_ctx_ = std::make_unique<ExecutionContext>(*this); });
-  return *default_ctx_;
-}
-
-const float* ExecutionPlan::arena_base() const { return DefaultCtx().arena_base(); }
 
 void ExecutionPlan::BindTokenRows(ExecutionContext& ctx) const {
   const int64_t rows = ctx.token_rows_ > 0 ? ctx.token_rows_ : token_extent_;
@@ -727,16 +719,6 @@ ConstTensorView ExecutionPlan::RunImpl(ExecutionContext& ctx, const FeedMap& fee
   }
   RunSequential(ctx, compiler, observer != nullptr && *observer ? observer : nullptr);
   return result();
-}
-
-ConstTensorView ExecutionPlan::Run(const std::map<std::string, Tensor>& feeds,
-                                   PitCompiler* compiler, const StepObserver* observer) {
-  return RunImpl(DefaultCtx(), feeds, compiler, observer);
-}
-
-ConstTensorView ExecutionPlan::Run(const std::map<std::string, const Tensor*>& feeds,
-                                   PitCompiler* compiler, const StepObserver* observer) {
-  return RunImpl(DefaultCtx(), feeds, compiler, observer);
 }
 
 ConstTensorView ExecutionPlan::RunWith(ExecutionContext& ctx,

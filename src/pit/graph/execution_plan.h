@@ -19,12 +19,11 @@
 //
 // Plan vs. execution state. A compiled plan is immutable: steps, shapes,
 // and stats never change after the constructor returns. All
-// mutable replay state — the arena, the per-Run feed bindings, and the
-// per-call-site PIT kernel slots — lives in an ExecutionContext. One plan
-// therefore replays concurrently from N request streams, each stream holding
-// its own context (RunWith); the classic Run(feeds) entry keeps its exact
-// semantics by delegating to an internal default context, and stays
-// not-thread-safe for the same reason it always was (one arena).
+// mutable replay state — the arena, the per-replay feed bindings, and the
+// per-call-site PIT kernel slots — lives in a caller-owned ExecutionContext,
+// and RunWith is the one replay entry. One plan therefore replays
+// concurrently from N request streams, each stream holding its own context;
+// a one-shot caller replays through a context of its own for the call.
 //
 // Token-row replay. The token axis is a PIT-axis of every row-wise op
 // (§3.2): GEMM rows, layernorm, residuals, ReLU and the fused epilogues each
@@ -43,17 +42,16 @@
 // kernels (each one splits its work across the ParallelFor pool). Replay is
 // bitwise identical to the eager executor for any thread count: the steps
 // call the exact kernels the eager ops wrap and every kernel is internally
-// order-deterministic. Executing a compiled plan performs ~zero heap
-// allocations on the dense path (the arena and bindings are sized at compile
-// time; only a genuine multi-thread fan-out pays a few std::function wraps).
+// order-deterministic. Replaying through a warmed context performs zero heap
+// allocations on the dense path (the arena and bindings are sized when the
+// context is built; only a genuine multi-thread fan-out pays a few
+// std::function wraps) — tests/zero_alloc_test.cc holds the contract.
 #ifndef PIT_GRAPH_EXECUTION_PLAN_H_
 #define PIT_GRAPH_EXECUTION_PLAN_H_
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,7 +68,7 @@ class ExecutionPlan;
 
 // Where a node's value lives during plan execution.
 enum class ValueLoc : uint8_t {
-  kFeed,    // caller-provided input tensor, bound per Run
+  kFeed,    // caller-provided input tensor, bound per replay
   kWeight,  // graph-owned (or referenced) constant, bound at compile
   kArena,   // slice of the execution context's arena at `offset`
 };
@@ -105,7 +103,8 @@ struct OpCall {
   int iattr1 = 1;
 };
 
-// Memory-planning summary, the data behind BENCH_pr2's arena metrics.
+// Memory-planning summary of one compiled plan: what one execution context
+// pins, against what eager execution would allocate.
 struct PlanStats {
   int64_t arena_bytes = 0;           // peak bytes of one execution context's arena
   int64_t sum_temporary_bytes = 0;   // what eager execution would allocate
@@ -126,7 +125,7 @@ enum class ReplayStatus : uint8_t {
 };
 
 // Per-stream execution state over one shared, immutable ExecutionPlan: the
-// 64-byte-aligned arena, the per-Run feed binding table, and the per-step PIT
+// 64-byte-aligned arena, the per-replay feed binding table, and the per-step PIT
 // kernel slots. Contexts are independent — two streams replaying the same
 // plan through distinct contexts share zero mutable state — and reusable: a
 // context pooled across requests keeps its arena and its warmed PIT handles.
@@ -154,7 +153,7 @@ class ExecutionContext {
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
   const CancelToken* cancel_token() const { return cancel_; }
 
-  // Outcome of the most recent RunWith/Run through this context. kCancelled
+  // Outcome of the most recent RunWith through this context. kCancelled
   // replays return a dead view; callers that installed a token check this
   // (or the token itself) before trusting the result.
   ReplayStatus replay_status() const { return replay_status_; }
@@ -189,7 +188,8 @@ class ExecutionContext {
   float* arena_ = nullptr;
   int64_t arena_bytes_ = 0;
   // Per-node data pointer for kFeed/kWeight nodes (weights copied from the
-  // plan's compile-time bindings, feeds re-bound each Run); indexed by node id.
+  // plan's compile-time bindings, feeds re-bound each replay); indexed by
+  // node id.
   std::vector<const float*> bound_;
   // Per-step PIT kernel slot (PIT steps only; empty-handle default). Owned by
   // the context so concurrent streams never race on a shared JIT handle.
@@ -210,7 +210,7 @@ class ExecutionContext {
 };
 
 // Called after each compute step with the node id and a view of its value
-// (valid until the arena slot is reused by a later Run or step).
+// (valid until the arena slot is reused by a later replay or step).
 using StepObserver = std::function<void(int node_id, ConstTensorView value)>;
 
 class ExecutionPlan {
@@ -226,31 +226,21 @@ class ExecutionPlan {
   ExecutionPlan(const ExecutionPlan&) = delete;
   ExecutionPlan& operator=(const ExecutionPlan&) = delete;
 
-  // Executes every step over `feeds` and returns a view of the final node's
-  // value (valid until the next Run or plan destruction). `compiler` is
-  // required iff the plan contains PIT steps. `observer`, when set, sees each
-  // compute step's output right after the step runs. Not thread-safe: this
-  // entry replays through the plan's built-in default context, so
-  // concurrent Runs on one plan race; concurrent callers must use RunWith
-  // over distinct contexts.
-  ConstTensorView Run(const std::map<std::string, Tensor>& feeds,
-                      PitCompiler* compiler = nullptr, const StepObserver* observer = nullptr);
-  // Pointer-feed form for callers that rebind the same feeds every call (the
-  // nn/runtime layers): no tensor copies, no per-call map construction.
-  ConstTensorView Run(const std::map<std::string, const Tensor*>& feeds,
-                      PitCompiler* compiler = nullptr, const StepObserver* observer = nullptr);
-
-  // Replays the plan over a caller-owned execution context. The plan itself
-  // is immutable during replay, so concurrent RunWith calls over *distinct*
-  // contexts are safe from any number of threads and bitwise identical to
-  // single-stream replay — this is the multi-stream serving seam. Two
-  // caveats: a single context must not be run concurrently with itself, and
-  // PIT steps drive the passed PitCompiler, which is not thread-safe —
-  // concurrent PIT streams need one compiler per stream. The returned view
-  // borrows the context's arena (valid until its next RunWith).
+  // Executes every step over `feeds` through a caller-owned execution
+  // context and returns a view of the final node's value, borrowing the
+  // context's arena (valid until its next RunWith). `compiler` is required
+  // iff the plan contains PIT steps. `observer`, when set, sees each compute
+  // step's output right after the step runs. The plan itself is immutable
+  // during replay, so concurrent RunWith calls over *distinct* contexts are
+  // safe from any number of threads and bitwise identical to single-stream
+  // replay. Two caveats: a single context must not be run concurrently with
+  // itself, and PIT steps drive the passed PitCompiler, which is not
+  // thread-safe — concurrent PIT streams need one compiler per stream.
   ConstTensorView RunWith(ExecutionContext& ctx, const std::map<std::string, Tensor>& feeds,
                           PitCompiler* compiler = nullptr,
                           const StepObserver* observer = nullptr) const;
+  // Pointer-feed form for callers that rebind the same feeds every call (the
+  // nn/runtime streams): no tensor copies, no per-call map construction.
   ConstTensorView RunWith(ExecutionContext& ctx,
                           const std::map<std::string, const Tensor*>& feeds,
                           PitCompiler* compiler = nullptr,
@@ -269,11 +259,6 @@ class ExecutionPlan {
     return node_id >= 0 && node_id < static_cast<int>(token_major_.size()) &&
            token_major_[static_cast<size_t>(node_id)] != 0;
   }
-  // 64-byte-aligned base of the default context's arena (alignment is
-  // asserted by plan_executor_test; every ExecutionContext satisfies the same
-  // contract via ExecutionContext::arena_base).
-  const float* arena_base() const;
-
   // ---- Verifier-facing views of the compile products ----------------------
   // Read-only windows onto the immutable plan for the independent static
   // verifier (plan_verifier.{h,cc}), which re-derives every replay invariant
@@ -326,14 +311,6 @@ class ExecutionPlan {
   bool token_polymorphic_ = false;
   int64_t token_extent_ = 0;
   std::vector<char> token_major_;  // per node id; all zero unless polymorphic
-
-  // ---- Default execution state (the classic single-stream Run path) -------
-  // Created lazily on first Run()/arena_base(): plans that are only ever
-  // replayed through caller-owned contexts (multi-stream serving) never pin
-  // a dead default arena.
-  ExecutionContext& DefaultCtx() const;
-  mutable std::unique_ptr<ExecutionContext> default_ctx_;
-  mutable std::once_flag default_ctx_once_;
 };
 
 }  // namespace pit

@@ -48,14 +48,12 @@ const char* OpKindName(OpKind kind) {
 // vectors are compared by content (sans the human-readable reason) so a
 // recomputed-but-identical PitPass result reuses the compiled plan. Entries
 // are shared_ptr-held so an eviction (or another thread's compile) never
-// destroys a plan mid-run: executors keep their reference until Run returns,
-// and each entry carries its own run mutex (one arena per plan), so distinct
-// decision sets execute concurrently.
+// destroys a plan mid-replay: executors keep their handle until they finish.
+// Plans are immutable, so replays of one entry never contend on it.
 struct Graph::PlanCacheEntry {
   bool dense = true;
   std::vector<MatmulDecision> decisions;
   std::unique_ptr<ExecutionPlan> plan;
-  std::mutex run_mu;
 };
 
 struct Graph::PlanCache {
@@ -484,10 +482,6 @@ std::shared_ptr<Graph::PlanCacheEntry> Graph::EntryFor(
   return entry;
 }
 
-ExecutionPlan& Graph::Plan(const std::vector<MatmulDecision>* decisions) const {
-  return *EntryFor(decisions)->plan;
-}
-
 std::shared_ptr<ExecutionPlan> Graph::PlanShared(
     const std::vector<MatmulDecision>* decisions) const {
   std::shared_ptr<PlanCacheEntry> entry = EntryFor(decisions);
@@ -499,7 +493,7 @@ std::shared_ptr<ExecutionPlan> Graph::PlanShared(
 std::map<int, Tensor> Graph::Execute(const std::map<std::string, Tensor>& feeds,
                                      const std::vector<MatmulDecision>* decisions,
                                      PitCompiler* compiler) const {
-  std::shared_ptr<PlanCacheEntry> entry = EntryFor(decisions);
+  std::shared_ptr<ExecutionPlan> plan = PlanShared(decisions);
   std::map<int, Tensor> values;
   // Inputs and weights are pass-throughs; compute values are copied out of
   // the arena step by step (a slot may be reused by a later step).
@@ -517,18 +511,16 @@ std::map<int, Tensor> Graph::Execute(const std::map<std::string, Tensor>& feeds,
     std::copy(value.data(), value.data() + value.size(), copy.data());
     values.emplace(node_id, std::move(copy));
   };
-  // One arena per plan: executions of the SAME decision set serialize on the
-  // entry; different decision sets (and other graphs) run concurrently.
-  std::lock_guard<std::mutex> run_lock(entry->run_mu);
-  entry->plan->Run(feeds, compiler, &copy_out);
+  ExecutionContext ctx(*plan);
+  plan->RunWith(ctx, feeds, compiler, &copy_out);
   return values;
 }
 
 Tensor Graph::Run(const std::map<std::string, Tensor>& feeds,
                   const std::vector<MatmulDecision>* decisions, PitCompiler* compiler) const {
-  std::shared_ptr<PlanCacheEntry> entry = EntryFor(decisions);
-  std::lock_guard<std::mutex> run_lock(entry->run_mu);
-  ConstTensorView out = entry->plan->Run(feeds, compiler);
+  std::shared_ptr<ExecutionPlan> plan = PlanShared(decisions);
+  ExecutionContext ctx(*plan);
+  ConstTensorView out = plan->RunWith(ctx, feeds, compiler);
   Tensor result(node(size() - 1).shape);
   std::copy(out.data(), out.data() + out.size(), result.data());
   return result;

@@ -146,25 +146,20 @@ class Graph {
   std::vector<MatmulDecision> PitPass(double min_sparsity = 0.3) const;
 
   // Compiles — or returns the cached — execution plan for `decisions`
-  // (nullptr = dense). The plan and its arena persist on the graph, so
-  // repeated Execute/Run calls replay kernel dispatches with no per-call IR
-  // walk and ~zero allocations. Callers driving the plan directly must
-  // serialize Runs themselves (one arena per plan), and the reference is
-  // invalidated by mutating the graph or by compiling many further decision
-  // sets (the cache keeps the most recent 8); re-fetch it when in doubt.
-  ExecutionPlan& Plan(const std::vector<MatmulDecision>* decisions = nullptr) const;
-
-  // As Plan(), but the returned handle co-owns the compiled plan: it stays
-  // valid — and its Run keeps producing the plan's compiled-time semantics —
-  // even if a concurrent AddX mutation or cache eviction drops the plan from
-  // this graph's cache. Long-lived executors (the nn/runtime layers) must use
-  // this form; the reference form above is only safe while the graph is known
-  // not to change.
+  // (nullptr = dense). The plan persists on the graph (the cache keeps the
+  // most recent 8 decision sets), so repeated Execute/Run calls replay
+  // kernel dispatches with no per-call IR walk. The returned handle co-owns
+  // the compiled plan: it stays valid — and its replays keep producing the
+  // plan's compiled-time semantics — even if a concurrent AddX mutation or
+  // cache eviction drops the plan from this graph's cache. Callers replay it
+  // through their own ExecutionContext (ExecutionPlan::RunWith).
   std::shared_ptr<ExecutionPlan> PlanShared(
       const std::vector<MatmulDecision>* decisions = nullptr) const;
 
   // Executes the graph on `feeds` (name -> tensor for every kInput) through
-  // the cached plan. decisions == nullptr runs the dense reference; otherwise
+  // the cached plan, replayed over an execution context private to the call
+  // (so concurrent calls never serialize on the graph). decisions == nullptr
+  // runs the dense reference; otherwise
   // matmuls flagged use_pit run through `compiler`'s sparse path. Returns
   // every node's value (inputs and weights included), like the old eager
   // executor — intermediates are copied out of the arena as the plan runs.

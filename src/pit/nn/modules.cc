@@ -66,7 +66,7 @@ FeedForward::PlanEntry& FeedForward::EntryFor(int64_t tokens) const {
   }
   // First call at this token count: build the block's graph over the module's
   // weights (referenced, not copied) and record the PIT pass decisions. The
-  // plan itself compiles lazily inside Graph on first Run.
+  // plan itself compiles lazily inside Graph on first PlanShared.
   PlanEntry entry;
   entry.graph = std::make_unique<Graph>();
   Graph& g = *entry.graph;
@@ -75,39 +75,43 @@ FeedForward::PlanEntry& FeedForward::EntryFor(int64_t tokens) const {
   entry.relu_node = nodes.relu;
   g.PropagateSparsity();
   entry.decisions = g.PitPass();
-  entry.feeds = {{"x", nullptr}};
   return plans_.emplace(tokens, std::move(entry)).first->second;
 }
 
-Tensor FeedForward::RunPlanned(const Tensor& x, PitCompiler* compiler) const {
+Tensor FeedForward::ForwardOnce(const Tensor& x, PitCompiler* compiler) const {
   PIT_CHECK_EQ(x.rank(), 2);
-  // Plans share one arena per shape; concurrent const forwards serialize
-  // here (they interleaved freely before only by each allocating everything).
-  std::lock_guard<std::mutex> lock(mu_);
-  PlanEntry& entry = EntryFor(x.dim(0));
-  entry.feeds["x"] = &x;
-  // The shared handle keeps the plan alive even if the cache is invalidated
-  // or evicted while this Run is in flight.
-  std::shared_ptr<ExecutionPlan> plan =
-      entry.graph->PlanShared(compiler != nullptr ? &entry.decisions : nullptr);
+  std::shared_ptr<ExecutionPlan> plan;
+  int relu_node = -1;
+  {
+    // The lock covers the plan lookup only. The shared handle keeps the plan
+    // alive even if the cache is evicted while this replay is in flight.
+    std::lock_guard<std::mutex> lock(mu_);
+    PlanEntry& entry = EntryFor(x.dim(0));
+    plan = entry.graph->PlanShared(compiler != nullptr ? &entry.decisions : nullptr);
+    relu_node = entry.relu_node;
+  }
   double sparsity = 0.0;
-  const int relu_node = entry.relu_node;
   const StepObserver observe = [&](int node_id, ConstTensorView value) {
     if (node_id == relu_node) {
       sparsity = value.SparsityRatio();
     }
   };
-  ConstTensorView out = plan->Run(entry.feeds, compiler, &observe);
-  last_activation_sparsity_ = sparsity;
+  const std::map<std::string, const Tensor*> feeds{{"x", &x}};
+  ExecutionContext ctx(*plan);
+  ConstTensorView out = plan->RunWith(ctx, feeds, compiler, &observe);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    last_activation_sparsity_ = sparsity;
+  }
   Tensor result({x.dim(0), down_.out_features()});
   std::copy(out.data(), out.data() + out.size(), result.data());
   return result;
 }
 
-Tensor FeedForward::Forward(const Tensor& x) const { return RunPlanned(x, nullptr); }
+Tensor FeedForward::Forward(const Tensor& x) const { return ForwardOnce(x, nullptr); }
 
 Tensor FeedForward::ForwardSparse(const Tensor& x, PitCompiler& compiler) const {
-  return RunPlanned(x, &compiler);
+  return ForwardOnce(x, &compiler);
 }
 
 // ------------------------------------------------------- MultiHeadAttention
@@ -183,26 +187,25 @@ MultiHeadAttention::PlanEntry& MultiHeadAttention::EntryFor(int64_t tokens, bool
   const int x = g.AddInput("x", {tokens, qkv_.in_features()});
   const int mask = masked ? g.AddInput("mask", {tokens, tokens}) : -1;
   AppendToGraph(g, x, mask);
-  entry.feeds = {{"x", nullptr}};
-  if (masked) {
-    entry.feeds.emplace("mask", nullptr);
-  }
   return plans_.emplace(key, std::move(entry)).first->second;
 }
 
 Tensor MultiHeadAttention::Forward(const Tensor& x, const Tensor* mask) const {
   PIT_CHECK_EQ(x.rank(), 2);
   PIT_CHECK_EQ(x.dim(1), qkv_.in_features());
-  std::lock_guard<std::mutex> lock(mu_);
-  PlanEntry& entry = EntryFor(x.dim(0), mask != nullptr);
-  entry.feeds["x"] = &x;
+  std::map<std::string, const Tensor*> feeds{{"x", &x}};
   if (mask != nullptr) {
     PIT_CHECK(mask->rank() == 2 && mask->dim(0) == x.dim(0) && mask->dim(1) == x.dim(0))
         << "attention mask must be [tokens, tokens]";
-    entry.feeds["mask"] = mask;
+    feeds.emplace("mask", mask);
   }
-  std::shared_ptr<ExecutionPlan> plan = entry.graph->PlanShared();
-  ConstTensorView out = plan->Run(entry.feeds);
+  std::shared_ptr<ExecutionPlan> plan;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    plan = EntryFor(x.dim(0), mask != nullptr).graph->PlanShared();
+  }
+  ExecutionContext ctx(*plan);
+  ConstTensorView out = plan->RunWith(ctx, feeds);
   Tensor result({x.dim(0), x.dim(1)});
   std::copy(out.data(), out.data() + out.size(), result.data());
   return result;
@@ -375,32 +378,7 @@ TransformerEncoderLayer::PlanEntry& TransformerEncoderLayer::EntryFor(int64_t to
   g.AddAdd("out", h, ffn.out);
   g.PropagateSparsity();
   entry.decisions = g.PitPass();
-  entry.feeds = {{"x", nullptr}};
-  if (masked) {
-    entry.feeds.emplace("mask", nullptr);
-  }
   return plans_.emplace(key, std::move(entry)).first->second;
-}
-
-void TransformerEncoderLayer::ForwardInto(const Tensor& x, const Tensor* attn_mask,
-                                          PitCompiler* compiler, Tensor* out) const {
-  PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK_EQ(x.dim(1), ln1_gamma_.dim(0));
-  PIT_CHECK(out != nullptr);
-  PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
-  std::lock_guard<std::mutex> lock(mu_);
-  PlanEntry& entry = EntryFor(x.dim(0), attn_mask != nullptr);
-  entry.feeds["x"] = &x;
-  if (attn_mask != nullptr) {
-    PIT_CHECK(attn_mask->rank() == 2 && attn_mask->dim(0) == x.dim(0) &&
-              attn_mask->dim(1) == x.dim(0))
-        << "attention mask must be [tokens, tokens]";
-    entry.feeds["mask"] = attn_mask;
-  }
-  std::shared_ptr<ExecutionPlan> plan =
-      entry.graph->PlanShared(compiler != nullptr ? &entry.decisions : nullptr);
-  ConstTensorView result = plan->Run(entry.feeds, compiler);
-  std::copy(result.data(), result.data() + result.size(), out->data());
 }
 
 TransformerEncoderLayer::Stream TransformerEncoderLayer::MakeStream(int64_t tokens, bool masked,
@@ -452,15 +430,19 @@ void TransformerEncoderLayer::ForwardWith(Stream& stream, const Tensor& x,
 }
 
 Tensor TransformerEncoderLayer::Forward(const Tensor& x, const Tensor* attn_mask) const {
+  PIT_CHECK_EQ(x.rank(), 2);
+  Stream stream = MakeStream(x.dim(0), attn_mask != nullptr);
   Tensor out({x.dim(0), x.dim(1)});
-  ForwardInto(x, attn_mask, nullptr, &out);
+  ForwardWith(stream, x, attn_mask, nullptr, &out);
   return out;
 }
 
 Tensor TransformerEncoderLayer::ForwardSparse(const Tensor& x, PitCompiler& compiler,
                                               const Tensor* attn_mask) const {
+  PIT_CHECK_EQ(x.rank(), 2);
+  Stream stream = MakeStream(x.dim(0), attn_mask != nullptr, /*pit=*/true);
   Tensor out({x.dim(0), x.dim(1)});
-  ForwardInto(x, attn_mask, &compiler, &out);
+  ForwardWith(stream, x, attn_mask, &compiler, &out);
   return out;
 }
 
@@ -474,8 +456,7 @@ Tensor TransformerEncoderLayer::ForwardEager(const Tensor& x, const Tensor* attn
 
 PlanStats TransformerEncoderLayer::PlanStatsFor(int64_t tokens, bool masked) const {
   std::lock_guard<std::mutex> lock(mu_);
-  PlanEntry& entry = EntryFor(tokens, masked);
-  return entry.graph->Plan().stats();
+  return EntryFor(tokens, masked).graph->PlanShared()->stats();
 }
 
 }  // namespace pit

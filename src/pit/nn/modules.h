@@ -47,10 +47,10 @@ class Linear {
 //
 // The forward passes run through cached ExecutionPlans: the block's graph is
 // built once per distinct token count (plans are shape-specialized), and each
-// call replays the compiled kernel-dispatch steps over a reused arena instead
-// of re-walking ops and materializing intermediates. The graphs reference the
-// module's weights in place, which is why the module is pinned (non-copyable,
-// non-movable).
+// call replays the compiled kernel-dispatch steps over an execution context
+// of its own instead of re-walking ops, so concurrent forwards never
+// serialize. The graphs reference the module's weights in place, which is
+// why the module is pinned (non-copyable, non-movable).
 class FeedForward {
  public:
   FeedForward(int64_t hidden, int64_t ffn_hidden, Rng& rng);
@@ -61,7 +61,10 @@ class FeedForward {
   // The second matmul consumes the (sparse) ReLU output through PIT.
   Tensor ForwardSparse(const Tensor& x, PitCompiler& compiler) const;
   // Fraction of zeros in the ReLU activation of the last Forward call.
-  double last_activation_sparsity() const { return last_activation_sparsity_; }
+  double last_activation_sparsity() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return last_activation_sparsity_;
+  }
 
   // Appends the block's ops (MatmulBias -> Relu -> MatmulBias over this
   // module's referenced weights) to a caller-owned graph — the seam larger
@@ -79,17 +82,18 @@ class FeedForward {
   struct PlanEntry {
     std::unique_ptr<Graph> graph;
     std::vector<MatmulDecision> decisions;  // PIT pass result for this graph
-    std::map<std::string, const Tensor*> feeds;
     int relu_node = -1;
   };
   PlanEntry& EntryFor(int64_t tokens) const;
-  Tensor RunPlanned(const Tensor& x, PitCompiler* compiler) const;
+  Tensor ForwardOnce(const Tensor& x, PitCompiler* compiler) const;
 
   Linear up_;
   Linear down_;
+  // Guards the plan cache and last_activation_sparsity_; never held across
+  // a replay.
+  mutable std::mutex mu_;
   mutable double last_activation_sparsity_ = 0.0;
   mutable std::map<int64_t, PlanEntry> plans_;  // keyed by token count, bounded
-  mutable std::mutex mu_;  // forwards share plan arenas; serialize them
 };
 
 // Multi-head attention with an optional 0/1 mask over scores; mask == nullptr
@@ -100,8 +104,9 @@ class FeedForward {
 // kAttention step (ForwardEager's per-head score GEMM, masked softmax and
 // context GEMM over each attention segment the replay binds — one [0, T)
 // segment by default), and the output projection, all over referenced
-// weights and a reused arena. The result is bitwise identical to
-// ForwardEager — the original per-head slicing loop, kept as the oracle.
+// weights and an execution context private to the call. The result is
+// bitwise identical to ForwardEager — the original per-head slicing loop,
+// kept as the oracle.
 // Plans reference the module's weights in place: the module is pinned.
 class MultiHeadAttention {
  public:
@@ -125,7 +130,6 @@ class MultiHeadAttention {
  private:
   struct PlanEntry {
     std::unique_ptr<Graph> graph;
-    std::map<std::string, const Tensor*> feeds;
   };
   PlanEntry& EntryFor(int64_t tokens, bool masked) const;
 
@@ -140,7 +144,7 @@ class MultiHeadAttention {
   Tensor wq_, wk_, wv_;
   Tensor bq_, bk_, bv_;
   mutable std::map<std::pair<int64_t, bool>, PlanEntry> plans_;  // bounded
-  mutable std::mutex mu_;  // forwards share plan arenas; serialize them
+  mutable std::mutex mu_;  // guards plans_; never held across a replay
 };
 
 // Top-1 routed mixture-of-experts FFN (Switch-Transformer style).
@@ -171,8 +175,9 @@ class MoELayer {
 // (token count, masked?) shape, 12 steps: ln1, q/k/v projections, q scale,
 // attention, output projection, residual add, ln2, the FFN's fused
 // up-projection+ReLU and down-projection, residual add. A steady-state dense
-// forward replays them over a single reused arena with ~zero heap
-// allocations, bitwise identical to ForwardEager. The attention step runs per
+// ForwardWith replays them over its stream's arena with zero heap
+// allocations, bitwise identical to ForwardEager; Forward and ForwardSparse
+// are one-shot MakeStream + ForwardWith. The attention step runs per
 // segment bound on the stream's context (ExecutionContext::
 // set_attention_segments), so a packed tile of several requests costs
 // sum(t_i^2) score entries and no [T, T] mask. ForwardSparse runs the same
@@ -190,11 +195,6 @@ class TransformerEncoderLayer {
   Tensor Forward(const Tensor& x, const Tensor* attn_mask = nullptr) const;
   Tensor ForwardSparse(const Tensor& x, PitCompiler& compiler,
                        const Tensor* attn_mask = nullptr) const;
-  // Allocation-free seam for stacked serving (PlannedTransformerStack):
-  // writes the block's output into the preallocated `out` ([tokens, hidden]).
-  // `compiler` nullptr runs dense; otherwise the PIT decisions apply.
-  void ForwardInto(const Tensor& x, const Tensor* attn_mask, PitCompiler* compiler,
-                   Tensor* out) const;
 
   // Per-stream replay state over the layer's shared compiled plan for one
   // (tokens, masked?) shape: a co-owning plan handle, a private
@@ -215,7 +215,8 @@ class TransformerEncoderLayer {
   Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
   // Lock-free forward over a stream's private context: safe to call
   // concurrently with any other stream's ForwardWith on this layer, bitwise
-  // identical to ForwardInto. Steady-state dense calls allocate nothing.
+  // identical to ForwardEager. Writes into the preallocated `out`;
+  // `compiler` nullptr runs dense. Steady-state dense calls allocate nothing.
   // Replays the first `rows` rows of `x` (0: all of them) into the first
   // `rows` rows of `out`; x and out may carry more. An unmasked stream
   // replays any rows <= stream.tokens (its plan is token-polymorphic); a
@@ -234,7 +235,6 @@ class TransformerEncoderLayer {
   struct PlanEntry {
     std::unique_ptr<Graph> graph;
     std::vector<MatmulDecision> decisions;  // PIT pass result for this graph
-    std::map<std::string, const Tensor*> feeds;
   };
   PlanEntry& EntryFor(int64_t tokens, bool masked) const;
 
@@ -242,7 +242,7 @@ class TransformerEncoderLayer {
   FeedForward ffn_;
   Tensor ln1_gamma_, ln1_beta_, ln2_gamma_, ln2_beta_;
   mutable std::map<std::pair<int64_t, bool>, PlanEntry> plans_;  // bounded
-  mutable std::mutex mu_;  // forwards share plan arenas; serialize them
+  mutable std::mutex mu_;  // guards plans_; never held across a replay
 };
 
 }  // namespace pit

@@ -673,7 +673,6 @@ PlannedFfnStack::TokenEntry& PlannedFfnStack::EntryFor(int64_t tokens) const {
   TokenEntry entry;
   entry.graphs.reserve(weights_.size());
   entry.decisions.reserve(weights_.size());
-  entry.outs.reserve(weights_.size());
   for (const LayerWeights& w : weights_) {
     auto g = std::make_unique<Graph>();
     const int x = g->AddInput("x", {tokens, hidden_});
@@ -688,31 +687,8 @@ PlannedFfnStack::TokenEntry& PlannedFfnStack::EntryFor(int64_t tokens) const {
     g->PropagateSparsity();
     entry.decisions.push_back(g->PitPass());
     entry.graphs.push_back(std::move(g));
-    entry.outs.emplace_back(Shape{tokens, hidden_});
   }
-  entry.feeds = {{"x", nullptr}};
   return entries_.emplace(tokens, std::move(entry)).first->second;
-}
-
-Tensor PlannedFfnStack::RunPlanned(const Tensor& x, PitCompiler* compiler) const {
-  PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK_EQ(x.dim(1), hidden_);
-  // Plans share one arena + staging buffer set per shape: serialize forwards.
-  std::lock_guard<std::mutex> lock(mu_);
-  TokenEntry& entry = EntryFor(x.dim(0));
-  const Tensor* cur = &x;
-  for (size_t l = 0; l < entry.graphs.size(); ++l) {
-    entry.feeds["x"] = cur;
-    ExecutionPlan& plan =
-        entry.graphs[l]->Plan(compiler != nullptr ? &entry.decisions[l] : nullptr);
-    ConstTensorView out = plan.Run(entry.feeds, compiler);
-    // Stage the layer output: the next layer binds it as its feed while this
-    // layer's arena slot gets reused. The staging tensors are allocated once
-    // per token count, so steady-state forwards stay allocation-free.
-    std::copy(out.data(), out.data() + out.size(), entry.outs[l].data());
-    cur = &entry.outs[l];
-  }
-  return *cur;  // value copy for the caller; staging stays reusable
 }
 
 int64_t PlannedFfnStack::Stream::ArenaBytes() const {
@@ -775,10 +751,18 @@ void PlannedFfnStack::ForwardWith(Stream& stream, const Tensor& x, PitCompiler* 
   }
 }
 
-Tensor PlannedFfnStack::Forward(const Tensor& x) const { return RunPlanned(x, nullptr); }
+Tensor PlannedFfnStack::ForwardOnce(const Tensor& x, PitCompiler* compiler) const {
+  PIT_CHECK_EQ(x.rank(), 2);
+  Stream stream = MakeStream(x.dim(0), /*pit=*/compiler != nullptr);
+  Tensor out(Shape{x.dim(0), hidden_});
+  ForwardWith(stream, x, compiler, &out);
+  return out;
+}
+
+Tensor PlannedFfnStack::Forward(const Tensor& x) const { return ForwardOnce(x, nullptr); }
 
 Tensor PlannedFfnStack::ForwardPit(const Tensor& x, PitCompiler& compiler) const {
-  return RunPlanned(x, &compiler);
+  return ForwardOnce(x, &compiler);
 }
 
 Tensor PlannedFfnStack::ForwardEager(const Tensor& x) const {
@@ -794,7 +778,7 @@ PlanStats PlannedFfnStack::StatsFor(int64_t tokens) const {
   TokenEntry& entry = EntryFor(tokens);
   PlanStats total;
   for (const auto& g : entry.graphs) {
-    const PlanStats& s = g->Plan().stats();
+    const PlanStats s = g->PlanShared()->stats();
     total.arena_bytes += s.arena_bytes;
     total.sum_temporary_bytes += s.sum_temporary_bytes;
     total.num_steps += s.num_steps;
@@ -818,49 +802,6 @@ PlannedTransformerStack::PlannedTransformerStack(int64_t layers, int64_t hidden,
 }
 
 PlannedTransformerStack::~PlannedTransformerStack() = default;
-
-Tensor PlannedTransformerStack::RunPlanned(const Tensor& x, const Tensor* attn_mask,
-                                           PitCompiler* compiler) const {
-  Tensor out(Shape{x.dim(0), x.dim(1)});
-  ForwardInto(x, attn_mask, compiler, &out);
-  return out;
-}
-
-void PlannedTransformerStack::ForwardInto(const Tensor& x, const Tensor* attn_mask,
-                                          PitCompiler* compiler, Tensor* out) const {
-  PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK_EQ(x.dim(1), hidden_);
-  PIT_CHECK(out != nullptr);
-  PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
-  // Staging buffers are shared per shape: serialize forwards. Each layer's
-  // own plan lock nests safely inside (no other path takes both).
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = staging_.find(x.dim(0));
-  if (it == staging_.end()) {
-    constexpr size_t kMaxEntries = 16;  // match the layer plan-cache bound
-    if (staging_.size() >= kMaxEntries) {
-      staging_.clear();
-    }
-    // One staging slot per layer but the last, which writes straight into
-    // the caller's output.
-    std::vector<Tensor> outs;
-    outs.reserve(layers_.size());
-    for (size_t l = 0; l + 1 < layers_.size(); ++l) {
-      outs.emplace_back(Shape{x.dim(0), hidden_});
-    }
-    it = staging_.emplace(x.dim(0), std::move(outs)).first;
-  }
-  std::vector<Tensor>& outs = it->second;
-  const Tensor* cur = &x;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    // The layer writes straight into its staging slot: the next layer binds
-    // it as a feed while this layer's arena gets reused. Steady-state
-    // forwards therefore allocate nothing.
-    Tensor* dst = l + 1 < layers_.size() ? &outs[l] : out;
-    layers_[l]->ForwardInto(*cur, attn_mask, compiler, dst);
-    cur = dst;
-  }
-}
 
 int64_t PlannedTransformerStack::Stream::ArenaBytes() const {
   int64_t total = 0;
@@ -910,13 +851,22 @@ void PlannedTransformerStack::ForwardWith(Stream& stream, const Tensor& x,
   }
 }
 
+Tensor PlannedTransformerStack::ForwardOnce(const Tensor& x, const Tensor* attn_mask,
+                                            PitCompiler* compiler) const {
+  PIT_CHECK_EQ(x.rank(), 2);
+  Stream stream = MakeStream(x.dim(0), attn_mask != nullptr, /*pit=*/compiler != nullptr);
+  Tensor out(Shape{x.dim(0), hidden_});
+  ForwardWith(stream, x, attn_mask, compiler, &out);
+  return out;
+}
+
 Tensor PlannedTransformerStack::Forward(const Tensor& x, const Tensor* attn_mask) const {
-  return RunPlanned(x, attn_mask, nullptr);
+  return ForwardOnce(x, attn_mask, nullptr);
 }
 
 Tensor PlannedTransformerStack::ForwardPit(const Tensor& x, PitCompiler& compiler,
                                            const Tensor* attn_mask) const {
-  return RunPlanned(x, attn_mask, &compiler);
+  return ForwardOnce(x, attn_mask, &compiler);
 }
 
 Tensor PlannedTransformerStack::ForwardEager(const Tensor& x, const Tensor* attn_mask) const {

@@ -117,10 +117,11 @@ ModelRunCost SparseTrainingRun(const CostModel& model, Engine engine,
 // functional model trunk — an OPT-style stack of residual FFN blocks
 // (x + Down(ReLU(Up(x)))) on real tensors — whose per-layer forwards replay
 // cached ExecutionPlans: graphs are compiled once per token count, weights
-// are referenced in place, intermediates live in reused arenas, and the PIT
-// variant dispatches each layer's sparse down-projection through the
-// compiler's per-site kernel handles. This is the serving-side execution
-// seam later batching/multi-stream work builds on.
+// are referenced in place, intermediates live in each stream's arenas, and
+// the PIT variant dispatches each layer's sparse down-projection through the
+// compiler's per-site kernel handles. ForwardWith over a Stream is the
+// serving-side execution seam; Forward and ForwardPit are one-shot
+// MakeStream + ForwardWith.
 class PlannedFfnStack {
  public:
   PlannedFfnStack(int64_t layers, int64_t hidden, int64_t ffn_hidden, Rng& rng);
@@ -188,16 +189,14 @@ class PlannedFfnStack {
   struct TokenEntry {
     std::vector<std::unique_ptr<Graph>> graphs;             // one per layer
     std::vector<std::vector<MatmulDecision>> decisions;     // PIT pass per layer
-    std::map<std::string, const Tensor*> feeds;
-    std::vector<Tensor> outs;  // per-layer output staging, allocated once
   };
   TokenEntry& EntryFor(int64_t tokens) const;
-  Tensor RunPlanned(const Tensor& x, PitCompiler* compiler) const;
+  Tensor ForwardOnce(const Tensor& x, PitCompiler* compiler) const;
 
   int64_t hidden_ = 0;
   std::vector<LayerWeights> weights_;
   mutable std::map<int64_t, TokenEntry> entries_;  // keyed by token count, bounded
-  mutable std::mutex mu_;  // forwards share plan arenas; serialize them
+  mutable std::mutex mu_;  // guards entries_; never held across a replay
 };
 
 // ---- Planned full-transformer execution ------------------------------------
@@ -206,9 +205,10 @@ class PlannedFfnStack {
 // TransformerEncoderLayers (pre-norm attention + FFN) whose per-layer
 // forwards replay cached whole-block ExecutionPlans — layernorms, q/k/v
 // projections, segment-aware attention, residuals, and the FFN all dispatch
-// as compiled arena steps. Steady-state dense forwards perform ~zero heap
-// allocations: layer outputs stage into per-token-count buffers allocated
-// once, and each layer's plan reuses its own arena.
+// as compiled arena steps. Steady-state dense ForwardWith calls perform zero
+// heap allocations: layer outputs stage into the stream's buffers, and each
+// layer replays over the stream's own context. Forward and ForwardPit are
+// one-shot MakeStream + ForwardWith.
 class PlannedTransformerStack {
  public:
   PlannedTransformerStack(int64_t layers, int64_t hidden, int64_t heads, int64_t ffn_hidden,
@@ -225,13 +225,6 @@ class PlannedTransformerStack {
   // activation through `compiler`'s per-site kernel handles.
   Tensor ForwardPit(const Tensor& x, PitCompiler& compiler,
                     const Tensor* attn_mask = nullptr) const;
-  // Allocation-free seam for steady-state serving loops (and the bench's
-  // thread-sweep measurements): writes the stack's output into the
-  // preallocated `out` ([tokens, hidden]); the final layer targets it
-  // directly, so no per-call result tensor is materialized. `compiler`
-  // nullptr runs dense.
-  void ForwardInto(const Tensor& x, const Tensor* attn_mask, PitCompiler* compiler,
-                   Tensor* out) const;
   // Eager reference: direct ops, one fresh tensor per intermediate — the
   // differential oracle and the bench baseline for the planned path.
   Tensor ForwardEager(const Tensor& x, const Tensor* attn_mask = nullptr) const;
@@ -272,10 +265,12 @@ class PlannedTransformerStack {
   // concurrent stream.
   Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
   // Lock-free forward over a stream's private contexts: safe concurrently
-  // with other streams' ForwardWith, bitwise identical to Forward/ForwardInto.
-  // Replays the first `rows` rows of `x` (0: all of them) into the first
-  // `rows` rows of `out`; x and out may carry more rows. An unmasked stream
-  // takes any rows <= stream.tokens, a masked one exactly stream.tokens.
+  // with other streams' ForwardWith, bitwise identical to Forward. The final
+  // layer writes straight into the preallocated `out`; `compiler` nullptr
+  // runs dense. Replays the first `rows` rows of `x` (0: all of them) into
+  // the first `rows` rows of `out`; x and out may carry more rows. An
+  // unmasked stream takes any rows <= stream.tokens, a masked one exactly
+  // stream.tokens.
   void ForwardWith(Stream& stream, const Tensor& x, const Tensor* attn_mask,
                    PitCompiler* compiler, Tensor* out, int64_t rows = 0) const;
 
@@ -286,13 +281,10 @@ class PlannedTransformerStack {
   int64_t hidden() const { return hidden_; }
 
  private:
-  Tensor RunPlanned(const Tensor& x, const Tensor* attn_mask, PitCompiler* compiler) const;
+  Tensor ForwardOnce(const Tensor& x, const Tensor* attn_mask, PitCompiler* compiler) const;
 
   int64_t hidden_ = 0;
   std::vector<std::unique_ptr<TransformerEncoderLayer>> layers_;
-  // Per-layer output staging, allocated once per token count (bounded).
-  mutable std::map<int64_t, std::vector<Tensor>> staging_;
-  mutable std::mutex mu_;  // staging buffers are shared; serialize forwards
 };
 
 }  // namespace pit

@@ -242,10 +242,10 @@ TEST(PlanExecutorTest, InPlaceAliasingIsExactAndActuallyHappens) {
   g.AddAdd("r2", r1, r1);  // duplicate operand: Add(x, x) aliasing
   g.PropagateSparsity();
 
-  const ExecutionPlan& plan = g.Plan();
-  EXPECT_GE(plan.stats().num_inplace, 2);
+  const PlanStats stats = g.PlanShared()->stats();
+  EXPECT_GE(stats.num_inplace, 2);
   // In-place steps share the matmul's block: peak arena < sum of temporaries.
-  EXPECT_LT(plan.stats().arena_bytes, plan.stats().sum_temporary_bytes);
+  EXPECT_LT(stats.arena_bytes, stats.sum_temporary_bytes);
 
   auto feeds = AllOpsFeeds(32, 32, 6);
   feeds["x"] = Tensor::Random({32, 32}, rng);
@@ -255,12 +255,12 @@ TEST(PlanExecutorTest, InPlaceAliasingIsExactAndActuallyHappens) {
 TEST(PlanExecutorTest, PlanReuseAcrossChangingInputValues) {
   Rng rng(7);
   Graph g = BuildAllOpsGraph(20, 12, rng);
-  ExecutionPlan* first = &g.Plan();
+  const ExecutionPlan* first = g.PlanShared().get();
   for (uint64_t seed = 10; seed < 14; ++seed) {
     auto feeds = AllOpsFeeds(20, 12, seed);
     ExpectBitwiseEqual(g.Run(feeds), EagerExecute(g, feeds).at(g.size() - 1));
     // Same compiled plan object every iteration (no recompilation).
-    EXPECT_EQ(&g.Plan(), first);
+    EXPECT_EQ(g.PlanShared().get(), first);
   }
 }
 
@@ -353,12 +353,28 @@ TEST(PlanExecutorTest, PitDeterministicAcrossThreadCounts) {
   }
 }
 
+// Masked-attention core: mask -> softmax -> matmul(V).
+Graph BuildMaskSoftmaxGraph(int64_t tokens, int64_t dv, Rng& rng) {
+  Graph g;
+  const int scores = g.AddInput("scores", {tokens, tokens});
+  const int mask = g.AddInput("mask", {tokens, tokens}, 0.85);
+  const int v = g.AddWeight("v", Tensor::Random({tokens, dv}, rng));
+  g.AddMatmul("ctx", g.AddSoftmax("probs", g.AddMask("masked", scores, mask)), v);
+  g.PropagateSparsity();
+  return g;
+}
+
 TEST(PlanExecutorTest, ArenaSmallerThanSumOfTemporaries) {
   Rng rng(17);
-  Graph g = BuildFfnGraph(64, 32, 128, rng);
-  const PlanStats& stats = g.Plan().stats();
-  EXPECT_GT(stats.num_steps, 1);
-  EXPECT_LT(stats.arena_bytes, stats.sum_temporary_bytes);
+  std::vector<Graph> graphs;
+  graphs.push_back(BuildFfnGraph(64, 32, 128, rng));
+  graphs.push_back(BuildFfnGraph(256, 256, 1024, rng));
+  graphs.push_back(BuildMaskSoftmaxGraph(256, 64, rng));
+  for (const Graph& g : graphs) {
+    const PlanStats stats = g.PlanShared()->stats();
+    EXPECT_GT(stats.num_steps, 1);
+    EXPECT_LT(stats.arena_bytes, stats.sum_temporary_bytes);
+  }
 }
 
 TEST(PlanExecutorTest, FeedForwardPlannedMatchesManualEager) {
@@ -406,6 +422,13 @@ TEST(PlanExecutorTest, PlannedFfnStackMatchesEagerReference) {
   EXPECT_EQ(stats.num_fused, 3);
   EXPECT_GE(stats.num_inplace, 3);  // residual add aliases per layer
   EXPECT_LT(stats.arena_bytes, stats.sum_temporary_bytes);
+
+  // A serving-sized trunk: 4 layers, hidden 256, ffn 1024, 128 tokens.
+  PlannedFfnStack wide(4, 256, 1024, rng);
+  Tensor w = Tensor::Random({128, 256}, xr);
+  ExpectBitwiseEqual(wide.Forward(w), wide.ForwardEager(w));
+  const PlanStats wide_stats = wide.StatsFor(128);
+  EXPECT_LT(wide_stats.arena_bytes, wide_stats.sum_temporary_bytes);
 }
 
 TEST(PlanExecutorTest, PlannedFfnStackPitMatchesEagerPit) {
@@ -531,12 +554,12 @@ TEST(PlanExecutorTest, ReshapeIsZeroCostAndScaleAliasesInPlace) {
   const int sc = g.AddScale("sc", mm, 2.0f);       // mm dies here: in-place
   const int rs = g.AddReshape("rs", sc, {4, 2, 8});  // alias of A, no block
   g.AddTranspose("tr", rs, 0, 1);
-  const ExecutionPlan& plan = g.Plan();
-  EXPECT_GE(plan.stats().num_inplace, 1);
+  const PlanStats stats = g.PlanShared()->stats();
+  EXPECT_GE(stats.num_inplace, 1);
   // Arena holds only the matmul/scale block plus the transpose output: the
   // reshape contributed nothing.
   const int64_t block = ((8 * 8 + 15) / 16) * 16 * static_cast<int64_t>(sizeof(float));
-  EXPECT_EQ(plan.stats().arena_bytes, 2 * block);
+  EXPECT_EQ(stats.arena_bytes, 2 * block);
 
   Rng fr(50);
   std::map<std::string, Tensor> feeds{{"x", Tensor::Random({8, 6}, fr)}};
@@ -612,6 +635,21 @@ TEST(PlanExecutorTest, EncoderLayerPlannedBitwiseMatchesEager) {
   EXPECT_GE(stats.num_inplace, 3);
   EXPECT_GE(stats.num_fused, 1);  // FFN up-projection + ReLU
   EXPECT_LT(stats.arena_bytes, stats.sum_temporary_bytes);
+
+  // A serving-sized block (hidden 256, 8 heads, ffn 1024) at 128 tokens,
+  // unmasked and masked.
+  TransformerEncoderLayer wide(256, 8, 1024, rng);
+  Tensor w = Tensor::Random({128, 256}, xr);
+  Tensor wide_mask = Tensor::RandomSparse({128, 128}, 0.5, xr);
+  for (int64_t i = 0; i < wide_mask.size(); ++i) {
+    wide_mask[i] = wide_mask[i] != 0.0f ? 1.0f : 0.0f;
+  }
+  const Tensor* wide_masks[] = {nullptr, &wide_mask};
+  for (const Tensor* m : wide_masks) {
+    ExpectBitwiseEqual(wide.Forward(w, m), wide.ForwardEager(w, m));
+    const PlanStats wide_stats = wide.PlanStatsFor(128, m != nullptr);
+    EXPECT_LT(wide_stats.arena_bytes, wide_stats.sum_temporary_bytes);
+  }
 }
 
 TEST(PlanExecutorTest, EncoderLayerSparsePlannedMatchesEagerSparseComposition) {
@@ -659,6 +697,13 @@ TEST(PlanExecutorTest, PlannedTransformerStackMatchesEager) {
   const PlanStats stats = stack.StatsFor(12);
   EXPECT_LT(stats.arena_bytes, stats.sum_temporary_bytes);
   EXPECT_GE(stats.num_inplace, 2 * 3);
+
+  // A serving-sized stack: 2 layers, hidden 256, 8 heads, ffn 1024, 128 tokens.
+  PlannedTransformerStack wide(2, 256, 8, 1024, rng);
+  Tensor w = Tensor::Random({128, 256}, xr);
+  ExpectBitwiseEqual(wide.Forward(w), wide.ForwardEager(w));
+  const PlanStats wide_stats = wide.StatsFor(128);
+  EXPECT_LT(wide_stats.arena_bytes, wide_stats.sum_temporary_bytes);
 
   // PIT forward: exact kernels, different float summation order than dense.
   PitCompiler compiler(V100());
@@ -781,14 +826,15 @@ TEST(PlanExecutorTest, ArenaBaseAndBlockOffsetsAre64ByteAligned) {
   layer.Forward(x);  // compile the plan
 
   Graph g = BuildTransformerOpsGraph(12, 4, 8, rng);
-  const ExecutionPlan& plan = g.Plan();
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(plan.arena_base()) % 64, 0u)
+  std::shared_ptr<ExecutionPlan> plan = g.PlanShared();
+  ExecutionContext ctx(*plan);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(ctx.arena_base()) % 64, 0u)
       << "arena base must start on a cache line";
-  for (const OpCall& step : plan.steps()) {
+  for (const OpCall& step : plan->steps()) {
     ASSERT_EQ(step.out.loc, ValueLoc::kArena);
     EXPECT_EQ((step.out.offset * static_cast<int64_t>(sizeof(float))) % 64, 0)
         << "block offset of step node " << step.node_id << " not 64-byte aligned";
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(plan.arena_base() + step.out.offset) % 64, 0u);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(ctx.arena_base() + step.out.offset) % 64, 0u);
   }
 }
 
@@ -797,9 +843,9 @@ TEST(PlanExecutorTest, ArenaBaseAndBlockOffsetsAre64ByteAligned) {
 TEST(PlanExecutorTest, FusedMatmulReluBitwiseMatchesUnfusedComposition) {
   Rng rng(77);
   Graph g = BuildFfnGraph(32, 16, 64, rng);  // matmul -> relu -> matmul
-  const ExecutionPlan& plan = g.Plan();
-  EXPECT_EQ(plan.stats().num_fused, 1);
-  EXPECT_EQ(plan.stats().num_steps, 2);  // fused up+relu, down
+  const PlanStats stats = g.PlanShared()->stats();
+  EXPECT_EQ(stats.num_fused, 1);
+  EXPECT_EQ(stats.num_steps, 2);  // fused up+relu, down
 
   Rng xr(78);
   std::map<std::string, Tensor> feeds{{"x", Tensor::Random({32, 16}, xr)}};
@@ -836,7 +882,7 @@ TEST(PlanExecutorTest, FusionKeepsOperandsLiveUntilTheRelusPosition) {
   const int r = g.AddRelu("r", mm);  // fuses with mm
   g.AddAdd("out", r, soft);
   g.PropagateSparsity();
-  ASSERT_EQ(g.Plan().stats().num_fused, 1);  // fusion still engages — safely
+  ASSERT_EQ(g.PlanShared()->stats().num_fused, 1);  // fusion still engages — safely
 
   Rng xr(82);
   std::map<std::string, Tensor> feeds{{"x", Tensor::Random({8, 8}, xr)}};
@@ -858,8 +904,7 @@ TEST(PlanExecutorTest, MatmulWithSecondConsumerIsNotFused) {
   const int r = g.AddRelu("r", mm);
   g.AddAdd("out", r, mm);  // second consumer: fusing would lose mm's value
   g.PropagateSparsity();
-  const ExecutionPlan& plan = g.Plan();
-  EXPECT_EQ(plan.stats().num_fused, 0);
+  EXPECT_EQ(g.PlanShared()->stats().num_fused, 0);
 
   Rng xr(80);
   std::map<std::string, Tensor> feeds{{"x", Tensor::Random({8, 8}, xr)}};
@@ -883,9 +928,10 @@ TEST(PlanExecutorTest, PlanHandleSurvivesConcurrentGraphMutation) {
   std::map<std::string, const Tensor*> feeds{{"x", &x}};
 
   std::shared_ptr<ExecutionPlan> plan = g.PlanShared();
+  ExecutionContext ctx(*plan);
   Tensor base(Shape{16, 8});
   {
-    ConstTensorView out = plan->Run(feeds);
+    ConstTensorView out = plan->RunWith(ctx, feeds);
     std::copy(out.data(), out.data() + out.size(), base.data());
   }
 
@@ -902,7 +948,7 @@ TEST(PlanExecutorTest, PlanHandleSurvivesConcurrentGraphMutation) {
 
   go.store(true, std::memory_order_release);
   for (int i = 0; i < 64; ++i) {
-    ConstTensorView out = plan->Run(feeds);
+    ConstTensorView out = plan->RunWith(ctx, feeds);
     ASSERT_EQ(std::memcmp(out.data(), base.data(),
                           static_cast<size_t>(base.size()) * sizeof(float)),
               0)
@@ -912,7 +958,8 @@ TEST(PlanExecutorTest, PlanHandleSurvivesConcurrentGraphMutation) {
 
   // A fresh plan over the mutated graph compiles and runs the longer chain.
   std::shared_ptr<ExecutionPlan> fresh = g.PlanShared();
-  ConstTensorView out = fresh->Run(feeds);
+  ExecutionContext fresh_ctx(*fresh);
+  ConstTensorView out = fresh->RunWith(fresh_ctx, feeds);
   EXPECT_EQ(out.size(), 16 * 8);
 }
 
@@ -924,41 +971,38 @@ TEST(PlanExecutorTest, ExecutionContextArenaAlignedAndSized) {
   std::shared_ptr<ExecutionPlan> plan = g.PlanShared();
   ExecutionContext ctx(*plan);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(ctx.arena_base()) % 64, 0u)
-      << "every context arena must start on a cache line, like the default one";
+      << "every context arena must start on a cache line";
   EXPECT_EQ(ctx.arena_bytes(), plan->stats().arena_bytes);
-  EXPECT_NE(ctx.arena_base(), plan->arena_base()) << "contexts must not share the default arena";
+  ExecutionContext other(*plan);
+  EXPECT_NE(ctx.arena_base(), other.arena_base()) << "contexts must not share an arena";
 }
 
-TEST(PlanExecutorTest, RunWithContextMatchesDefaultRun) {
+TEST(PlanExecutorTest, ReusedContextMatchesFreshContextAndEager) {
   Rng rng(84);
   Graph g = BuildAllOpsGraph(24, 16, rng);
-  auto feeds = AllOpsFeeds(24, 16, 85);
   std::shared_ptr<ExecutionPlan> plan = g.PlanShared();
-
-  Tensor base(g.node(g.size() - 1).shape);
-  {
-    ConstTensorView out = plan->Run(feeds);
-    std::copy(out.data(), out.data() + out.size(), base.data());
+  ExecutionContext reused(*plan);
+  // Context reuse across changing feed values replays over the same arena:
+  // every replay must equal a replay through a fresh context, and eager.
+  for (uint64_t seed : {85, 86}) {
+    auto feeds = AllOpsFeeds(24, 16, seed);
+    ConstTensorView out = plan->RunWith(reused, feeds);
+    ExecutionContext fresh(*plan);
+    ConstTensorView want = plan->RunWith(fresh, feeds);
+    ASSERT_EQ(std::memcmp(out.data(), want.data(), static_cast<size_t>(want.size()) * sizeof(float)),
+              0);
+    ExpectBitwiseEqual(
+        Tensor(g.node(g.size() - 1).shape, std::vector<float>(out.data(), out.data() + out.size())),
+        EagerExecute(g, feeds).at(g.size() - 1));
   }
-  ExecutionContext ctx(*plan);
-  ConstTensorView out = plan->RunWith(ctx, feeds);
-  ExpectBitwiseEqual(Tensor(base.shape(), std::vector<float>(out.data(), out.data() + out.size())),
-                     base);
-  // Context reuse across changing feed values replays over the same arena.
-  auto feeds2 = AllOpsFeeds(24, 16, 86);
-  ConstTensorView out2 = plan->RunWith(ctx, feeds2);
-  ConstTensorView base2 = plan->Run(feeds2);
-  ASSERT_EQ(std::memcmp(out2.data(), base2.data(),
-                        static_cast<size_t>(base2.size()) * sizeof(float)),
-            0);
 }
 
 TEST(PlanExecutorTest, ConcurrentStreamsOverOneSharedPlanAreBitwiseIdentical) {
   // The tentpole contract: one immutable plan, N private contexts, N OS
   // threads replaying concurrently with distinct inputs — every stream's
-  // result must be bitwise identical to the single-stream default replay of
-  // its own input. Run at several pool widths (the pool is shared
-  // infrastructure the streams' nested kernels contend on).
+  // result must be bitwise identical to a single-stream replay of its own
+  // input through a fresh context. Run at several pool widths (the pool is
+  // shared infrastructure the streams' nested kernels contend on).
   Rng rng(87);
   Graph g = BuildAllOpsGraph(20, 12, rng);
   std::shared_ptr<ExecutionPlan> plan = g.PlanShared();
@@ -969,7 +1013,8 @@ TEST(PlanExecutorTest, ConcurrentStreamsOverOneSharedPlanAreBitwiseIdentical) {
   std::vector<Tensor> expected;
   for (int s = 0; s < kStreams; ++s) {
     feeds.push_back(AllOpsFeeds(20, 12, 90 + static_cast<uint64_t>(s)));
-    ConstTensorView out = plan->Run(feeds.back());
+    ExecutionContext fresh(*plan);
+    ConstTensorView out = plan->RunWith(fresh, feeds.back());
     expected.emplace_back(g.node(g.size() - 1).shape,
                           std::vector<float>(out.data(), out.data() + out.size()));
   }
@@ -1018,7 +1063,7 @@ TEST(PlanExecutorTest, ContextFromAnotherPlanIsRejected) {
 TEST(PlanExecutorTest, EncoderLayerStreamsForwardConcurrently) {
   // The nn seam: MakeStream hands out per-stream state over the layer's
   // cached plan; concurrent ForwardWith calls (distinct streams, shared
-  // immutable plan) must match ForwardInto bitwise.
+  // immutable plan) must match Forward bitwise.
   Rng rng(91);
   TransformerEncoderLayer layer(32, 4, 96, rng);
   constexpr int kStreams = 3;
@@ -1045,6 +1090,103 @@ TEST(PlanExecutorTest, EncoderLayerStreamsForwardConcurrently) {
         if (std::memcmp(out.data(), expected[static_cast<size_t>(s)].data(),
                         static_cast<size_t>(out.size()) * sizeof(float)) != 0) {
           failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(PlanExecutorTest, ConvenienceForwardsRunConcurrently) {
+  // Forward, ForwardPit and Graph::Run replay through an execution context
+  // private to the call, so threads sharing one stack or graph never
+  // serialize or race. Dense results must be bitwise equal to the eager
+  // oracles. PIT selection state lives in the compiler, so each thread's PIT
+  // results must be bitwise equal to its own request sequence replayed
+  // serially through a fresh compiler.
+  constexpr int kThreads = 4;
+  constexpr int kRequests = 4;
+  constexpr int kRounds = 2;
+  constexpr int64_t kHidden = 16;
+  constexpr int64_t kGraphTokens = 24;
+  Rng wr(401);
+  PlannedTransformerStack xf(2, kHidden, 2, 48, wr);
+  PlannedFfnStack ffn(2, kHidden, 64, wr);
+  Graph g = BuildFfnGraph(kGraphTokens, kHidden, 64, wr);
+  const std::vector<MatmulDecision> decisions = g.PitPass();
+
+  struct Request {
+    Tensor x;
+    Tensor mask;  // [t, t] 0/1, or empty for an unmasked request
+    std::map<std::string, Tensor> feeds;  // Graph::Run input
+    const Tensor* attn_mask() const { return mask.size() > 0 ? &mask : nullptr; }
+  };
+  struct Outputs {
+    Tensor xf, xf_pit, ffn, ffn_pit, graph, graph_pit;
+  };
+  const auto run = [&](const Request& r, PitCompiler& compiler) {
+    Outputs o;
+    o.xf = xf.Forward(r.x, r.attn_mask());
+    o.xf_pit = xf.ForwardPit(r.x, compiler, r.attn_mask());
+    o.ffn = ffn.Forward(r.x);
+    o.ffn_pit = ffn.ForwardPit(r.x, compiler);
+    o.graph = g.Run(r.feeds);
+    o.graph_pit = g.Run(r.feeds, &decisions, &compiler);
+    return o;
+  };
+
+  // Mixed token counts, alternating masked and unmasked requests.
+  const int64_t kTokens[] = {5, 12, 9, 16};
+  Rng xr(402);
+  std::vector<std::vector<Request>> requests(kThreads);
+  std::vector<std::vector<Outputs>> expected(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    PitCompiler serial(V100());
+    for (int i = 0; i < kRequests; ++i) {
+      Request r;
+      const int64_t tokens = kTokens[(t + i) % 4];
+      r.x = Tensor::Random({tokens, kHidden}, xr);
+      if ((t + i) % 2 == 1) {
+        r.mask = Tensor::RandomSparse({tokens, tokens}, 0.4, xr);
+        for (int64_t e = 0; e < r.mask.size(); ++e) {
+          r.mask[e] = r.mask[e] != 0.0f ? 1.0f : 0.0f;
+        }
+      }
+      r.feeds = {{"x", Tensor::Random({kGraphTokens, kHidden}, xr)}};
+      Outputs want = run(r, serial);
+      ExpectBitwiseEqual(want.xf, xf.ForwardEager(r.x, r.attn_mask()));
+      ExpectBitwiseEqual(want.ffn, ffn.ForwardEager(r.x));
+      ExpectBitwiseEqual(want.graph, EagerExecute(g, r.feeds).at(g.size() - 1));
+      PitCompiler eager_compiler(V100());
+      ExpectBitwiseEqual(want.graph_pit,
+                         EagerExecute(g, r.feeds, &decisions, &eager_compiler).at(g.size() - 1));
+      requests[static_cast<size_t>(t)].push_back(std::move(r));
+      expected[static_cast<size_t>(t)].push_back(std::move(want));
+    }
+  }
+
+  ScopedNumThreads threads(4);
+  std::atomic<int> failures{0};
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+  };
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      PitCompiler compiler(V100());
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kRequests; ++i) {
+          const Outputs got = run(requests[static_cast<size_t>(t)][static_cast<size_t>(i)], compiler);
+          const Outputs& want = expected[static_cast<size_t>(t)][static_cast<size_t>(i)];
+          if (!same(got.xf, want.xf) || !same(got.xf_pit, want.xf_pit) ||
+              !same(got.ffn, want.ffn) || !same(got.ffn_pit, want.ffn_pit) ||
+              !same(got.graph, want.graph) || !same(got.graph_pit, want.graph_pit)) {
+            failures.fetch_add(1);
+          }
         }
       }
     });
@@ -1593,12 +1735,12 @@ TEST(TokenRowsReplayTest, PolymorphismIsDerivedFromProvenance) {
   // A [T, T] mask feed indexes tokens on both axes.
   EXPECT_FALSE(layer.MakeStream(32, /*masked=*/true).plan->token_polymorphic());
   // The head-split chain moves the token axis off the front.
-  EXPECT_FALSE(HeadSplitChain(8).Plan().token_polymorphic());
+  EXPECT_FALSE(HeadSplitChain(8).PlanShared()->token_polymorphic());
   // x * x^T reads across rows through a token-dependent right operand.
   Graph gram;
   const int x = gram.AddInput("x", {8, 8});
   gram.AddMatmul("gram", x, gram.AddTranspose("x_t", x, 0, 1));
-  EXPECT_FALSE(gram.Plan().token_polymorphic());
+  EXPECT_FALSE(gram.PlanShared()->token_polymorphic());
   // A weight-only chain is constant, whatever its leading dim.
   Graph affine;
   const int a = affine.AddInput("x", {8, 8});
@@ -1606,12 +1748,12 @@ TEST(TokenRowsReplayTest, PolymorphismIsDerivedFromProvenance) {
   const int w_relu = affine.AddRelu("w_relu", w);
   const int xw = affine.AddMatmul("xw", a, w_relu);
   affine.AddAdd("y", xw, a);
-  const ExecutionPlan& plan = affine.Plan();
-  EXPECT_TRUE(plan.token_polymorphic());
-  EXPECT_TRUE(plan.token_major(a));
-  EXPECT_TRUE(plan.token_major(xw));
-  EXPECT_FALSE(plan.token_major(w));
-  EXPECT_FALSE(plan.token_major(w_relu));
+  std::shared_ptr<ExecutionPlan> plan = affine.PlanShared();
+  EXPECT_TRUE(plan->token_polymorphic());
+  EXPECT_TRUE(plan->token_major(a));
+  EXPECT_TRUE(plan->token_major(xw));
+  EXPECT_FALSE(plan->token_major(w));
+  EXPECT_FALSE(plan->token_major(w_relu));
 }
 
 TEST(TokenRowsReplayTest, PitCapacityPlanSelectsOncePerRowBucket) {

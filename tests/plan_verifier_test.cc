@@ -189,7 +189,7 @@ TEST(PlanVerifierTest, TokenPolymorphicCapacityPlansHaveZeroViolations) {
     }
   }
   Graph g = BuildFfnGraph(48, 16, 64, rng);
-  EXPECT_TRUE(g.Plan().token_polymorphic());
+  EXPECT_TRUE(g.PlanShared()->token_polymorphic());
 }
 
 TEST(PlanVerifierTest, IndependentPitMatmulsVerifyClean) {
