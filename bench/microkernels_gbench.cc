@@ -2,8 +2,15 @@
 // kernels: detector scan, SRead/SWrite gather/scatter, PIT sparse matmuls and
 // the CSR/BSR baselines. These measure the *reference implementation*, not
 // simulated GPU time — useful to track regressions in the library itself.
+// BM_GemmServingShapes reports GemmF32's GFLOP/s at the serving benchmark's
+// GEMM shapes on the detected ISA tier and pinned to AVX2.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "pit/common/backend.h"
+#include "pit/common/gemm_microkernel.h"
+#include "pit/common/parallel_for.h"
 #include "pit/core/compiler.h"
 #include "pit/core/sparse_kernel.h"
 #include "pit/core/sread_swrite.h"
@@ -95,6 +102,50 @@ void BM_KernelSelection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelSelection);
+
+// Args: m, k, n, pin_avx2 (0: detected tier). One thread, so the number is
+// the register tile's, not the pool's.
+void BM_GemmServingShapes(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t k = state.range(1);
+  const int64_t n = state.range(2);
+  const bool pin_avx2 = state.range(3) != 0;
+  if (pin_avx2 && DetectedIsa() == IsaTier::kScalar) {
+    state.SkipWithError("no AVX2+FMA on this machine");
+    return;
+  }
+  ScopedBackend backend(ComputeBackend::kBlocked);
+  ScopedIsa isa(pin_avx2 ? IsaTier::kAvx2 : DetectedIsa());
+  ScopedNumThreads one(1);
+  Rng rng(9);
+  std::vector<float> a(static_cast<size_t>(m * k));
+  std::vector<float> b(static_cast<size_t>(k * n));
+  for (float& v : a) {
+    v = rng.NextFloat(-1.0f, 1.0f);
+  }
+  for (float& v : b) {
+    v = rng.NextFloat(-1.0f, 1.0f);
+  }
+  std::vector<float> c(static_cast<size_t>(m * n), 0.0f);
+  for (auto _ : state) {
+    GemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(IsaName(ActiveIsa()));
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(m * n * k) * static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+// (m, k, n): the serving benchmark's projection and FFN GEMMs at m = 512
+// (hidden 128, FFN 512), then one 200-token attention head's score
+// (200, 32, 200) and context (200, 200, 32) GEMMs.
+BENCHMARK(BM_GemmServingShapes)
+    ->ArgNames({"m", "k", "n", "avx2"})
+    ->ArgsProduct({{512}, {128}, {128, 512}, {0, 1}})
+    ->ArgsProduct({{512}, {512}, {128}, {0, 1}})
+    ->ArgsProduct({{200}, {32}, {200}, {0, 1}})
+    ->ArgsProduct({{200}, {200}, {32}, {0, 1}});
 
 }  // namespace
 }  // namespace pit

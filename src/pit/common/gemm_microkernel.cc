@@ -80,13 +80,22 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
   // thread count within the tier. Null table = scalar blocked kernels (the
   // differential oracle).
   const simd::GemmKernels* sk = UseSimd() ? simd::GemmKernelsFor(ActiveIsa()) : nullptr;
-  // Parallel over 4-row blocks of C (disjoint outputs, tile-aligned chunk
-  // boundaries => bitwise-identical results for any thread count). Grain keeps
-  // at least ~1 MFLOP per dispatched chunk.
+  // The wide tile covers two 4-row blocks at once, so chunks are counted in
+  // block pairs while it is active: a chunk boundary never splits a pair.
+  // Which kernel covers an element never changes its bits, so this only
+  // decides how much of C the wide tile reaches.
+  const bool wide = sk != nullptr && sk->tile8x32 != nullptr;
+  const int64_t unit_blocks = wide ? 2 : 1;
+  // Parallel over units of 4-row blocks of C (disjoint outputs, tile-aligned
+  // chunk boundaries => bitwise-identical results for any thread count).
+  // Grain keeps at least ~1 MFLOP per dispatched chunk.
   const int64_t row_blocks = (m + kMr - 1) / kMr;
-  const int64_t flops_per_block = 2 * kMr * n * k;
-  const int64_t grain = (1 << 20) / std::max<int64_t>(1, flops_per_block) + 1;
-  ParallelFor(row_blocks, grain, [&](int64_t blk0, int64_t blk1) {
+  const int64_t units = (row_blocks + unit_blocks - 1) / unit_blocks;
+  const int64_t flops_per_unit = 2 * unit_blocks * kMr * n * k;
+  const int64_t grain = (1 << 20) / std::max<int64_t>(1, flops_per_unit) + 1;
+  ParallelFor(units, grain, [&](int64_t u0, int64_t u1) {
+    const int64_t blk0 = u0 * unit_blocks;
+    const int64_t blk1 = std::min(row_blocks, u1 * unit_blocks);
     // Pack the k-panel of B once per chunk when enough row blocks reuse it.
     // The packed tiles are read in the exact same (p, j) order as the strided
     // original, so packing never changes the floating-point result.
@@ -106,46 +115,62 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
       if (pack) {
         PackBPanel(b, ldb, n, pc, p1, bpack.data());
       }
+      // Packed tile rows are [0, panel_rows) at ldb kNr; rebase the A pointer
+      // by pc so the kernels' shared p index [q0, q1) walks both operands in
+      // lockstep. Unpacked B is read in place over [pc, p1).
       const int64_t panel_rows = p1 - pc;
-      for (int64_t blk = blk0; blk < blk1; ++blk) {
+      const int64_t a_off = pack ? pc : 0;
+      const int64_t ldb_k = pack ? kNr : ldb;
+      const int64_t q0 = pack ? 0 : pc;
+      const int64_t q1 = pack ? panel_rows : p1;
+      // B's 16-wide tile starting at column j (a multiple of kNr).
+      auto btile = [&](int64_t j) {
+        return pack ? bpack.data() + (j / kNr) * panel_rows * kNr : b + j;
+      };
+      // One 4-row block's columns [j0, n) in 4x16 and edge tiles.
+      auto run_block = [&](int64_t blk, int64_t j0) {
         const int64_t i0 = blk * kMr;
         const int64_t mr = std::min(kMr, m - i0);
-        const float* atile = a + i0 * lda;
+        const float* atile = a + i0 * lda + a_off;
         float* ctile = c + i0 * ldc;
-        for (int64_t j = 0, jt = 0; j < n; j += kNr, ++jt) {
+        for (int64_t j = j0; j < n; j += kNr) {
           const int64_t nr = std::min(kNr, n - j);
           const float* bias_j = panel_bias ? panel_bias + j : nullptr;
-          if (pack) {
-            // Packed tile rows are [0, panel_rows); rebase the A pointer by
-            // pc so the kernels' shared p index walks both operands in
-            // lockstep.
-            const float* btile = bpack.data() + jt * panel_rows * kNr;
-            if (mr == kMr && nr == kNr) {
-              if (sk) {
-                sk->tile4x16(atile + pc, lda, btile, kNr, ctile + j, ldc, 0, panel_rows, bias_j,
-                             panel_relu);
-              } else {
-                Kernel4x16(atile + pc, lda, btile, kNr, ctile + j, ldc, 0, panel_rows, bias_j,
-                           panel_relu);
-              }
-            } else if (sk) {
-              sk->edge(atile + pc, lda, btile, kNr, ctile + j, ldc, mr, nr, 0, panel_rows, bias_j,
-                       panel_relu);
-            } else {
-              KernelEdge(atile + pc, lda, btile, kNr, ctile + j, ldc, mr, nr, 0, panel_rows,
-                         bias_j, panel_relu);
-            }
-          } else if (mr == kMr && nr == kNr) {
+          if (mr == kMr && nr == kNr) {
             if (sk) {
-              sk->tile4x16(atile, lda, b + j, ldb, ctile + j, ldc, pc, p1, bias_j, panel_relu);
+              sk->tile4x16(atile, lda, btile(j), ldb_k, ctile + j, ldc, q0, q1, bias_j,
+                           panel_relu);
             } else {
-              Kernel4x16(atile, lda, b + j, ldb, ctile + j, ldc, pc, p1, bias_j, panel_relu);
+              Kernel4x16(atile, lda, btile(j), ldb_k, ctile + j, ldc, q0, q1, bias_j,
+                         panel_relu);
             }
           } else if (sk) {
-            sk->edge(atile, lda, b + j, ldb, ctile + j, ldc, mr, nr, pc, p1, bias_j, panel_relu);
+            sk->edge(atile, lda, btile(j), ldb_k, ctile + j, ldc, mr, nr, q0, q1, bias_j,
+                     panel_relu);
           } else {
-            KernelEdge(atile, lda, b + j, ldb, ctile + j, ldc, mr, nr, pc, p1, bias_j, panel_relu);
+            KernelEdge(atile, lda, btile(j), ldb_k, ctile + j, ldc, mr, nr, q0, q1, bias_j,
+                       panel_relu);
           }
+        }
+      };
+      for (int64_t blk = blk0; blk < blk1;) {
+        // A pair of full 4-row blocks takes the wide tile over 32-column
+        // strips; the leftover columns, ragged rows and an odd last block
+        // fall through to the 4x16 and edge tiles.
+        if (wide && blk + 1 < blk1 && (blk + 2) * kMr <= m) {
+          const int64_t i0 = blk * kMr;
+          int64_t j = 0;
+          for (; j + 2 * kNr <= n; j += 2 * kNr) {
+            sk->tile8x32(a + i0 * lda + a_off, lda, btile(j), btile(j + kNr), ldb_k,
+                         c + i0 * ldc + j, ldc, q0, q1, panel_bias ? panel_bias + j : nullptr,
+                         panel_relu);
+          }
+          run_block(blk, j);
+          run_block(blk + 1, j);
+          blk += 2;
+        } else {
+          run_block(blk, 0);
+          ++blk;
         }
       }
     }

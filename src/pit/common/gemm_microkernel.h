@@ -1,12 +1,18 @@
 // Register-blocked, cache-tiled f32 GEMM — the compute core of the blocked
 // backend.
 //
-// The kernel walks C in 4x16 register tiles (small enough to live entirely in
-// vector registers under -O3 auto-vectorisation), streams B a k-panel at a
-// time so the panel stays hot in L2 across row blocks, and parallelises over
-// 4-row blocks of C. Chunk boundaries are aligned to the 4-row register tile,
-// so every output element sees the exact same floating-point operation order
-// regardless of the thread count — outputs are bitwise reproducible.
+// The kernel walks C in 4x16 register tiles, streams B a k-panel at a time so
+// the panel stays hot in L2 across row blocks, and parallelises over 4-row
+// blocks of C. On the AVX-512 tier, pairs of full 4-row blocks take an 8x32
+// register tile instead (16 accumulator chains, enough to keep both fma
+// ports busy) over 32-column strips, and chunks are counted in block pairs;
+// the leftover columns, ragged rows and an odd last block keep the 4x16 and
+// edge tiles. Chunk boundaries are aligned to the register tiles, and every
+// tile runs the same ascending-p per-element chain and epilogue, so every
+// output element sees the exact same floating-point operation order
+// regardless of the thread count or which tile covered it — outputs are
+// bitwise reproducible, and the AVX-512 tier equals the AVX2 tier bit for
+// bit.
 #ifndef PIT_COMMON_GEMM_MICROKERNEL_H_
 #define PIT_COMMON_GEMM_MICROKERNEL_H_
 

@@ -146,6 +146,36 @@ PIT_TARGET_AVX512 void GemmTile4x16Avx512(const float* a, int64_t lda, const flo
   _mm512_storeu_ps(c + 3 * ldc, Epilogue16(acc3, bias, relu));
 }
 
+// AVX-512 wide tile: 8 rows times two 16-column strips (b0/b1), one
+// accumulator each — 16 independent fma chains (why: see the header). Per
+// element it is still the ascending-p fma chain plus the same epilogue, so
+// the result is bitwise the 4x16 tile's.
+PIT_TARGET_AVX512 void GemmTile8x32Avx512(const float* a, int64_t lda, const float* b0,
+                                          const float* b1, int64_t ldb, float* c, int64_t ldc,
+                                          int64_t p0, int64_t p1, const float* bias, bool relu) {
+  __m512 acc[8][2];
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) {
+    acc[r][0] = _mm512_loadu_ps(c + r * ldc);
+    acc[r][1] = _mm512_loadu_ps(c + r * ldc + 16);
+  }
+  for (int64_t p = p0; p < p1; ++p) {
+    const __m512 bv0 = _mm512_loadu_ps(b0 + p * ldb);
+    const __m512 bv1 = _mm512_loadu_ps(b1 + p * ldb);
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * lda + p]);
+      acc[r][0] = _mm512_fmadd_ps(av, bv0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_ps(av, bv1, acc[r][1]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) {
+    _mm512_storeu_ps(c + r * ldc, Epilogue16(acc[r][0], bias, relu));
+    _mm512_storeu_ps(c + r * ldc + 16, Epilogue16(acc[r][1], bias ? bias + 16 : nullptr, relu));
+  }
+}
+
 // ---- Vector exp -------------------------------------------------------------
 
 // Cephes-style expf: range-reduce by log2(e), 5th-order polynomial on the
@@ -404,8 +434,8 @@ PIT_TARGET_AVX2 void CopyAvx2(const float* src, float* dst, int64_t n) {
   }
 }
 
-const GemmKernels kGemmAvx2{GemmTile4x16Avx2, GemmEdgeFma};
-const GemmKernels kGemmAvx512{GemmTile4x16Avx512, GemmEdgeFma};
+const GemmKernels kGemmAvx2{GemmTile4x16Avx2, nullptr, GemmEdgeFma};
+const GemmKernels kGemmAvx512{GemmTile4x16Avx512, GemmTile8x32Avx512, GemmEdgeFma};
 const RowKernels kRowAvx2{RowMaxAvx2, ExpSumAvx2, DivInplaceAvx2, AddAvx2,      ReluAvx2,
                           ScaleAvx2,  SumAvx2,    SqDiffSumAvx2,  NormalizeAvx2, SpanNonZeroAvx2,
                           CopyAvx2};

@@ -5,6 +5,7 @@
 // counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -458,18 +459,19 @@ TEST(IsaTierTest, GemmFusedEpiloguesMatchScalarTierWithinEnvelope) {
         ExpectWithinGemmEnvelope(sc, relu_oracle, "scalar tier bias-relu");
         ExpectWithinGemmEnvelope(sd, relu_oracle, "simd tier bias-relu");
       });
-  // Deep-k tall shape that trips the packed-A path under both tiers.
+  // Deep-k tall shape whose 2048x256 B (2 MiB) reaches GemmF32's pack
+  // threshold, so both tiers stream packed B tiles.
   Rng rng2(511);
   Tensor ta = Tensor::Random({1027, 2048}, rng2);
-  Tensor tb = Tensor::Random({2048, 192}, rng2);
+  Tensor tb = Tensor::Random({2048, 256}, rng2);
   const GemmOracle tall_oracle = MakeGemmOracle(ta, tb, nullptr, false);
   CompareTiers([&] { return MatMul(ta, tb); }, [&](const Tensor& sc, const Tensor& sd) {
     // k=2048 accumulates enough contraction drift in portable builds that
     // the default AllClose tolerance is too tight; the oracle envelope
     // below is the rigorous per-element bound.
     EXPECT_TRUE(AllClose(sc, sd, 1e-3f, 1e-4f));
-    ExpectWithinGemmEnvelope(sc, tall_oracle, "scalar tier packed-A");
-    ExpectWithinGemmEnvelope(sd, tall_oracle, "simd tier packed-A");
+    ExpectWithinGemmEnvelope(sc, tall_oracle, "scalar tier packed-B");
+    ExpectWithinGemmEnvelope(sd, tall_oracle, "simd tier packed-B");
   });
 }
 
@@ -671,6 +673,122 @@ TEST(IsaTierTest, PlannedStackBitwiseInvariantAcrossThreadsWithinTier) {
       for (size_t i = 0; i < multi.size(); ++i) {
         EXPECT_TRUE(BitwiseEqual(multi[i], single_stream[i]))
             << "tier=" << IsaName(tier) << " request " << i;
+      }
+    }
+  }
+}
+
+// The AVX-512 tier covers pairs of full 4-row blocks with its 8x32 wide tile;
+// the AVX2 tier runs only 4x16 and edge tiles. Both run the same ascending-p
+// fma chain and epilogue per element, so every GemmF32 must match bit for
+// bit: ragged m/n/k, k across the 256-deep panel edge, +-0 / denormal /
+// all-zero-block A, every epilogue, 1 and 4 threads, and packed B.
+TEST(IsaTierTest, Avx512GemmBitwiseEqualsAvx2Tier) {
+  if (DetectedIsa() != IsaTier::kAvx512) {
+    GTEST_SKIP() << "no AVX-512 tier on this machine";
+  }
+  ScopedBackend guard(ComputeBackend::kBlocked);
+  auto gemm = [](IsaTier tier, int threads, int64_t m, int64_t n, int64_t k,
+                 const std::vector<float>& a, const std::vector<float>& b,
+                 const std::vector<float>& c0, const float* bias, bool relu) {
+    ScopedIsa isa(tier);
+    ScopedNumThreads t(threads);
+    std::vector<float> c = c0;
+    GemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n, bias, relu);
+    return c;
+  };
+  auto check = [&](int64_t m, int64_t n, int64_t k, uint64_t seed) {
+    Rng rng(seed);
+    std::vector<float> a(static_cast<size_t>(m * k));
+    std::vector<float> b(static_cast<size_t>(k * n));
+    std::vector<float> c0(static_cast<size_t>(m * n));
+    std::vector<float> bias(static_cast<size_t>(n));
+    for (std::vector<float>* v : {&a, &b, &c0, &bias}) {
+      for (float& x : *v) {
+        x = rng.NextFloat(-1.0f, 1.0f);
+      }
+    }
+    // Signed zeros and denormals scattered through A, and rows 8..15 (a
+    // whole 8-row pair) zeroed: products of -0 and denormal inputs and
+    // all-zero fma chains must round identically in both tiles.
+    for (size_t i = 0; i < a.size(); i += 7) {
+      a[i] = (i / 7) % 3 == 0 ? -0.0f : (i / 7) % 3 == 1 ? 0.0f : 1.5e-39f;
+    }
+    for (int64_t i = 8; i < std::min<int64_t>(m, 16); ++i) {
+      std::fill(a.begin() + i * k, a.begin() + (i + 1) * k, 0.0f);
+    }
+    for (int epilogue = 0; epilogue < 3; ++epilogue) {
+      const float* bp = epilogue > 0 ? bias.data() : nullptr;
+      const bool relu = epilogue == 2;
+      const std::vector<float> want = gemm(IsaTier::kAvx2, 1, m, n, k, a, b, c0, bp, relu);
+      for (int threads : {1, 4}) {
+        const std::vector<float> got = gemm(IsaTier::kAvx512, threads, m, n, k, a, b, c0, bp,
+                                            relu);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+            << "m=" << m << " n=" << n << " k=" << k << " epilogue=" << epilogue
+            << " threads=" << threads;
+      }
+    }
+  };
+  uint64_t seed = 580;
+  // At 4 threads the AVX2 tier's chunks hold 3 (m=33) and 33 (m=513) 4-row
+  // blocks once n*k is large, so its chunk boundaries land inside 8-row
+  // pairs that the AVX-512 tier covers with one wide tile.
+  for (const int64_t m : {1, 3, 4, 7, 8, 9, 12, 15, 16, 17, 33, 513}) {
+    for (const int64_t n : {1, 15, 16, 17, 31, 32, 33, 48, 64, 100, 128, 512}) {
+      for (const int64_t k : {1, 7, 32, 128, 255, 256, 257, 512}) {
+        check(m, n, k, seed++);
+      }
+    }
+  }
+  // B of 1024x528 floats (2.06 MiB) crosses the 2 MiB pack threshold: packed
+  // 16-wide tiles feed the wide tile, with a leftover 16-column strip, four
+  // k-panels and a ragged last row block.
+  check(131, 528, 1024, seed++);
+}
+
+// Both planned stacks at the serving benchmark's shapes (2 layers, hidden
+// 128, 4 heads, FFN 512), replayed from a capacity-512 stream at 100 and 512
+// rows: bitwise equal across the AVX-512 and AVX2 tiers, dense and PIT.
+TEST(IsaTierTest, Avx512PlannedStacksBitwiseEqualAvx2Tier) {
+  if (DetectedIsa() != IsaTier::kAvx512) {
+    GTEST_SKIP() << "no AVX-512 tier on this machine";
+  }
+  ScopedBackend guard(ComputeBackend::kBlocked);
+  Rng wr(590);
+  PlannedTransformerStack xf(/*layers=*/2, /*hidden=*/128, /*heads=*/4, /*ffn_hidden=*/512, wr);
+  PlannedFfnStack ffn(/*layers=*/2, /*hidden=*/128, /*ffn_hidden=*/512, wr);
+  Rng rr(591);
+  const Tensor x = Tensor::Random({512, 128}, rr);
+  // Two packed requests of 37 and 63 rows at rows=100, whole-tile attention
+  // at rows=512.
+  const std::vector<AttentionSegment> segments = {{0, 37, ConstTensorView()},
+                                                  {37, 63, ConstTensorView()}};
+  auto run = [&](IsaTier tier, int64_t rows, bool pit) {
+    ScopedIsa isa(tier);
+    PitCompiler compiler(V100());
+    PitCompiler* cp = pit ? &compiler : nullptr;
+    std::vector<Tensor> outs;
+    PlannedTransformerStack::Stream xs = xf.MakeStream(512, /*masked=*/false, pit);
+    if (rows == 100) {
+      xs.SetAttentionSegments(segments);
+    }
+    outs.emplace_back(Shape{512, 128});
+    xf.ForwardWith(xs, x, nullptr, cp, &outs.back(), rows);
+    PlannedFfnStack::Stream fs = ffn.MakeStream(512, pit);
+    outs.emplace_back(Shape{512, 128});
+    ffn.ForwardWith(fs, x, cp, &outs.back(), rows);
+    return outs;
+  };
+  for (const int64_t rows : {100, 512}) {
+    for (const bool pit : {false, true}) {
+      const std::vector<Tensor> want = run(IsaTier::kAvx2, rows, pit);
+      const std::vector<Tensor> got = run(IsaTier::kAvx512, rows, pit);
+      for (size_t s = 0; s < want.size(); ++s) {
+        EXPECT_EQ(std::memcmp(got[s].data(), want[s].data(),
+                              static_cast<size_t>(rows * 128) * sizeof(float)),
+                  0)
+            << (s == 0 ? "transformer" : "ffn") << " rows=" << rows << " pit=" << pit;
       }
     }
   }
