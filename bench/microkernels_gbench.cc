@@ -138,14 +138,19 @@ void BM_GemmServingShapes(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 // (m, k, n): the serving benchmark's projection and FFN GEMMs at m = 512
-// (hidden 128, FFN 512), then one 200-token attention head's score
-// (200, 32, 200) and context (200, 200, 32) GEMMs.
+// (hidden 128, FFN 512) and at a ragged m = 97, then the score (t, 32, t) and
+// context (t, t, 32) GEMMs of one attention head at t = 200, 39 and 97 — the
+// ragged rows and columns a request length leaves at the register tile's
+// edge.
 BENCHMARK(BM_GemmServingShapes)
     ->ArgNames({"m", "k", "n", "avx2"})
-    ->ArgsProduct({{512}, {128}, {128, 512}, {0, 1}})
-    ->ArgsProduct({{512}, {512}, {128}, {0, 1}})
+    ->ArgsProduct({{512, 97}, {128}, {128, 512}, {0, 1}})
+    ->ArgsProduct({{512, 97}, {512}, {128}, {0, 1}})
     ->ArgsProduct({{200}, {32}, {200}, {0, 1}})
-    ->ArgsProduct({{200}, {200}, {32}, {0, 1}});
+    ->ArgsProduct({{200}, {200}, {32}, {0, 1}})
+    ->ArgsProduct({{39}, {32}, {39}, {0, 1}})
+    ->ArgsProduct({{97}, {32}, {97}, {0, 1}})
+    ->ArgsProduct({{97}, {97}, {32}, {0, 1}});
 
 }  // namespace
 }  // namespace pit

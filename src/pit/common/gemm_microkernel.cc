@@ -80,18 +80,21 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
   // thread count within the tier. Null table = scalar blocked kernels (the
   // differential oracle).
   const simd::GemmKernels* sk = UseSimd() ? simd::GemmKernelsFor(ActiveIsa()) : nullptr;
-  // The wide tile covers two 4-row blocks at once, so chunks are counted in
-  // block pairs while it is active: a chunk boundary never splits a pair.
-  // Which kernel covers an element never changes its bits, so this only
-  // decides how much of C the wide tile reaches.
+  // The AVX-512 tier covers C in 8-row units of 32-column strips: full strips
+  // take the 8x32 tile, every ragged one (short last unit, leftover columns)
+  // the masked 8x32 tile. The other tiers walk 4-row blocks in 16-column
+  // tiles, and their ragged edges take the edge tile. Which kernel covers an
+  // element never changes its bits, so this only decides how C is walked.
   const bool wide = sk != nullptr && sk->tile8x32 != nullptr;
   const int64_t unit_blocks = wide ? 2 : 1;
-  // Parallel over units of 4-row blocks of C (disjoint outputs, tile-aligned
-  // chunk boundaries => bitwise-identical results for any thread count).
-  // Grain keeps at least ~1 MFLOP per dispatched chunk.
+  const int64_t unit_rows = unit_blocks * kMr;
+  const int64_t strip = wide ? 2 * kNr : kNr;
+  // Parallel over row units of C (disjoint outputs, chunk boundaries on unit
+  // boundaries => bitwise-identical results for any thread count). Grain
+  // keeps at least ~1 MFLOP per dispatched chunk.
   const int64_t row_blocks = (m + kMr - 1) / kMr;
   const int64_t units = (row_blocks + unit_blocks - 1) / unit_blocks;
-  const int64_t flops_per_unit = 2 * unit_blocks * kMr * n * k;
+  const int64_t flops_per_unit = 2 * unit_rows * n * k;
   const int64_t grain = (1 << 20) / std::max<int64_t>(1, flops_per_unit) + 1;
   ParallelFor(units, grain, [&](int64_t u0, int64_t u1) {
     const int64_t blk0 = u0 * unit_blocks;
@@ -127,23 +130,27 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
       auto btile = [&](int64_t j) {
         return pack ? bpack.data() + (j / kNr) * panel_rows * kNr : b + j;
       };
-      // One 4-row block's columns [j0, n) in 4x16 and edge tiles.
-      auto run_block = [&](int64_t blk, int64_t j0) {
-        const int64_t i0 = blk * kMr;
-        const int64_t mr = std::min(kMr, m - i0);
+      for (int64_t u = u0; u < u1; ++u) {
+        const int64_t i0 = u * unit_rows;
+        const int64_t mr = std::min(unit_rows, m - i0);
         const float* atile = a + i0 * lda + a_off;
         float* ctile = c + i0 * ldc;
-        for (int64_t j = j0; j < n; j += kNr) {
-          const int64_t nr = std::min(kNr, n - j);
+        for (int64_t j = 0; j < n; j += strip) {
+          const int64_t nr = std::min(strip, n - j);
           const float* bias_j = panel_bias ? panel_bias + j : nullptr;
-          if (mr == kMr && nr == kNr) {
-            if (sk) {
-              sk->tile4x16(atile, lda, btile(j), ldb_k, ctile + j, ldc, q0, q1, bias_j,
-                           panel_relu);
-            } else {
-              Kernel4x16(atile, lda, btile(j), ldb_k, ctile + j, ldc, q0, q1, bias_j,
+          const bool full = mr == unit_rows && nr == strip;
+          if (wide && full) {
+            sk->tile8x32(atile, lda, btile(j), btile(j + kNr), ldb_k, ctile + j, ldc, q0, q1,
+                         bias_j, panel_relu);
+          } else if (wide) {
+            const float* b1 = nr > kNr ? btile(j + kNr) : nullptr;
+            sk->tile8x32_masked(atile, lda, btile(j), b1, ldb_k, ctile + j, ldc, mr, nr, q0, q1,
+                                bias_j, panel_relu);
+          } else if (full && sk) {
+            sk->tile4x16(atile, lda, btile(j), ldb_k, ctile + j, ldc, q0, q1, bias_j,
                          panel_relu);
-            }
+          } else if (full) {
+            Kernel4x16(atile, lda, btile(j), ldb_k, ctile + j, ldc, q0, q1, bias_j, panel_relu);
           } else if (sk) {
             sk->edge(atile, lda, btile(j), ldb_k, ctile + j, ldc, mr, nr, q0, q1, bias_j,
                      panel_relu);
@@ -151,26 +158,6 @@ void GemmF32(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, const
             KernelEdge(atile, lda, btile(j), ldb_k, ctile + j, ldc, mr, nr, q0, q1, bias_j,
                        panel_relu);
           }
-        }
-      };
-      for (int64_t blk = blk0; blk < blk1;) {
-        // A pair of full 4-row blocks takes the wide tile over 32-column
-        // strips; the leftover columns, ragged rows and an odd last block
-        // fall through to the 4x16 and edge tiles.
-        if (wide && blk + 1 < blk1 && (blk + 2) * kMr <= m) {
-          const int64_t i0 = blk * kMr;
-          int64_t j = 0;
-          for (; j + 2 * kNr <= n; j += 2 * kNr) {
-            sk->tile8x32(a + i0 * lda + a_off, lda, btile(j), btile(j + kNr), ldb_k,
-                         c + i0 * ldc + j, ldc, q0, q1, panel_bias ? panel_bias + j : nullptr,
-                         panel_relu);
-          }
-          run_block(blk, j);
-          run_block(blk + 1, j);
-          blk += 2;
-        } else {
-          run_block(blk, 0);
-          ++blk;
         }
       }
     }

@@ -1,18 +1,19 @@
 // Register-blocked, cache-tiled f32 GEMM — the compute core of the blocked
 // backend.
 //
-// The kernel walks C in 4x16 register tiles, streams B a k-panel at a time so
-// the panel stays hot in L2 across row blocks, and parallelises over 4-row
-// blocks of C. On the AVX-512 tier, pairs of full 4-row blocks take an 8x32
-// register tile instead (16 accumulator chains, enough to keep both fma
-// ports busy) over 32-column strips, and chunks are counted in block pairs;
-// the leftover columns, ragged rows and an odd last block keep the 4x16 and
-// edge tiles. Chunk boundaries are aligned to the register tiles, and every
-// tile runs the same ascending-p per-element chain and epilogue, so every
-// output element sees the exact same floating-point operation order
-// regardless of the thread count or which tile covered it — outputs are
-// bitwise reproducible, and the AVX-512 tier equals the AVX2 tier bit for
-// bit.
+// The kernel walks C in register tiles, streams B a k-panel at a time so the
+// panel stays hot in L2 across row blocks, and parallelises over row units of
+// C. The scalar and AVX2 tiers walk 4-row blocks in 4x16 tiles, and their
+// ragged rows and columns take a scalar fma edge tile. The AVX-512 tier walks
+// 8-row units in 32-column strips: full strips take an 8x32 tile (16
+// accumulator chains, enough to keep both fma ports busy) and every ragged
+// strip — a short last unit or leftover columns — an 8x32 tile with lane
+// masks, so no part of C falls back to scalar code. Chunk boundaries are
+// aligned to the row units, and every tile runs the same ascending-p
+// per-element chain and epilogue, so every output element sees the exact
+// same floating-point operation order regardless of the thread count or
+// which tile covered it — outputs are bitwise reproducible, and the AVX-512
+// tier equals the AVX2 tier bit for bit.
 #ifndef PIT_COMMON_GEMM_MICROKERNEL_H_
 #define PIT_COMMON_GEMM_MICROKERNEL_H_
 

@@ -113,43 +113,25 @@ PIT_TARGET_AVX2 void GemmEdgeFma(const float* a, int64_t lda, const float* b, in
   }
 }
 
-PIT_TARGET_AVX512 inline __m512 Epilogue16(__m512 acc, const float* bias, bool relu) {
+// Fused epilogue on one 16-lane accumulator, the same per-lane order as
+// Epilogue8 (vmaxps against 0 matches the scalar ternary bit for bit). Only
+// the `live` lanes of bias are read, so a masked tile never touches bias past
+// its last column; dead lanes come out as 0 and are never stored.
+PIT_TARGET_AVX512 inline __m512 Epilogue16(__m512 acc, const float* bias, __mmask16 live,
+                                           bool relu) {
   if (bias != nullptr) {
-    acc = _mm512_add_ps(acc, _mm512_loadu_ps(bias));
+    acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(live, bias));
   }
   if (relu) {
-    acc = _mm512_max_ps(acc, _mm512_setzero_ps());
+    acc = _mm512_maskz_max_ps(live, acc, _mm512_setzero_ps());
   }
   return acc;
 }
 
-// AVX-512 full tile: one 16-lane accumulator per row. Each lane runs the
-// same per-element fma chain as the AVX2 lanes, so the two SIMD tiers are
-// bitwise identical.
-PIT_TARGET_AVX512 void GemmTile4x16Avx512(const float* a, int64_t lda, const float* b,
-                                          int64_t ldb, float* c, int64_t ldc, int64_t p0,
-                                          int64_t p1, const float* bias, bool relu) {
-  __m512 acc0 = _mm512_loadu_ps(c);
-  __m512 acc1 = _mm512_loadu_ps(c + ldc);
-  __m512 acc2 = _mm512_loadu_ps(c + 2 * ldc);
-  __m512 acc3 = _mm512_loadu_ps(c + 3 * ldc);
-  for (int64_t p = p0; p < p1; ++p) {
-    const __m512 bv = _mm512_loadu_ps(b + p * ldb);
-    acc0 = _mm512_fmadd_ps(_mm512_set1_ps(a[p]), bv, acc0);
-    acc1 = _mm512_fmadd_ps(_mm512_set1_ps(a[lda + p]), bv, acc1);
-    acc2 = _mm512_fmadd_ps(_mm512_set1_ps(a[2 * lda + p]), bv, acc2);
-    acc3 = _mm512_fmadd_ps(_mm512_set1_ps(a[3 * lda + p]), bv, acc3);
-  }
-  _mm512_storeu_ps(c, Epilogue16(acc0, bias, relu));
-  _mm512_storeu_ps(c + ldc, Epilogue16(acc1, bias, relu));
-  _mm512_storeu_ps(c + 2 * ldc, Epilogue16(acc2, bias, relu));
-  _mm512_storeu_ps(c + 3 * ldc, Epilogue16(acc3, bias, relu));
-}
-
 // AVX-512 wide tile: 8 rows times two 16-column strips (b0/b1), one
-// accumulator each — 16 independent fma chains (why: see the header). Per
-// element it is still the ascending-p fma chain plus the same epilogue, so
-// the result is bitwise the 4x16 tile's.
+// accumulator each — 16 independent fma chains (why: see the header). Each
+// lane runs the same ascending-p fma chain and epilogue as an AVX2 lane, so
+// the two SIMD tiers are bitwise identical.
 PIT_TARGET_AVX512 void GemmTile8x32Avx512(const float* a, int64_t lda, const float* b0,
                                           const float* b1, int64_t ldb, float* c, int64_t ldc,
                                           int64_t p0, int64_t p1, const float* bias, bool relu) {
@@ -171,8 +153,80 @@ PIT_TARGET_AVX512 void GemmTile8x32Avx512(const float* a, int64_t lda, const flo
   }
 #pragma GCC unroll 8
   for (int r = 0; r < 8; ++r) {
-    _mm512_storeu_ps(c + r * ldc, Epilogue16(acc[r][0], bias, relu));
-    _mm512_storeu_ps(c + r * ldc + 16, Epilogue16(acc[r][1], bias ? bias + 16 : nullptr, relu));
+    _mm512_storeu_ps(c + r * ldc, Epilogue16(acc[r][0], bias, 0xFFFF, relu));
+    _mm512_storeu_ps(c + r * ldc + 16,
+                     Epilogue16(acc[r][1], bias ? bias + 16 : nullptr, 0xFFFF, relu));
+  }
+}
+
+// Masked wide tile: C[0:MR, 0:nr] for nr <= 32, the AVX-512 tier's ragged
+// edge. C, B and bias move through lane masks built from nr, so dead lanes
+// are never read from memory (no fault past an operand's end) and never
+// stored; kTwo is false when nr <= 16 and the second strip is skipped. MR is
+// a template parameter so a short unit runs one fma chain per live row and
+// strip, and never reads A past row MR-1. Live lanes run the ascending-p fma
+// chain and epilogue of every other tile, so the result is bitwise the AVX2
+// tier's edge tile.
+template <int MR, bool kTwo>
+PIT_TARGET_AVX512 void GemmTileMaskedAvx512(const float* a, int64_t lda, const float* b0,
+                                            const float* b1, int64_t ldb, float* c, int64_t ldc,
+                                            int64_t nr, int64_t p0, int64_t p1,
+                                            const float* bias, bool relu) {
+  const __mmask16 m0 = kTwo ? 0xFFFF : static_cast<__mmask16>((1u << nr) - 1);
+  const __mmask16 m1 = kTwo ? static_cast<__mmask16>((1u << (nr - 16)) - 1) : 0;
+  __m512 acc[MR][2];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+    acc[r][0] = _mm512_maskz_loadu_ps(m0, c + r * ldc);
+    if (kTwo) {
+      acc[r][1] = _mm512_maskz_loadu_ps(m1, c + r * ldc + 16);
+    }
+  }
+  for (int64_t p = p0; p < p1; ++p) {
+    const __m512 bv0 = _mm512_maskz_loadu_ps(m0, b0 + p * ldb);
+    const __m512 bv1 = kTwo ? _mm512_maskz_loadu_ps(m1, b1 + p * ldb) : bv0;
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * lda + p]);
+      acc[r][0] = _mm512_fmadd_ps(av, bv0, acc[r][0]);
+      if (kTwo) {
+        acc[r][1] = _mm512_fmadd_ps(av, bv1, acc[r][1]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+    _mm512_mask_storeu_ps(c + r * ldc, m0, Epilogue16(acc[r][0], bias, m0, relu));
+    if (kTwo) {
+      _mm512_mask_storeu_ps(c + r * ldc + 16, m1,
+                            Epilogue16(acc[r][1], bias ? bias + 16 : nullptr, m1, relu));
+    }
+  }
+}
+
+// Runs a ragged tile on the instantiation for its row count and strip count.
+PIT_TARGET_AVX512 void GemmTile8x32MaskedAvx512(const float* a, int64_t lda, const float* b0,
+                                                const float* b1, int64_t ldb, float* c,
+                                                int64_t ldc, int64_t mr, int64_t nr, int64_t p0,
+                                                int64_t p1, const float* bias, bool relu) {
+  switch (mr) {
+#define PIT_MASKED_TILE(MR)                                                                  \
+  case MR:                                                                                   \
+    if (nr > 16) {                                                                           \
+      GemmTileMaskedAvx512<MR, true>(a, lda, b0, b1, ldb, c, ldc, nr, p0, p1, bias, relu);  \
+    } else {                                                                                 \
+      GemmTileMaskedAvx512<MR, false>(a, lda, b0, b1, ldb, c, ldc, nr, p0, p1, bias, relu); \
+    }                                                                                        \
+    return;
+    PIT_MASKED_TILE(1)
+    PIT_MASKED_TILE(2)
+    PIT_MASKED_TILE(3)
+    PIT_MASKED_TILE(4)
+    PIT_MASKED_TILE(5)
+    PIT_MASKED_TILE(6)
+    PIT_MASKED_TILE(7)
+    PIT_MASKED_TILE(8)
+#undef PIT_MASKED_TILE
   }
 }
 
@@ -434,8 +488,8 @@ PIT_TARGET_AVX2 void CopyAvx2(const float* src, float* dst, int64_t n) {
   }
 }
 
-const GemmKernels kGemmAvx2{GemmTile4x16Avx2, nullptr, GemmEdgeFma};
-const GemmKernels kGemmAvx512{GemmTile4x16Avx512, GemmTile8x32Avx512, GemmEdgeFma};
+const GemmKernels kGemmAvx2{GemmTile4x16Avx2, nullptr, nullptr, GemmEdgeFma};
+const GemmKernels kGemmAvx512{nullptr, GemmTile8x32Avx512, GemmTile8x32MaskedAvx512, nullptr};
 const RowKernels kRowAvx2{RowMaxAvx2, ExpSumAvx2, DivInplaceAvx2, AddAvx2,      ReluAvx2,
                           ScaleAvx2,  SumAvx2,    SqDiffSumAvx2,  NormalizeAvx2, SpanNonZeroAvx2,
                           CopyAvx2};

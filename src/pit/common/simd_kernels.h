@@ -1,21 +1,24 @@
 // Explicit vector microkernels behind the IsaTier dispatch (common/backend.h).
 //
 // Kernels are grouped into two dispatch tables resolved once per op call:
-//  - GemmKernels: the register-tile GEMM kernels (4x16 full tile, the
-//    AVX-512-only 8x32 wide tile, and the ragged-edge tile) with the fused
-//    bias / bias+relu epilogue. The AVX2 and AVX-512 variants contract with
-//    fma — one rounding per multiply-add instead of two — so they differ from
-//    the scalar blocked oracle within tolerance; but every variant (vector
-//    lanes AND the scalar fma edge kernel) applies the exact same
-//    ascending-p fma chain per element, so a result never depends on which
-//    kernel covered it, on tiling, packing, row position, or thread count.
-//    AVX-512 lanes run the same per-element chain as AVX2 lanes: the two SIMD
-//    tiers are bitwise identical to each other. The 8x32 tile exists because
-//    the 4x16 one keeps only 4 zmm accumulator chains live, which leaves a
-//    2-port, 4-cycle-latency fma core latency-bound at half its peak; 16
-//    chains cover the latency. The AVX2 tier deliberately keeps its 4x16
-//    tile (8 ymm chains, twice the AVX-512 4x16 tile's) so it stays an
-//    independent kernel the wide tile is tested against.
+//  - GemmKernels: the register-tile GEMM kernels with the fused bias /
+//    bias+relu epilogue. The AVX2 tier runs a 4x16 full tile and a scalar
+//    fmaf edge tile for ragged rows and columns; the AVX-512 tier runs an
+//    8x32 full tile and one masked 8x32 tile that covers every ragged edge
+//    (mr <= 8 rows, nr <= 32 columns) on vector lanes. The SIMD variants
+//    contract with fma — one rounding per multiply-add instead of two — so
+//    they differ from the scalar blocked oracle within tolerance; but every
+//    SIMD kernel (vector lanes AND the scalar fma edge kernel) applies the
+//    exact same ascending-p fma chain per element, so a result never depends
+//    on which kernel covered it, on tiling, packing, row position, or thread
+//    count, and the two SIMD tiers are bitwise identical to each other. The
+//    8x32 tile exists because a 4x16 AVX-512 tile keeps only 4 zmm
+//    accumulator chains live, which leaves a 2-port, 4-cycle-latency fma core
+//    latency-bound at half its peak; 16 chains cover the latency. The masked
+//    tile exists because a scalar edge runs a 39-wide attention score GEMM
+//    at a tenth of the full tiles' rate. The AVX2 tier deliberately keeps its
+//    4x16 and scalar edge tiles: they are the independent kernels both
+//    AVX-512 tiles are tested against.
 //  - RowKernels: row/segment primitives for softmax (max / exp-sum / divide),
 //    layernorm (sum / squared-diff sum / normalize), the elementwise kernels
 //    (add/relu/scale), the detector's span-nonzero scan, and the row-gather
@@ -43,18 +46,26 @@ namespace simd {
 struct GemmKernels {
   // C[0:4, 0:16] += A[0:4, p0:p1] * B[p0:p1, 0:16]; same contract as the
   // scalar Kernel4x16 (a = tile's first A row, b/c offset to the tile's
-  // first column).
+  // first column). nullptr on AVX-512, which runs only the two 8x32 tiles.
   void (*tile4x16)(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
                    int64_t ldc, int64_t p0, int64_t p1, const float* bias, bool relu);
-  // C[0:8, 0:32] += A[0:8, p0:p1] * [B0 | B1][p0:p1, 0:32]: two 4-row
-  // blocks times two 16-column strips, where b0/b1 point at the strips' first
-  // columns (consecutive packed tiles, or b + j and b + j + 16) and share
-  // ldb; bias (if any) covers all 32 columns. Bitwise equal to four tile4x16
-  // calls. nullptr on tiers without a wide tile (AVX2).
+  // C[0:8, 0:32] += A[0:8, p0:p1] * [B0 | B1][p0:p1, 0:32]: 8 rows times two
+  // 16-column strips, where b0/b1 point at the strips' first columns
+  // (consecutive packed tiles, or b + j and b + j + 16) and share ldb; bias
+  // (if any) covers all 32 columns. Bitwise equal to four tile4x16 calls.
+  // nullptr on tiers without a wide tile (AVX2).
   void (*tile8x32)(const float* a, int64_t lda, const float* b0, const float* b1, int64_t ldb,
                    float* c, int64_t ldc, int64_t p0, int64_t p1, const float* bias, bool relu);
+  // tile8x32 restricted to C[0:mr, 0:nr] for 1 <= mr <= 8, 1 <= nr <= 32:
+  // lane-masked loads and stores never read or write A, B, C or bias outside
+  // those rows and columns, and b1 is not read when nr <= 16. Bitwise equal
+  // to the edge tile. nullptr on tiers without a wide tile (AVX2).
+  void (*tile8x32_masked)(const float* a, int64_t lda, const float* b0, const float* b1,
+                          int64_t ldb, float* c, int64_t ldc, int64_t mr, int64_t nr,
+                          int64_t p0, int64_t p1, const float* bias, bool relu);
   // Ragged-edge tile (mr < 4 and/or nr < 16): scalar loops contracted with
-  // fmaf so the per-element chain matches the vector lanes exactly.
+  // fmaf so the per-element chain matches the vector lanes exactly. nullptr
+  // on AVX-512, whose masked tile covers every edge.
   void (*edge)(const float* a, int64_t lda, const float* b, int64_t ldb, float* c, int64_t ldc,
                int64_t mr, int64_t nr, int64_t p0, int64_t p1, const float* bias, bool relu);
 };

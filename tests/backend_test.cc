@@ -4,13 +4,17 @@
 // full-dense micro-tile indexes), plus bitwise determinism across thread
 // counts.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "pit/common/backend.h"
+#include "pit/common/check.h"
 #include "pit/common/gemm_microkernel.h"
 #include "pit/common/parallel_for.h"
 #include "pit/core/batched_kernel.h"
@@ -20,6 +24,7 @@
 #include "pit/runtime/serving.h"
 #include "pit/runtime/serving_engine.h"
 #include "pit/tensor/ops.h"
+#include "pit/workloads/attention_masks.h"
 
 namespace pit {
 namespace {
@@ -678,30 +683,43 @@ TEST(IsaTierTest, PlannedStackBitwiseInvariantAcrossThreadsWithinTier) {
   }
 }
 
-// The AVX-512 tier covers pairs of full 4-row blocks with its 8x32 wide tile;
-// the AVX2 tier runs only 4x16 and edge tiles. Both run the same ascending-p
-// fma chain and epilogue per element, so every GemmF32 must match bit for
-// bit: ragged m/n/k, k across the 256-deep panel edge, +-0 / denormal /
-// all-zero-block A, every epilogue, 1 and 4 threads, and packed B.
+// The AVX-512 tier covers C in 8x32 tiles and masks every ragged tile; the
+// AVX2 tier runs only 4x16 and scalar edge tiles. Both run the same
+// ascending-p fma chain and epilogue per element, so every GemmF32 must match
+// bit for bit: ragged m/n/k, k across the 256-deep panel edge, +-0 /
+// denormal / all-zero-block A, every epilogue, 1 and 4 threads, packed B, and
+// strided operands whose padding must stay untouched.
 TEST(IsaTierTest, Avx512GemmBitwiseEqualsAvx2Tier) {
   if (DetectedIsa() != IsaTier::kAvx512) {
     GTEST_SKIP() << "no AVX-512 tier on this machine";
   }
   ScopedBackend guard(ComputeBackend::kBlocked);
-  auto gemm = [](IsaTier tier, int threads, int64_t m, int64_t n, int64_t k,
-                 const std::vector<float>& a, const std::vector<float>& b,
-                 const std::vector<float>& c0, const float* bias, bool relu) {
+  // A NaN payload no GEMM produces: A's and B's padding columns hold it, so a
+  // kernel that reads padding into a live lane poisons C; C's padding holds
+  // it, so a store past column n shows up as changed bits.
+  constexpr uint32_t kSentinelBits = 0x7fc0dead;
+  float sentinel;
+  std::memcpy(&sentinel, &kSentinelBits, sizeof(sentinel));
+  auto gemm = [](IsaTier tier, int threads, int64_t m, int64_t n, int64_t k, int64_t lda,
+                 int64_t ldb, int64_t ldc, const std::vector<float>& a,
+                 const std::vector<float>& b, const std::vector<float>& c0, const float* bias,
+                 bool relu) {
     ScopedIsa isa(tier);
     ScopedNumThreads t(threads);
     std::vector<float> c = c0;
-    GemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n, bias, relu);
+    GemmF32(m, n, k, a.data(), lda, b.data(), ldb, c.data(), ldc, bias, relu);
     return c;
   };
-  auto check = [&](int64_t m, int64_t n, int64_t k, uint64_t seed) {
+  // `pad` extra columns on every operand: lda = k + pad, ldb = n + pad,
+  // ldc = n + pad.
+  auto check = [&](int64_t m, int64_t n, int64_t k, uint64_t seed, int64_t pad = 0) {
+    const int64_t lda = k + pad;
+    const int64_t ldb = n + pad;
+    const int64_t ldc = n + pad;
     Rng rng(seed);
-    std::vector<float> a(static_cast<size_t>(m * k));
-    std::vector<float> b(static_cast<size_t>(k * n));
-    std::vector<float> c0(static_cast<size_t>(m * n));
+    std::vector<float> a(static_cast<size_t>(m * lda));
+    std::vector<float> b(static_cast<size_t>(k * ldb));
+    std::vector<float> c0(static_cast<size_t>(m * ldc));
     std::vector<float> bias(static_cast<size_t>(n));
     for (std::vector<float>* v : {&a, &b, &c0, &bias}) {
       for (float& x : *v) {
@@ -709,31 +727,48 @@ TEST(IsaTierTest, Avx512GemmBitwiseEqualsAvx2Tier) {
       }
     }
     // Signed zeros and denormals scattered through A, and rows 8..15 (a
-    // whole 8-row pair) zeroed: products of -0 and denormal inputs and
-    // all-zero fma chains must round identically in both tiles.
+    // whole 8-row unit) zeroed: products of -0 and denormal inputs and
+    // all-zero fma chains must round identically in every tile.
     for (size_t i = 0; i < a.size(); i += 7) {
       a[i] = (i / 7) % 3 == 0 ? -0.0f : (i / 7) % 3 == 1 ? 0.0f : 1.5e-39f;
     }
     for (int64_t i = 8; i < std::min<int64_t>(m, 16); ++i) {
-      std::fill(a.begin() + i * k, a.begin() + (i + 1) * k, 0.0f);
+      std::fill(a.begin() + i * lda, a.begin() + i * lda + k, 0.0f);
     }
+    auto fill_padding = [&](std::vector<float>& v, int64_t rows, int64_t cols, int64_t ld) {
+      for (int64_t i = 0; i < rows; ++i) {
+        std::fill(v.begin() + i * ld + cols, v.begin() + (i + 1) * ld, sentinel);
+      }
+    };
+    fill_padding(a, m, k, lda);
+    fill_padding(b, k, n, ldb);
+    fill_padding(c0, m, n, ldc);
     for (int epilogue = 0; epilogue < 3; ++epilogue) {
       const float* bp = epilogue > 0 ? bias.data() : nullptr;
       const bool relu = epilogue == 2;
-      const std::vector<float> want = gemm(IsaTier::kAvx2, 1, m, n, k, a, b, c0, bp, relu);
+      const std::vector<float> want =
+          gemm(IsaTier::kAvx2, 1, m, n, k, lda, ldb, ldc, a, b, c0, bp, relu);
+      for (int64_t i = 0; i < m; ++i) {
+        ASSERT_EQ(std::memcmp(want.data() + i * ldc + n, c0.data() + i * ldc + n,
+                              static_cast<size_t>(pad) * sizeof(float)),
+                  0)
+            << "AVX2 tier wrote C padding: m=" << m << " n=" << n << " k=" << k;
+      }
       for (int threads : {1, 4}) {
-        const std::vector<float> got = gemm(IsaTier::kAvx512, threads, m, n, k, a, b, c0, bp,
-                                            relu);
+        // Equal to the AVX2 result over the whole buffer, so C's padding
+        // survives bit for bit on this tier too.
+        const std::vector<float> got =
+            gemm(IsaTier::kAvx512, threads, m, n, k, lda, ldb, ldc, a, b, c0, bp, relu);
         ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
-            << "m=" << m << " n=" << n << " k=" << k << " epilogue=" << epilogue
-            << " threads=" << threads;
+            << "m=" << m << " n=" << n << " k=" << k << " pad=" << pad
+            << " epilogue=" << epilogue << " threads=" << threads;
       }
     }
   };
   uint64_t seed = 580;
   // At 4 threads the AVX2 tier's chunks hold 3 (m=33) and 33 (m=513) 4-row
   // blocks once n*k is large, so its chunk boundaries land inside 8-row
-  // pairs that the AVX-512 tier covers with one wide tile.
+  // units that the AVX-512 tier covers with one tile.
   for (const int64_t m : {1, 3, 4, 7, 8, 9, 12, 15, 16, 17, 33, 513}) {
     for (const int64_t n : {1, 15, 16, 17, 31, 32, 33, 48, 64, 100, 128, 512}) {
       for (const int64_t k : {1, 7, 32, 128, 255, 256, 257, 512}) {
@@ -745,11 +780,92 @@ TEST(IsaTierTest, Avx512GemmBitwiseEqualsAvx2Tier) {
   // 16-wide tiles feed the wide tile, with a leftover 16-column strip, four
   // k-panels and a ragged last row block.
   check(131, 528, 1024, seed++);
+  // Strided operands: masked edges on the first strip, the second strip and
+  // a strip past a full one, ragged and full units, and k across the panel
+  // edge.
+  for (const int64_t m : {1, 7, 8, 9, 17}) {
+    for (const int64_t n : {1, 15, 16, 17, 31, 32, 33}) {
+      for (const int64_t k : {1, 32, 257}) {
+        check(m, n, k, seed++, /*pad=*/5);
+      }
+    }
+  }
+  // One attention head's score (t, 32, t) and context (t, t, 32) GEMMs,
+  // strided as in a packed [T, hidden] operand.
+  for (const int64_t t : {39, 97, 200, 513}) {
+    check(t, t, 32, seed++, /*pad=*/7);
+    check(t, 32, t, seed++, /*pad=*/7);
+  }
+}
+
+// `count` floats that end exactly where a PROT_NONE guard page begins.
+class GuardedFloats {
+ public:
+  explicit GuardedFloats(int64_t count) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    bytes_ = (static_cast<size_t>(count) * sizeof(float) + page - 1) / page * page + page;
+    void* base = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                      -1, 0);
+    PIT_CHECK(base != MAP_FAILED) << "mmap of " << bytes_ << " bytes failed";
+    base_ = static_cast<char*>(base);
+    PIT_CHECK(mprotect(base_ + bytes_ - page, page, PROT_NONE) == 0) << "mprotect failed";
+    data_ = reinterpret_cast<float*>(base_ + bytes_ - page) - count;
+  }
+  GuardedFloats(const GuardedFloats&) = delete;
+  GuardedFloats& operator=(const GuardedFloats&) = delete;
+  ~GuardedFloats() { munmap(base_, bytes_); }
+  float* data() const { return data_; }
+
+ private:
+  size_t bytes_ = 0;
+  char* base_ = nullptr;
+  float* data_ = nullptr;
+};
+
+// Every masked tile keeps its loads and stores inside its rows and columns.
+// A, B, C and bias each end exactly at a PROT_NONE page, so a lane that
+// reaches one element past any operand faults; every result must also equal
+// the AVX2 tier bit for bit.
+TEST(IsaTierTest, MaskedTilesStayInsideOperands) {
+  if (DetectedIsa() != IsaTier::kAvx512) {
+    GTEST_SKIP() << "no AVX-512 tier on this machine";
+  }
+  ScopedBackend guard(ComputeBackend::kBlocked);
+  ScopedNumThreads one(1);
+  Rng rng(600);
+  for (int64_t m = 1; m <= 17; ++m) {
+    for (int64_t n = 1; n <= 40; ++n) {
+      for (const int64_t k : {1, 5, 32}) {
+        GuardedFloats a(m * k);
+        GuardedFloats b(k * n);
+        GuardedFloats bias(n);
+        GuardedFloats c(m * n);
+        for (auto [p, count] : {std::pair{a.data(), m * k}, std::pair{b.data(), k * n},
+                                std::pair{bias.data(), n}}) {
+          for (int64_t i = 0; i < count; ++i) {
+            p[i] = rng.NextFloat(-1.0f, 1.0f);
+          }
+        }
+        std::vector<float> want(static_cast<size_t>(m * n), 0.0f);
+        {
+          ScopedIsa isa(IsaTier::kAvx2);
+          GemmF32(m, n, k, a.data(), k, b.data(), n, want.data(), n, bias.data(), true);
+        }
+        std::fill(c.data(), c.data() + m * n, 0.0f);
+        {
+          ScopedIsa isa(IsaTier::kAvx512);
+          GemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n, bias.data(), true);
+        }
+        ASSERT_EQ(std::memcmp(c.data(), want.data(), want.size() * sizeof(float)), 0)
+            << "m=" << m << " n=" << n << " k=" << k;
+      }
+    }
+  }
 }
 
 // Both planned stacks at the serving benchmark's shapes (2 layers, hidden
-// 128, 4 heads, FFN 512), replayed from a capacity-512 stream at 100 and 512
-// rows: bitwise equal across the AVX-512 and AVX2 tiers, dense and PIT.
+// 128, 4 heads, FFN 512), replayed from a capacity-512 stream at 100, 101 and
+// 512 rows: bitwise equal across the AVX-512 and AVX2 tiers, dense and PIT.
 TEST(IsaTierTest, Avx512PlannedStacksBitwiseEqualAvx2Tier) {
   if (DetectedIsa() != IsaTier::kAvx512) {
     GTEST_SKIP() << "no AVX-512 tier on this machine";
@@ -760,10 +876,15 @@ TEST(IsaTierTest, Avx512PlannedStacksBitwiseEqualAvx2Tier) {
   PlannedFfnStack ffn(/*layers=*/2, /*hidden=*/128, /*ffn_hidden=*/512, wr);
   Rng rr(591);
   const Tensor x = Tensor::Random({512, 128}, rr);
-  // Two packed requests of 37 and 63 rows at rows=100, whole-tile attention
-  // at rows=512.
-  const std::vector<AttentionSegment> segments = {{0, 37, ConstTensorView()},
-                                                  {37, 63, ConstTensorView()}};
+  // rows=100: two packed requests of 37 and 63 rows. rows=101: 37 + 64
+  // rows, so every row-wise GEMM has a ragged last 8-row unit, and the
+  // 37-row request carries a Longformer mask so the masked softmax runs too.
+  // rows=512: whole-tile attention.
+  const Tensor longformer = LongformerMask({37, 16, 2}, rr);
+  const std::vector<AttentionSegment> segments100 = {{0, 37, ConstTensorView()},
+                                                     {37, 63, ConstTensorView()}};
+  const std::vector<AttentionSegment> segments101 = {{0, 37, longformer},
+                                                     {37, 64, ConstTensorView()}};
   auto run = [&](IsaTier tier, int64_t rows, bool pit) {
     ScopedIsa isa(tier);
     PitCompiler compiler(V100());
@@ -771,7 +892,9 @@ TEST(IsaTierTest, Avx512PlannedStacksBitwiseEqualAvx2Tier) {
     std::vector<Tensor> outs;
     PlannedTransformerStack::Stream xs = xf.MakeStream(512, /*masked=*/false, pit);
     if (rows == 100) {
-      xs.SetAttentionSegments(segments);
+      xs.SetAttentionSegments(segments100);
+    } else if (rows == 101) {
+      xs.SetAttentionSegments(segments101);
     }
     outs.emplace_back(Shape{512, 128});
     xf.ForwardWith(xs, x, nullptr, cp, &outs.back(), rows);
@@ -780,7 +903,7 @@ TEST(IsaTierTest, Avx512PlannedStacksBitwiseEqualAvx2Tier) {
     ffn.ForwardWith(fs, x, cp, &outs.back(), rows);
     return outs;
   };
-  for (const int64_t rows : {100, 512}) {
+  for (const int64_t rows : {100, 101, 512}) {
     for (const bool pit : {false, true}) {
       const std::vector<Tensor> want = run(IsaTier::kAvx2, rows, pit);
       const std::vector<Tensor> got = run(IsaTier::kAvx512, rows, pit);
