@@ -622,6 +622,38 @@ void ServingEngine::MergeBucketStats(const std::vector<int64_t>& bucket_of,
       computed > 0 ? static_cast<double>(packed) / static_cast<double>(computed) : 1.0;
 }
 
+void ServingEngine::FormSpans(const std::vector<ServeRequest>& requests,
+                              const std::vector<int64_t>& queue, int64_t window,
+                              int64_t max_tokens, std::vector<Span>& spans) {
+  spans.clear();
+  const int64_t qn = static_cast<int64_t>(queue.size());
+  const auto rows = [&](int64_t j) {
+    return requests[static_cast<size_t>(queue[static_cast<size_t>(j)])].x.dim(0);
+  };
+  for (int64_t i0 = 0; i0 < qn; i0 += window) {
+    const int64_t i_end = std::min(i0 + window, qn);
+    int64_t b0 = i0;
+    while (b0 < i_end) {
+      // Greedy admission under the token budget: extend while the next
+      // request still fits; a single oversized request forms its own span
+      // (and at window 1 every request does).
+      int64_t b1 = b0 + 1;
+      int64_t sum = rows(b0);
+      while (b1 < i_end && sum + rows(b1) <= max_tokens) {
+        sum += rows(b1);
+        ++b1;
+      }
+      spans.push_back({b0, b1, sum});
+      b0 = b1;
+    }
+  }
+  // Largest first; ties keep arrival order (the span start breaks them), so
+  // the order is total and std::sort needs no scratch beyond the list.
+  std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
+    return a.rows != b.rows ? a.rows > b.rows : a.begin < b.begin;
+  });
+}
+
 std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
     const std::vector<ServeRequest>& requests) {
   const int64_t n = static_cast<int64_t>(requests.size());
@@ -696,16 +728,17 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
   std::vector<double> latencies(static_cast<size_t>(n), 0.0);
   std::vector<int64_t> bucket_of(static_cast<size_t>(n), 0);
 
-  // Work-conserving M:N dispatch: each stream worker greedily claims the next
-  // unserved request span, so a long request never leaves streams idle while
-  // work remains. Requests never split across streams, and claims advance the
-  // cursor in fixed batch-window strides, so span (and therefore batch)
-  // composition is independent of which stream claims what — per-request
-  // replay bits are independent of the claim interleaving.
+  // Work-conserving M:N dispatch over the call's spans, formed up front and
+  // ordered largest first (FormSpans): each stream worker claims the next
+  // span off a shared cursor, so the longest forwards start first and the
+  // short ones fill the tail (longest-processing-time-first list
+  // scheduling). Requests never split across streams, and span (and
+  // therefore batch) composition is fixed before any stream claims, so
+  // per-request replay bits are independent of the claim interleaving.
+  FormSpans(requests, queue, batch_window_, max_batch_tokens_, spans_);
+  const int64_t num_spans = static_cast<int64_t>(spans_.size());
   std::atomic<int64_t> next{0};
   const int budget = std::max(1, NumThreads() / std::max(1, num_streams_));
-  const int64_t window = batch_window_;
-  const int64_t max_tokens = max_batch_tokens_;
   ParallelTasks(num_streams_, budget, [&](int64_t s) {
     // Fault probes are live only inside engine workers: plan replays
     // anywhere else in the process never observe injected faults.
@@ -714,77 +747,58 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
     // Route this worker's replay step checkpoints into the stream's
     // heartbeat counter for the watchdog.
     ScopedThreadHeartbeat heartbeat_scope(&stream.heartbeat);
-    for (int64_t i0 = next.fetch_add(window, std::memory_order_relaxed); i0 < qn;
-         i0 = next.fetch_add(window, std::memory_order_relaxed)) {
+    for (int64_t k = next.fetch_add(1, std::memory_order_relaxed); k < num_spans;
+         k = next.fetch_add(1, std::memory_order_relaxed)) {
       // Drain stops claiming at span boundaries: already-claimed spans run
       // to their definite outcome (finished or cancelled mid-replay by the
       // stream token), unclaimed requests keep their kCancelled status.
       if (draining_.load(std::memory_order_acquire)) {
         break;
       }
-      const int64_t i_end = std::min(i0 + window, qn);
-      int64_t b0 = i0;
-      while (b0 < i_end) {
-        // Greedy admission under the token budget: extend while the next
-        // request still fits; a single oversized request forms its own
-        // batch (and at window 1 every request does). Composition depends
-        // only on (window, budget, request order), never on the stream count
-        // or claim timing.
-        int64_t b1 = b0 + 1;
-        int64_t sum = requests[static_cast<size_t>(queue[static_cast<size_t>(b0)])].x.dim(0);
-        while (b1 < i_end) {
-          const int64_t len =
-              requests[static_cast<size_t>(queue[static_cast<size_t>(b1)])].x.dim(0);
-          if (sum + len > max_tokens) {
-            break;
-          }
-          sum += len;
-          ++b1;
+      const Span& claimed = spans_[static_cast<size_t>(k)];
+      // Deadline-expiry sweep at claim time: a request whose latency
+      // budget lapsed while it waited for a stream is shed before packing,
+      // so an overloaded engine stops spending compute on requests nobody
+      // is waiting for anymore.
+      stream.span.clear();
+      const int64_t sweep_now_us = SteadyNowUs();
+      for (int64_t j = claimed.begin; j < claimed.end; ++j) {
+        const int64_t idx = queue[static_cast<size_t>(j)];
+        if (deadline_abs[static_cast<size_t>(idx)] <= sweep_now_us) {
+          outcomes[static_cast<size_t>(idx)].status = ServeStatus::kDeadlineExceeded;
+          ++stream.timed_out_queued;
+        } else {
+          stream.span.push_back(idx);
         }
-        // Deadline-expiry sweep at claim time: a request whose latency
-        // budget lapsed while it waited for a stream is shed before packing,
-        // so an overloaded engine stops spending compute on requests nobody
-        // is waiting for anymore.
-        stream.span.clear();
-        const int64_t sweep_now_us = SteadyNowUs();
-        for (int64_t j = b0; j < b1; ++j) {
-          const int64_t idx = queue[static_cast<size_t>(j)];
-          if (deadline_abs[static_cast<size_t>(idx)] <= sweep_now_us) {
-            outcomes[static_cast<size_t>(idx)].status = ServeStatus::kDeadlineExceeded;
-            ++stream.timed_out_queued;
-          } else {
-            stream.span.push_back(idx);
-          }
-        }
-        if (!stream.span.empty()) {
-          // Mark the stream mid-claim for the watchdog, then draw the seeded
-          // stall probe: a fired stall wedges the worker *before* the
-          // forward, so watchdog detection and in-flight deadline lapse
-          // both become reachable deterministically.
-          int64_t span_tokens = 0;
-          for (const int64_t idx : stream.span) {
-            span_tokens += requests[static_cast<size_t>(idx)].x.dim(0);
-          }
-          stream.hb_rows.store(span_tokens, std::memory_order_relaxed);
-          stream.hb_active.store(true, std::memory_order_release);
-          if (FaultProbe(FaultSite::kStall)) {
-            ++stream.stalls_injected;
-            std::this_thread::sleep_for(std::chrono::microseconds(ActiveFaultConfig().stall_us));
-          }
-          ServeSpan(stream, requests, stream.span, deadline_abs, outcomes, bucket_of);
-          stream.hb_active.store(false, std::memory_order_release);
-          const double done = elapsed_us();
-          int64_t completed = 0;
-          for (const int64_t idx : stream.span) {
-            if (outcomes[static_cast<size_t>(idx)].status == ServeStatus::kOk) {
-              latencies[static_cast<size_t>(idx)] = done;
-              ++completed;
-            }
-          }
-          stream.requests += completed;
-        }
-        b0 = b1;
       }
+      if (stream.span.empty()) {
+        continue;
+      }
+      // Mark the stream mid-claim for the watchdog, then draw the seeded
+      // stall probe: a fired stall wedges the worker *before* the forward,
+      // so watchdog detection and in-flight deadline lapse both become
+      // reachable deterministically.
+      int64_t span_tokens = 0;
+      for (const int64_t idx : stream.span) {
+        span_tokens += requests[static_cast<size_t>(idx)].x.dim(0);
+      }
+      stream.hb_rows.store(span_tokens, std::memory_order_relaxed);
+      stream.hb_active.store(true, std::memory_order_release);
+      if (FaultProbe(FaultSite::kStall)) {
+        ++stream.stalls_injected;
+        std::this_thread::sleep_for(std::chrono::microseconds(ActiveFaultConfig().stall_us));
+      }
+      ServeSpan(stream, requests, stream.span, deadline_abs, outcomes, bucket_of);
+      stream.hb_active.store(false, std::memory_order_release);
+      const double done = elapsed_us();
+      int64_t completed = 0;
+      for (const int64_t idx : stream.span) {
+        if (outcomes[static_cast<size_t>(idx)].status == ServeStatus::kOk) {
+          latencies[static_cast<size_t>(idx)] = done;
+          ++completed;
+        }
+      }
+      stream.requests += completed;
     }
   });
   const double wall_us = elapsed_us();

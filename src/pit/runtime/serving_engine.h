@@ -38,14 +38,18 @@
 // neighbours. A masked 1:1 request is one segment carrying its mask.
 //
 // Scheduling: one worker per stream on the task-capable ParallelFor pool
-// (ParallelTasks), each greedily pulling the next request span off a shared
-// atomic cursor — a work-conserving M:N scheduler, not a static partition, so
-// a stream stuck on a long request never idles the others. Claims advance the
-// cursor by the batch window, so span composition (and therefore batch
-// composition) is independent of which stream claims it. Each worker runs
-// with an intra-op width budget of ~threads/streams; inside a worker the
-// plan's kernels fan out to the worker's budget, which keeps every result
-// bitwise identical to
+// (ParallelTasks). A Serve call first forms its spans — its forwards — as a
+// pure function of (admitted requests, batch window, token cap):
+// window-aligned strides of the admitted queue, each split greedily under
+// the token cap. The spans are ordered by packed row count, largest first
+// (ties in arrival order), and each worker greedily claims the next span off
+// a shared atomic cursor — a work-conserving M:N scheduler, not a static
+// partition, and longest-processing-time-first, so the long forwards start
+// early and the short ones fill the streams' tails. Span (and therefore
+// batch) composition never depends on the stream count or claim timing;
+// only the claim order is scheduled. Each worker runs with an intra-op width
+// budget of ~threads/streams; inside a worker the plan's kernels fan out to
+// the worker's budget, which keeps every result bitwise identical to
 // single-stream replay at any (streams x threads) combination:
 // requests never split across streams, contexts never cross streams, and
 // every kernel is chunk-count deterministic.
@@ -176,15 +180,19 @@ struct ServingEngineOptions {
   // resampling left disabled, so kernel selection is a pure function of the
   // input and results stay independent of request-to-stream assignment.
   bool use_pit = false;
-  // Continuous ragged-batching admission policy. batch_window is the maximum
-  // number of consecutive requests a stream coalesces into packed forwards
-  // per claim (the latency bound: a request waits for at most window - 1
-  // batchmates); max_batch_tokens closes a batch early when admitting the
-  // next request would push the packed row count past it (the compute bound;
-  // a single longer request forms its own batch). max_batch_tokens also sets
+  // Continuous ragged-batching admission policy. batch_window is the width
+  // of the window-aligned strides the admitted queue is cut into; a packed
+  // forward coalesces consecutive requests of one stride (the latency bound:
+  // a request waits for at most window - 1 batchmates). max_batch_tokens
+  // closes a batch early when admitting the next request would push the
+  // packed row count past it (the compute bound; a single longer request
+  // forms its own batch). max_batch_tokens also sets
   // the row capacity every stream's plans are compiled at; a longer request
   // grows it. > 0: explicit. 0: 1 (batching off — every request replays at
-  // its exact token count) and 512.
+  // its exact token count) and 512. The resulting spans are served largest
+  // first, so within one Serve call short requests finish after long ones:
+  // that shapes the last call's per-request p50/p99 (ServingEngineStats),
+  // not the call's wall time.
   int batch_window = 0;
   int max_batch_tokens = 0;
   // Default per-request latency budget in microseconds (requests may carry a
@@ -393,6 +401,21 @@ class ServingEngine {
   bool ForwardSpan(StreamState& stream, const std::vector<ServeRequest>& requests,
                    const std::vector<int64_t>& span, const std::vector<int64_t>& deadline_abs,
                    std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
+  // One forward's worth of admitted requests: queue positions [begin, end),
+  // packing `rows` token rows.
+  struct Span {
+    int64_t begin = 0;
+    int64_t end = 0;
+    int64_t rows = 0;
+  };
+  // Forms a call's spans into `spans` (cleared first) as a pure function of
+  // the admitted queue (original request indices, arrival order), the batch
+  // window and the token cap: window-aligned strides of the queue, each split
+  // greedily under the cap (a single longer request is a span of its own).
+  // The spans come out ordered by rows, largest first, ties in arrival order.
+  static void FormSpans(const std::vector<ServeRequest>& requests,
+                        const std::vector<int64_t>& queue, int64_t window, int64_t max_tokens,
+                        std::vector<Span>& spans);
   // Folds the streams' per-bucket counters and the last Serve's per-request
   // (bucket, latency) pairs — kOk requests only — into stats_.buckets.
   void MergeBucketStats(const std::vector<int64_t>& bucket_of,
@@ -417,6 +440,10 @@ class ServingEngine {
   int64_t watchdog_us_ = 0;  // stall threshold; 0 = no watchdog thread
   WatchdogMode watchdog_mode_ = WatchdogMode::kReport;
   std::vector<std::unique_ptr<StreamState>> streams_;
+  // The current Serve call's spans in claim order. Reused across calls, so
+  // steady-state dispatch allocates nothing; written by Serve (single
+  // caller) before the workers start, then only read by them.
+  std::vector<Span> spans_;
   // Supervision thread + its shutdown channel (condvar so StopWatchdog never
   // waits out a full tick).
   std::thread watchdog_;

@@ -256,8 +256,10 @@ TEST(ServingEngineTest, OneToOneOverManyLengthsBuildsOncePerStream) {
   }
 }
 
-// A 1:1 request longer than the capacity grows the stream once, to the next
-// power of two; shorter and equally long requests then replay it.
+// A 1:1 request longer than the capacity grows the stream, to the next power
+// of two. Spans are claimed largest first, so the longest request builds the
+// stream once and every shorter one replays it; a later call with a longer
+// request grows it once more.
 TEST(ServingEngineTest, LongRequestGrowsTheStreamOnce) {
   Rng wr(15);
   PlannedTransformerStack stack(2, 16, 2, 48, wr);
@@ -279,14 +281,40 @@ TEST(ServingEngineTest, LongRequestGrowsTheStreamOnce) {
   }
   const ServingEngineStats& stats = engine.stats();
   ASSERT_EQ(stats.buckets.size(), requests.size());
-  EXPECT_EQ(TotalPlanMisses(stats), 2);  // built at 8 tokens, grown at 48
-  EXPECT_EQ(stats.buckets[0].bucket, 5);
-  EXPECT_EQ(stats.buckets[0].plan_hits, 1);
-  EXPECT_EQ(stats.buckets[1].plan_misses, 1);  // 8: first use
-  EXPECT_EQ(stats.buckets[3].plan_misses, 1);  // 48: past capacity 32
+  EXPECT_EQ(TotalPlanMisses(stats), 1);  // built once, by the 64-token request
+  for (const ServingBucketStats& b : stats.buckets) {
+    if (b.bucket == 64) {
+      EXPECT_EQ(b.plan_misses, 1);  // 64: claimed first, past capacity 32
+      EXPECT_EQ(b.plan_hits, 0);
+    } else {
+      EXPECT_EQ(b.plan_misses, 0) << "bucket " << b.bucket;
+      EXPECT_EQ(b.plan_hits, 1) << "bucket " << b.bucket;
+    }
+  }
   EXPECT_EQ(stats.pool_contexts, stack.layers());
   EXPECT_EQ(stats.pool_arena_bytes, stack.StatsFor(64).arena_bytes);
-  EXPECT_GE(stats.pool_arena_bytes_highwater, stats.pool_arena_bytes);
+  EXPECT_EQ(stats.pool_arena_bytes_highwater, stats.pool_arena_bytes);
+
+  // Growth across calls: a 100-token request grows the stream to 128 once.
+  std::vector<ServeRequest> longer;
+  for (int64_t tokens : {12, 100}) {
+    ServeRequest req;
+    req.x = Tensor::Random({tokens, 16}, rr);
+    longer.push_back(std::move(req));
+  }
+  outputs = engine.Serve(longer);
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], stack.ForwardEager(longer[i].x)))
+        << "request " << i;
+  }
+  const ServingEngineStats& grown = engine.stats();
+  EXPECT_EQ(TotalPlanMisses(grown), 2);
+  for (const ServingBucketStats& b : grown.buckets) {
+    EXPECT_EQ(b.plan_misses, b.bucket == 64 || b.bucket == 100 ? 1 : 0) << "bucket " << b.bucket;
+  }
+  EXPECT_EQ(grown.pool_contexts, stack.layers());
+  EXPECT_EQ(grown.pool_arena_bytes, stack.StatsFor(128).arena_bytes);
+  EXPECT_GE(grown.pool_arena_bytes_highwater, grown.pool_arena_bytes);
 }
 
 TEST(ServingEngineTest, FfnStackServingMatchesEager) {
@@ -580,6 +608,78 @@ TEST(RaggedBatchingTest, StatsReportReplayRowCountsAndOneBuild) {
     hits += b.plan_hits;
   }
   EXPECT_EQ(hits, again.batches - 1);
+}
+
+// Spans are claimed largest first but formed by one fixed rule: window-aligned
+// strides of the admitted queue, each split greedily under the token cap. So
+// per-bucket composition is one hand-computable function of the length list,
+// the same at any (streams x threads), and only the claim order changes.
+TEST(RaggedBatchingTest, LongestSpanFirstKeepsComposition) {
+  Rng wr(31);
+  PlannedTransformerStack stack(2, 16, 2, 48, wr);
+  Rng rr(32);
+  // Window 4, cap 32. Strides and their greedy splits:
+  //   [5 9 40 12] -> {5 9}=14, {40}, {12}
+  //   [7 70 3 20] -> {7}, {70}, {3 20}=23
+  //   [16 16 6 10] -> {16 16}=32, {6 10}=16
+  //   [9 7 30 2]  -> {9 7}=16, {30 2}=32
+  //   [11]        -> {11}
+  const std::vector<int64_t> lengths = {5, 9, 40, 12, 7, 70, 3, 20, 16,
+                                        16, 6, 10, 9, 7, 30, 2, 11};
+  std::vector<Tensor> masks;
+  masks.reserve(lengths.size());
+  std::vector<ServeRequest> requests;
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    ServeRequest req;
+    req.x = Tensor::Random({lengths[i], 16}, rr);
+    if (i % 3 == 1) {
+      masks.push_back(MakeMask(lengths[i], rr));
+      req.attn_mask = &masks.back();
+    }
+    requests.push_back(std::move(req));
+  }
+  std::vector<Tensor> expected;
+  for (const ServeRequest& req : requests) {
+    expected.push_back(stack.ForwardEager(req.x, req.attn_mask));
+  }
+  // {bucket, batches, requests, packed_tokens}, ascending by bucket.
+  const std::vector<std::vector<int64_t>> composition = {
+      {7, 1, 1, 7},    {11, 1, 1, 11}, {12, 1, 1, 12}, {14, 1, 2, 14}, {16, 2, 4, 32},
+      {23, 1, 2, 23},  {32, 2, 4, 64}, {40, 1, 1, 40}, {70, 1, 1, 70}};
+
+  for (int threads : {1, 4}) {
+    for (int streams : {1, 2, 4}) {
+      SCOPED_TRACE("streams=" + std::to_string(streams) + " threads=" + std::to_string(threads));
+      ScopedNumThreads thread_guard(threads);
+      ServingEngineOptions options;
+      options.num_streams = streams;
+      options.batch_window = 4;
+      options.max_batch_tokens = 32;
+      ServingEngine engine(stack, options);
+      std::vector<Tensor> outputs = engine.Serve(requests);
+      ASSERT_EQ(outputs.size(), expected.size());
+      for (size_t i = 0; i < outputs.size(); ++i) {
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
+      }
+      const ServingEngineStats& stats = engine.stats();
+      ASSERT_EQ(stats.buckets.size(), composition.size());
+      for (size_t b = 0; b < composition.size(); ++b) {
+        const ServingBucketStats& got = stats.buckets[b];
+        EXPECT_EQ(got.bucket, composition[b][0]);
+        EXPECT_EQ(got.batches, composition[b][1]) << "bucket " << got.bucket;
+        EXPECT_EQ(got.requests, composition[b][2]) << "bucket " << got.bucket;
+        EXPECT_EQ(got.packed_tokens, composition[b][3]) << "bucket " << got.bucket;
+      }
+      if (streams == 1) {
+        // Capacity 32 grows to 64 for the 40-row span and to 128 for the
+        // 70-row one. One build in total holds only if the 70-row span is
+        // claimed first; arrival order would build three times.
+        EXPECT_EQ(TotalPlanMisses(stats), 1);
+        EXPECT_EQ(stats.buckets.back().plan_misses, 1);
+        EXPECT_EQ(stats.pool_arena_bytes, stack.StatsFor(128).arena_bytes);
+      }
+    }
+  }
 }
 
 // ---- fault containment (PR 9) ----------------------------------------------
