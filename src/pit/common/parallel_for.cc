@@ -25,14 +25,6 @@ int DefaultNumThreads() {
 
 std::atomic<int> g_num_threads{0};  // 0 = not yet resolved
 
-// Set while a thread is executing chunks; nested ParallelFor calls from a
-// worker (or from the caller while it participates) run inline unless the
-// enclosing job granted a width budget.
-thread_local bool tls_in_parallel = false;
-// Nested-fanout budget installed while executing a ParallelTasks task: how
-// many chunks a nested ParallelFor from this thread may use. 0/1 = inline.
-thread_local int tls_width_budget = 0;
-
 // One job's shared state. A job is either a data-parallel loop (ParallelFor)
 // or a task batch (ParallelTasks); both are chunk queues. Heap-held via
 // shared_ptr so a worker that picks up an already-finished job reads only
@@ -42,12 +34,35 @@ struct Job {
   int64_t n = 0;
   int64_t per_chunk = 0;
   int num_chunks = 0;
-  // Width budget installed on the claiming thread while it runs this job's
-  // chunks (ParallelTasks tasks); 0 for plain loops (nested calls inline).
+  // Base width budget of a nested loop inside one of this job's chunks
+  // (ParallelTasks tasks); 0 for plain loops (nested calls inline).
   int nested_width = 0;
   std::atomic<int> next_chunk{0};
   std::atomic<int> remaining{0};
+
+  // The elastic width budget of a nested loop submitted from one of this
+  // job's chunks: the base budget while any chunk is unclaimed, then the
+  // pool split over the chunks still running (claimed, unfinished), so the
+  // threads freed by finished siblings widen the ones left. Never above
+  // NumThreads(); it only grows while the job runs.
+  int NestedWidth() const {
+    if (nested_width == 0) {
+      return 0;
+    }
+    const int threads = NumThreads();
+    int width = nested_width;
+    if (next_chunk.load(std::memory_order_relaxed) >= num_chunks) {
+      const int live = std::max(1, remaining.load(std::memory_order_relaxed));
+      width = std::max(width, (threads + live - 1) / live);
+    }
+    return std::min(width, threads);
+  }
 };
+
+// The job whose chunk the calling thread is executing, or nullptr outside
+// any chunk. Nested ParallelFor calls from a chunk run inline unless the job
+// grants a width budget (ParallelTasks).
+thread_local const Job* tls_job = nullptr;
 
 // Multi-job work-sharing pool. Any thread — external callers and pool workers
 // alike — may submit a job; the submitter always participates and fully
@@ -56,6 +71,17 @@ struct Job {
 // worker deadlock-free: the blocked submitter has already claimed every
 // outstanding chunk, and chunks claimed by other threads run to completion
 // without ever waiting on this job).
+//
+// Helping rule: a submitter waiting out its job's claimed chunks runs other
+// jobs' loop chunks only if its job is a task batch submitted from outside
+// any chunk (in serving: the client thread once its own stream is done).
+// Every other waiter sleeps. A thread inside a chunk or task may be
+// mid-kernel, holding thread_local scratch across the nested ParallelFor it
+// waits in; a helped chunk of the same kernel would re-enter and clobber it.
+// A top-level ParallelFor caller may be mid-kernel too (a kernel's serial
+// path runs on the caller), so only the task-batch submitter qualifies, and
+// it takes loop chunks only, never another batch's tasks, so it returns
+// promptly once its own tasks are done.
 class Pool {
  public:
   static Pool& Get() {
@@ -64,6 +90,7 @@ class Pool {
   }
 
   void Run(const ChunkFn& fn, int64_t n, int num_chunks, int nested_width) {
+    const bool helps = nested_width > 0 && tls_job == nullptr;
     auto job = std::make_shared<Job>();
     job->fn = &fn;
     job->n = n;
@@ -76,7 +103,8 @@ class Pool {
       // Size the pool to the job's full concurrency demand: its own chunks
       // TIMES the width budget each chunk's nested loops may fan out to —
       // 3 tasks with budget 3 need up to 9 runnable chunks,
-      // not 3 (all capped by the configured thread count).
+      // not 3 (all capped by the configured thread count). Nested loops that
+      // widen later size the pool for themselves.
       const int64_t demand =
           static_cast<int64_t>(num_chunks) * std::max(1, nested_width) - 1;
       EnsureWorkersLocked(static_cast<int>(std::min<int64_t>(demand, NumThreads() - 1)));
@@ -85,13 +113,27 @@ class Pool {
     }
     work_cv_.notify_all();
     Work(*job);  // the caller is a full participant and drains the queue
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      // The queue is exhausted (Work returned), so no worker can still claim
-      // a chunk: drop the job from the active list and wait out the chunks
-      // other threads claimed.
-      active_.erase(std::find(active_.begin(), active_.end(), job));
-      done_cv_.wait(lk, [&] { return job->remaining.load(std::memory_order_acquire) == 0; });
+    std::unique_lock<std::mutex> lk(mu_);
+    // The queue is exhausted (Work returned), so no worker can still claim a
+    // chunk: drop the job from the active list and wait out the chunks other
+    // threads claimed.
+    active_.erase(std::find(active_.begin(), active_.end(), job));
+    const auto done = [&] { return job->remaining.load(std::memory_order_acquire) == 0; };
+    if (!helps) {
+      done_cv_.wait(lk, done);
+      return;
+    }
+    while (!done()) {
+      if (std::shared_ptr<Job> loop = FindClaimableLocked(/*loops_only=*/true)) {
+        lk.unlock();
+        Work(*loop);
+        lk.lock();
+        continue;
+      }
+      // Woken by a newly pushed job (work_cv_) or by this task batch's
+      // completion, which also signals work_cv_.
+      const uint64_t seen_version = job_version_;
+      work_cv_.wait(lk, [&] { return done() || job_version_ != seen_version; });
     }
   }
 
@@ -104,10 +146,12 @@ class Pool {
     }
   }
 
-  // First active job with unclaimed chunks, or nullptr. Caller holds mu_.
-  std::shared_ptr<Job> FindClaimableLocked() {
+  // First active job with unclaimed chunks (a plain loop, if `loops_only`),
+  // or nullptr. Caller holds mu_.
+  std::shared_ptr<Job> FindClaimableLocked(bool loops_only) {
     for (const auto& job : active_) {
-      if (job->next_chunk.load(std::memory_order_relaxed) < job->num_chunks) {
+      if (job->next_chunk.load(std::memory_order_relaxed) < job->num_chunks &&
+          (!loops_only || job->nested_width == 0)) {
         return job;
       }
     }
@@ -120,7 +164,7 @@ class Pool {
       std::shared_ptr<Job> job;
       {
         std::unique_lock<std::mutex> lk(mu_);
-        while ((job = FindClaimableLocked()) == nullptr) {
+        while ((job = FindClaimableLocked(/*loops_only=*/false)) == nullptr) {
           work_cv_.wait(lk, [&] { return job_version_ != seen_version; });
           seen_version = job_version_;
         }
@@ -130,10 +174,8 @@ class Pool {
   }
 
   static void Work(Job& job) {
-    const bool was_in_parallel = tls_in_parallel;
-    const int saved_budget = tls_width_budget;
-    tls_in_parallel = true;
-    tls_width_budget = job.nested_width;
+    const Job* const saved_job = tls_job;
+    tls_job = &job;
     for (;;) {
       const int c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= job.num_chunks) {
@@ -148,10 +190,12 @@ class Pool {
         Pool& pool = Pool::Get();
         { std::lock_guard<std::mutex> lk(pool.mu_); }  // fence vs. the waiter's predicate check
         pool.done_cv_.notify_all();
+        if (job.nested_width > 0) {
+          pool.work_cv_.notify_all();  // a helping submitter waits there
+        }
       }
     }
-    tls_width_budget = saved_budget;
-    tls_in_parallel = was_in_parallel;
+    tls_job = saved_job;
   }
 
   std::mutex mu_;  // guards active_/job_version_/workers_
@@ -199,7 +243,7 @@ int ParallelChunkCount(int64_t n, int64_t grain) {
   }
   grain = std::max<int64_t>(1, grain);
   const int64_t by_grain = (n + grain - 1) / grain;
-  const int width = tls_in_parallel ? std::max(1, tls_width_budget) : NumThreads();
+  const int width = tls_job != nullptr ? std::max(1, tls_job->NestedWidth()) : NumThreads();
   return static_cast<int>(std::clamp<int64_t>(std::min<int64_t>(by_grain, width), 1, 1 << 10));
 }
 
@@ -208,16 +252,16 @@ void ParallelForChunks(int64_t n, int num_chunks, const ChunkFn& fn) {
     return;
   }
   num_chunks = static_cast<int>(std::clamp<int64_t>(num_chunks, 1, n));
-  if (num_chunks <= 1 || (tls_in_parallel && tls_width_budget <= 1)) {
+  if (num_chunks <= 1 || (tls_job != nullptr && tls_job->NestedWidth() <= 1)) {
     fn(0, 0, n);
     return;
   }
   Pool::Get().Run(fn, n, num_chunks, /*nested_width=*/0);
 }
 
-bool ParallelRegionActive() { return tls_in_parallel; }
+bool ParallelRegionActive() { return tls_job != nullptr; }
 
-int ParallelWidthBudget() { return tls_width_budget; }
+int ParallelWidthBudget() { return tls_job != nullptr ? tls_job->NestedWidth() : 0; }
 
 void ParallelForRange(int64_t n, int num_chunks, const RangeFn& fn) {
   ParallelForChunks(n, num_chunks,
@@ -228,7 +272,7 @@ void ParallelTasksRange(int64_t n, int nested_width, const RangeFn& fn) {
   if (n <= 0) {
     return;
   }
-  if (n == 1 || NumThreads() <= 1 || tls_in_parallel) {
+  if (n == 1 || NumThreads() <= 1 || tls_job != nullptr) {
     fn(0, n);
     return;
   }

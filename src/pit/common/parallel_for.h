@@ -10,12 +10,20 @@
 // serving engine submits one worker task per stream), and a
 // worker running a task may itself submit a nested ParallelFor without
 // deadlock. Nested submission is governed by a per-thread *width budget*: a
-// task dispatched through ParallelTasks runs with an explicit budget of
-// nested chunks (the intra-op share of the thread pool granted to that task);
-// any other nested ParallelFor call runs inline (sequentially), exactly as
-// before. Deadlock-freedom is structural: the submitter of every job drains
-// that job's chunk queue itself before waiting, so a job can always complete
-// even if no other thread ever helps.
+// task dispatched through ParallelTasks runs with an elastic budget of
+// nested chunks (its intra-op share of the thread pool, which widens as
+// sibling tasks finish; see ParallelTasks); any other nested ParallelFor call
+// runs inline (sequentially). Deadlock-freedom is structural: the submitter
+// of every job drains that job's chunk queue itself before waiting, so a job
+// can always complete even if no other thread ever helps.
+//
+// While it waits out chunks other threads claimed, a submitter helps run
+// other jobs' loop chunks only if it submitted a ParallelTasks batch from
+// outside any chunk or task (in serving: the client thread once its own
+// stream is done). Every other waiter sleeps: a thread inside a chunk or task,
+// or a top-level ParallelFor caller, may be mid-kernel with thread_local
+// scratch live across the loop it waits in, and a helped chunk of the same
+// kernel would clobber it.
 //
 // The worker count defaults to the hardware concurrency and can be overridden
 // by the PIT_NUM_THREADS environment variable or SetNumThreads().
@@ -63,14 +71,14 @@ using ChunkFn = std::function<void(int chunk, int64_t begin, int64_t end)>;
 
 // True while the calling thread is already executing inside a ParallelFor
 // chunk or a ParallelTasks task (nested loops without a width budget run
-// inline). Exposed so the header-level ParallelFor shim can take the serial
-// path without constructing a std::function.
+// inline).
 bool ParallelRegionActive();
 
 // The calling thread's nested-parallelism width budget: how many chunks a
 // nested ParallelFor submitted from inside the current task may fan out to.
-// 0 (the default inside plain ParallelFor chunks) means nested calls run
-// inline; > 1 only inside tasks dispatched through ParallelTasks.
+// 0 outside any task and inside plain ParallelFor chunks (nested calls run
+// inline there); inside a ParallelTasks task, the task's elastic width (see
+// ParallelTasks), read afresh on every call.
 int ParallelWidthBudget();
 
 // Chunk count for an n-iteration loop with the given grain:
@@ -90,17 +98,17 @@ void ParallelForRange(int64_t n, int num_chunks, const RangeFn& fn);
 // dispatching to a thread; loops smaller than one grain run inline on the
 // caller. Blocks until every chunk finished.
 //
-// Template shim: the serial cases (single chunk, nested call without a width
-// budget, one worker) run the callable directly, so small planned-executor
-// steps dispatch with zero heap allocations — only a genuine fan-out pays the
-// std::function wrap.
+// Template shim: the serial cases (single chunk — which covers a nested call
+// without a width budget and one worker) run the callable directly, so small
+// planned-executor steps dispatch with zero heap allocations — only a genuine
+// fan-out pays the std::function wrap.
 template <typename Fn>
 void ParallelFor(int64_t n, int64_t grain, Fn&& fn) {
   if (n <= 0) {
     return;
   }
   const int num_chunks = ParallelChunkCount(n, grain);
-  if (num_chunks <= 1 || (ParallelRegionActive() && ParallelWidthBudget() <= 1)) {
+  if (num_chunks <= 1) {
     fn(static_cast<int64_t>(0), n);
     return;
   }
@@ -115,15 +123,23 @@ void ParallelForChunks(int64_t n, int num_chunks, const ChunkFn& fn);
 
 // Out-of-line pool dispatch behind ParallelTasks; call ParallelTasks instead.
 // fn(begin, end) runs tasks [begin, end); each claimed range executes with
-// `nested_width` installed as the claiming thread's width budget.
+// the job's elastic width budget (base `nested_width`).
 void ParallelTasksRange(int64_t n, int nested_width, const RangeFn& fn);
 
 // Task-parallel region: runs fn(task) for task in [0, n) concurrently on the
 // pool, one task per chunk (the calling thread participates). Each task runs
-// with a nested-parallelism width budget of `nested_width` chunks, so a task
-// may itself call ParallelFor and fan out to its share of the pool — this is
-// the seam the serving engine's stream workers dispatch through. Blocks
-// until every task finished. Tasks must be mutually independent; the order in
+// with an elastic nested-parallelism width budget, so a task may itself call
+// ParallelFor and fan out to its share of the pool — this is the seam the
+// serving engine's stream workers dispatch through. The budget is
+// `nested_width` while any task is unclaimed, then
+// max(nested_width, ceil(NumThreads() / live)), where `live` counts the
+// tasks claimed but not yet finished, so the threads of finished tasks widen
+// the tasks still running; it never exceeds NumThreads() and only grows while
+// the region runs. Each nested loop reads it when it sizes its chunks, so a
+// task's loops may run at different widths: callers must be chunk-count
+// deterministic (every kernel here is). Blocks until every task finished;
+// while it waits the calling thread helps run the tasks' nested loops (see
+// the helping rule above). Tasks must be mutually independent; the order in
 // which they execute is unspecified. Serial cases (one task, one worker,
 // nested call) run inline with zero heap allocations.
 template <typename Fn>

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <span>
@@ -43,16 +44,19 @@ int64_t CapacityFor(int64_t rows, int64_t max_batch_tokens) {
 
 // Finiteness scan: one NaN or inf in an activation (or mask) poisons every
 // dot product its rows feed, so non-finite inputs are rejected at admission
-// rather than silently corrupting a packed batch's shared forward.
+// rather than silently corrupting a packed batch's shared forward. Branch
+// free, so it vectorizes: an all-ones exponent field plus one carries into
+// the sign bit, and no finite value's does.
 bool AllFinite(const Tensor& t) {
   const float* data = t.data();
   const int64_t n = t.size();
+  uint32_t carry = 0;
   for (int64_t i = 0; i < n; ++i) {
-    if (!std::isfinite(data[i])) {
-      return false;
-    }
+    uint32_t bits = 0;
+    std::memcpy(&bits, data + i, sizeof(bits));
+    carry |= (bits & 0x7f800000u) + 0x00800000u;
   }
-  return true;
+  return (carry & 0x80000000u) == 0;
 }
 
 // Stream-plan verification (PIT_VERIFY_PLAN): a serving stream replays its
@@ -539,9 +543,13 @@ bool ServingEngine::ForwardSpan(StreamState& stream, const std::vector<ServeRequ
       off += len;
       continue;
     }
+    // The output exists only for kOk, and is allocated here, on the stream,
+    // rather than by the client for every admitted request up front.
+    Tensor& output = outcomes[static_cast<size_t>(idx)].output;
+    output = Tensor({len, hidden_});
     SWriteRowsFrom(stream.out, off,
                    std::span<const int64_t>(stream.iota.data(), static_cast<size_t>(len)),
-                   outcomes[static_cast<size_t>(idx)].output);
+                   output);
     off += len;
     bucket_of[static_cast<size_t>(idx)] = rows;
     outcomes[static_cast<size_t>(idx)].status = ServeStatus::kOk;
@@ -722,7 +730,6 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
       deadline_abs[static_cast<size_t>(idx)] = t0_abs_us + budget_us;
     }
     outcomes[static_cast<size_t>(idx)].status = ServeStatus::kCancelled;
-    outcomes[static_cast<size_t>(idx)].output = Tensor({request.x.dim(0), hidden_});
   }
   const int64_t qn = static_cast<int64_t>(queue.size());
   std::vector<double> latencies(static_cast<size_t>(n), 0.0);
@@ -806,8 +813,8 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
   // Every claim ends in a definite status, and queued-but-unclaimed requests
   // (possible only under Drain) already hold kCancelled, so nothing leaves
   // here with the kInternal default unless a ladder genuinely exhausted.
-  // Non-kOk outcomes surrender their output buffer (the structured contract:
-  // output iff kOk).
+  // Outputs are allocated only at egress for kOk members, so the structured
+  // contract (output iff kOk) holds without a sweep here.
   std::vector<int64_t> ok_buckets;
   std::vector<double> ok_latencies;
   ok_buckets.reserve(static_cast<size_t>(qn));
@@ -818,11 +825,8 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
     if (outcome.status == ServeStatus::kOk) {
       ok_buckets.push_back(bucket_of[static_cast<size_t>(i)]);
       ok_latencies.push_back(latencies[static_cast<size_t>(i)]);
-    } else {
-      if (outcome.status == ServeStatus::kCancelled) {
-        ++cancelled_now;
-      }
-      outcome.output = Tensor();
+    } else if (outcome.status == ServeStatus::kCancelled) {
+      ++cancelled_now;
     }
   }
   const int64_t served_ok = static_cast<int64_t>(ok_latencies.size());

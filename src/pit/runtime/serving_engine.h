@@ -47,12 +47,21 @@
 // partition, and longest-processing-time-first, so the long forwards start
 // early and the short ones fill the streams' tails. Span (and therefore
 // batch) composition never depends on the stream count or claim timing;
-// only the claim order is scheduled. Each worker runs with an intra-op width
-// budget of ~threads/streams; inside a worker the plan's kernels fan out to
-// the worker's budget, which keeps every result bitwise identical to
-// single-stream replay at any (streams x threads) combination:
-// requests never split across streams, contexts never cross streams, and
-// every kernel is chunk-count deterministic.
+// only the claim order is scheduled. Each worker runs with an elastic
+// intra-op width budget: threads/streams while any worker is unstarted, then
+// the pool split over the workers still running, so once a worker finds no
+// span left its threads widen the forwards still in flight, and the client
+// thread helps run their kernels' chunks after its own worker is done. Each
+// kernel call fans out to the budget it reads when it starts, which keeps
+// every result bitwise identical to single-stream replay at any
+// (streams x threads) combination: requests never split across streams,
+// contexts never cross streams, and every kernel is chunk-count
+// deterministic.
+//
+// The client's serial prelude is short: admission's finiteness scan is
+// branch free and fans out with the rest of admission, and each kOk output
+// is allocated by its stream at egress, not for every admitted request up
+// front.
 //
 // Fault containment (PR 9): the error domain is split in two. *API misuse* —
 // a null stack, negative option values, legacy Serve() on a failed request —

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "pit/common/backend.h"
@@ -270,25 +273,164 @@ TEST(ParallelTasksTest, NestedParallelForFromWorkerDoesNotDeadlock) {
   }
 }
 
+// Spins (yielding) until `done` holds; false after a 60 s deadline, so a
+// broken pool fails the test instead of hanging it.
+template <typename Pred>
+bool SpinUntil(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// The elastic width rule, observed exactly: with every task claimed and live
+// the budget is the base width; each sibling that returns hands its share
+// back, so the last task left may fan out to the whole pool.
 TEST(ParallelTasksTest, WidthBudgetBoundsNestedChunkCount) {
   ScopedNumThreads threads(8);
   // Outside any parallel region the chunk count is bounded by NumThreads.
   EXPECT_EQ(ParallelChunkCount(1000, 1), 8);
-  std::atomic<int> max_chunks{0};
-  ParallelTasks(4, /*nested_width=*/3, [&](int64_t) {
-    int observed = ParallelChunkCount(1000, 1);
-    int prev = max_chunks.load();
-    while (observed > prev && !max_chunks.compare_exchange_weak(prev, observed)) {
-    }
-    EXPECT_LE(observed, 3);  // the task's intra-op share, not the whole pool
+  EXPECT_EQ(ParallelWidthBudget(), 0);
+  constexpr int kTasks = 4;
+  constexpr int kBase = 2;  // NumThreads() / tasks, as the serving engine grants
+  std::atomic<int> started{0};
+  std::atomic<int> checked{0};
+  std::atomic<int> released{0};  // task t may return once released >= kTasks - t
+  ParallelTasks(kTasks, kBase, [&](int64_t task) {
     EXPECT_TRUE(ParallelRegionActive());
+    // Start barrier: threads >= tasks, so every task is claimed and live.
+    started.fetch_add(1);
+    ASSERT_TRUE(SpinUntil([&] { return started.load() == kTasks; }));
+    EXPECT_EQ(ParallelWidthBudget(), kBase);
+    EXPECT_EQ(ParallelChunkCount(1000, 1), kBase);
+    checked.fetch_add(1);
+    if (task != 0) {
+      ASSERT_TRUE(SpinUntil([&] { return released.load() >= kTasks - task; }));
+      return;
+    }
+    // Once every task has checked the base width, task 0 releases its
+    // siblings one at a time (task 3 first) and watches its own budget widen
+    // to ceil(NumThreads() / live) as each returns.
+    ASSERT_TRUE(SpinUntil([&] { return checked.load() == kTasks; }));
+    int width = kBase;
+    for (int live = kTasks - 1; live >= 1; --live) {
+      released.fetch_add(1);
+      const int expected = std::max(kBase, (8 + live - 1) / live);  // 3, 4, 8
+      ASSERT_TRUE(SpinUntil([&] { return ParallelWidthBudget() != width; }))
+          << "budget stuck at " << width << " with " << live << " tasks live";
+      width = ParallelWidthBudget();
+      EXPECT_EQ(width, expected) << live << " tasks live";
+      EXPECT_EQ(ParallelChunkCount(1000, 1), expected);
+    }
+    EXPECT_EQ(width, NumThreads());
   });
-  EXPECT_GE(max_chunks.load(), 1);
+  // The budget never exceeds the pool, however large the base width.
+  {
+    ScopedNumThreads four(4);
+    ParallelTasks(2, /*nested_width=*/16, [&](int64_t) {
+      EXPECT_EQ(ParallelWidthBudget(), 4);
+      EXPECT_EQ(ParallelChunkCount(1000, 1), 4);
+    });
+  }
   // Plain nested ParallelFor (no budget) still runs inline: a chunk's nested
   // loop sees a single-chunk (serial) plan.
   ParallelFor(8, 1, [&](int64_t, int64_t) {
+    EXPECT_EQ(ParallelWidthBudget(), 0);
     EXPECT_EQ(ParallelChunkCount(1000, 1), 1);
   });
+}
+
+// Set while Body() runs on this thread, like a kernel's live thread_local
+// scratch (SegmentAttentionInto's buffers, SoftmaxInto's spans).
+thread_local bool tls_in_body = false;
+
+constexpr int64_t kBodyIters = 2048;
+// More Body chunks than the pool has threads, so some stay unclaimed while
+// every thread that may take one holds its own.
+constexpr int kBodyChunks = 64;
+
+// The handshake of one WaiterNeverReentersLiveChunk round. Every hold ends
+// at `deadline` at the latest, so a round ends whatever the pool does.
+struct Choreography {
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(3);
+  std::atomic<bool> split_started{false};  // a fan-out's second chunk runs elsewhere
+  std::atomic<int> reentries{0};
+  std::atomic<int64_t> sum{0};
+  std::atomic<int64_t> bodies{0};
+
+  template <typename Pred>
+  void HoldUntil(Pred done) const {
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+  void Hold() const {
+    HoldUntil([&] { return reentries.load() > 0; });
+  }
+};
+
+// A kernel-shaped body: takes thread_local state, fans out (inline inside a
+// chunk, to the task's width budget on a task thread), and releases it. In a
+// fan-out the submitter's own first chunk ends once the second has started
+// on another thread, which then holds it, so the submitter waits. A waiter
+// that ran another Body chunk meanwhile would re-enter Body and find the
+// flag set.
+void Body(Choreography& c) {
+  if (tls_in_body) {
+    c.reentries.fetch_add(1);
+  }
+  tls_in_body = true;
+  ParallelFor(kBodyIters, kBodyIters / 2, [&](int64_t lo, int64_t hi) {
+    if (lo > 0) {
+      c.split_started.store(true);
+      c.Hold();
+    } else if (hi < kBodyIters) {
+      c.HoldUntil([&] { return c.split_started.load(); });
+    }
+    int64_t local = 0;
+    for (int64_t i = lo; i < hi; ++i) {
+      local += i;
+    }
+    c.sum.fetch_add(local);
+  });
+  tls_in_body = false;
+  c.bodies.fetch_add(1);
+}
+
+// Task 0 runs Body inline on its task thread and waits on the fan-out chunk
+// another thread holds. Meanwhile task 1 runs a loop of Body chunks, more
+// than there are threads, each held until the round's deadline: every
+// thread that may take one holds one, and the rest stay unclaimed while
+// task 0's thread waits. No waiter may pick one up while its own Body is live (the
+// client thread, once its task is done, may).
+TEST(ParallelTasksTest, WaiterNeverReentersLiveChunk) {
+  ScopedNumThreads threads(3);
+  for (int round = 0; round < 16; ++round) {
+    Choreography c;
+    ParallelTasks(2, /*nested_width=*/2, [&](int64_t task) {
+      if (task == 0) {
+        Body(c);  // inline on the task thread: fans out
+        return;
+      }
+      c.HoldUntil([&] { return c.split_started.load(); });
+      ParallelForChunks(kBodyChunks, kBodyChunks, [&](int, int64_t lo, int64_t hi) {
+        for (int64_t b = lo; b < hi; ++b) {
+          Body(c);  // inside a chunk: runs inline
+          c.Hold();
+        }
+      });
+    });
+    ASSERT_EQ(c.reentries.load(), 0) << "round " << round;
+    ASSERT_EQ(c.sum.load(), c.bodies.load() * (kBodyIters * (kBodyIters - 1) / 2))
+        << "round " << round;
+    EXPECT_EQ(c.bodies.load(), 1 + kBodyChunks);
+    EXPECT_FALSE(tls_in_body);
+  }
 }
 
 TEST(ParallelTasksTest, SingleThreadRunsTasksInline) {

@@ -7,10 +7,14 @@
 // must be provably race-free, not just stable on one machine.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -682,6 +686,83 @@ TEST(RaggedBatchingTest, LongestSpanFirstKeepsComposition) {
   }
 }
 
+// One span several times longer than the rest, and fewer spans than twice
+// the streams: the streams run out of spans while the long forward is in
+// flight, so the pool's elastic width widens it mid-forward. The kernels are
+// chunk-count deterministic, so the bits must not move: dense and masked
+// outputs match the 1-stream engine and the eager oracle, and PIT keeps its
+// stream-invariance contract. Hidden 128 / FFN 512 keep the long span's
+// GEMMs above the pool's per-chunk grain, so they really fan out.
+TEST(RaggedBatchingTest, UnevenSpansWidenTheTailBitwise) {
+  Rng wr(33);
+  PlannedTransformerStack stack(2, 128, 4, 512, wr);
+  PlannedFfnStack ffn(2, 128, 512, wr);
+  Rng rr(34);
+  // Window 2, cap 256: spans {160 24}=184, {9 14}=23, {7 16}=23.
+  const std::vector<int64_t> lengths = {160, 24, 9, 14, 7, 16};
+  std::vector<Tensor> masks;
+  masks.reserve(lengths.size());
+  std::vector<ServeRequest> requests;
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    ServeRequest req;
+    req.x = Tensor::Random({lengths[i], 128}, rr);
+    if (i % 3 == 0) {
+      masks.push_back(MakeMask(lengths[i], rr));
+      req.attn_mask = &masks.back();
+    }
+    requests.push_back(std::move(req));
+  }
+  std::vector<ServeRequest> unmasked = requests;
+  for (ServeRequest& req : unmasked) {
+    req.attn_mask = nullptr;
+  }
+  std::vector<Tensor> expected;
+  for (const ServeRequest& req : requests) {
+    expected.push_back(stack.ForwardEager(req.x, req.attn_mask));
+  }
+  ServingEngineOptions options;
+  options.batch_window = 2;
+  options.max_batch_tokens = 256;
+  ServingEngineOptions pit = options;
+  pit.use_pit = true;
+  std::vector<Tensor> single;
+  std::vector<Tensor> pit_single;
+  {
+    ScopedNumThreads threads(4);
+    options.num_streams = 1;
+    ServingEngine engine(stack, options);
+    single = engine.Serve(requests);
+    pit.num_streams = 1;
+    ServingEngine pit_engine(ffn, pit);
+    pit_single = pit_engine.Serve(unmasked);
+  }
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(single[i], expected[i])) << "request " << i;
+  }
+  for (int threads : {4, 7}) {
+    for (int streams : {2, 4}) {
+      SCOPED_TRACE("streams=" + std::to_string(streams) + " threads=" + std::to_string(threads));
+      ScopedNumThreads thread_guard(threads);
+      options.num_streams = streams;
+      ServingEngine engine(stack, options);
+      const std::vector<Tensor> outputs = engine.Serve(requests);
+      ASSERT_EQ(outputs.size(), expected.size());
+      for (size_t i = 0; i < outputs.size(); ++i) {
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], single[i])) << "request " << i;
+      }
+      EXPECT_EQ(engine.stats().batches, 3);
+      pit.num_streams = streams;
+      ServingEngine pit_engine(ffn, pit);
+      const std::vector<Tensor> pit_outputs = pit_engine.Serve(unmasked);
+      for (size_t i = 0; i < pit_outputs.size(); ++i) {
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(pit_outputs[i], pit_single[i]))
+            << "PIT request " << i;
+      }
+    }
+  }
+}
+
 // ---- fault containment (PR 9) ----------------------------------------------
 
 // Rejecting a request must not perturb its batchmates: the queue excludes
@@ -906,6 +987,55 @@ TEST(FaultContainmentTest, ZeroRequestAndFullyRejectedServesKeepStatsFinite) {
     EXPECT_EQ(bucket.p50_latency_us, 0.0);
     EXPECT_EQ(bucket.p99_latency_us, 0.0);
   }
+}
+
+// The admission scan rejects every non-finite value wherever it sits in the
+// activations or the mask: first element, middle, and last (the scalar tail
+// behind the vectorized body; hidden 20 and 7 tokens make both tensors odd
+// lengths). Extreme but finite values are admitted.
+TEST(FaultContainmentTest, AdmissionRejectsEveryNonFiniteAndAdmitsExtremeFinites) {
+  Rng wr(443);
+  PlannedTransformerStack stack(1, 20, 2, 40, wr);
+  constexpr int64_t kTokens = 7;
+  Rng rng(444);
+  const Tensor clean_x = Tensor::Random({kTokens, 20}, rng);
+  const Tensor clean_mask = MakeMask(kTokens, rng);
+  const float non_finite[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(), std::nanf("")};
+  const float finite[] = {FLT_MAX, -FLT_MAX, std::numeric_limits<float>::denorm_min(), -0.0f};
+  std::vector<Tensor> masks;
+  masks.reserve(2 * (std::size(non_finite) + std::size(finite)) * 3);
+  std::vector<ServeRequest> requests;
+  std::vector<ServeStatus> want;
+  for (const bool in_mask : {false, true}) {
+    const int64_t size = in_mask ? clean_mask.size() : clean_x.size();
+    for (const int64_t at : {int64_t{0}, size / 2, size - 1}) {
+      for (const bool bad : {true, false}) {
+        for (const float value : bad ? std::span<const float>(non_finite)
+                                     : std::span<const float>(finite)) {
+          ServeRequest req;
+          req.x = clean_x;
+          masks.push_back(clean_mask);
+          req.attn_mask = &masks.back();
+          (in_mask ? masks.back() : req.x)[at] = value;
+          requests.push_back(std::move(req));
+          want.push_back(bad ? ServeStatus::kInvalidArgument : ServeStatus::kOk);
+        }
+      }
+    }
+  }
+  ServingEngineOptions options;
+  options.num_streams = 2;
+  options.batch_window = 4;
+  ServingEngine engine(stack, options);
+  const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
+  ASSERT_EQ(outcomes.size(), requests.size());
+  int64_t invalid = 0;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].status, want[i]) << "request " << i;
+    invalid += want[i] == ServeStatus::kInvalidArgument ? 1 : 0;
+  }
+  EXPECT_EQ(engine.stats().rejected_invalid, invalid);
 }
 
 // Rate-1.0 injection at every site, served 1:1 and batched: transient faults
@@ -1227,6 +1357,95 @@ TEST(LivenessTest, DoubleDrainIsIdempotentAndServeAfterDrainIsRejected) {
   }
   EXPECT_EQ(engine.stats().cancelled, 3);
   EXPECT_EQ(engine.stats().requests, 3);
+}
+
+// ---- Output ownership ------------------------------------------------------
+
+// "Output iff kOk": outputs are allocated at egress, so every other outcome
+// — invalid, shed, lapsed in the queue or in flight, drained, internal —
+// must come back without one, and every kOk output is [tokens, hidden].
+void ExpectOutputIffOk(const std::vector<ServeOutcome>& outcomes,
+                       const std::vector<ServeRequest>& requests, int64_t hidden) {
+  ASSERT_EQ(outcomes.size(), requests.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    if (outcomes[i].status == ServeStatus::kOk) {
+      EXPECT_EQ(outcomes[i].output.shape(), (Shape{requests[i].x.dim(0), hidden}))
+          << "request " << i;
+    } else {
+      EXPECT_TRUE(outcomes[i].output.empty())
+          << "request " << i << " " << ServeStatusName(outcomes[i].status) << " holds an output";
+    }
+  }
+}
+
+TEST(FaultContainmentTest, OnlyOkOutcomesHoldAnOutput) {
+  Rng wr(445);
+  PlannedTransformerStack stack(2, 32, 4, 96, wr);
+  RequestMix mix = BuildMix(32, {5, 9, 16}, /*per_shape=*/3, /*seed=*/446);
+  const auto count = [](const std::vector<ServeOutcome>& outcomes, ServeStatus status) {
+    int64_t k = 0;
+    for (const ServeOutcome& outcome : outcomes) {
+      k += outcome.status == status ? 1 : 0;
+    }
+    return k;
+  };
+  {
+    // Invalid, shed at the queue bound, lapsed in the queue, and served.
+    std::vector<ServeRequest> requests = mix.requests;
+    requests[1].x[0] = std::nanf("");
+    for (size_t i = 2; i < requests.size(); i += 3) {
+      requests[i].deadline_us = 1;
+    }
+    ServingEngineOptions options;
+    options.num_streams = 2;
+    options.batch_window = 2;
+    options.queue_capacity = static_cast<int>(requests.size()) - 2;
+    ServingEngine engine(stack, options);
+    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
+    ASSERT_NO_FATAL_FAILURE(ExpectOutputIffOk(outcomes, requests, 32));
+    EXPECT_EQ(count(outcomes, ServeStatus::kInvalidArgument), 1);
+    EXPECT_EQ(count(outcomes, ServeStatus::kRejectedOverload), 1);
+    EXPECT_GE(count(outcomes, ServeStatus::kDeadlineExceeded), 1);
+    EXPECT_GE(count(outcomes, ServeStatus::kOk), 1);
+  }
+  {
+    // Lapsed in flight: a mixed batch completes and marks its lapsed members
+    // at egress.
+    std::vector<ServeRequest> requests = PackableRequests(4, 8, 32, 447);
+    requests[0].deadline_us = 20000;  // lapses under the 60 ms stall
+    ScopedFaultInjection fault(StallConfig(/*stall_us=*/60000, /*seed=*/448));
+    ServingEngineOptions options;
+    options.num_streams = 1;
+    options.batch_window = 4;
+    ServingEngine engine(stack, options);
+    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
+    ASSERT_NO_FATAL_FAILURE(ExpectOutputIffOk(outcomes, requests, 32));
+    EXPECT_EQ(outcomes[0].status, ServeStatus::kDeadlineExceeded);
+    EXPECT_EQ(count(outcomes, ServeStatus::kOk), 3);
+  }
+  {
+    // Drained: every request is cancelled.
+    ServingEngine engine(stack, {});
+    engine.Drain();
+    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
+    ASSERT_NO_FATAL_FAILURE(ExpectOutputIffOk(outcomes, mix.requests, 32));
+    EXPECT_EQ(count(outcomes, ServeStatus::kCancelled),
+              static_cast<int64_t>(mix.requests.size()));
+  }
+  {
+    // Internal: a persistent kernel-dispatch fault fails every forward and
+    // its retry after the forward ran.
+    ScopedFaultInjection fault(FaultSite::kKernelDispatch, 1.0, /*seed=*/449,
+                               /*fail_retries=*/true);
+    ServingEngineOptions options;
+    options.num_streams = 2;
+    options.batch_window = 2;
+    ServingEngine engine(stack, options);
+    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
+    ASSERT_NO_FATAL_FAILURE(ExpectOutputIffOk(outcomes, mix.requests, 32));
+    EXPECT_EQ(count(outcomes, ServeStatus::kInternal),
+              static_cast<int64_t>(mix.requests.size()));
+  }
 }
 
 }  // namespace
