@@ -1,10 +1,11 @@
 // PitCompiler: the user-facing facade (Fig. 5).
 //
-// Owns the device cost model, the offline-profiled tile database, and a JIT
+// Owns the device cost model, the offline-profiled tile database, and the JIT
 // cache of selected kernels keyed by (row-count bucket, k, n, sparsity
 // signature). Given a sparse operand it runs online detection, selects (or
 // re-uses) a kernel via Algorithm 1, and executes the corresponding
-// functional path.
+// functional path. The cache is the only kernel cache: eager calls and the
+// planned executor's PIT steps look their kernel up in the same map.
 #ifndef PIT_CORE_COMPILER_H_
 #define PIT_CORE_COMPILER_H_
 
@@ -33,21 +34,6 @@ struct PitDispatch {
   bool cache_hit = false;
 };
 
-// Per-call-site kernel slot for planned execution. An ExecutionPlan owns one
-// handle per PIT dispatch step; when the step's cache key (row-count bucket,
-// k, n, sparsity bucket) matches the handle and no periodic resample is due,
-// the dispatch reuses the kernel selected at the same site without touching
-// the JIT cache map — the compiler is hooked into the plan rather than
-// consulted per call.
-struct PitKernelHandle {
-  bool valid = false;
-  const void* compiler = nullptr;  // the PitCompiler that filled the handle
-  int64_t m = 0, k = 0, n = 0;     // m is the row-count bucket, as in the cache key
-  int sparsity_bucket = -1;  // 5%-step bucket, same granularity as the cache key
-  int64_t generation = -1;   // compiler's reselection generation at fill time
-  SelectionResult selection;
-};
-
 class PitCompiler {
  public:
   explicit PitCompiler(DeviceSpec device, Precision precision = Precision::kFp32);
@@ -57,13 +43,10 @@ class PitCompiler {
   PitExecution SparseMatmul(const Tensor& a, const Tensor& b);
 
   // View form behind SparseMatmul and the planned executor's PIT steps:
-  // writes C into `out` (typically an arena slice). `handle`, when given, is
-  // the call site's cached kernel: a matching handle skips the cache map, a
-  // stale or empty one falls through to the exact SparseMatmul selection path
-  // (shared map, shared counters, periodic resampling included) and is
-  // refreshed. Outputs are bitwise identical with or without a handle.
-  PitDispatch SparseMatmulInto(ConstTensorView a, ConstTensorView b, TensorView out,
-                               PitKernelHandle* handle = nullptr);
+  // writes C into `out` (typically an arena slice). Every call, eager or
+  // planned, selects through the one JIT cache map (shared counters,
+  // periodic resampling included).
+  PitDispatch SparseMatmulInto(ConstTensorView a, ConstTensorView b, TensorView out);
 
   // Pure planning entry for analytic patterns (benchmarks).
   SelectionResult Plan(const SparsityPattern& pattern, int64_t m, int64_t k, int64_t n,
@@ -94,10 +77,6 @@ class PitCompiler {
   CostModel model_;
   TileDatabase db_;
   std::map<CacheKey, SelectionResult> cache_;
-  // Bumped whenever a resample replaces a cached selection; handles filled
-  // under an older generation fall back to the map, so a plan site always
-  // dispatches exactly what the eager (map-only) path would.
-  int64_t selection_generation_ = 0;
   int64_t kernels_compiled_ = 0;
   int64_t cache_hits_ = 0;
   int64_t resample_every_ = 0;

@@ -1,10 +1,11 @@
 // Analytical GPU device model.
 //
 // The paper evaluates on NVIDIA V100 and A100. This repository substitutes an
-// analytical execution model for the physical device (see DESIGN.md §2): a
-// kernel is a set of tiles scheduled in waves over the SMs; each tile's time
-// follows a roofline with a tile-shape-dependent efficiency factor. The model
-// is deterministic, so every figure regenerates identically on any machine.
+// analytical execution model for the physical device (the figure benches
+// print its simulated microseconds; README "Benchmarks"): a kernel is a set
+// of tiles scheduled in waves over the SMs; each tile's time follows a
+// roofline with a tile-shape-dependent efficiency factor. The model is
+// deterministic, so every figure regenerates identically on any machine.
 #ifndef PIT_GPUSIM_DEVICE_H_
 #define PIT_GPUSIM_DEVICE_H_
 

@@ -280,8 +280,6 @@ ExecutionContext::ExecutionContext(const ExecutionPlan& plan) : plan_(&plan) {
   arena_ = reinterpret_cast<float*>((raw + 63) & ~static_cast<uintptr_t>(63));
   arena_bytes_ = plan.stats_.arena_bytes;
   bound_ = plan.compile_bound_;
-  // One kernel slot per step; only PIT steps ever read or warm theirs.
-  pit_.assign(plan.steps_.size(), PitKernelHandle{});
   shapes_ = plan.shapes_;
   shaped_rows_ = plan.token_extent_;
 }
@@ -557,9 +555,6 @@ void ExecutionPlan::Dispatch(int step_index, ExecutionContext& ctx, PitCompiler*
     return ConstTensorView(ResolveConst(call.in[i], ctx),
                            ctx.shapes_[static_cast<size_t>(call.in[i].shape_id)]);
   };
-  // The context's per-site kernel slot: concurrent streams each warm their
-  // own, so the JIT cache hook never races across streams.
-  PitKernelHandle* pit_slot = &ctx.pit_[static_cast<size_t>(step_index)];
   switch (call.kind) {
     case OpKind::kInput:
     case OpKind::kWeight:
@@ -569,7 +564,7 @@ void ExecutionPlan::Dispatch(int step_index, ExecutionContext& ctx, PitCompiler*
     case OpKind::kMatmul:
       if (call.use_pit) {
         PIT_CHECK(compiler != nullptr) << "PIT decision requires a compiler";
-        compiler->SparseMatmulInto(in(0), in(1), out, pit_slot);
+        compiler->SparseMatmulInto(in(0), in(1), out);
       } else if (call.fuse_relu) {
         MatMulReluInto(in(0), in(1), out);
       } else {
@@ -579,7 +574,7 @@ void ExecutionPlan::Dispatch(int step_index, ExecutionContext& ctx, PitCompiler*
     case OpKind::kMatmulBias:
       if (call.use_pit) {
         PIT_CHECK(compiler != nullptr) << "PIT decision requires a compiler";
-        compiler->SparseMatmulInto(in(0), in(1), out, pit_slot);
+        compiler->SparseMatmulInto(in(0), in(1), out);
         // Bias applied after the sparse kernel, in the same element order as
         // the eager sparse Linear path.
         const ConstTensorView bias = in(2);

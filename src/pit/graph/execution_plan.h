@@ -19,11 +19,11 @@
 //
 // Plan vs. execution state. A compiled plan is immutable: steps, shapes,
 // and stats never change after the constructor returns. All
-// mutable replay state — the arena, the per-replay feed bindings, and the
-// per-call-site PIT kernel slots — lives in a caller-owned ExecutionContext,
-// and RunWith is the one replay entry. One plan therefore replays
-// concurrently from N request streams, each stream holding its own context;
-// a one-shot caller replays through a context of its own for the call.
+// mutable replay state — the arena and the per-replay bindings — lives in a
+// caller-owned ExecutionContext, and RunWith is the one replay entry. One
+// plan therefore replays concurrently from N request streams, each stream
+// holding its own context; a one-shot caller replays through a context of
+// its own for the call.
 //
 // Token-row replay. The token axis is a PIT-axis of every row-wise op
 // (§3.2): GEMM rows, layernorm, residuals, ReLU and the fused epilogues each
@@ -85,9 +85,8 @@ constexpr int kMaxOpInputs = 4;
 
 // One kernel-dispatch step. This is the unified seam between the two
 // execution paths: `use_pit` false runs the dense reference kernel for
-// `kind`; true routes the matmul through the PitCompiler using the execution
-// context's cached kernel handle for this call site (the JIT cache is hooked
-// into the step instead of being consulted from scratch every call).
+// `kind`; true routes the matmul through the replay's PitCompiler, whose JIT
+// cache holds the kernel selected for the step's shape and sparsity.
 struct OpCall {
   OpKind kind = OpKind::kInput;
   int node_id = -1;
@@ -125,10 +124,10 @@ enum class ReplayStatus : uint8_t {
 };
 
 // Per-stream execution state over one shared, immutable ExecutionPlan: the
-// 64-byte-aligned arena, the per-replay feed binding table, and the per-step PIT
-// kernel slots. Contexts are independent — two streams replaying the same
-// plan through distinct contexts share zero mutable state — and reusable: a
-// context pooled across requests keeps its arena and its warmed PIT handles.
+// 64-byte-aligned arena and the per-replay binding tables. Contexts are
+// independent — two streams replaying the same plan through distinct
+// contexts share zero mutable state — and reusable: a context pooled across
+// requests keeps its arena.
 // A context is bound to the plan it was created from; using it with another
 // plan is a checked error.
 class ExecutionContext {
@@ -191,9 +190,6 @@ class ExecutionContext {
   // plan's compile-time bindings, feeds re-bound each replay); indexed by
   // node id.
   std::vector<const float*> bound_;
-  // Per-step PIT kernel slot (PIT steps only; empty-handle default). Owned by
-  // the context so concurrent streams never race on a shared JIT handle.
-  std::vector<PitKernelHandle> pit_;
   // Borrowed cancellation token (null = never cancelled) and the last
   // replay's outcome. Written by RunImpl/RunSequential, read by the owner
   // after each replay.

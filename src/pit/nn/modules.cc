@@ -39,7 +39,11 @@ Tensor Linear::ForwardSparse(const Tensor& x, PitCompiler& compiler) const {
 // ---------------------------------------------------------------- FeedForward
 
 FeedForward::FeedForward(int64_t hidden, int64_t ffn_hidden, Rng& rng)
-    : up_(hidden, ffn_hidden, rng), down_(ffn_hidden, hidden, rng) {}
+    : up_(hidden, ffn_hidden, rng),
+      down_(ffn_hidden, hidden, rng),
+      plans_([this](Graph& g, const int64_t& tokens) {
+        AppendToGraph(g, g.AddInput("x", {tokens, up_.in_features()}));
+      }) {}
 
 FeedForward::GraphNodes FeedForward::AppendToGraph(Graph& g, int x) const {
   const int w_up = g.AddWeightRef("w_up", &up_.weight());
@@ -53,42 +57,18 @@ FeedForward::GraphNodes FeedForward::AppendToGraph(Graph& g, int x) const {
   return nodes;
 }
 
-FeedForward::PlanEntry& FeedForward::EntryFor(int64_t tokens) const {
-  auto it = plans_.find(tokens);
-  if (it != plans_.end()) {
-    return it->second;
-  }
-  // Bound the per-token-count cache: a serving stream with highly variable
-  // batch shapes should not pin an arena per distinct length forever.
-  constexpr size_t kMaxEntries = 16;
-  if (plans_.size() >= kMaxEntries) {
-    plans_.clear();
-  }
-  // First call at this token count: build the block's graph over the module's
-  // weights (referenced, not copied) and record the PIT pass decisions. The
-  // plan itself compiles lazily inside Graph on first PlanShared.
-  PlanEntry entry;
-  entry.graph = std::make_unique<Graph>();
-  Graph& g = *entry.graph;
-  const int x = g.AddInput("x", {tokens, up_.in_features()});
-  const GraphNodes nodes = AppendToGraph(g, x);
-  entry.relu_node = nodes.relu;
-  g.PropagateSparsity();
-  entry.decisions = g.PitPass();
-  return plans_.emplace(tokens, std::move(entry)).first->second;
-}
-
 Tensor FeedForward::ForwardOnce(const Tensor& x, PitCompiler* compiler) const {
   PIT_CHECK_EQ(x.rank(), 2);
-  std::shared_ptr<ExecutionPlan> plan;
+  // The shared handle keeps the plan alive even if the cache is evicted while
+  // this replay is in flight.
+  const std::shared_ptr<ExecutionPlan> plan = plans_.Plan(x.dim(0), compiler != nullptr);
+  // The ReLU's value: its own step in a PIT plan, the fused up-projection
+  // step (which carries the ReLU's node id) in a dense one.
   int relu_node = -1;
-  {
-    // The lock covers the plan lookup only. The shared handle keeps the plan
-    // alive even if the cache is evicted while this replay is in flight.
-    std::lock_guard<std::mutex> lock(mu_);
-    PlanEntry& entry = EntryFor(x.dim(0));
-    plan = entry.graph->PlanShared(compiler != nullptr ? &entry.decisions : nullptr);
-    relu_node = entry.relu_node;
+  for (const OpCall& call : plan->steps()) {
+    if (call.kind == OpKind::kRelu || call.fuse_relu) {
+      relu_node = call.node_id;
+    }
   }
   double sparsity = 0.0;
   const StepObserver observe = [&](int node_id, ConstTensorView value) {
@@ -99,10 +79,7 @@ Tensor FeedForward::ForwardOnce(const Tensor& x, PitCompiler* compiler) const {
   const std::map<std::string, const Tensor*> feeds{{"x", &x}};
   ExecutionContext ctx(*plan);
   ConstTensorView out = plan->RunWith(ctx, feeds, compiler, &observe);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    last_activation_sparsity_ = sparsity;
-  }
+  last_activation_sparsity_ = sparsity;
   Tensor result({x.dim(0), down_.out_features()});
   std::copy(out.data(), out.data() + out.size(), result.data());
   return result;
@@ -125,7 +102,12 @@ MultiHeadAttention::MultiHeadAttention(int64_t hidden, int64_t heads, Rng& rng)
       wv_({hidden, hidden}),
       bq_({hidden}),
       bk_({hidden}),
-      bv_({hidden}) {
+      bv_({hidden}),
+      plans_([this](Graph& g, const std::pair<int64_t, bool>& key) {
+        const auto [tokens, masked] = key;
+        const int x = g.AddInput("x", {tokens, qkv_.in_features()});
+        AppendToGraph(g, x, masked ? g.AddInput("mask", {tokens, tokens}) : -1);
+      }) {
   PIT_CHECK_EQ(hidden % heads, 0);
   // Split the fused qkv projection into its q/k/v column blocks once; the
   // planned graphs reference these in place. The RNG stream (and therefore
@@ -170,26 +152,6 @@ int MultiHeadAttention::AppendToGraph(Graph& g, int x, int mask) const {
   return g.AddMatmulBias("attn_out", ctx, wo, bo);
 }
 
-MultiHeadAttention::PlanEntry& MultiHeadAttention::EntryFor(int64_t tokens, bool masked) const {
-  const std::pair<int64_t, bool> key{tokens, masked};
-  auto it = plans_.find(key);
-  if (it != plans_.end()) {
-    return it->second;
-  }
-  // Bound the per-shape cache, mirroring FeedForward.
-  constexpr size_t kMaxEntries = 16;
-  if (plans_.size() >= kMaxEntries) {
-    plans_.clear();
-  }
-  PlanEntry entry;
-  entry.graph = std::make_unique<Graph>();
-  Graph& g = *entry.graph;
-  const int x = g.AddInput("x", {tokens, qkv_.in_features()});
-  const int mask = masked ? g.AddInput("mask", {tokens, tokens}) : -1;
-  AppendToGraph(g, x, mask);
-  return plans_.emplace(key, std::move(entry)).first->second;
-}
-
 Tensor MultiHeadAttention::Forward(const Tensor& x, const Tensor* mask) const {
   PIT_CHECK_EQ(x.rank(), 2);
   PIT_CHECK_EQ(x.dim(1), qkv_.in_features());
@@ -199,11 +161,7 @@ Tensor MultiHeadAttention::Forward(const Tensor& x, const Tensor* mask) const {
         << "attention mask must be [tokens, tokens]";
     feeds.emplace("mask", mask);
   }
-  std::shared_ptr<ExecutionPlan> plan;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    plan = EntryFor(x.dim(0), mask != nullptr).graph->PlanShared();
-  }
+  const std::shared_ptr<ExecutionPlan> plan = plans_.Plan({x.dim(0), mask != nullptr});
   ExecutionContext ctx(*plan);
   ConstTensorView out = plan->RunWith(ctx, feeds);
   Tensor result({x.dim(0), x.dim(1)});
@@ -345,50 +303,28 @@ TransformerEncoderLayer::TransformerEncoderLayer(int64_t hidden, int64_t heads,
       ln1_gamma_(Tensor::Full({hidden}, 1.0f)),
       ln1_beta_(Tensor::Zeros({hidden})),
       ln2_gamma_(Tensor::Full({hidden}, 1.0f)),
-      ln2_beta_(Tensor::Zeros({hidden})) {}
-
-TransformerEncoderLayer::PlanEntry& TransformerEncoderLayer::EntryFor(int64_t tokens,
-                                                                      bool masked) const {
-  const std::pair<int64_t, bool> key{tokens, masked};
-  auto it = plans_.find(key);
-  if (it != plans_.end()) {
-    return it->second;
-  }
-  constexpr size_t kMaxEntries = 16;
-  if (plans_.size() >= kMaxEntries) {
-    plans_.clear();
-  }
-  // The whole pre-norm block as one graph over referenced weights:
-  // x + Attn(LN1(x)); h + FFN(LN2(h)).
-  PlanEntry entry;
-  entry.graph = std::make_unique<Graph>();
-  Graph& g = *entry.graph;
-  const int64_t hidden = ln1_gamma_.dim(0);
-  const int x = g.AddInput("x", {tokens, hidden});
-  const int mask = masked ? g.AddInput("mask", {tokens, tokens}) : -1;
-  const int g1 = g.AddWeightRef("ln1_gamma", &ln1_gamma_);
-  const int b1 = g.AddWeightRef("ln1_beta", &ln1_beta_);
-  const int g2 = g.AddWeightRef("ln2_gamma", &ln2_gamma_);
-  const int b2 = g.AddWeightRef("ln2_beta", &ln2_beta_);
-  const int ln1 = g.AddLayerNorm("ln1", x, g1, b1);
-  const int attn_out = attn_.AppendToGraph(g, ln1, mask);
-  const int h = g.AddAdd("h", x, attn_out);
-  const int ln2 = g.AddLayerNorm("ln2", h, g2, b2);
-  const FeedForward::GraphNodes ffn = ffn_.AppendToGraph(g, ln2);
-  g.AddAdd("out", h, ffn.out);
-  g.PropagateSparsity();
-  entry.decisions = g.PitPass();
-  return plans_.emplace(key, std::move(entry)).first->second;
-}
+      ln2_beta_(Tensor::Zeros({hidden})),
+      // The whole pre-norm block as one graph over referenced weights:
+      // x + Attn(LN1(x)); h + FFN(LN2(h)).
+      plans_([this, hidden](Graph& g, const std::pair<int64_t, bool>& key) {
+        const auto [tokens, masked] = key;
+        const int x = g.AddInput("x", {tokens, hidden});
+        const int mask = masked ? g.AddInput("mask", {tokens, tokens}) : -1;
+        const int g1 = g.AddWeightRef("ln1_gamma", &ln1_gamma_);
+        const int b1 = g.AddWeightRef("ln1_beta", &ln1_beta_);
+        const int g2 = g.AddWeightRef("ln2_gamma", &ln2_gamma_);
+        const int b2 = g.AddWeightRef("ln2_beta", &ln2_beta_);
+        const int ln1 = g.AddLayerNorm("ln1", x, g1, b1);
+        const int attn_out = attn_.AppendToGraph(g, ln1, mask);
+        const int h = g.AddAdd("h", x, attn_out);
+        const int ln2 = g.AddLayerNorm("ln2", h, g2, b2);
+        g.AddAdd("out", h, ffn_.AppendToGraph(g, ln2).out);
+      }) {}
 
 TransformerEncoderLayer::Stream TransformerEncoderLayer::MakeStream(int64_t tokens, bool masked,
                                                                     bool pit) const {
   Stream stream;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PlanEntry& entry = EntryFor(tokens, masked);
-    stream.plan = entry.graph->PlanShared(pit ? &entry.decisions : nullptr);
-  }
+  stream.plan = plans_.Plan({tokens, masked}, pit);
   // The context and feed map are private to the stream: nothing below needs
   // the lock, and the co-owning plan handle keeps the compiled plan alive
   // even if the layer's plan cache is cleared or rebuilt behind it.
@@ -455,8 +391,7 @@ Tensor TransformerEncoderLayer::ForwardEager(const Tensor& x, const Tensor* attn
 }
 
 PlanStats TransformerEncoderLayer::PlanStatsFor(int64_t tokens, bool masked) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return EntryFor(tokens, masked).graph->PlanShared()->stats();
+  return plans_.Plan({tokens, masked})->stats();
 }
 
 }  // namespace pit

@@ -8,9 +8,9 @@
 #ifndef PIT_NN_MODULES_H_
 #define PIT_NN_MODULES_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -18,6 +18,7 @@
 #include "pit/core/compiler.h"
 #include "pit/graph/execution_plan.h"
 #include "pit/graph/graph.h"
+#include "pit/graph/shape_plan_cache.h"
 #include "pit/tensor/ops.h"
 #include "pit/tensor/tensor.h"
 
@@ -46,9 +47,9 @@ class Linear {
 // activation sparsity PIT exploits).
 //
 // The forward passes run through cached ExecutionPlans: the block's graph is
-// built once per distinct token count (plans are shape-specialized), and each
-// call replays the compiled kernel-dispatch steps over an execution context
-// of its own instead of re-walking ops, so concurrent forwards never
+// built once per distinct token count in the module's ShapePlanCache, and
+// each call replays the compiled kernel-dispatch steps over an execution
+// context of its own instead of re-walking ops, so concurrent forwards never
 // serialize. The graphs reference the module's weights in place, which is
 // why the module is pinned (non-copyable, non-movable).
 class FeedForward {
@@ -61,14 +62,11 @@ class FeedForward {
   // The second matmul consumes the (sparse) ReLU output through PIT.
   Tensor ForwardSparse(const Tensor& x, PitCompiler& compiler) const;
   // Fraction of zeros in the ReLU activation of the last Forward call.
-  double last_activation_sparsity() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return last_activation_sparsity_;
-  }
+  double last_activation_sparsity() const { return last_activation_sparsity_.load(); }
 
   // Appends the block's ops (MatmulBias -> Relu -> MatmulBias over this
   // module's referenced weights) to a caller-owned graph — the seam larger
-  // planned blocks (TransformerEncoderLayer) compose from.
+  // planned blocks (TransformerEncoderLayer, PlannedFfnStack) compose from.
   struct GraphNodes {
     int out = -1;
     int relu = -1;
@@ -79,32 +77,24 @@ class FeedForward {
   const Linear& down() const { return down_; }
 
  private:
-  struct PlanEntry {
-    std::unique_ptr<Graph> graph;
-    std::vector<MatmulDecision> decisions;  // PIT pass result for this graph
-    int relu_node = -1;
-  };
-  PlanEntry& EntryFor(int64_t tokens) const;
   Tensor ForwardOnce(const Tensor& x, PitCompiler* compiler) const;
 
   Linear up_;
   Linear down_;
-  // Guards the plan cache and last_activation_sparsity_; never held across
-  // a replay.
-  mutable std::mutex mu_;
-  mutable double last_activation_sparsity_ = 0.0;
-  mutable std::map<int64_t, PlanEntry> plans_;  // keyed by token count, bounded
+  ShapePlanCache<int64_t> plans_;  // keyed by token count
+  mutable std::atomic<double> last_activation_sparsity_{0.0};
 };
 
 // Multi-head attention with an optional 0/1 mask over scores; mask == nullptr
 // means full attention.
 //
 // Forward runs through cached ExecutionPlans (one graph per distinct
-// (token count, masked?) shape): per-part q/k/v projections, scaled q, one
-// kAttention step (ForwardEager's per-head score GEMM, masked softmax and
-// context GEMM over each attention segment the replay binds — one [0, T)
-// segment by default), and the output projection, all over referenced
-// weights and an execution context private to the call. The result is
+// (token count, masked?) shape in the module's ShapePlanCache): per-part
+// q/k/v projections, scaled q, one kAttention step (ForwardEager's per-head
+// score GEMM, masked softmax and context GEMM over each attention segment
+// the replay binds — one [0, T) segment by default), and the output
+// projection, all over referenced weights and an execution context private
+// to the call. The result is
 // bitwise identical to ForwardEager — the original per-head slicing loop,
 // kept as the oracle.
 // Plans reference the module's weights in place: the module is pinned.
@@ -128,11 +118,6 @@ class MultiHeadAttention {
   int64_t heads() const { return heads_; }
 
  private:
-  struct PlanEntry {
-    std::unique_ptr<Graph> graph;
-  };
-  PlanEntry& EntryFor(int64_t tokens, bool masked) const;
-
   int64_t heads_;
   Linear qkv_;
   Linear out_;
@@ -143,8 +128,7 @@ class MultiHeadAttention {
   // per-part projections reproduce the eager fused qkv exactly.
   Tensor wq_, wk_, wv_;
   Tensor bq_, bk_, bv_;
-  mutable std::map<std::pair<int64_t, bool>, PlanEntry> plans_;  // bounded
-  mutable std::mutex mu_;  // guards plans_; never held across a replay
+  ShapePlanCache<std::pair<int64_t, bool>> plans_;  // keyed by (tokens, masked?)
 };
 
 // Top-1 routed mixture-of-experts FFN (Switch-Transformer style).
@@ -172,9 +156,9 @@ class MoELayer {
 // Pre-norm transformer encoder layer: x + Attn(LN(x)); x + FFN(LN(x)).
 //
 // The whole block is one Graph compiled to one ExecutionPlan per distinct
-// (token count, masked?) shape, 12 steps: ln1, q/k/v projections, q scale,
-// attention, output projection, residual add, ln2, the FFN's fused
-// up-projection+ReLU and down-projection, residual add. A steady-state dense
+// (token count, masked?) shape (the layer's ShapePlanCache), 12 steps: ln1,
+// q/k/v projections, q scale, attention, output projection, residual add,
+// ln2, the FFN's fused up-projection+ReLU and down-projection, residual add. A steady-state dense
 // ForwardWith replays them over its stream's arena with zero heap
 // allocations, bitwise identical to ForwardEager; Forward and ForwardSparse
 // are one-shot MakeStream + ForwardWith. The attention step runs per
@@ -182,7 +166,7 @@ class MoELayer {
 // set_attention_segments), so a packed tile of several requests costs
 // sum(t_i^2) score entries and no [T, T] mask. ForwardSparse runs the same
 // plan with the PIT pass decisions (the FFN down-projection consumes its ReLU
-// activation through the compiler's per-site kernel handle). The unmasked
+// activation through the compiler's JIT-cached sparse kernel). The unmasked
 // plan is token-polymorphic (execution_plan.h): compiled at a capacity, it
 // replays any row count up to it. Plans reference the module's weights in
 // place: the module is pinned.
@@ -209,9 +193,9 @@ class TransformerEncoderLayer {
     bool masked = false;
   };
   // Builds a stream for (tokens, masked?), compiling and caching the shared
-  // plan if needed (the only part that takes the module lock). `pit` compiles
-  // the plan with this layer's PIT-pass decisions; its replay then needs a
-  // compiler, one per concurrent stream.
+  // plan if needed (the only part that takes the plan cache's lock). `pit`
+  // compiles the plan with this layer's PIT-pass decisions; its replay then
+  // needs a compiler, one per concurrent stream.
   Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
   // Lock-free forward over a stream's private context: safe to call
   // concurrently with any other stream's ForwardWith on this layer, bitwise
@@ -232,17 +216,10 @@ class TransformerEncoderLayer {
   PlanStats PlanStatsFor(int64_t tokens, bool masked = false) const;
 
  private:
-  struct PlanEntry {
-    std::unique_ptr<Graph> graph;
-    std::vector<MatmulDecision> decisions;  // PIT pass result for this graph
-  };
-  PlanEntry& EntryFor(int64_t tokens, bool masked) const;
-
   MultiHeadAttention attn_;
   FeedForward ffn_;
   Tensor ln1_gamma_, ln1_beta_, ln2_gamma_, ln2_beta_;
-  mutable std::map<std::pair<int64_t, bool>, PlanEntry> plans_;  // bounded
-  mutable std::mutex mu_;  // guards plans_; never held across a replay
+  ShapePlanCache<std::pair<int64_t, bool>> plans_;  // keyed by (tokens, masked?)
 };
 
 }  // namespace pit

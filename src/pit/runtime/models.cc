@@ -636,60 +636,34 @@ ModelRunCost SparseTrainingRun(const CostModel& model, Engine engine,
 
 namespace {
 
-Tensor StackInit(int64_t in, int64_t out, Rng& rng) {
-  const float bound = std::sqrt(6.0f / static_cast<float>(in + out));
-  return Tensor::Random({in, out}, rng, -bound, bound);
+void AccumulateStats(const PlanStats& s, PlanStats* total) {
+  total->arena_bytes += s.arena_bytes;
+  total->sum_temporary_bytes += s.sum_temporary_bytes;
+  total->num_steps += s.num_steps;
+  total->num_inplace += s.num_inplace;
+  total->num_pit_steps += s.num_pit_steps;
+  total->num_fused += s.num_fused;
 }
 
 }  // namespace
 
+PlannedFfnStack::Layer::Layer(int64_t hidden, int64_t ffn_hidden, Rng& rng)
+    : ffn(hidden, ffn_hidden, rng), plans([this, hidden](Graph& g, const int64_t& tokens) {
+        const int x = g.AddInput("x", {tokens, hidden});
+        const int down = ffn.AppendToGraph(g, x).out;
+        g.AddAdd("residual", x, down);
+      }) {}
+
 PlannedFfnStack::PlannedFfnStack(int64_t layers, int64_t hidden, int64_t ffn_hidden, Rng& rng)
     : hidden_(hidden) {
   PIT_CHECK_GT(layers, 0);
-  weights_.reserve(static_cast<size_t>(layers));
+  layers_.reserve(static_cast<size_t>(layers));
   for (int64_t l = 0; l < layers; ++l) {
-    LayerWeights w;
-    w.w_up = StackInit(hidden, ffn_hidden, rng);
-    w.b_up = Tensor::Random({ffn_hidden}, rng, -0.01f, 0.01f);
-    w.w_down = StackInit(ffn_hidden, hidden, rng);
-    w.b_down = Tensor::Random({hidden}, rng, -0.01f, 0.01f);
-    weights_.push_back(std::move(w));
+    layers_.push_back(std::make_unique<Layer>(hidden, ffn_hidden, rng));
   }
 }
 
 PlannedFfnStack::~PlannedFfnStack() = default;
-
-PlannedFfnStack::TokenEntry& PlannedFfnStack::EntryFor(int64_t tokens) const {
-  auto it = entries_.find(tokens);
-  if (it != entries_.end()) {
-    return it->second;
-  }
-  // Bound the per-token-count cache (one graph + plan + staging tensor per
-  // layer per entry): variable-length serving must not pin arenas forever.
-  constexpr size_t kMaxEntries = 16;
-  if (entries_.size() >= kMaxEntries) {
-    entries_.clear();
-  }
-  TokenEntry entry;
-  entry.graphs.reserve(weights_.size());
-  entry.decisions.reserve(weights_.size());
-  for (const LayerWeights& w : weights_) {
-    auto g = std::make_unique<Graph>();
-    const int x = g->AddInput("x", {tokens, hidden_});
-    const int w_up = g->AddWeightRef("w_up", &w.w_up);
-    const int b_up = g->AddWeightRef("b_up", &w.b_up);
-    const int w_down = g->AddWeightRef("w_down", &w.w_down);
-    const int b_down = g->AddWeightRef("b_down", &w.b_down);
-    const int up = g->AddMatmulBias("up_proj", x, w_up, b_up);
-    const int act = g->AddRelu("relu", up);
-    const int down = g->AddMatmulBias("down_proj", act, w_down, b_down);
-    g->AddAdd("residual", x, down);
-    g->PropagateSparsity();
-    entry.decisions.push_back(g->PitPass());
-    entry.graphs.push_back(std::move(g));
-  }
-  return entries_.emplace(tokens, std::move(entry)).first->second;
-}
 
 int64_t PlannedFfnStack::Stream::ArenaBytes() const {
   int64_t total = 0;
@@ -701,14 +675,9 @@ int64_t PlannedFfnStack::Stream::ArenaBytes() const {
 
 PlannedFfnStack::Stream PlannedFfnStack::MakeStream(int64_t tokens, bool pit) const {
   Stream stream;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    TokenEntry& entry = EntryFor(tokens);
-    stream.plans.reserve(entry.graphs.size());
-    for (size_t l = 0; l < entry.graphs.size(); ++l) {
-      stream.plans.push_back(
-          entry.graphs[l]->PlanShared(pit ? &entry.decisions[l] : nullptr));
-    }
+  stream.plans.reserve(layers_.size());
+  for (const auto& layer : layers_) {
+    stream.plans.push_back(layer->plans.Plan(tokens, pit));
   }
   // Contexts, feeds, and staging are private to the stream; the co-owning
   // plan handles keep the compiled plans alive across cache eviction.
@@ -767,24 +736,19 @@ Tensor PlannedFfnStack::ForwardPit(const Tensor& x, PitCompiler& compiler) const
 
 Tensor PlannedFfnStack::ForwardEager(const Tensor& x) const {
   Tensor cur = x;
-  for (const LayerWeights& w : weights_) {
-    cur = Add(cur, MatMulBias(Relu(MatMulBias(cur, w.w_up, w.b_up)), w.w_down, w.b_down));
+  for (const auto& layer : layers_) {
+    const Linear& up = layer->ffn.up();
+    const Linear& down = layer->ffn.down();
+    cur = Add(cur, MatMulBias(Relu(MatMulBias(cur, up.weight(), up.bias())), down.weight(),
+                              down.bias()));
   }
   return cur;
 }
 
 PlanStats PlannedFfnStack::StatsFor(int64_t tokens) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  TokenEntry& entry = EntryFor(tokens);
   PlanStats total;
-  for (const auto& g : entry.graphs) {
-    const PlanStats s = g->PlanShared()->stats();
-    total.arena_bytes += s.arena_bytes;
-    total.sum_temporary_bytes += s.sum_temporary_bytes;
-    total.num_steps += s.num_steps;
-    total.num_inplace += s.num_inplace;
-    total.num_pit_steps += s.num_pit_steps;
-    total.num_fused += s.num_fused;
+  for (const auto& layer : layers_) {
+    AccumulateStats(layer->plans.Plan(tokens)->stats(), &total);
   }
   return total;
 }
@@ -880,13 +844,7 @@ Tensor PlannedTransformerStack::ForwardEager(const Tensor& x, const Tensor* attn
 PlanStats PlannedTransformerStack::StatsFor(int64_t tokens, bool masked) const {
   PlanStats total;
   for (const auto& layer : layers_) {
-    const PlanStats s = layer->PlanStatsFor(tokens, masked);
-    total.arena_bytes += s.arena_bytes;
-    total.sum_temporary_bytes += s.sum_temporary_bytes;
-    total.num_steps += s.num_steps;
-    total.num_inplace += s.num_inplace;
-    total.num_pit_steps += s.num_pit_steps;
-    total.num_fused += s.num_fused;
+    AccumulateStats(layer->PlanStatsFor(tokens, masked), &total);
   }
   return total;
 }

@@ -3,14 +3,14 @@
 // Each function prices one model's forward (or forward+backward) pass under a
 // chosen engine strategy on a concrete dynamic-sparsity workload, returning
 // simulated latency and a memory footprint. These are the generators behind
-// Figs. 8–15 and 19; the mapping from figure to function is in DESIGN.md §4.
+// Figs. 8–15 and 19; each figure's bench (bench/figNN_*.cc, README
+// "Benchmarks") shows which function it calls.
 #ifndef PIT_RUNTIME_MODELS_H_
 #define PIT_RUNTIME_MODELS_H_
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -115,11 +115,12 @@ ModelRunCost SparseTrainingRun(const CostModel& model, Engine engine,
 //
 // Unlike the cost functions above (which price simulated latency), this is a
 // functional model trunk — an OPT-style stack of residual FFN blocks
-// (x + Down(ReLU(Up(x)))) on real tensors — whose per-layer forwards replay
-// cached ExecutionPlans: graphs are compiled once per token count, weights
-// are referenced in place, intermediates live in each stream's arenas, and
-// the PIT variant dispatches each layer's sparse down-projection through the
-// compiler's per-site kernel handles. ForwardWith over a Stream is the
+// (x + FeedForward(x)) on real tensors — whose per-layer forwards replay
+// cached ExecutionPlans: each layer's graph is compiled once per token count
+// in the layer's ShapePlanCache, weights are the FeedForward blocks'
+// (referenced in place), intermediates live in each stream's arenas, and the
+// PIT variant dispatches each layer's sparse down-projection through the
+// compiler's JIT-cached kernels. ForwardWith over a Stream is the
 // serving-side execution seam; Forward and ForwardPit are one-shot
 // MakeStream + ForwardWith.
 class PlannedFfnStack {
@@ -165,7 +166,7 @@ class PlannedFfnStack {
     }
   };
   // Builds a stream for `tokens`, compiling/caching the shared plans if
-  // needed (the only part that takes the stack lock). `pit` plans the layers
+  // needed (locks each layer's plan cache once). `pit` plans the layers
   // with their PIT-pass decisions; replay then needs one compiler per
   // concurrent stream.
   Stream MakeStream(int64_t tokens, bool pit = false) const;
@@ -179,24 +180,21 @@ class PlannedFfnStack {
   // Aggregate memory-planning stats over the dense plans for this token
   // count (compiles them if needed).
   PlanStats StatsFor(int64_t tokens) const;
-  int64_t layers() const { return static_cast<int64_t>(weights_.size()); }
+  int64_t layers() const { return static_cast<int64_t>(layers_.size()); }
   int64_t hidden() const { return hidden_; }
 
  private:
-  struct LayerWeights {
-    Tensor w_up, b_up, w_down, b_down;
+  // One residual block: its FeedForward and the plans of x + FeedForward(x),
+  // keyed by token count. Pinned: the plans reference the block's weights.
+  struct Layer {
+    Layer(int64_t hidden, int64_t ffn_hidden, Rng& rng);
+    FeedForward ffn;
+    ShapePlanCache<int64_t> plans;
   };
-  struct TokenEntry {
-    std::vector<std::unique_ptr<Graph>> graphs;             // one per layer
-    std::vector<std::vector<MatmulDecision>> decisions;     // PIT pass per layer
-  };
-  TokenEntry& EntryFor(int64_t tokens) const;
   Tensor ForwardOnce(const Tensor& x, PitCompiler* compiler) const;
 
   int64_t hidden_ = 0;
-  std::vector<LayerWeights> weights_;
-  mutable std::map<int64_t, TokenEntry> entries_;  // keyed by token count, bounded
-  mutable std::mutex mu_;  // guards entries_; never held across a replay
+  std::vector<std::unique_ptr<Layer>> layers_;
 };
 
 // ---- Planned full-transformer execution ------------------------------------
@@ -222,7 +220,7 @@ class PlannedTransformerStack {
   // nullptr (shared by every layer).
   Tensor Forward(const Tensor& x, const Tensor* attn_mask = nullptr) const;
   // Planned PIT forward: each layer's FFN down-projection consumes its ReLU
-  // activation through `compiler`'s per-site kernel handles.
+  // activation through `compiler`'s sparse path.
   Tensor ForwardPit(const Tensor& x, PitCompiler& compiler,
                     const Tensor* attn_mask = nullptr) const;
   // Eager reference: direct ops, one fresh tensor per intermediate — the

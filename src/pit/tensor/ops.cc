@@ -1,7 +1,6 @@
 #include "pit/tensor/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -16,8 +15,6 @@
 namespace pit {
 
 namespace {
-
-std::atomic<bool> g_softmax_mask_skip{true};
 
 // Row kernels for the active ISA tier, or null for the scalar loops. The
 // reference backend always gets null: it is the oracle and must not share
@@ -401,7 +398,7 @@ void SoftmaxInto(ConstTensorView a, const ConstTensorView* mask, TensorView c) {
   // request row (one block-diagonal span at offset o) is bitwise identical
   // to the same request served 1:1 at offset 0.
   const simd::RowKernels* rk = ActiveRowKernels();
-  const bool skip = mask != nullptr && UseBlockedBackend() && SoftmaxMaskSkipEnabled();
+  const bool skip = mask != nullptr && UseBlockedBackend();
   // Rows are independent; per-row math is identical to the reference loop.
   ParallelFor(m, GrainOrSerial(m, std::max<int64_t>(1, kElemGrain / (4 * std::max<int64_t>(1, n)))),
               [&](int64_t i0, int64_t i1) {
@@ -412,8 +409,8 @@ void SoftmaxInto(ConstTensorView a, const ConstTensorView* mask, TensorView c) {
                   const float* mrow =
                       mask != nullptr ? mask->data() + (i % mask_rows) * n : nullptr;
                   if ((mrow != nullptr && !skip) || (mrow == nullptr && rk == nullptr)) {
-                    // Scalar full-row loop: the reference/blocked oracle, and
-                    // the unskipped differential oracle for the span path.
+                    // Scalar full-row loop: the reference backend's oracle,
+                    // and the differential oracle for the span path.
                     float maxv = kNegInf;
                     for (int64_t j = 0; j < n; ++j) {
                       const float v = (mrow && mrow[j] == 0.0f) ? kNegInf : arow[j];
@@ -509,12 +506,6 @@ void SoftmaxInto(ConstTensorView a, const ConstTensorView* mask, TensorView c) {
                   }
                 }
               });
-}
-
-bool SoftmaxMaskSkipEnabled() { return g_softmax_mask_skip.load(std::memory_order_relaxed); }
-
-void SetSoftmaxMaskSkip(bool enabled) {
-  g_softmax_mask_skip.store(enabled, std::memory_order_relaxed);
 }
 
 Tensor Softmax(const Tensor& a, const Tensor* mask) {

@@ -80,33 +80,12 @@ void TransposeInto(ConstTensorView a, int axis0, int axis1, TensorView c);
 // Row-wise softmax over the last axis of a rank-2 or rank-3 tensor; `mask`
 // may be null. A rank-2 mask under a rank-3 input broadcasts over axis 0
 // (one [tokens, tokens] attention mask shared by every head). `c` may alias
-// `a` but must not alias the mask.
+// `a` but must not alias the mask. Under the blocked backend each masked row
+// runs as its maximal runs of unmasked columns: fully-masked spans skip the
+// max/exp/sum work and write zeros (block-diagonal ragged-batch masks zero
+// most of every row). Skipping is exact, so the scalar tier is bitwise equal
+// to the reference backend's full-row loop.
 void SoftmaxInto(ConstTensorView a, const ConstTensorView* mask, TensorView c);
-// Masked-softmax span skipping switch. When enabled (default) and the blocked
-// backend is active, each masked row is processed as its maximal runs of
-// unmasked columns: fully-masked spans skip the max/exp/sum work entirely and
-// write zeros (block-diagonal ragged-batch masks zero most of every row).
-// Skipping is exact — a masked column contributes -inf to the max and +0.0f
-// to the sum, both identities — so the scalar skip path is bitwise equal to
-// the unskipped scalar loop. Under a SIMD tier the vector kernels run
-// span-relative (lanes grouped from each span's start), which keeps a packed
-// request row bitwise identical to the same request served 1:1 at offset 0.
-// The switch exists so tests/benches can pin the unskipped oracle.
-bool SoftmaxMaskSkipEnabled();
-void SetSoftmaxMaskSkip(bool enabled);
-
-class ScopedSoftmaxMaskSkip {
- public:
-  explicit ScopedSoftmaxMaskSkip(bool enabled) : saved_(SoftmaxMaskSkipEnabled()) {
-    SetSoftmaxMaskSkip(enabled);
-  }
-  ~ScopedSoftmaxMaskSkip() { SetSoftmaxMaskSkip(saved_); }
-  ScopedSoftmaxMaskSkip(const ScopedSoftmaxMaskSkip&) = delete;
-  ScopedSoftmaxMaskSkip& operator=(const ScopedSoftmaxMaskSkip&) = delete;
-
- private:
-  bool saved_;
-};
 // LayerNorm over the last axis of a 2-D tensor; gamma/beta are [n]. `c` may
 // alias `a` (each row's statistics are read before the row is rewritten).
 void LayerNormInto(ConstTensorView a, ConstTensorView gamma, ConstTensorView beta, TensorView c,

@@ -294,7 +294,7 @@ TEST(PlanExecutorTest, PitPathBitwiseMatchesEagerPit) {
   EXPECT_EQ(planned_compiler.kernels_compiled(), eager_compiler.kernels_compiled());
 }
 
-TEST(PlanExecutorTest, PitHandleHitsCacheOnRepeatExecutions) {
+TEST(PlanExecutorTest, PitStepsHitCompilerCacheOnRepeatExecutions) {
   Rng rng(11);
   Graph g = BuildFfnGraph(32, 16, 64, rng);
   auto decisions = g.PitPass();
@@ -429,6 +429,34 @@ TEST(PlanExecutorTest, PlannedFfnStackMatchesEagerReference) {
   ExpectBitwiseEqual(wide.Forward(w), wide.ForwardEager(w));
   const PlanStats wide_stats = wide.StatsFor(128);
   EXPECT_LT(wide_stats.arena_bytes, wide_stats.sum_temporary_bytes);
+}
+
+TEST(PlanExecutorTest, PlannedFfnStackWeightsPinnedByDigest) {
+  // pitbench's ffn_mixed_pit stack (2 layers, hidden 128, ffn 512, weight
+  // seed 7): a bitwise digest of its eager forward pins the weights the stack
+  // draws from the seed (each layer draws up weight, up bias, down weight,
+  // down bias). The AVX2 tier computes the same bits on every AVX2 host; the
+  // AVX-512 tier is bitwise equal to it. The weights themselves depend on the
+  // build: where the compiler may emit FMA it contracts Rng::NextFloat's
+  // lo + u * (hi - lo), which rounds differently.
+  if (DetectedIsa() == IsaTier::kScalar) {
+    GTEST_SKIP() << "needs the AVX2 tier";
+  }
+  ScopedIsa tier(IsaTier::kAvx2);
+  Rng wr(7);
+  PlannedFfnStack stack(2, 128, 512, wr);
+  Rng xr(8);
+  const Tensor y = stack.ForwardEager(Tensor::Random({64, 128}, xr));
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a over the output bytes
+  const auto* bytes = reinterpret_cast<const unsigned char*>(y.data());
+  for (size_t i = 0; i < static_cast<size_t>(y.size()) * sizeof(float); ++i) {
+    digest = (digest ^ bytes[i]) * 1099511628211ull;
+  }
+#if defined(__FMA__)
+  EXPECT_EQ(digest, 0x66f49626bc50c287ull);
+#else
+  EXPECT_EQ(digest, 0x5216684c11169ce9ull);
+#endif
 }
 
 TEST(PlanExecutorTest, PlannedFfnStackPitMatchesEagerPit) {
@@ -1106,9 +1134,11 @@ TEST(PlanExecutorTest, ConvenienceForwardsRunConcurrently) {
   // serialize or race. Dense results must be bitwise equal to the eager
   // oracles. PIT selection state lives in the compiler, so each thread's PIT
   // results must be bitwise equal to its own request sequence replayed
-  // serially through a fresh compiler.
+  // serially through a fresh compiler. The requests span more token counts
+  // than a shape plan cache holds, so the shared caches flush while other
+  // threads hold plans and replay them.
   constexpr int kThreads = 4;
-  constexpr int kRequests = 4;
+  constexpr int kRequests = 6;
   constexpr int kRounds = 2;
   constexpr int64_t kHidden = 16;
   constexpr int64_t kGraphTokens = 24;
@@ -1138,8 +1168,9 @@ TEST(PlanExecutorTest, ConvenienceForwardsRunConcurrently) {
     return o;
   };
 
-  // Mixed token counts, alternating masked and unmasked requests.
-  const int64_t kTokens[] = {5, 12, 9, 16};
+  // 20 distinct token counts over the 24 requests, alternating masked and
+  // unmasked requests.
+  constexpr int kNumTokens = 20;
   Rng xr(402);
   std::vector<std::vector<Request>> requests(kThreads);
   std::vector<std::vector<Outputs>> expected(kThreads);
@@ -1147,7 +1178,7 @@ TEST(PlanExecutorTest, ConvenienceForwardsRunConcurrently) {
     PitCompiler serial(V100());
     for (int i = 0; i < kRequests; ++i) {
       Request r;
-      const int64_t tokens = kTokens[(t + i) % 4];
+      const int64_t tokens = 3 + (t * kRequests + i) % kNumTokens;
       r.x = Tensor::Random({tokens, kHidden}, xr);
       if ((t + i) % 2 == 1) {
         r.mask = Tensor::RandomSparse({tokens, tokens}, 0.4, xr);

@@ -1274,6 +1274,8 @@ TEST(LivenessTest, WatchdogDetectsStallInReportModeWithoutPerturbingResults) {
 // Watchdog in abort mode is a fail-fast: a detected stall must bring the
 // process down with the diagnostic on stderr.
 TEST(LivenessTest, WatchdogAbortModeDiesOnStall) {
+  // Forks while the worker pool may be live: use the re-executing style.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Rng wr(501);
   PlannedTransformerStack stack(2, 32, 4, 96, wr);
   std::vector<ServeRequest> requests = PackableRequests(2, 8, 32, 502);
