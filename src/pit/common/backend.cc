@@ -22,15 +22,6 @@ IsaTier DefaultIsa() {
 
 std::atomic<int> g_isa{kUnresolved};
 
-PlanVerifyMode DefaultPlanVerifyMode() {
-  if (const char* env = std::getenv("PIT_VERIFY_PLAN")) {
-    return ParsePlanVerifyEnv(env);
-  }
-  return PlanVerifyMode::kAuto;
-}
-
-std::atomic<int> g_plan_verify{kUnresolved};
-
 }  // namespace
 
 ComputeBackend ActiveBackend() {
@@ -100,49 +91,5 @@ const char* IsaName(IsaTier tier) {
 }
 
 bool UseSimd() { return UseBlockedBackend() && ActiveIsa() != IsaTier::kScalar; }
-
-PlanVerifyMode ParsePlanVerifyEnv(const char* value) {
-  PIT_CHECK(value != nullptr && *value != '\0')
-      << "PIT_VERIFY_PLAN is set but empty; expected \"auto\", \"on\", or \"off\"";
-  if (std::strcmp(value, "on") == 0) {
-    return PlanVerifyMode::kOn;
-  }
-  if (std::strcmp(value, "off") == 0) {
-    return PlanVerifyMode::kOff;
-  }
-  PIT_CHECK(std::strcmp(value, "auto") == 0)
-      << "unrecognized PIT_VERIFY_PLAN=\"" << value
-      << "\"; expected \"auto\", \"on\", or \"off\"";
-  return PlanVerifyMode::kAuto;
-}
-
-PlanVerifyMode ActivePlanVerifyMode() {
-  int v = g_plan_verify.load(std::memory_order_relaxed);
-  if (v == kUnresolved) {
-    v = static_cast<int>(DefaultPlanVerifyMode());
-    g_plan_verify.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<PlanVerifyMode>(v);
-}
-
-void SetPlanVerifyMode(PlanVerifyMode mode) {
-  g_plan_verify.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-bool PlanVerifyEngaged() {
-  switch (ActivePlanVerifyMode()) {
-    case PlanVerifyMode::kOn:
-      return true;
-    case PlanVerifyMode::kOff:
-      return false;
-    case PlanVerifyMode::kAuto:
-#ifdef NDEBUG
-      return false;
-#else
-      return true;
-#endif
-  }
-  return false;
-}
 
 }  // namespace pit

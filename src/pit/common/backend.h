@@ -126,53 +126,6 @@ class ScopedIsa {
   IsaTier saved_;
 };
 
-// ---- Compiled-plan verification ---------------------------------------------
-//
-// Whether every ExecutionPlan compile (and every pooled-plan creation in the
-// ServingEngine) runs the independent static verifier
-// (graph/plan_verifier.h) and aborts on any invariant violation:
-//  - kAuto: engage in debug builds (!NDEBUG), skip in release — the default.
-//    Test/debug builds prove every plan they compile; release serving does
-//    not pay the verifier per compile.
-//  - kOn:   always verify (CI release legs, `pitctl verify`, investigations).
-//  - kOff:  never verify implicitly (explicit VerifyPlan calls still work).
-enum class PlanVerifyMode {
-  kAuto,  // debug builds verify, release builds skip (default)
-  kOn,    // verify every compile
-  kOff,   // implicit verification off
-};
-
-// The mode the compile hooks dispatch on. First call resolves
-// PIT_VERIFY_PLAN; defaults to kAuto.
-PlanVerifyMode ActivePlanVerifyMode();
-
-// Strict parser behind the PIT_VERIFY_PLAN resolution: exactly "auto", "on",
-// or "off". A typo'd mode must fail loudly (PIT_CHECK abort), not silently
-// run without the verification the operator believes is active.
-PlanVerifyMode ParsePlanVerifyEnv(const char* value);
-
-void SetPlanVerifyMode(PlanVerifyMode mode);
-
-// True when implicit (compile-hook) verification should run under the active
-// mode: kOn always, kAuto in debug builds only.
-bool PlanVerifyEngaged();
-
-// RAII mode override for tests that force verification on (the positive
-// sweep) or off (the corruption suite, which must mutate a compiled plan
-// without the compile hook re-checking it first).
-class ScopedPlanVerify {
- public:
-  explicit ScopedPlanVerify(PlanVerifyMode mode) : saved_(ActivePlanVerifyMode()) {
-    SetPlanVerifyMode(mode);
-  }
-  ~ScopedPlanVerify() { SetPlanVerifyMode(saved_); }
-  ScopedPlanVerify(const ScopedPlanVerify&) = delete;
-  ScopedPlanVerify& operator=(const ScopedPlanVerify&) = delete;
-
- private:
-  PlanVerifyMode saved_;
-};
-
 }  // namespace pit
 
 #endif  // PIT_COMMON_BACKEND_H_

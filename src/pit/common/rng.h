@@ -6,6 +6,7 @@
 #ifndef PIT_COMMON_RNG_H_
 #define PIT_COMMON_RNG_H_
 
+#include <cmath>
 #include <cstdint>
 
 namespace pit {
@@ -49,9 +50,10 @@ class Rng {
     return lo + static_cast<int64_t>(NextBelow(static_cast<uint64_t>(hi - lo + 1)));
   }
 
-  // Uniform float in [lo, hi).
+  // Uniform float in [lo, hi). One rounding (an explicit fma), so builds with
+  // and without hardware FMA draw the same bits.
   float NextFloat(float lo = 0.0f, float hi = 1.0f) {
-    return lo + static_cast<float>(NextDouble()) * (hi - lo);
+    return std::fma(static_cast<float>(NextDouble()), hi - lo, lo);
   }
 
   // Bernoulli draw with probability p of true.

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 
-#include "pit/common/backend.h"
 #include "pit/common/check.h"
 #include "pit/common/fault_injection.h"
 #include "pit/graph/plan_verifier.h"
@@ -499,15 +498,14 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const std::vector<MatmulDecisio
   // From here on the plan is immutable; all replay state lives in
   // caller-owned execution contexts.
 
-  // Independent static verification of the freshly compiled plan (debug/test
-  // builds by default; always under PIT_VERIFY_PLAN=on): the verifier
-  // re-derives every invariant replay rides on — in-bounds aligned blocks,
-  // live-interval integrity, binding coverage — from the compile products
-  // alone, and aborts with a structured report on any violation. A planner
-  // bug dies here, at compile, not as silently corrupted output.
-  if (PlanVerifyEngaged()) {
-    VerifyPlanOrDie(*this, "ExecutionPlan compile");
-  }
+  // Independent static verification of every freshly compiled plan: the
+  // verifier re-derives every invariant replay rides on — in-bounds aligned
+  // blocks, live-interval integrity, binding coverage — from the compile
+  // products alone, and aborts with a structured report on any violation. A
+  // plan compiles once and replays many times, so this costs one pass per
+  // compile. A planner bug dies here, at compile, not as silently corrupted
+  // output.
+  VerifyPlanOrDie(*this, "ExecutionPlan compile");
 }
 
 void ExecutionPlan::BindTokenRows(ExecutionContext& ctx) const {

@@ -596,8 +596,7 @@ PlanVerifyReport VerifyPlan(const ExecutionPlan& plan) { return Verifier(plan).R
 
 void VerifyPlanOrDie(const ExecutionPlan& plan, const char* what) {
   const PlanVerifyReport report = VerifyPlan(plan);
-  PIT_CHECK(report.ok()) << "PIT_VERIFY_PLAN: " << what
-                         << " failed plan verification\n" << report.ToString();
+  PIT_CHECK(report.ok()) << what << " failed plan verification\n" << report.ToString();
 }
 
 }  // namespace pit

@@ -21,11 +21,10 @@
 // free list. The only shared inputs are the compiled artifacts themselves
 // (steps, shapes, bindings) — the things being verified.
 //
-// The verifier runs in three ways:
-//   * automatically on every plan compile when PIT_VERIFY_PLAN engages
-//     (strict-parsed auto|on|off; "auto" engages in debug builds — see
-//     backend.h), aborting loudly on any violation,
-//   * on every stack stream the ServingEngine builds, under the same knob,
+// The verifier runs in two ways:
+//   * on every plan compile, in every build, aborting loudly on any
+//     violation (a plan compiles once and replays many times, so this is one
+//     pass per compiled plan, never one per replay),
 //   * on demand through VerifyPlan() (tests, `pitctl verify`).
 #ifndef PIT_GRAPH_PLAN_VERIFIER_H_
 #define PIT_GRAPH_PLAN_VERIFIER_H_
@@ -91,8 +90,7 @@ PlanVerifyReport VerifyPlan(const ExecutionPlan& plan);
 
 // VerifyPlan + loud PIT_CHECK abort on any violation, with the full report in
 // the failure message. `what` names the plan for the abort message (e.g. the
-// compile site). This is the hook ExecutionPlan's constructor and the
-// ServingEngine's stack-stream builds call when PlanVerifyEngaged().
+// compile site). ExecutionPlan's constructor calls it on every compile.
 void VerifyPlanOrDie(const ExecutionPlan& plan, const char* what);
 
 // Test-only mutation seam: hands the negative suite mutable references into a

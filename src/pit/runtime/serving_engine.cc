@@ -16,12 +16,10 @@
 #include <type_traits>
 #include <utility>
 
-#include "pit/common/backend.h"
 #include "pit/common/check.h"
 #include "pit/common/fault_injection.h"
 #include "pit/common/parallel_for.h"
 #include "pit/core/sread_swrite.h"
-#include "pit/graph/plan_verifier.h"
 #include "pit/gpusim/device.h"
 #include "pit/runtime/serving.h"
 #include "pit/workloads/seq_len.h"
@@ -57,27 +55,6 @@ bool AllFinite(const Tensor& t) {
     carry |= (bits & 0x7f800000u) + 0x00800000u;
   }
   return (carry & 0x80000000u) == 0;
-}
-
-// Stream-plan verification (PIT_VERIFY_PLAN): a serving stream replays its
-// stack stream's plans for the rest of the engine's lifetime (or until it
-// grows), so the invariants concurrent replay rides on are proven once when
-// it is built. The compile hook already verified freshly compiled plans;
-// this catches streams built from plans cached before the knob engaged.
-void VerifyStreamPlans(const PlannedTransformerStack::Stream& pooled) {
-  for (const TransformerEncoderLayer::Stream& layer : pooled.layers) {
-    if (layer.plan != nullptr) {
-      VerifyPlanOrDie(*layer.plan, "ServingEngine pooled transformer plan");
-    }
-  }
-}
-
-void VerifyStreamPlans(const PlannedFfnStack::Stream& pooled) {
-  for (const std::shared_ptr<ExecutionPlan>& plan : pooled.plans) {
-    if (plan != nullptr) {
-      VerifyPlanOrDie(*plan, "ServingEngine pooled FFN plan");
-    }
-  }
 }
 
 }  // namespace
@@ -401,11 +378,7 @@ bool ServingEngine::ReplayStack(StreamState& stream, int64_t rows) {
           return false;
         }
       }
-      auto built = make(capacity);
-      if (PlanVerifyEngaged()) {
-        VerifyStreamPlans(built);
-      }
-      pooled = std::move(built);
+      pooled = make(capacity);
     }
     acquired->SetCancelToken(&stream.cancel);
     forward(*acquired);

@@ -436,9 +436,8 @@ TEST(PlanExecutorTest, PlannedFfnStackWeightsPinnedByDigest) {
   // seed 7): a bitwise digest of its eager forward pins the weights the stack
   // draws from the seed (each layer draws up weight, up bias, down weight,
   // down bias). The AVX2 tier computes the same bits on every AVX2 host; the
-  // AVX-512 tier is bitwise equal to it. The weights themselves depend on the
-  // build: where the compiler may emit FMA it contracts Rng::NextFloat's
-  // lo + u * (hi - lo), which rounds differently.
+  // AVX-512 tier is bitwise equal to it. Rng::NextFloat rounds once (an
+  // explicit fma), so native and portable builds draw the same weights.
   if (DetectedIsa() == IsaTier::kScalar) {
     GTEST_SKIP() << "needs the AVX2 tier";
   }
@@ -452,11 +451,7 @@ TEST(PlanExecutorTest, PlannedFfnStackWeightsPinnedByDigest) {
   for (size_t i = 0; i < static_cast<size_t>(y.size()) * sizeof(float); ++i) {
     digest = (digest ^ bytes[i]) * 1099511628211ull;
   }
-#if defined(__FMA__)
   EXPECT_EQ(digest, 0x66f49626bc50c287ull);
-#else
-  EXPECT_EQ(digest, 0x5216684c11169ce9ull);
-#endif
 }
 
 TEST(PlanExecutorTest, PlannedFfnStackPitMatchesEagerPit) {

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "pit/common/backend.h"
 #include "pit/common/rng.h"
 #include "pit/graph/execution_plan.h"
 #include "pit/graph/graph.h"
@@ -275,11 +274,10 @@ TEST(PlanVerifierTest, RandomizedGraphsAllVerifyClean) {
   }
 }
 
-TEST(PlanVerifierTest, CompileHookAndPooledServingVerifyUnderForcedOn) {
-  // PIT_VERIFY_PLAN=on: every plan compile and every serving stream build
-  // runs VerifyPlanOrDie. Serving a healthy engine to completion proves the hooks
-  // fire on valid plans without killing the process.
-  ScopedPlanVerify on(PlanVerifyMode::kOn);
+TEST(PlanVerifierTest, HealthyEngineServesWithEveryPlanVerified) {
+  // Every plan compile runs VerifyPlanOrDie, including the ones behind each
+  // serving stream. Serving a healthy engine to completion proves the hook
+  // fires on valid plans without killing the process.
   Rng rng(813);
   PlannedFfnStack stack(2, 16, 64, rng);
   ServingEngineOptions options;
@@ -524,7 +522,7 @@ TEST(PlanVerifierCorruptionDeathTest, VerifyPlanOrDieAbortsWithReport) {
       break;
     }
   }
-  EXPECT_DEATH(VerifyPlanOrDie(plan, "corrupted test plan"), "PIT_VERIFY_PLAN");
+  EXPECT_DEATH(VerifyPlanOrDie(plan, "corrupted test plan"), "misaligned-offset");
 }
 
 }  // namespace

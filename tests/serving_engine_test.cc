@@ -343,9 +343,9 @@ TEST(ServingEngineTest, FfnStackServingMatchesEager) {
 }
 
 TEST(ServingEngineTest, PitServingMatchesSingleStreamPit) {
-  // PIT streams each own a compiler with resampling off, so kernel selection
-  // is a pure function of the input — outputs must be independent of the
-  // request-to-stream assignment.
+  // PIT streams each own a compiler with resampling off; each caches the
+  // kernel its first input selected per key. At this sparsity the outputs
+  // must still be independent of the request-to-stream assignment.
   Rng wr(9);
   PlannedFfnStack stack(2, 16, 64, wr);
   Rng rr(10);

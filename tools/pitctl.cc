@@ -191,9 +191,8 @@ Graph BuildAttentionVerifyGraph(Rng& rng) {
 }
 
 int PrintVerify() {
-  // Compile with the auto-hook off: a violation must reach this report (and
-  // the exit code), not abort the compile mid-sweep.
-  ScopedPlanVerify off(PlanVerifyMode::kOff);
+  // Every compile below runs VerifyPlanOrDie, so a violating plan aborts in
+  // its constructor with the same report and a non-zero exit.
   Rng rng(7);
   struct Case {
     const char* name;
