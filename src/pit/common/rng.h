@@ -51,9 +51,11 @@ class Rng {
   }
 
   // Uniform float in [lo, hi). One rounding (an explicit fma), so builds with
-  // and without hardware FMA draw the same bits.
+  // and without hardware FMA draw the same bits. A draw close to 1 can round
+  // up to exactly `hi`; it is returned as the largest float below `hi`.
   float NextFloat(float lo = 0.0f, float hi = 1.0f) {
-    return std::fma(static_cast<float>(NextDouble()), hi - lo, lo);
+    const float v = std::fma(static_cast<float>(NextDouble()), hi - lo, lo);
+    return v < hi ? v : std::nextafter(hi, lo);
   }
 
   // Bernoulli draw with probability p of true.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <mutex>
 
 #include "pit/common/check.h"
 #include "pit/tensor/ops.h"
@@ -52,43 +53,62 @@ PitDispatch PitCompiler::SparseMatmulInto(ConstTensorView a, ConstTensorView b, 
   PitDispatch dispatch;
   MaskPattern pattern(a);
   const CacheKey key = MakeKey(m, k, n, a.SparsityRatio());
-  ++exec_count_;
-  const bool resample = resample_every_ > 0 && exec_count_ % resample_every_ == 0;
+  const int64_t exec = exec_count_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const bool resample = resample_every_ > 0 && exec % resample_every_ == 0;
 
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
+  // The selected plan is copied out, so no lock outlives the lookup.
+  PitMatmulPlan best;
+  bool cached = false;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    const auto it = cache_.find(key);
+    if (it != cache_.end()) {
+      best = it->second.best;
+      cached = true;
+    }
+  }
+  if (!cached) {
+    // Algorithm 1 runs unlocked; the first result published for the key wins.
     SelectionResult selected = SelectKernel(model_, db_, {&pattern}, m, k, n);
-    it = cache_.emplace(key, std::move(selected)).first;
-    ++kernels_compiled_;
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    const auto [it, inserted] = cache_.try_emplace(key, std::move(selected));
+    if (inserted) {
+      kernels_compiled_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      dispatch.cache_hit = true;
+    }
+    best = it->second.best;
   } else if (resample) {
     // Periodic sample (Fig. 5): re-run Algorithm 1 on this input and replace
     // the cached kernel if the pattern has drifted to a different optimum.
     SelectionResult fresh = SelectKernel(model_, db_, {&pattern}, m, k, n);
-    if (fresh.best.rule.axis != it->second.best.rule.axis ||
-        !(fresh.best.rule.dense_tile == it->second.best.rule.dense_tile) ||
-        fresh.best.fallback_dense != it->second.best.fallback_dense) {
-      it->second = std::move(fresh);
-      ++reselections_;
+    if (fresh.best.rule.axis != best.rule.axis ||
+        !(fresh.best.rule.dense_tile == best.rule.dense_tile) ||
+        fresh.best.fallback_dense != best.fallback_dense) {
+      best = fresh.best;
+      std::unique_lock<std::shared_mutex> lock(mu_);
+      cache_[key] = std::move(fresh);
+      reselections_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      ++cache_hits_;
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       dispatch.cache_hit = true;
     }
   } else {
-    ++cache_hits_;
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
     dispatch.cache_hit = true;
   }
-  const SelectionResult& sel = it->second;
-  dispatch.plan = sel.best;
+  dispatch.plan = best;
   // Re-price for this exact tensor's sparsity (the cached rule is reused; the
   // cost always reflects the current input).
-  if (!sel.best.fallback_dense) {
-    dispatch.plan = PlanSparseMatmul(model_, sel.best.rule, m, k, n, pattern);
+  if (!best.fallback_dense) {
+    dispatch.plan = PlanSparseMatmul(model_, best.rule, m, k, n, pattern);
   }
 
-  if (sel.best.fallback_dense) {
+  if (best.fallback_dense) {
     MatMulInto(a, b, out);
-  } else if (sel.best.rule.axis == MatmulAxis::kK) {
-    PitKGatherMatmulInto(a, b, sel.best.rule.dense_tile.m, out);
+  } else if (best.rule.axis == MatmulAxis::kK) {
+    PitKGatherMatmulInto(a, b, best.rule.dense_tile.m, out);
   } else {
     PitRowGatherMatmulInto(a, b, out);
   }

@@ -6,11 +6,21 @@
 // re-uses) a kernel via Algorithm 1, and executes the corresponding
 // functional path. The cache is the only kernel cache: eager calls and the
 // planned executor's PIT steps look their kernel up in the same map.
+//
+// One compiler serves any number of threads: SparseMatmulInto may run
+// concurrently (the serving engine shares one compiler across all its
+// streams). A hit copies the cached rule out under a shared lock; a miss runs
+// Algorithm 1 under no lock and publishes under the exclusive lock, where the
+// first result for a key wins — a concurrent miss that loses the race runs
+// the published kernel and its own result is dropped, so every caller runs
+// one kernel per key from then on. No lock is held across the GEMM.
 #ifndef PIT_CORE_COMPILER_H_
 #define PIT_CORE_COMPILER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <shared_mutex>
 #include <tuple>
 
 #include "pit/core/kernel_selection.h"
@@ -45,7 +55,7 @@ class PitCompiler {
   // View form behind SparseMatmul and the planned executor's PIT steps:
   // writes C into `out` (typically an arena slice). Every call, eager or
   // planned, selects through the one JIT cache map (shared counters,
-  // periodic resampling included).
+  // periodic resampling included). Safe to call concurrently.
   PitDispatch SparseMatmulInto(ConstTensorView a, ConstTensorView b, TensorView out);
 
   // Pure planning entry for analytic patterns (benchmarks).
@@ -58,12 +68,14 @@ class PitCompiler {
   // Fig. 5's "sparse tensor samples, periodically": every `every` executions
   // the compiler re-runs Algorithm 1 on the current input even on a cache
   // hit, so a drifting pattern (e.g. granularity change at the same sparsity
-  // ratio) migrates to a better kernel. 0 disables re-sampling.
+  // ratio) migrates to a better kernel; the replacement happens under the
+  // exclusive lock. 0 disables re-sampling. Configure before concurrent use.
   void EnablePeriodicResample(int64_t every) { resample_every_ = every; }
-  int64_t reselections() const { return reselections_; }
+  int64_t reselections() const { return reselections_.load(std::memory_order_relaxed); }
 
-  int64_t kernels_compiled() const { return kernels_compiled_; }
-  int64_t cache_hits() const { return cache_hits_; }
+  // Kernels published into the cache: one per distinct key.
+  int64_t kernels_compiled() const { return kernels_compiled_.load(std::memory_order_relaxed); }
+  int64_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
 
  private:
   // Sparsity signature: (row-count bucket, k, n, sparsity bucket), the
@@ -74,14 +86,16 @@ class PitCompiler {
   using CacheKey = std::tuple<int64_t, int64_t, int64_t, int>;
   CacheKey MakeKey(int64_t m, int64_t k, int64_t n, double sparsity) const;
 
-  CostModel model_;
-  TileDatabase db_;
+  // Immutable after construction: read by every caller without a lock.
+  const CostModel model_;
+  const TileDatabase db_;
+  std::shared_mutex mu_;  // guards cache_
   std::map<CacheKey, SelectionResult> cache_;
-  int64_t kernels_compiled_ = 0;
-  int64_t cache_hits_ = 0;
+  std::atomic<int64_t> kernels_compiled_{0};
+  std::atomic<int64_t> cache_hits_{0};
   int64_t resample_every_ = 0;
-  int64_t exec_count_ = 0;
-  int64_t reselections_ = 0;
+  std::atomic<int64_t> exec_count_{0};
+  std::atomic<int64_t> reselections_{0};
 };
 
 }  // namespace pit

@@ -3,9 +3,11 @@
 // Iterates over every dense computation tile in the tile database and every
 // PIT-axis of the operator, derives the micro-tile, counts covering
 // micro-tiles with CoverAlgo over the sparsity samples, and estimates cost as
-// num_tiles * tile_cost. Falls back to dense execution when no sparse plan
-// beats the best dense kernel (low sparsity). The search itself is priced so
-// the §5.5 claim (30–100 us online search) can be checked.
+// num_tiles * tile_cost. Candidates share micro-tiles, so each sample's
+// coverage is computed once per distinct micro-tile shape. Falls back to
+// dense execution when no sparse plan beats the best dense kernel (low
+// sparsity). The search itself is priced so the §5.5 claim (30–100 us online
+// search) can be checked.
 #ifndef PIT_CORE_KERNEL_SELECTION_H_
 #define PIT_CORE_KERNEL_SELECTION_H_
 

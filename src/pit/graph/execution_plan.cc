@@ -573,14 +573,9 @@ void ExecutionPlan::Dispatch(int step_index, ExecutionContext& ctx, PitCompiler*
       if (call.use_pit) {
         PIT_CHECK(compiler != nullptr) << "PIT decision requires a compiler";
         compiler->SparseMatmulInto(in(0), in(1), out);
-        // Bias applied after the sparse kernel, in the same element order as
-        // the eager sparse Linear path.
-        const ConstTensorView bias = in(2);
-        for (int64_t i = 0; i < out.dim(0); ++i) {
-          for (int64_t j = 0; j < out.dim(1); ++j) {
-            out.At(i, j) += bias[j];
-          }
-        }
+        // Bias applied after the sparse kernel, as on the eager sparse
+        // Linear path.
+        AddBiasRowsInto(in(2), out);
       } else if (call.fuse_relu) {
         MatMulBiasReluInto(in(0), in(1), in(2), out);
       } else {

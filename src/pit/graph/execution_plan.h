@@ -229,9 +229,9 @@ class ExecutionPlan {
   // step's output right after the step runs. The plan itself is immutable
   // during replay, so concurrent RunWith calls over *distinct* contexts are
   // safe from any number of threads and bitwise identical to single-stream
-  // replay. Two caveats: a single context must not be run concurrently with
-  // itself, and PIT steps drive the passed PitCompiler, which is not
-  // thread-safe — concurrent PIT streams need one compiler per stream.
+  // replay. A single context must not be run concurrently with itself. PIT
+  // steps drive the passed PitCompiler, which is thread-safe: concurrent
+  // PIT streams may share one compiler, and then run one kernel per key.
   ConstTensorView RunWith(ExecutionContext& ctx, const std::map<std::string, Tensor>& feeds,
                           PitCompiler* compiler = nullptr,
                           const StepObserver* observer = nullptr) const;

@@ -28,11 +28,7 @@ Tensor Linear::Forward(const Tensor& x) const { return MatMulBias(x, weight_, bi
 
 Tensor Linear::ForwardSparse(const Tensor& x, PitCompiler& compiler) const {
   Tensor y = compiler.SparseMatmul(x, weight_).output;
-  for (int64_t i = 0; i < y.dim(0); ++i) {
-    for (int64_t j = 0; j < y.dim(1); ++j) {
-      y.At(i, j) += bias_[j];
-    }
-  }
+  AddBiasRowsInto(bias_, y);
   return y;
 }
 

@@ -195,7 +195,7 @@ class TransformerEncoderLayer {
   // Builds a stream for (tokens, masked?), compiling and caching the shared
   // plan if needed (the only part that takes the plan cache's lock). `pit`
   // compiles the plan with this layer's PIT-pass decisions; its replay then
-  // needs a compiler, one per concurrent stream.
+  // needs a compiler, which concurrent streams may share.
   Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
   // Lock-free forward over a stream's private context: safe to call
   // concurrently with any other stream's ForwardWith on this layer, bitwise

@@ -167,8 +167,8 @@ class PlannedFfnStack {
   };
   // Builds a stream for `tokens`, compiling/caching the shared plans if
   // needed (locks each layer's plan cache once). `pit` plans the layers
-  // with their PIT-pass decisions; replay then needs one compiler per
-  // concurrent stream.
+  // with their PIT-pass decisions; replay then needs a compiler, which any
+  // number of concurrent streams may share.
   Stream MakeStream(int64_t tokens, bool pit = false) const;
   // Lock-free forward over a stream's private contexts: safe concurrently
   // with other streams' ForwardWith, bitwise identical to Forward. Replays
@@ -259,8 +259,8 @@ class PlannedTransformerStack {
   };
   // Builds a stream for (tokens, masked?), compiling/caching the layers'
   // shared plans if needed (locks each layer's plan cache once). `pit` plans
-  // the blocks with their PIT decisions; replay then needs one compiler per
-  // concurrent stream.
+  // the blocks with their PIT decisions; replay then needs a compiler, which
+  // any number of concurrent streams may share.
   Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
   // Lock-free forward over a stream's private contexts: safe concurrently
   // with other streams' ForwardWith, bitwise identical to Forward. The final

@@ -98,9 +98,8 @@ std::string ServingEngineStats::ToString() const {
 
 // One request stream: one stack stream (shared capacity plans + private
 // contexts), built on first use and reused across requests and Serve calls,
-// plus the stream's private PitCompiler and the staging every forward packs
-// into (a 1:1 request is a span of one). Nothing in here is ever touched by
-// another stream.
+// plus the staging every forward packs into (a 1:1 request is a span of
+// one). Nothing in here is ever touched by another stream.
 struct ServingEngine::StreamState {
   struct BucketCounters {
     int64_t batches = 0;
@@ -115,7 +114,6 @@ struct ServingEngine::StreamState {
   // empty), compiled at the stream's capacity; tokens == 0 until built.
   PlannedTransformerStack::Stream transformer;
   PlannedFfnStack::Stream ffn;
-  std::unique_ptr<PitCompiler> compiler;
   // Packed tile at capacity: requests gather into x's first rows and the
   // plans replay into out's.
   Tensor x;
@@ -194,13 +192,12 @@ void ServingEngine::Init(const ServingEngineOptions& options) {
   queue_capacity_ = options.queue_capacity;  // 0: unbounded admission queue
   watchdog_us_ = options.watchdog_us;        // 0: no watchdog thread
   watchdog_mode_ = options.watchdog_mode;
+  if (use_pit_) {
+    compiler_ = std::make_unique<PitCompiler>(V100());
+  }
   streams_.reserve(static_cast<size_t>(num_streams_));
   for (int s = 0; s < num_streams_; ++s) {
-    auto state = std::make_unique<StreamState>();
-    if (use_pit_) {
-      state->compiler = std::make_unique<PitCompiler>(V100());
-    }
-    streams_.push_back(std::move(state));
+    streams_.push_back(std::make_unique<StreamState>());
   }
   stats_.num_streams = num_streams_;
   stats_.batch_window = batch_window_;
@@ -343,7 +340,7 @@ ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
 }
 
 bool ServingEngine::ReplayStack(StreamState& stream, int64_t rows) {
-  PitCompiler* compiler = stream.compiler.get();
+  PitCompiler* compiler = compiler_.get();
   // One ladder for both stacks: the stack stream, its builder and the replay
   // call are the only stack-specific parts.
   const auto replay = [&](auto& pooled, auto make, auto forward) {

@@ -30,11 +30,11 @@
 // rather than sum(t)^2), and SWrite-scattering per-request outputs back.
 // PIT's kernel cache selects once per power-of-two row-count bucket and runs
 // the chosen kernel at the exact sum, so the distinct sums of one bucket share
-// one selection (PitCompiler). The batched result is bitwise identical per
-// request to 1:1 single-stream replay for dense serving:
-// every other kernel in the stack is row-independent (GEMM rows, layernorm,
-// residuals) and each segment runs exactly the attention calls of its
-// request served alone, so a request's rows cannot observe its batch
+// one selection (the engine's shared PitCompiler). The batched result is
+// bitwise identical per request to 1:1 single-stream replay for dense
+// serving: every other kernel in the stack is row-independent (GEMM rows,
+// layernorm, residuals) and each segment runs exactly the attention calls of
+// its request served alone, so a request's rows cannot observe its batch
 // neighbours. A masked 1:1 request is one segment carrying its mask.
 //
 // Scheduling: one worker per stream on the task-capable ParallelFor pool
@@ -184,14 +184,14 @@ struct ServeOutcome {
 struct ServingEngineOptions {
   // > 0: explicit stream count. 0: NumThreads().
   int num_streams = 0;
-  // Route the stacks' sparse matmuls through PIT. Each stream owns a private
-  // PitCompiler (the compiler's JIT cache is not thread-safe) with periodic
-  // resampling left disabled. Kernel selection is not a pure function of the
-  // input: each stream's compiler keeps the kernel it selected for the first
-  // input that reached a (row bucket, k, n, sparsity bucket) key, so a
-  // stream's selections depend on what it served before. The tests check the
-  // outputs instead: PIT results match across stream counts at the tested
-  // sparsities.
+  // Route the stacks' sparse matmuls through PIT. The engine owns one
+  // PitCompiler, shared by every stream, with periodic resampling left
+  // disabled: Algorithm 1 runs once per (row bucket, k, n, sparsity bucket)
+  // key over the engine's lifetime, whatever the stream count, and every
+  // stream runs the kernel published for a key. That kernel is the one
+  // selected for the first input to reach the key, so which input that was
+  // can depend on claim timing; the tests check that PIT outputs match
+  // across stream counts at the tested sparsities.
   bool use_pit = false;
   // Continuous ragged-batching admission policy. batch_window is the width
   // of the window-aligned strides the admitted queue is cut into; a packed
@@ -334,10 +334,11 @@ class ServingEngine {
   // engine and the stack's eager oracle) for any (streams x threads x
   // batching) combination, and independent of which batchmates
   // were rejected, shed or timed out around them (PR 6 contract). PIT
-  // kernel selection is cached per stream by the first input to reach each
-  // key (see use_pit) and sees the packed tile's sparsity; the tests check
-  // that batched PIT results match batched single-stream PIT replay at the
-  // tested sparsities, not the 1:1 PIT engine.
+  // kernel selection is cached once per key in the engine's shared compiler
+  // by the first input to reach it (see use_pit) and sees the packed tile's
+  // sparsity; the tests check that batched PIT results match batched
+  // single-stream PIT replay at the tested sparsities, not the 1:1 PIT
+  // engine.
   std::vector<ServeOutcome> ServeWithStatus(const std::vector<ServeRequest>& requests);
 
   // Legacy strict wrapper: serves via ServeWithStatus and requires every
@@ -364,13 +365,18 @@ class ServingEngine {
   int queue_capacity() const { return queue_capacity_; }
   int64_t watchdog_us() const { return watchdog_us_; }
   WatchdogMode watchdog_mode() const { return watchdog_mode_; }
+  // Lifetime count of PIT kernel selections the engine's compiler published:
+  // one per distinct key, for any stream count (0 without use_pit).
+  int64_t kernel_selections() const {
+    return compiler_ != nullptr ? compiler_->kernels_compiled() : 0;
+  }
   const ServingEngineStats& stats() const { return stats_; }
 
  private:
   struct StreamState;
 
   // Shared constructor body: option validation (misuse is fail-fast),
-  // stream-state allocation, per-stream compilers, stats init (the two
+  // stream-state allocation, the shared compiler, stats init (the two
   // public constructors differ only in which stack pointer they set).
   void Init(const ServingEngineOptions& options);
   // Admission validation — the data-dependent half of the error domain:
@@ -453,6 +459,9 @@ class ServingEngine {
   int queue_capacity_ = 0;   // admission bound; 0 = unbounded
   int64_t watchdog_us_ = 0;  // stall threshold; 0 = no watchdog thread
   WatchdogMode watchdog_mode_ = WatchdogMode::kReport;
+  // The one PIT compiler every stream's replays select through (use_pit
+  // only). Thread-safe; its cache outlives Serve calls.
+  std::unique_ptr<PitCompiler> compiler_;
   std::vector<std::unique_ptr<StreamState>> streams_;
   // The current Serve call's spans in claim order. Reused across calls, so
   // steady-state dispatch allocates nothing; written by Serve (single

@@ -207,6 +207,28 @@ void AddInto(ConstTensorView a, ConstTensorView b, TensorView c) {
   });
 }
 
+void AddBiasRowsInto(ConstTensorView bias, TensorView c) {
+  PIT_CHECK_EQ(c.rank(), 2);
+  PIT_CHECK_EQ(bias.size(), c.dim(1));
+  const int64_t rows = c.dim(0), cols = c.dim(1);
+  const float* pb = bias.data();
+  float* pc = c.data();
+  const simd::RowKernels* rk = ActiveRowKernels();
+  const int64_t grain = std::max<int64_t>(1, kElemGrain / std::max<int64_t>(cols, 1));
+  ParallelFor(rows, GrainOrSerial(rows, grain), [&](int64_t r0, int64_t r1) {
+    for (int64_t i = r0; i < r1; ++i) {
+      float* row = pc + i * cols;
+      if (rk != nullptr) {
+        rk->add(row, pb, row, cols);
+        continue;
+      }
+      for (int64_t j = 0; j < cols; ++j) {
+        row[j] = row[j] + pb[j];
+      }
+    }
+  });
+}
+
 Tensor Add(const Tensor& a, const Tensor& b) {
   PIT_CHECK(a.shape() == b.shape());
   Tensor c(a.shape());

@@ -70,6 +70,10 @@ void MatMulBiasReluInto(ConstTensorView a, ConstTensorView b, ConstTensorView bi
 void BatchMatMulInto(ConstTensorView a, ConstTensorView b, TensorView c);
 // Element-wise kernels; `c` may alias any input (read-then-write per element).
 void AddInto(ConstTensorView a, ConstTensorView b, TensorView c);
+// c[i, :] += bias for every row of the rank-2 `c`: one IEEE add per element
+// (the row add kernel). The bias epilogue of a PIT matmul, whose sparse
+// kernels carry no fused bias.
+void AddBiasRowsInto(ConstTensorView bias, TensorView c);
 void ReluInto(ConstTensorView a, TensorView c);
 void ApplyMaskInto(ConstTensorView a, ConstTensorView mask, TensorView c);
 void ScaleInto(ConstTensorView a, float factor, TensorView c);

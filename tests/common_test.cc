@@ -100,6 +100,17 @@ TEST(RngTest, FloatRangeRespected) {
   }
 }
 
+TEST(RngTest, NextFloatNeverReturnsHi) {
+  // fma(u, 3, 2) rounds up to exactly 5 for u close enough to 1; seed 1
+  // draws such a u at draw 395951.
+  Rng rng(1);
+  for (int i = 0; i < 400000; ++i) {
+    const float v = rng.NextFloat(2.0f, 5.0f);
+    ASSERT_GE(v, 2.0f) << "draw " << i;
+    ASSERT_LT(v, 5.0f) << "draw " << i;
+  }
+}
+
 TEST(RngTest, NextFloatIsOneRoundedFma) {
   // The draw is fma(u, hi - lo, lo) rounded once, whether or not the build
   // may contract lo + u * (hi - lo) itself: seeded weights and inputs are the

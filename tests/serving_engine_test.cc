@@ -343,9 +343,10 @@ TEST(ServingEngineTest, FfnStackServingMatchesEager) {
 }
 
 TEST(ServingEngineTest, PitServingMatchesSingleStreamPit) {
-  // PIT streams each own a compiler with resampling off; each caches the
-  // kernel its first input selected per key. At this sparsity the outputs
-  // must still be independent of the request-to-stream assignment.
+  // All streams share the engine's one compiler, resampling off: a key's
+  // kernel is the one its first input selected, whichever stream that was.
+  // At this sparsity the outputs must still be independent of the
+  // request-to-stream assignment.
   Rng wr(9);
   PlannedFfnStack stack(2, 16, 64, wr);
   Rng rr(10);
@@ -367,6 +368,62 @@ TEST(ServingEngineTest, PitServingMatchesSingleStreamPit) {
   std::vector<Tensor> outputs = engine.Serve(requests);
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
+  }
+}
+
+TEST(ServingEngineTest, PitEngineSelectsEachKeyOncePerDeployment) {
+  // One compiler for the whole engine: 1, 2 and 4 streams over one stack run
+  // Algorithm 1 exactly once per distinct (row bucket, k, n, sparsity bucket)
+  // key — as many selections as a serial compiler makes over the same
+  // forwards — a repeated Serve selects nothing, and every stream count
+  // returns the same bits.
+  Rng wr(12);
+  PlannedFfnStack stack(2, 16, 64, wr);
+  Rng rr(13);
+  std::vector<ServeRequest> requests;
+  for (int64_t tokens : {5, 12, 20, 40, 70, 9, 33, 64, 17, 100, 3, 50}) {
+    ServeRequest req;
+    req.x = Tensor::Random({tokens, 16}, rr);
+    requests.push_back(std::move(req));
+  }
+  PitCompiler serial(V100());
+  for (const ServeRequest& req : requests) {
+    stack.ForwardPit(req.x, serial);
+  }
+  const int64_t distinct_keys = serial.kernels_compiled();
+  ASSERT_GE(distinct_keys, 4);  // at least one key per row bucket: 16, 32, 64, 128
+
+  ScopedNumThreads threads(4);
+  for (int window : {1, 4}) {
+    std::vector<Tensor> expected;
+    int64_t selections = -1;
+    for (int streams : {1, 2, 4}) {
+      ServingEngineOptions options;
+      options.use_pit = true;
+      options.num_streams = streams;
+      options.batch_window = window;
+      ServingEngine engine(stack, options);
+      EXPECT_EQ(engine.kernel_selections(), 0);
+      const std::vector<Tensor> outputs = engine.Serve(requests);
+      if (window == 1) {
+        EXPECT_EQ(engine.kernel_selections(), distinct_keys) << streams << " streams";
+      }
+      if (selections < 0) {
+        selections = engine.kernel_selections();
+        expected = outputs;
+      }
+      EXPECT_EQ(engine.kernel_selections(), selections)
+          << streams << " streams, window " << window;
+      const std::vector<Tensor> again = engine.Serve(requests);
+      EXPECT_EQ(engine.kernel_selections(), selections)
+          << "repeat, " << streams << " streams, window " << window;
+      for (size_t i = 0; i < requests.size(); ++i) {
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
+            << "request " << i << ", " << streams << " streams, window " << window;
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(again[i], expected[i]))
+            << "repeat, request " << i << ", " << streams << " streams, window " << window;
+      }
+    }
   }
 }
 
