@@ -68,12 +68,22 @@ PitDispatch PitCompiler::SparseMatmulInto(ConstTensorView a, ConstTensorView b, 
     }
   }
   if (!cached) {
-    // Algorithm 1 runs unlocked; the first result published for the key wins.
-    SelectionResult selected = SelectKernel(model_, db_, {&pattern}, m, k, n);
     std::unique_lock<std::shared_mutex> lock(mu_);
-    const auto [it, inserted] = cache_.try_emplace(key, std::move(selected));
-    if (inserted) {
+    // The first misser of a key marks it in flight and runs Algorithm 1
+    // unlocked; later missers wait for its result and count a hit. Only
+    // waiters block here: the selector's own nested loops drain their chunks
+    // on the selector's thread, so it always finishes.
+    selected_.wait(lock, [&] { return in_flight_.count(key) == 0; });
+    auto it = cache_.find(key);
+    if (it == cache_.end()) {
+      in_flight_.insert(key);
+      lock.unlock();
+      SelectionResult selected = SelectKernel(model_, db_, {&pattern}, m, k, n);
       kernels_compiled_.fetch_add(1, std::memory_order_relaxed);
+      lock.lock();
+      it = cache_.emplace(key, std::move(selected)).first;
+      in_flight_.erase(key);
+      selected_.notify_all();
     } else {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       dispatch.cache_hit = true;

@@ -9,17 +9,19 @@
 //
 // One compiler serves any number of threads: SparseMatmulInto may run
 // concurrently (the serving engine shares one compiler across all its
-// streams). A hit copies the cached rule out under a shared lock; a miss runs
-// Algorithm 1 under no lock and publishes under the exclusive lock, where the
-// first result for a key wins — a concurrent miss that loses the race runs
-// the published kernel and its own result is dropped, so every caller runs
-// one kernel per key from then on. No lock is held across the GEMM.
+// streams). A hit copies the cached rule out under a shared lock. The first
+// miss of a key marks it in flight and runs Algorithm 1 under no lock, then
+// publishes under the exclusive lock; concurrent misses of the same key wait
+// for that result and count a hit, so Algorithm 1 runs once per key and
+// every caller runs one kernel per key. No lock is held across the GEMM.
 #ifndef PIT_CORE_COMPILER_H_
 #define PIT_CORE_COMPILER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <shared_mutex>
 #include <tuple>
 
@@ -73,7 +75,8 @@ class PitCompiler {
   void EnablePeriodicResample(int64_t every) { resample_every_ = every; }
   int64_t reselections() const { return reselections_.load(std::memory_order_relaxed); }
 
-  // Kernels published into the cache: one per distinct key.
+  // Algorithm 1 runs on a cache miss, each publishing one kernel: one per
+  // distinct key, however many callers miss it at once.
   int64_t kernels_compiled() const { return kernels_compiled_.load(std::memory_order_relaxed); }
   int64_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
 
@@ -89,8 +92,10 @@ class PitCompiler {
   // Immutable after construction: read by every caller without a lock.
   const CostModel model_;
   const TileDatabase db_;
-  std::shared_mutex mu_;  // guards cache_
+  std::shared_mutex mu_;  // guards cache_ and in_flight_
   std::map<CacheKey, SelectionResult> cache_;
+  std::set<CacheKey> in_flight_;           // keys whose selection is running
+  std::condition_variable_any selected_;  // signalled when one is published
   std::atomic<int64_t> kernels_compiled_{0};
   std::atomic<int64_t> cache_hits_{0};
   int64_t resample_every_ = 0;

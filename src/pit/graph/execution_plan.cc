@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <utility>
 
 #include "pit/common/check.h"
 #include "pit/common/fault_injection.h"
@@ -271,13 +273,22 @@ bool ElementwiseInPlaceOk(OpKind kind) {
 
 // ---- ExecutionContext -------------------------------------------------------
 
-ExecutionContext::ExecutionContext(const ExecutionPlan& plan) : plan_(&plan) {
-  // Arena storage with headroom so the working base can be rounded up to a
-  // 64-byte boundary (block offsets are already 64-byte multiples).
-  arena_storage_.assign(static_cast<size_t>(plan.arena_elems_ + kAlignElems), 0.0f);
-  const uintptr_t raw = reinterpret_cast<uintptr_t>(arena_storage_.data());
-  arena_ = reinterpret_cast<float*>((raw + 63) & ~static_cast<uintptr_t>(63));
-  arena_bytes_ = plan.stats_.arena_bytes;
+ArenaBuffer::ArenaBuffer(int64_t elems) : elems_(elems) {
+  PIT_CHECK_GE(elems, 0);
+  // Headroom so the working base can be rounded up to a 64-byte boundary
+  // (block offsets are already 64-byte multiples).
+  storage_.assign(static_cast<size_t>(elems + kAlignElems), 0.0f);
+  const uintptr_t raw = reinterpret_cast<uintptr_t>(storage_.data());
+  base_ = reinterpret_cast<float*>((raw + 63) & ~static_cast<uintptr_t>(63));
+}
+
+ExecutionContext::ExecutionContext(const ExecutionPlan& plan, std::shared_ptr<ArenaBuffer> arena)
+    : plan_(&plan),
+      arena_(arena != nullptr ? std::move(arena)
+                              : std::make_shared<ArenaBuffer>(plan.arena_elems_)) {
+  PIT_CHECK(arena_->elems() >= plan.arena_elems_)
+      << "arena of " << arena_->elems() << " floats cannot hold a plan that needs "
+      << plan.arena_elems_;
   bound_ = plan.compile_bound_;
   shapes_ = plan.shapes_;
   shaped_rows_ = plan.token_extent_;
@@ -529,7 +540,7 @@ void ExecutionPlan::BindTokenRows(ExecutionContext& ctx) const {
 const float* ExecutionPlan::ResolveConst(const ValueRef& ref, const ExecutionContext& ctx) const {
   switch (ref.loc) {
     case ValueLoc::kArena:
-      return ctx.arena_ + ref.offset;
+      return ctx.arena_->base() + ref.offset;
     case ValueLoc::kFeed:
     case ValueLoc::kWeight:
       return ctx.bound_[static_cast<size_t>(ref.node_id)];
@@ -539,7 +550,7 @@ const float* ExecutionPlan::ResolveConst(const ValueRef& ref, const ExecutionCon
 
 float* ExecutionPlan::ResolveArena(const ValueRef& ref, ExecutionContext& ctx) const {
   PIT_CHECK(ref.loc == ValueLoc::kArena);
-  return ctx.arena_ + ref.offset;
+  return ctx.arena_->base() + ref.offset;
 }
 
 void ExecutionPlan::Dispatch(int step_index, ExecutionContext& ctx, PitCompiler* compiler) const {
@@ -669,6 +680,15 @@ ConstTensorView ExecutionPlan::RunImpl(ExecutionContext& ctx, const FeedMap& fee
                                        PitCompiler* compiler,
                                        const StepObserver* observer) const {
   PIT_CHECK(ctx.plan_ == this) << "execution context belongs to a different plan";
+  // Contexts over one shared arena take turns: held for the whole replay.
+  ArenaBuffer& arena = *ctx.arena_;
+  PIT_CHECK(!arena.replaying_.exchange(true, std::memory_order_acquire))
+      << "another replay is running in this context's arena; contexts that share an arena "
+         "must replay one at a time";
+  struct Release {
+    ArenaBuffer& arena;
+    ~Release() { arena.replaying_.store(false, std::memory_order_release); }
+  } release{arena};
   ctx.replay_status_ = ReplayStatus::kOk;
   BindTokenRows(ctx);
   const auto result = [&] {

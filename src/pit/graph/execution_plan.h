@@ -23,7 +23,9 @@
 // caller-owned ExecutionContext, and RunWith is the one replay entry. One
 // plan therefore replays concurrently from N request streams, each stream
 // holding its own context; a one-shot caller replays through a context of
-// its own for the call.
+// its own for the call. Several contexts may replay in one ArenaBuffer they
+// co-own (a stack stream's layers, which replay one after another); those
+// contexts take turns, and RunWith checks that no two overlap.
 //
 // Token-row replay. The token axis is a PIT-axis of every row-wise op
 // (§3.2): GEMM rows, layernorm, residuals, ReLU and the fused epilogues each
@@ -49,9 +51,11 @@
 #ifndef PIT_GRAPH_EXECUTION_PLAN_H_
 #define PIT_GRAPH_EXECUTION_PLAN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -123,26 +127,60 @@ enum class ReplayStatus : uint8_t {
   kCancelled = 1,
 };
 
+// One 64-byte-aligned arena buffer, co-owned by the contexts that replay in
+// it. A buffer shared by several contexts serves plans that run one after
+// another (a stack stream's layers): it is sized to the largest of them, and
+// their replays must not overlap — RunWith claims the buffer's replay flag
+// for the whole replay and PIT_CHECKs that no other replay holds it.
+class ArenaBuffer {
+ public:
+  explicit ArenaBuffer(int64_t elems);
+
+  ArenaBuffer(const ArenaBuffer&) = delete;
+  ArenaBuffer& operator=(const ArenaBuffer&) = delete;
+
+  float* base() const { return base_; }
+  int64_t elems() const { return elems_; }
+  int64_t bytes() const { return elems_ * static_cast<int64_t>(sizeof(float)); }
+
+ private:
+  friend class ExecutionPlan;
+
+  // Storage with headroom so the base can be rounded up to a 64-byte
+  // boundary (the vector's own allocation is only 16-byte aligned).
+  std::vector<float> storage_;
+  float* base_ = nullptr;
+  int64_t elems_ = 0;
+  std::atomic<bool> replaying_{false};  // set for the length of one RunWith
+};
+
 // Per-stream execution state over one shared, immutable ExecutionPlan: the
-// 64-byte-aligned arena and the per-replay binding tables. Contexts are
-// independent — two streams replaying the same plan through distinct
-// contexts share zero mutable state — and reusable: a context pooled across
-// requests keeps its arena.
+// arena it replays in and the per-replay binding tables. Contexts over
+// distinct arenas are independent — two streams replaying the same plan
+// through them share zero mutable state — and every context is reusable: a
+// context pooled across requests keeps its arena. Contexts over one shared
+// arena share its bytes, so they replay one at a time (RunWith checks).
 // A context is bound to the plan it was created from; using it with another
 // plan is a checked error.
 class ExecutionContext {
  public:
-  explicit ExecutionContext(const ExecutionPlan& plan);
+  // Replays in `arena`, which must hold at least the plan's arena elements;
+  // null allocates an arena of the plan's size for this context alone. The
+  // context co-owns the buffer, so moving its owner keeps every pointer
+  // valid.
+  explicit ExecutionContext(const ExecutionPlan& plan,
+                            std::shared_ptr<ArenaBuffer> arena = nullptr);
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   // 64-byte-aligned base of this context's arena (same alignment contract as
   // the plan's block offsets).
-  const float* arena_base() const { return arena_; }
-  // Bytes this context's arena pins (the plan's arena_bytes stat) — the unit
-  // the serving engine's pool high-water accounting sums.
-  int64_t arena_bytes() const { return arena_bytes_; }
+  const float* arena_base() const { return arena_->base(); }
+  // Bytes of the arena buffer this context replays in: the plan's
+  // arena_bytes stat for a private arena, the buffer's size for a shared one
+  // (count a shared buffer once, not once per context).
+  int64_t arena_bytes() const { return arena_->bytes(); }
 
   // Installs (or clears, with nullptr) the cancel token replay polls at step
   // boundaries through this context.
@@ -181,11 +219,7 @@ class ExecutionContext {
   friend class ExecutionPlan;
 
   const ExecutionPlan* plan_ = nullptr;  // identity check only, never deref'd for state
-  // Arena storage plus its 64-byte-aligned base pointer (the vector's own
-  // allocation is only 16-byte aligned; the base is rounded up inside it).
-  std::vector<float> arena_storage_;
-  float* arena_ = nullptr;
-  int64_t arena_bytes_ = 0;
+  std::shared_ptr<ArenaBuffer> arena_;
   // Per-node data pointer for kFeed/kWeight nodes (weights copied from the
   // plan's compile-time bindings, feeds re-bound each replay); indexed by
   // node id.
@@ -227,11 +261,13 @@ class ExecutionPlan {
   // context's arena (valid until its next RunWith). `compiler` is required
   // iff the plan contains PIT steps. `observer`, when set, sees each compute
   // step's output right after the step runs. The plan itself is immutable
-  // during replay, so concurrent RunWith calls over *distinct* contexts are
-  // safe from any number of threads and bitwise identical to single-stream
-  // replay. A single context must not be run concurrently with itself. PIT
-  // steps drive the passed PitCompiler, which is thread-safe: concurrent
-  // PIT streams may share one compiler, and then run one kernel per key.
+  // during replay, so concurrent RunWith calls over contexts with distinct
+  // arenas are safe from any number of threads and bitwise identical to single-stream
+  // replay. A single context must not be run concurrently with itself, nor
+  // with another context over the same shared arena: that is a checked
+  // error. PIT steps drive the passed PitCompiler, which is thread-safe:
+  // concurrent PIT streams may share one compiler, and then run one kernel
+  // per key.
   ConstTensorView RunWith(ExecutionContext& ctx, const std::map<std::string, Tensor>& feeds,
                           PitCompiler* compiler = nullptr,
                           const StepObserver* observer = nullptr) const;

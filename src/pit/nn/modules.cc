@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "pit/common/check.h"
 #include "pit/core/sparse_kernel.h"
@@ -317,14 +319,19 @@ TransformerEncoderLayer::TransformerEncoderLayer(int64_t hidden, int64_t heads,
         g.AddAdd("out", h, ffn_.AppendToGraph(g, ln2).out);
       }) {}
 
-TransformerEncoderLayer::Stream TransformerEncoderLayer::MakeStream(int64_t tokens, bool masked,
-                                                                    bool pit) const {
+std::shared_ptr<ExecutionPlan> TransformerEncoderLayer::Plan(int64_t tokens, bool masked,
+                                                             bool pit) const {
+  return plans_.Plan({tokens, masked}, pit);
+}
+
+TransformerEncoderLayer::Stream TransformerEncoderLayer::MakeStream(
+    int64_t tokens, bool masked, bool pit, std::shared_ptr<ArenaBuffer> arena) const {
   Stream stream;
-  stream.plan = plans_.Plan({tokens, masked}, pit);
+  stream.plan = Plan(tokens, masked, pit);
   // The context and feed map are private to the stream: nothing below needs
   // the lock, and the co-owning plan handle keeps the compiled plan alive
   // even if the layer's plan cache is cleared or rebuilt behind it.
-  stream.ctx = std::make_unique<ExecutionContext>(*stream.plan);
+  stream.ctx = std::make_unique<ExecutionContext>(*stream.plan, std::move(arena));
   stream.feeds = {{"x", nullptr}};
   if (masked) {
     stream.feeds.emplace("mask", nullptr);

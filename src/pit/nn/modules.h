@@ -184,7 +184,8 @@ class TransformerEncoderLayer {
   // (tokens, masked?) shape: a co-owning plan handle, a private
   // ExecutionContext, and a private feed map. Distinct streams replay the
   // same immutable plan concurrently with zero shared mutable state — the
-  // multi-stream serving seam. Movable so callers can pool streams.
+  // multi-stream serving seam. Movable so callers can pool streams. The
+  // context's arena is its own unless MakeStream was given a shared one.
   struct Stream {
     std::shared_ptr<ExecutionPlan> plan;
     std::unique_ptr<ExecutionContext> ctx;
@@ -195,8 +196,15 @@ class TransformerEncoderLayer {
   // Builds a stream for (tokens, masked?), compiling and caching the shared
   // plan if needed (the only part that takes the plan cache's lock). `pit`
   // compiles the plan with this layer's PIT-pass decisions; its replay then
-  // needs a compiler, which concurrent streams may share.
-  Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
+  // needs a compiler, which concurrent streams may share. `arena`, when
+  // given, is the buffer the stream's context replays in, co-owned with
+  // contexts that replay at other times (a stack stream's other layers); it
+  // must hold the plan's arena. Null gives the context an arena of its own.
+  Stream MakeStream(int64_t tokens, bool masked, bool pit = false,
+                    std::shared_ptr<ArenaBuffer> arena = nullptr) const;
+  // The shared compiled plan MakeStream binds for (tokens, masked?, pit?),
+  // compiling and caching it if needed.
+  std::shared_ptr<ExecutionPlan> Plan(int64_t tokens, bool masked, bool pit = false) const;
   // Lock-free forward over a stream's private context: safe to call
   // concurrently with any other stream's ForwardWith on this layer, bitwise
   // identical to ForwardEager. Writes into the preallocated `out`;

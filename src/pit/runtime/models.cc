@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "pit/common/check.h"
@@ -636,13 +637,25 @@ ModelRunCost SparseTrainingRun(const CostModel& model, Engine engine,
 
 namespace {
 
+// A stack's layers replay one after another in one shared arena, so the
+// stack pins its largest layer arena; every other count sums.
 void AccumulateStats(const PlanStats& s, PlanStats* total) {
-  total->arena_bytes += s.arena_bytes;
+  total->arena_bytes = std::max(total->arena_bytes, s.arena_bytes);
   total->sum_temporary_bytes += s.sum_temporary_bytes;
   total->num_steps += s.num_steps;
   total->num_inplace += s.num_inplace;
   total->num_pit_steps += s.num_pit_steps;
   total->num_fused += s.num_fused;
+}
+
+// One arena for plans that replay one after another: sized to the largest.
+std::shared_ptr<ArenaBuffer> SharedArenaFor(
+    const std::vector<std::shared_ptr<ExecutionPlan>>& plans) {
+  int64_t elems = 0;
+  for (const auto& plan : plans) {
+    elems = std::max(elems, plan->arena_elems());
+  }
+  return std::make_shared<ArenaBuffer>(elems);
 }
 
 }  // namespace
@@ -666,11 +679,7 @@ PlannedFfnStack::PlannedFfnStack(int64_t layers, int64_t hidden, int64_t ffn_hid
 PlannedFfnStack::~PlannedFfnStack() = default;
 
 int64_t PlannedFfnStack::Stream::ArenaBytes() const {
-  int64_t total = 0;
-  for (const auto& ctx : contexts) {
-    total += ctx->arena_bytes();
-  }
-  return total;
+  return arena != nullptr ? arena->bytes() : 0;
 }
 
 PlannedFfnStack::Stream PlannedFfnStack::MakeStream(int64_t tokens, bool pit) const {
@@ -679,11 +688,13 @@ PlannedFfnStack::Stream PlannedFfnStack::MakeStream(int64_t tokens, bool pit) co
   for (const auto& layer : layers_) {
     stream.plans.push_back(layer->plans.Plan(tokens, pit));
   }
-  // Contexts, feeds, and staging are private to the stream; the co-owning
-  // plan handles keep the compiled plans alive across cache eviction.
+  // Contexts, the arena, feeds, and staging are private to the stream; the
+  // co-owning plan handles keep the compiled plans alive across cache
+  // eviction. The layers replay in turn, so every context shares one arena.
+  stream.arena = SharedArenaFor(stream.plans);
   stream.contexts.reserve(stream.plans.size());
   for (const auto& plan : stream.plans) {
-    stream.contexts.push_back(std::make_unique<ExecutionContext>(*plan));
+    stream.contexts.push_back(std::make_unique<ExecutionContext>(*plan, stream.arena));
   }
   // One staging slot per layer but the last, which writes straight into the
   // caller's output.
@@ -768,19 +779,23 @@ PlannedTransformerStack::PlannedTransformerStack(int64_t layers, int64_t hidden,
 PlannedTransformerStack::~PlannedTransformerStack() = default;
 
 int64_t PlannedTransformerStack::Stream::ArenaBytes() const {
-  int64_t total = 0;
-  for (const auto& layer : layers) {
-    total += layer.ctx->arena_bytes();
-  }
-  return total;
+  return arena != nullptr ? arena->bytes() : 0;
 }
 
 PlannedTransformerStack::Stream PlannedTransformerStack::MakeStream(int64_t tokens, bool masked,
                                                                     bool pit) const {
   Stream stream;
+  // The blocks replay in turn, so every layer context shares one arena sized
+  // to the largest block plan; no per-layer arena is ever allocated.
+  std::vector<std::shared_ptr<ExecutionPlan>> plans;
+  plans.reserve(layers_.size());
+  for (const auto& layer : layers_) {
+    plans.push_back(layer->Plan(tokens, masked, pit));
+  }
+  stream.arena = SharedArenaFor(plans);
   stream.layers.reserve(layers_.size());
   for (const auto& layer : layers_) {
-    stream.layers.push_back(layer->MakeStream(tokens, masked, pit));
+    stream.layers.push_back(layer->MakeStream(tokens, masked, pit, stream.arena));
   }
   // One staging slot per layer but the last, which writes straight into the
   // caller's output. Private to the stream — no stack lock anywhere on this

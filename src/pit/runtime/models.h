@@ -118,11 +118,12 @@ ModelRunCost SparseTrainingRun(const CostModel& model, Engine engine,
 // (x + FeedForward(x)) on real tensors — whose per-layer forwards replay
 // cached ExecutionPlans: each layer's graph is compiled once per token count
 // in the layer's ShapePlanCache, weights are the FeedForward blocks'
-// (referenced in place), intermediates live in each stream's arenas, and the
+// (referenced in place), intermediates live in each stream's arena, and the
 // PIT variant dispatches each layer's sparse down-projection through the
-// compiler's JIT-cached kernels. ForwardWith over a Stream is the
-// serving-side execution seam; Forward and ForwardPit are one-shot
-// MakeStream + ForwardWith.
+// compiler's JIT-cached kernels. A stream's layers replay one after another
+// in one shared arena. ForwardWith over a Stream is the serving-side
+// execution seam; Forward and ForwardPit are one-shot MakeStream +
+// ForwardWith.
 class PlannedFfnStack {
  public:
   PlannedFfnStack(int64_t layers, int64_t hidden, int64_t ffn_hidden, Rng& rng);
@@ -141,18 +142,21 @@ class PlannedFfnStack {
   Tensor ForwardEager(const Tensor& x) const;
 
   // Per-stream replay state over the stack's shared compiled plans for one
-  // token count: a co-owning plan handle + private ExecutionContext + feed
-  // map per layer, plus private staging buffers. Distinct streams forward
-  // concurrently over the same plans with zero shared mutable state. The
-  // plans are token-polymorphic, so `tokens` is a capacity: ForwardWith
-  // replays any row count up to it.
+  // token count: a co-owning plan handle + ExecutionContext per layer, one
+  // feed map, one arena every layer context replays in (the layers run one
+  // after another, so it is sized to the largest layer plan), plus private
+  // staging buffers. Distinct streams forward concurrently over the same
+  // plans with zero shared mutable state. The plans are token-polymorphic,
+  // so `tokens` is a capacity: ForwardWith replays any row count up to it.
   struct Stream {
     std::vector<std::shared_ptr<ExecutionPlan>> plans;          // one per layer
     std::vector<std::unique_ptr<ExecutionContext>> contexts;    // one per layer
+    std::shared_ptr<ArenaBuffer> arena;  // shared by every layer context
     std::map<std::string, const Tensor*> feeds;
     std::vector<Tensor> staging;  // per-layer output staging, allocated once
     int64_t tokens = 0;
-    // Arena bytes the stream's contexts pin (for serving-pool accounting).
+    // Arena bytes the stream pins (for serving-pool accounting): the one
+    // shared arena, counted once.
     int64_t ArenaBytes() const;
     int64_t NumContexts() const { return static_cast<int64_t>(contexts.size()); }
     // Installs one shared cancel token on every layer context, so a token
@@ -166,19 +170,22 @@ class PlannedFfnStack {
     }
   };
   // Builds a stream for `tokens`, compiling/caching the shared plans if
-  // needed (locks each layer's plan cache once). `pit` plans the layers
+  // needed (locks each layer's plan cache once), and allocates its one
+  // arena. `pit` plans the layers
   // with their PIT-pass decisions; replay then needs a compiler, which any
   // number of concurrent streams may share.
   Stream MakeStream(int64_t tokens, bool pit = false) const;
   // Lock-free forward over a stream's private contexts: safe concurrently
-  // with other streams' ForwardWith, bitwise identical to Forward. Replays
+  // with other streams' ForwardWith (never with itself: the layers share
+  // the stream's arena), bitwise identical to Forward. Replays
   // the first `rows` rows of `x` (0: all of them; at most stream.tokens)
   // into the first `rows` rows of `out`; x and out may carry more rows.
   void ForwardWith(Stream& stream, const Tensor& x, PitCompiler* compiler, Tensor* out,
                    int64_t rows = 0) const;
 
   // Aggregate memory-planning stats over the dense plans for this token
-  // count (compiles them if needed).
+  // count (compiles them if needed): counts sum over the layers, and
+  // arena_bytes is what one dense stream pins, the largest layer arena.
   PlanStats StatsFor(int64_t tokens) const;
   int64_t layers() const { return static_cast<int64_t>(layers_.size()); }
   int64_t hidden() const { return hidden_; }
@@ -205,8 +212,8 @@ class PlannedFfnStack {
 // projections, segment-aware attention, residuals, and the FFN all dispatch
 // as compiled arena steps. Steady-state dense ForwardWith calls perform zero
 // heap allocations: layer outputs stage into the stream's buffers, and each
-// layer replays over the stream's own context. Forward and ForwardPit are
-// one-shot MakeStream + ForwardWith.
+// layer replays over its own context in the stream's one arena. Forward and
+// ForwardPit are one-shot MakeStream + ForwardWith.
 class PlannedTransformerStack {
  public:
   PlannedTransformerStack(int64_t layers, int64_t hidden, int64_t heads, int64_t ffn_hidden,
@@ -228,17 +235,21 @@ class PlannedTransformerStack {
   Tensor ForwardEager(const Tensor& x, const Tensor* attn_mask = nullptr) const;
 
   // Per-stream replay state over the stack's shared compiled plans for one
-  // (tokens, masked?) shape: a layer stream per encoder block plus private
-  // staging buffers. ForwardWith over distinct streams is concurrency-safe
-  // and bitwise identical to single-stream Forward — the ServingEngine's
-  // execution seam. Unmasked plans are token-polymorphic, so an unmasked
-  // stream's `tokens` is a capacity: it replays any row count up to it.
+  // (tokens, masked?) shape: a layer stream per encoder block, one arena
+  // every layer context replays in (the blocks run one after another, so it
+  // is sized to the largest block plan), plus private staging buffers.
+  // ForwardWith over distinct streams is concurrency-safe and bitwise
+  // identical to single-stream Forward — the ServingEngine's execution seam.
+  // Unmasked plans are token-polymorphic, so an unmasked stream's `tokens`
+  // is a capacity: it replays any row count up to it.
   struct Stream {
     std::vector<TransformerEncoderLayer::Stream> layers;
+    std::shared_ptr<ArenaBuffer> arena;  // shared by every layer context
     std::vector<Tensor> staging;  // layers-1 buffers; last layer writes `out`
     int64_t tokens = 0;
     bool masked = false;
-    // Arena bytes the stream's contexts pin (for serving-pool accounting).
+    // Arena bytes the stream pins (for serving-pool accounting): the one
+    // shared arena, counted once.
     int64_t ArenaBytes() const;
     int64_t NumContexts() const { return static_cast<int64_t>(layers.size()); }
     // Installs one shared cancel token on every layer's context (see the
@@ -258,12 +269,14 @@ class PlannedTransformerStack {
     }
   };
   // Builds a stream for (tokens, masked?), compiling/caching the layers'
-  // shared plans if needed (locks each layer's plan cache once). `pit` plans
+  // shared plans if needed (locks each layer's plan cache once), and
+  // allocates its one arena. `pit` plans
   // the blocks with their PIT decisions; replay then needs a compiler, which
   // any number of concurrent streams may share.
   Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
   // Lock-free forward over a stream's private contexts: safe concurrently
-  // with other streams' ForwardWith, bitwise identical to Forward. The final
+  // with other streams' ForwardWith (never with itself: the layers share
+  // the stream's arena), bitwise identical to Forward. The final
   // layer writes straight into the preallocated `out`; `compiler` nullptr
   // runs dense. Replays the first `rows` rows of `x` (0: all of them) into
   // the first `rows` rows of `out`; x and out may carry more rows. An
@@ -273,7 +286,8 @@ class PlannedTransformerStack {
                    PitCompiler* compiler, Tensor* out, int64_t rows = 0) const;
 
   // Aggregate memory-planning stats over the layers' dense plans for this
-  // shape (compiles them if needed).
+  // shape (compiles them if needed): counts sum over the layers, and
+  // arena_bytes is what one dense stream pins, the largest layer arena.
   PlanStats StatsFor(int64_t tokens, bool masked = false) const;
   int64_t layers() const { return static_cast<int64_t>(layers_.size()); }
   int64_t hidden() const { return hidden_; }

@@ -11,13 +11,13 @@
 //
 // Compile once, replay at any row count (Fig. 5; the token axis is a
 // PIT-axis of every row-wise op, §3.2): each stream holds exactly one stack
-// stream — one context per layer — over token-polymorphic plans compiled at
-// a capacity of max_batch_tokens rows (on the power-of-two grid), built on
-// first use and grown only when a longer request arrives. Every forward
-// binds its own row count: a packed batch replays at exactly its summed
-// tokens, a 1:1 request (a packed span of one) at its length, so no padding
-// row is ever computed. Pooled memory is therefore streams x one capacity
-// stream, whatever the length mix.
+// stream — one context per layer, all in one shared arena — over
+// token-polymorphic plans compiled at a capacity of max_batch_tokens rows (on
+// the power-of-two grid), built on first use and grown only when a longer
+// request arrives. Every forward binds its own row count: a packed batch
+// replays at exactly its summed tokens, a 1:1 request (a packed span of one)
+// at its length, so no padding row is ever computed. Pooled memory is
+// therefore streams x one capacity layer arena, whatever the length mix.
 //
 // Continuous ragged batching (PR 6) applies the paper's micro-tile
 // permutation to the batch axis: a padded mixed-length batch is a dynamically
@@ -298,11 +298,14 @@ struct ServingEngineStats {
   int64_t degraded_forwards = 0;  // transient-context rungs taken (context_acquire)
   int64_t internal_failures = 0;  // forwards whose ladder exhausted (kInternal)
   // Context/arena pool accounting: each stream pins one context per layer
-  // at its capacity once it has served a request; high-water marks track the
-  // peak pinned footprint over the engine's lifetime.
+  // at its capacity once it has served a request, and all of them replay in
+  // one arena sized to the stream's largest layer plan; high-water marks
+  // track the peak pinned footprint over the engine's lifetime.
   int64_t pool_contexts = 0;             // currently pooled ExecutionContexts
   int64_t pool_contexts_highwater = 0;
-  int64_t pool_arena_bytes = 0;          // bytes pinned by pooled arenas
+  // Bytes pinned by pooled arenas: one arena per active stream, so active
+  // streams x one stack stream's ArenaBytes().
+  int64_t pool_arena_bytes = 0;
   int64_t pool_arena_bytes_highwater = 0;
   std::vector<int64_t> per_stream_requests;  // lifetime kOk completions per stream
   std::vector<ServingBucketStats> buckets;   // ascending by bucket

@@ -27,25 +27,42 @@ inline const simd::RowKernels* ActiveRowKernels() {
 // out of the picture for small tensors.
 constexpr int64_t kElemGrain = 1 << 14;
 
-// Reference scalar matmul, ikj order. Kept verbatim as the oracle the blocked
-// backend is differential-tested against.
-void ReferenceMatMulInto(const float* a, const float* b, float* c, int64_t m, int64_t k,
-                         int64_t n) {
+// Reference scalar matmul, ikj order, row-major with leading dimensions
+// lda/ldb/ldc. Kept verbatim as the oracle the blocked backend is
+// differential-tested against.
+void ReferenceMatMulInto(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
+                         int64_t ldc, int64_t m, int64_t k, int64_t n) {
   for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    const float* arow = a + i * k;
+    float* crow = c + i * ldc;
+    const float* arow = a + i * lda;
     for (int64_t p = 0; p < k; ++p) {
       const float av = arow[p];
       if (av == 0.0f) {
         continue;  // free win on sparse inputs; exact math is unchanged
       }
-      const float* brow = b + p * n;
+      const float* brow = b + p * ldb;
       for (int64_t j = 0; j < n; ++j) {
         crow[j] += av * brow[j];
       }
     }
   }
 }
+
+// C[m,n] += A[m,k] * B[k,n] over strided row-major operands on the active
+// backend. Both backends run each element's ascending-p chain from C's value,
+// so a zeroed C gets exactly MatMulInto's bits at any strides.
+void MatMulAccumulate(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+                      const float* b, int64_t ldb, float* c, int64_t ldc) {
+  if (UseBlockedBackend()) {
+    GemmF32(m, n, k, a, lda, b, ldb, c, ldc);
+  } else {
+    ReferenceMatMulInto(a, lda, b, ldb, c, ldc, m, k, n);
+  }
+}
+
+// Query rows per block of SegmentAttentionInto: the score tile a block holds
+// is [kAttentionRowBlock, t], 64 KiB at t = 512.
+constexpr int64_t kAttentionRowBlock = 32;
 
 }  // namespace
 
@@ -58,11 +75,7 @@ void MatMulInto(ConstTensorView a, ConstTensorView b, TensorView c) {
   PIT_CHECK_EQ(c.dim(0), m);
   PIT_CHECK_EQ(c.dim(1), n);
   std::fill(c.data(), c.data() + c.size(), 0.0f);  // kernels accumulate into C
-  if (UseBlockedBackend()) {
-    GemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n);
-  } else {
-    ReferenceMatMulInto(a.data(), b.data(), c.data(), m, k, n);
-  }
+  MatMulAccumulate(m, n, k, a.data(), k, b.data(), n, c.data(), n);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -97,8 +110,8 @@ void BatchMatMulInto(ConstTensorView a, ConstTensorView b, TensorView c) {
     });
   } else {
     for (int64_t s = 0; s < bs; ++s) {
-      ReferenceMatMulInto(a.data() + s * m * k, b.data() + s * k * n, c.data() + s * m * n, m, k,
-                          n);
+      ReferenceMatMulInto(a.data() + s * m * k, k, b.data() + s * k * n, n, c.data() + s * m * n,
+                          n, m, k, n);
     }
   }
 }
@@ -125,7 +138,7 @@ void MatMulBiasInto(ConstTensorView a, ConstTensorView b, ConstTensorView bias, 
     // Bias is fused into the GEMM epilogue: C is written exactly once.
     GemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n, bias.data());
   } else {
-    ReferenceMatMulInto(a.data(), b.data(), c.data(), m, k, n);
+    ReferenceMatMulInto(a.data(), k, b.data(), n, c.data(), n, m, k, n);
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < n; ++j) {
         c.At(i, j) += bias[j];
@@ -154,7 +167,7 @@ void MatMulReluInto(ConstTensorView a, ConstTensorView b, TensorView c) {
   if (UseBlockedBackend()) {
     GemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n, /*bias=*/nullptr, /*relu=*/true);
   } else {
-    ReferenceMatMulInto(a.data(), b.data(), c.data(), m, k, n);
+    ReferenceMatMulInto(a.data(), k, b.data(), n, c.data(), n, m, k, n);
     for (int64_t i = 0; i < c.size(); ++i) {
       c[i] = c[i] > 0.0f ? c[i] : 0.0f;
     }
@@ -176,7 +189,7 @@ void MatMulBiasReluInto(ConstTensorView a, ConstTensorView b, ConstTensorView bi
     // Bias and ReLU both fuse into the GEMM epilogue: C is written once.
     GemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n, bias.data(), /*relu=*/true);
   } else {
-    ReferenceMatMulInto(a.data(), b.data(), c.data(), m, k, n);
+    ReferenceMatMulInto(a.data(), k, b.data(), n, c.data(), n, m, k, n);
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < n; ++j) {
         c.At(i, j) += bias[j];
@@ -594,7 +607,9 @@ void SegmentAttentionInto(ConstTensorView q, ConstTensorView k, ConstTensorView 
   const int64_t tokens = q.dim(0), hidden = q.dim(1);
   PIT_CHECK(heads > 0 && hidden % heads == 0) << "hidden " << hidden << " not split by " << heads;
   const int64_t dk = hidden / heads;
-  int64_t end = 0;  // one past the previous segment's last row
+  const auto blocks = [](int64_t t) { return (t + kAttentionRowBlock - 1) / kAttentionRowBlock; };
+  int64_t end = 0;    // one past the previous segment's last row
+  int64_t units = 0;  // (segment, head, row block) work units
   for (const AttentionSegment& s : segments) {
     PIT_CHECK(s.length > 0 && s.offset >= end && s.offset + s.length <= tokens)
         << "attention segment [" << s.offset << ", " << s.offset + s.length
@@ -605,85 +620,141 @@ void SegmentAttentionInto(ConstTensorView q, ConstTensorView k, ConstTensorView 
     // Rows in no segment attend to nothing.
     std::fill(ctx.data() + end * hidden, ctx.data() + s.offset * hidden, 0.0f);
     end = s.offset + s.length;
+    units += heads * blocks(s.length);
   }
   std::fill(ctx.data() + end * hidden, ctx.data() + tokens * hidden, 0.0f);
 
-  const int64_t pairs = static_cast<int64_t>(segments.size()) * heads;
-  const auto run_pairs = [&](int64_t p0, int64_t p1) {
-    // Per-thread head tiles (like SoftmaxInto's spans): q_h, v_h and the
-    // head context [t, dk], k_h^T [dk, t], and the [t, t] scores that the
-    // softmax turns into probabilities in place. The shapes are reused too,
-    // so a warm call allocates nothing.
-    thread_local std::vector<float> buf;
-    thread_local Shape rows_dk(2), dk_rows(2), rows_rows(2);
-    for (int64_t p = p0; p < p1; ++p) {
-      const AttentionSegment& s = segments[static_cast<size_t>(p / heads)];
-      const int64_t t = s.length;
-      const int64_t col = (p % heads) * dk;
-      const size_t need = static_cast<size_t>(4 * t * dk + t * t);
-      if (buf.size() < need) {
-        buf.resize(need);
+  // Units are ordered segment-major, then head, then row block, so a run of
+  // units walks each (segment, head) pair's blocks in turn. walk calls
+  // fn(unit, segment, local) for the units from `u` on, `local` being the
+  // unit's index among its segment's units, until fn returns false.
+  const auto walk = [&](int64_t u, auto&& fn) {
+    size_t seg = 0;
+    int64_t first = 0;  // first unit of segment `seg`
+    for (; u < units; ++u) {
+      while (u >= first + heads * blocks(segments[seg].length)) {
+        first += heads * blocks(segments[seg++].length);
       }
-      rows_dk = {t, dk};
-      dk_rows = {dk, t};
-      rows_rows = {t, t};
-      float* qh = buf.data();
-      float* kt = qh + t * dk;
-      float* vh = kt + t * dk;
-      float* head_ctx = vh + t * dk;
-      float* scores = head_ctx + t * dk;
-      for (int64_t r = 0; r < t; ++r) {
-        const int64_t at = (s.offset + r) * hidden + col;
-        std::memcpy(qh + r * dk, q.data() + at, static_cast<size_t>(dk) * sizeof(float));
-        std::memcpy(vh + r * dk, v.data() + at, static_cast<size_t>(dk) * sizeof(float));
-        for (int64_t d = 0; d < dk; ++d) {
-          kt[d * t + r] = k.data()[at + d];
-        }
-      }
-      const TensorView score_view(scores, rows_rows);
-      MatMulInto(ConstTensorView(qh, rows_dk), ConstTensorView(kt, dk_rows), score_view);
-      SoftmaxInto(score_view, s.mask.data() != nullptr ? &s.mask : nullptr, score_view);
-      MatMulInto(score_view, ConstTensorView(vh, rows_dk), TensorView(head_ctx, rows_dk));
-      for (int64_t r = 0; r < t; ++r) {
-        std::memcpy(ctx.data() + (s.offset + r) * hidden + col, head_ctx + r * dk,
-                    static_cast<size_t>(dk) * sizeof(float));
+      if (!fn(u, seg, u - first)) {
+        return;
       }
     }
   };
-  // As in BatchMatMulInto: fan the pairs out when there are enough to fill
-  // the pool, else keep them serial so each pair's kernels use every worker.
-  const int chunks = ParallelChunkCount(pairs, pairs >= NumThreads() ? 1 : pairs);
-  if (chunks <= 1) {
-    run_pairs(0, pairs);
-    return;
-  }
-  // A pair costs ~t^2, so equal-count chunks would leave one worker with a
-  // long request's heads while the rest idle after the short ones. Each pair
-  // goes to the chunk its midpoint on the prefix sum of t^2 falls in instead
-  // (contiguous, as balanced as whole pairs allow). Pairs are computed
-  // independently, so the split never changes the bits.
-  int64_t total = 0;
-  for (const AttentionSegment& s : segments) {
-    total += heads * s.length * s.length;
-  }
-  std::vector<int64_t> cut(static_cast<size_t>(chunks) + 1, pairs);
-  cut[0] = 0;
-  int next = 1;
-  int64_t before = 0;
-  for (int64_t p = 0; p < pairs; ++p) {
-    const int64_t t = segments[static_cast<size_t>(p / heads)].length;
-    const int64_t chunk =
-        std::min<int64_t>(chunks - 1, (2 * before + t * t) * chunks / (2 * total));
-    while (next <= chunk) {
-      cut[static_cast<size_t>(next++)] = p;
+  const auto cost = [&](size_t seg, int64_t local) {  // ~rows * t
+    const int64_t t = segments[seg].length;
+    return std::min(kAttentionRowBlock, t - local % blocks(t) * kAttentionRowBlock) * t;
+  };
+  const auto run_units = [&](int64_t u0, int64_t u1) {
+    // Per-thread scratch: the pair's k_h^T [dk, t] and one block's [rows, t]
+    // scores, which the softmax turns into probabilities in place. The shape
+    // is reused too, so a warm call allocates nothing.
+    thread_local std::vector<float> buf;
+    thread_local Shape rows_t(2);
+    int64_t packed = -1;  // pair whose k_h^T is in buf
+    walk(u0, [&](int64_t u, size_t seg, int64_t local) {
+      if (u >= u1) {
+        return false;
+      }
+      const AttentionSegment& s = segments[seg];
+      const int64_t t = s.length;
+      const int64_t head = local / blocks(t);
+      const int64_t r0 = local % blocks(t) * kAttentionRowBlock;
+      const int64_t rows = std::min(kAttentionRowBlock, t - r0);
+      const int64_t col = head * dk;
+      const size_t need = static_cast<size_t>(t * dk + kAttentionRowBlock * t);
+      if (buf.size() < need) {
+        buf.resize(need);
+      }
+      float* kt = buf.data();
+      float* scores = kt + t * dk;
+      const int64_t pair = static_cast<int64_t>(seg) * heads + head;
+      if (pair != packed) {
+        for (int64_t r = 0; r < t; ++r) {
+          const float* krow = k.data() + (s.offset + r) * hidden + col;
+          for (int64_t d = 0; d < dk; ++d) {
+            kt[d * t + r] = krow[d];
+          }
+        }
+        packed = pair;
+      }
+      // scores = q_h[r0:r0+rows] k_h^T, read in place from q.
+      const int64_t row = s.offset + r0;
+      std::fill(scores, scores + rows * t, 0.0f);
+      MatMulAccumulate(rows, t, dk, q.data() + row * hidden + col, hidden, kt, t, scores, t);
+      rows_t = {rows, t};
+      const TensorView score_view(scores, rows_t);
+      if (s.mask.data() != nullptr) {
+        const ConstTensorView mask_rows(s.mask.data() + r0 * t, rows_t);
+        SoftmaxInto(score_view, &mask_rows, score_view);
+      } else {
+        SoftmaxInto(score_view, nullptr, score_view);
+      }
+      // ctx[rows, head cols] = p v_h, accumulated in place from zero.
+      float* out = ctx.data() + row * hidden + col;
+      for (int64_t r = 0; r < rows; ++r) {
+        std::fill(out + r * hidden, out + r * hidden + dk, 0.0f);
+      }
+      MatMulAccumulate(rows, dk, t, scores, t, v.data() + s.offset * hidden + col, hidden, out,
+                       hidden);
+      return true;
+    });
+  };
+  // The units run in rounds, each sized from the intra-op width read when it
+  // starts: a serving stream's width grows as other streams finish
+  // (parallel_for.h), and a long request's attention must pick that up. At
+  // width 1 a round is the rest of one pair, run here. Otherwise its units go
+  // to the chunk their midpoint on the prefix sum of cost falls in
+  // (contiguous, as balanced as whole units allow), so a long request's
+  // blocks spread over every chunk; a round takes every remaining unit when
+  // the width cannot grow past what it can use, else about half the
+  // remaining work. Units write disjoint rows and columns of ctx from the same
+  // inputs, so neither rounds nor chunks change a bit; a chunk packs k_h^T
+  // once per pair it touches.
+  std::vector<int64_t> cut;
+  int64_t u = 0;
+  while (u < units) {
+    const int chunks = ParallelChunkCount(units - u, 1);
+    if (chunks <= 1) {
+      int64_t pair_end = units;
+      walk(u, [&](int64_t v, size_t seg, int64_t local) {
+        const int64_t nb = blocks(segments[seg].length);
+        pair_end = v - local % nb + nb;
+        return false;
+      });
+      run_units(u, pair_end);
+      u = pair_end;
+      continue;
     }
-    before += t * t;
+    int64_t rest = 0;
+    walk(u, [&](int64_t, size_t seg, int64_t local) {
+      rest += cost(seg, local);
+      return true;
+    });
+    const int64_t budget = chunks >= NumThreads() || chunks == units - u ? rest : (rest + 1) / 2;
+    cut.assign(static_cast<size_t>(chunks) + 1, units);
+    cut[0] = u;
+    int next = 1;
+    int64_t before = 0;
+    walk(u, [&](int64_t v, size_t seg, int64_t local) {
+      const int64_t c = cost(seg, local);
+      const int64_t chunk = std::min<int64_t>(chunks - 1, (2 * before + c) * chunks / (2 * budget));
+      while (next <= chunk) {
+        cut[static_cast<size_t>(next++)] = v;
+      }
+      before += c;
+      if (before < budget) {
+        return true;
+      }
+      std::fill(cut.begin() + next, cut.end(), v + 1);
+      return false;
+    });
+    ParallelForChunks(chunks, chunks, [&](int /*chunk*/, int64_t c0, int64_t c1) {
+      for (int64_t c = c0; c < c1; ++c) {
+        run_units(cut[static_cast<size_t>(c)], cut[static_cast<size_t>(c) + 1]);
+      }
+    });
+    u = cut.back();
   }
-  ParallelForChunks(chunks, chunks, [&](int /*chunk*/, int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      run_pairs(cut[static_cast<size_t>(c)], cut[static_cast<size_t>(c) + 1]);
-    }
-  });
 }
 
 Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta, float eps) {

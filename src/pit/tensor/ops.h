@@ -107,16 +107,25 @@ struct AttentionSegment {
 
 // Segment-aware multi-head attention over packed [T, hidden] operands: `q`
 // (already scaled), `k` and `v`, head h in columns [h*dk, (h+1)*dk). For each
-// (segment, head) pair it makes exactly the per-head calls of
-// MultiHeadAttention::ForwardEager on [t, t] tiles — MatMulInto(q_h, k_h^T),
-// SoftmaxInto with the segment's mask or none, MatMulInto(p, v_h) — and
-// writes ctx[offset:offset+t, h*dk:(h+1)*dk]; rows in no segment are zeroed.
-// So each segment's rows are bitwise equal to its request attended alone, and
-// a packed tile costs sum(t_i^2) score entries, not T^2. Segments must be
-// non-empty, sorted, disjoint and inside [0, T). Pairs are split across the
-// pool in contiguous chunks of about equal t^2 work; the head tiles live in
-// per-thread scratch that grows to the largest segment seen, so warm calls
-// allocate no tiles. `ctx` must not alias q/k/v.
+// (segment, head) pair it computes MultiHeadAttention::ForwardEager's
+// per-head q_h k_h^T, softmax with the segment's mask or none, and p v_h,
+// into ctx[offset:offset+t, h*dk:(h+1)*dk]; rows in no segment are zeroed.
+// It runs in place: q_h and v_h are read from `q` and `v` at leading
+// dimension `hidden`, the head context accumulates straight into `ctx`, and
+// only k_h^T is packed. Each pair's query rows run in blocks of 32: the
+// score GEMM, SoftmaxInto over the block's [rows, t] scores (with the
+// matching rows of the mask) and the context GEMM, so no [t, t] tile is ever
+// held. Every score and context element keeps its ascending-p chain from
+// +0 and the softmax is per row, so each segment's rows are bitwise equal to
+// its request attended alone, on both backends, and a packed tile costs
+// sum(t_i^2) score entries, not T^2. Segments must be non-empty, sorted,
+// disjoint and inside [0, T). The (pair, row block) units are split across
+// the pool in contiguous chunks of about equal work, so a single long pair
+// still fills the pool; a chunk packs each pair's k_h^T once. Inside a
+// serving task the split is redone in rounds as the task's width grows
+// (parallel_for.h), so threads freed mid-call join the rest. Per-thread
+// scratch is t*dk + 32*t floats and grows to the largest segment seen, so
+// warm calls allocate nothing on one thread. `ctx` must not alias q/k/v.
 void SegmentAttentionInto(ConstTensorView q, ConstTensorView k, ConstTensorView v, int64_t heads,
                           std::span<const AttentionSegment> segments, TensorView ctx);
 

@@ -1576,6 +1576,135 @@ TEST(SegmentAttentionTest, SingleSegmentDefaultMatchesTheBatchMatmulChain) {
   }
 }
 
+// Every ISA tier this CPU runs, scalar first.
+std::vector<IsaTier> SupportedIsaTiers() {
+  std::vector<IsaTier> tiers{IsaTier::kScalar};
+  for (const IsaTier isa : {IsaTier::kAvx2, IsaTier::kAvx512}) {
+    if (static_cast<int>(isa) <= static_cast<int>(DetectedIsa())) {
+      tiers.push_back(isa);
+    }
+  }
+  return tiers;
+}
+
+TEST(SegmentAttentionTest, RowBlockEdgesMatchEagerOnEveryTierAndBackend) {
+  // Query rows run in blocks of 32: lengths on both sides of each block edge
+  // (and a lone row, and one row past 512), packed with gaps and alternately
+  // masked, and then each alone, where a single segment has fewer (segment,
+  // head) pairs than the 4- and 7-thread pools have workers and its row
+  // blocks are split across chunks.
+  constexpr int64_t kHidden = 16;
+  constexpr int64_t kHeads = 2;
+  const std::vector<int64_t> lengths = {1, 31, 32, 33, 64, 65, 200, 513};
+  Rng wr(241);
+  TransformerEncoderLayer layer(kHidden, kHeads, 32, wr);
+  Rng rng(242);
+  std::vector<Tensor> masks;
+  masks.reserve(lengths.size());
+  for (const int64_t len : lengths) {
+    // Random 0/1 entries with one row that has no live column.
+    Tensor m({len, len});
+    for (int64_t i = 0; i < m.size(); ++i) {
+      m[i] = rng.NextBool(0.6) ? 1.0f : 0.0f;
+    }
+    const int64_t dead = static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(len)));
+    std::fill(m.data() + dead * len, m.data() + (dead + 1) * len, 0.0f);
+    masks.push_back(std::move(m));
+  }
+  struct Layout {
+    std::vector<AttentionSegment> segments;
+    std::vector<const Tensor*> masks;  // parallel to segments
+    int64_t tokens = 0;
+  };
+  std::vector<Layout> layouts;
+  for (const int parity : {0, 1}) {
+    Layout packed;
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      const Tensor* mask = (i + parity) % 2 == 1 ? &masks[i] : nullptr;
+      packed.segments.push_back({packed.tokens, lengths[i],
+                                 mask != nullptr ? ConstTensorView(*mask) : ConstTensorView()});
+      packed.masks.push_back(mask);
+      packed.tokens += lengths[i] + 1 + static_cast<int64_t>(i % 2);  // a gap after each
+    }
+    layouts.push_back(std::move(packed));
+  }
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    const Tensor* mask = i % 2 == 0 ? &masks[i] : nullptr;
+    Layout single;
+    single.segments.push_back(
+        {0, lengths[i], mask != nullptr ? ConstTensorView(*mask) : ConstTensorView()});
+    single.masks.push_back(mask);
+    single.tokens = lengths[i];
+    layouts.push_back(std::move(single));
+  }
+  const auto check = [&](const char* what) {
+    for (size_t l = 0; l < layouts.size(); ++l) {
+      const Layout& layout = layouts[l];
+      const Tensor x = Tensor::Random({layout.tokens, kHidden}, rng);
+      std::vector<Tensor> expected;
+      for (size_t s = 0; s < layout.segments.size(); ++s) {
+        const AttentionSegment& seg = layout.segments[s];
+        expected.push_back(layer.ForwardEager(Rows(x, seg.offset, seg.length), layout.masks[s]));
+      }
+      TransformerEncoderLayer::Stream stream = layer.MakeStream(layout.tokens, /*masked=*/false);
+      stream.ctx->set_attention_segments(layout.segments);
+      for (int threads : {1, 4, 7}) {
+        ScopedNumThreads scoped(threads);
+        Tensor out({layout.tokens, kHidden});
+        layer.ForwardWith(stream, x, nullptr, nullptr, &out);
+        for (size_t s = 0; s < layout.segments.size(); ++s) {
+          ASSERT_TRUE(RowsBitwiseEqual(out, layout.segments[s].offset, expected[s]))
+              << what << " layout " << l << " segment " << s << " (length "
+              << layout.segments[s].length << (layout.masks[s] != nullptr ? ", masked" : "")
+              << ") threads " << threads;
+        }
+      }
+    }
+  };
+  for (const IsaTier isa : SupportedIsaTiers()) {
+    ScopedIsa tier(isa);
+    check(IsaName(isa));
+  }
+  ScopedBackend reference(ComputeBackend::kReference);
+  check("reference backend");
+}
+
+TEST(SegmentAttentionTest, WidthGrowingMidCallMatchesEager) {
+  // Inside a task the intra-op width starts below the pool size and grows as
+  // sibling tasks finish, so attention runs its units in several rounds. Two
+  // long requests replay concurrently through their own streams at half the
+  // pool each, and the longer one widens once the other is done. Bits must
+  // not move.
+  constexpr int64_t kHidden = 16;
+  Rng wr(251);
+  TransformerEncoderLayer layer(kHidden, 2, 32, wr);
+  Rng rng(252);
+  const std::vector<int64_t> lengths = {513, 300};
+  std::vector<Tensor> xs;
+  std::vector<Tensor> expected;
+  std::vector<TransformerEncoderLayer::Stream> streams;
+  for (const int64_t len : lengths) {
+    xs.push_back(Tensor::Random({len, kHidden}, rng));
+    expected.push_back(layer.ForwardEager(xs.back()));
+    streams.push_back(layer.MakeStream(len, /*masked=*/false));
+  }
+  ScopedNumThreads threads(4);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<Tensor> outs;
+    for (const int64_t len : lengths) {
+      outs.emplace_back(Shape{len, kHidden});
+    }
+    ParallelTasks(2, 1, [&](int64_t task) {
+      const size_t i = static_cast<size_t>(task);
+      layer.ForwardWith(streams[i], xs[i], nullptr, nullptr, &outs[i]);
+    });
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outs[i], expected[i]))
+          << "length " << lengths[i] << " round " << round;
+    }
+  }
+}
+
 TEST(SegmentAttentionTest, MalformedSegmentsAbort) {
   // Forks while the worker pool may be live: use the re-executing style.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -1608,6 +1737,126 @@ TEST(SegmentAttentionTest, MalformedSegmentsAbort) {
   EXPECT_DEATH(run(plain, {{0, 0, {}}}), "non-empty");
   EXPECT_DEATH(run(plain, {{0, 4, small_mask}}), "length, length");
   EXPECT_DEATH(run(masked, {{0, 4, {}}}), "unmasked plan");
+}
+
+// ---- Shared arenas -----------------------------------------------------------
+//
+// Contexts may co-own one ArenaBuffer when their replays never overlap (a
+// stack stream's layers): each replay must match a private-arena replay bit
+// for bit, and overlapping replays in one arena abort.
+
+Tensor CopyOf(ConstTensorView view) {
+  Tensor t(view.shape());
+  std::copy(view.data(), view.data() + view.size(), t.data());
+  return t;
+}
+
+TEST(SharedArenaTest, ContextsTakingTurnsMatchPrivateArenas) {
+  Rng rng(85);
+  Graph big = BuildTransformerOpsGraph(12, 4, 8, rng);
+  Graph small = BuildAllOpsGraph(24, 16, rng);
+  std::shared_ptr<ExecutionPlan> big_plan = big.PlanShared();
+  std::shared_ptr<ExecutionPlan> small_plan = small.PlanShared();
+  const auto big_feeds = TransformerOpsFeeds(12, 32, 86);
+  const auto small_feeds = AllOpsFeeds(24, 16, 87);
+  ExecutionContext big_own(*big_plan);
+  ExecutionContext small_own(*small_plan);
+  const Tensor big_want = CopyOf(big_plan->RunWith(big_own, big_feeds));
+  const Tensor small_want = CopyOf(small_plan->RunWith(small_own, small_feeds));
+
+  auto arena = std::make_shared<ArenaBuffer>(
+      std::max(big_plan->arena_elems(), small_plan->arena_elems()));
+  ExecutionContext big_ctx(*big_plan, arena);
+  ExecutionContext small_ctx(*small_plan, arena);
+  EXPECT_EQ(big_ctx.arena_base(), small_ctx.arena_base());
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(arena->base()) % 64, 0u);
+  EXPECT_EQ(big_ctx.arena_bytes(), arena->bytes());
+  for (int round = 0; round < 3; ++round) {
+    // Each replay overwrites what the other left in the arena.
+    ExpectBitwiseEqual(CopyOf(big_plan->RunWith(big_ctx, big_feeds)), big_want);
+    ExpectBitwiseEqual(CopyOf(small_plan->RunWith(small_ctx, small_feeds)), small_want);
+  }
+}
+
+TEST(SharedArenaTest, OverlappingReplaysInOneArenaAbort) {
+  // Forks while the worker pool may be live: use the re-executing style.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(87);
+  Graph g = BuildAllOpsGraph(24, 16, rng);
+  std::shared_ptr<ExecutionPlan> plan = g.PlanShared();
+  const auto feeds = AllOpsFeeds(24, 16, 88);
+  const auto overlap = [&](bool same_context) {
+    auto arena = std::make_shared<ArenaBuffer>(plan->arena_elems());
+    ExecutionContext first(*plan, arena);
+    ExecutionContext second(*plan, arena);
+    ExecutionContext& inner = same_context ? first : second;
+    // The first step's observer starts a second replay in the same arena
+    // while the first is still running.
+    const StepObserver nested = [&](int, ConstTensorView) {
+      (void)plan->RunWith(inner, feeds);
+    };
+    (void)plan->RunWith(first, feeds, nullptr, &nested);
+  };
+  EXPECT_DEATH(overlap(/*same_context=*/false), "must replay one at a time");
+  EXPECT_DEATH(overlap(/*same_context=*/true), "must replay one at a time");
+  // An arena smaller than the plan's is refused when the context is built.
+  auto tiny = std::make_shared<ArenaBuffer>(plan->arena_elems() - 1);
+  EXPECT_DEATH(ExecutionContext(*plan, tiny), "cannot hold");
+}
+
+// A stack stream's layer contexts share one arena sized to the largest layer
+// plan; its replays at and below capacity stay bitwise the eager oracle.
+TEST(SharedArenaTest, StackStreamPinsItsLargestLayerArena) {
+  constexpr int64_t kHidden = 32;
+  Rng wr(88);
+  PlannedTransformerStack xf(2, kHidden, 4, 96, wr);
+  PlannedFfnStack ffn(3, kHidden, 96, wr);
+  Rng rng(89);
+  for (const int64_t capacity : {64, 128, 512}) {
+    for (const bool pit : {false, true}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + (pit ? " pit" : " dense"));
+      PitCompiler compiler(V100());
+      PitCompiler* replay_compiler = pit ? &compiler : nullptr;
+
+      PlannedTransformerStack::Stream xs = xf.MakeStream(capacity, /*masked=*/false, pit);
+      int64_t largest = 0;
+      for (const TransformerEncoderLayer::Stream& layer : xs.layers) {
+        largest = std::max(largest, layer.plan->stats().arena_bytes);
+        EXPECT_EQ(layer.ctx->arena_base(), xs.layers.front().ctx->arena_base());
+      }
+      EXPECT_EQ(xs.ArenaBytes(), largest);
+      PlannedFfnStack::Stream fs = ffn.MakeStream(capacity, pit);
+      int64_t ffn_largest = 0;
+      for (size_t l = 0; l < fs.plans.size(); ++l) {
+        ffn_largest = std::max(ffn_largest, fs.plans[l]->stats().arena_bytes);
+        EXPECT_EQ(fs.contexts[l]->arena_base(), fs.contexts.front()->arena_base());
+      }
+      EXPECT_EQ(fs.ArenaBytes(), ffn_largest);
+      if (!pit) {
+        EXPECT_EQ(xf.StatsFor(capacity).arena_bytes, xs.ArenaBytes());
+        EXPECT_EQ(ffn.StatsFor(capacity).arena_bytes, fs.ArenaBytes());
+      }
+
+      Tensor out({capacity, kHidden});
+      for (const int64_t rows : {capacity, capacity / 2 + 3, int64_t{1}}) {
+        const Tensor x = Tensor::Random({rows, kHidden}, rng);
+        // NaN past row `rows`: a replay reading past its rows poisons itself.
+        Tensor tile = Tensor::Full({capacity, kHidden}, std::nanf(""));
+        std::copy(x.data(), x.data() + x.size(), tile.data());
+        const Tensor xf_eager = xf.ForwardEager(x);
+        const Tensor ffn_eager = ffn.ForwardEager(x);
+        for (int threads : {1, 4}) {
+          ScopedNumThreads scoped(threads);
+          xf.ForwardWith(xs, tile, nullptr, replay_compiler, &out, rows);
+          ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(Rows(out, 0, rows), xf_eager))
+              << "transformer rows " << rows << " threads " << threads;
+          ffn.ForwardWith(fs, tile, replay_compiler, &out, rows);
+          ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(Rows(out, 0, rows), ffn_eager))
+              << "ffn rows " << rows << " threads " << threads;
+        }
+      }
+    }
+  }
 }
 
 // ---- Token-row replay -------------------------------------------------------

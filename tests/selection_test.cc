@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "pit/common/parallel_for.h"
 #include "pit/core/compiler.h"
 #include "pit/core/kernel_selection.h"
 #include "pit/tensor/ops.h"
@@ -300,9 +303,10 @@ TEST(CompilerTest, DenseFallbackProducesExactResult) {
 }
 
 TEST(CompilerTest, ConcurrentCallersShareOneSelectionPerKey) {
-  // 4 threads drive one compiler over interleaved keys, each key always fed
-  // the same operands: every output is bitwise equal to a serial compiler's,
-  // and each key is selected once. The keys cover all three kernels.
+  // 1, 4 and 7 threads drive one compiler over interleaved keys, each key
+  // always fed the same operands: every output is bitwise equal to a serial
+  // compiler's, and Algorithm 1 runs exactly once per key even though every
+  // thread misses the first key at once. The keys cover all three kernels.
   Rng rng(41);
   const Tensor b_wide = Tensor::Random({256, 1024}, rng);
   const Tensor b_small = Tensor::Random({64, 32}, rng);
@@ -331,37 +335,50 @@ TEST(CompilerTest, ConcurrentCallersShareOneSelectionPerKey) {
   ASSERT_GT(row_gather, 0);
   ASSERT_GT(dense, 0);
 
-  PitCompiler shared(V100());
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 4;
-  std::vector<int> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (size_t i = 0; i < keys.size(); ++i) {
-          const size_t key = (i + static_cast<size_t>(t)) % keys.size();
-          const Tensor& a = keys[key].a;
-          Tensor out({a.dim(0), keys[key].b->dim(1)});
-          shared.SparseMatmulInto(a, *keys[key].b, out);
-          if (std::memcmp(out.data(), expected[key].data(),
-                          static_cast<size_t>(out.size()) * sizeof(float)) != 0) {
-            ++mismatches[static_cast<size_t>(t)];
+  for (const int threads : {1, 4, 7}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // The pool matches the caller count, so the selector's detector loops
+    // fan out while the other callers wait on its key.
+    ScopedNumThreads pool(threads);
+    PitCompiler shared(V100());
+    constexpr int kRounds = 4;
+    std::vector<int> mismatches(static_cast<size_t>(threads), 0);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < threads) {
+          std::this_thread::yield();
+        }
+        for (int round = 0; round < kRounds; ++round) {
+          for (size_t i = 0; i < keys.size(); ++i) {
+            // Round 0 starts every thread on key 0 together; later rounds
+            // interleave the keys.
+            const size_t key = round == 0 ? i : (i + static_cast<size_t>(t)) % keys.size();
+            const Tensor& a = keys[key].a;
+            Tensor out({a.dim(0), keys[key].b->dim(1)});
+            shared.SparseMatmulInto(a, *keys[key].b, out);
+            if (std::memcmp(out.data(), expected[key].data(),
+                            static_cast<size_t>(out.size()) * sizeof(float)) != 0) {
+              ++mismatches[static_cast<size_t>(t)];
+            }
           }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& worker : workers) {
+      worker.join();
+    }
+    for (int t = 0; t < threads; ++t) {
+      EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+    }
+    const int64_t calls = threads * kRounds * static_cast<int64_t>(keys.size());
+    EXPECT_EQ(shared.kernels_compiled(), static_cast<int64_t>(keys.size()))
+        << "Algorithm 1 must run exactly once per key";
+    EXPECT_EQ(shared.kernels_compiled() + shared.cache_hits(), calls);
+    EXPECT_EQ(shared.reselections(), 0);
   }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
-  }
-  const int64_t calls = kThreads * kRounds * static_cast<int64_t>(keys.size());
-  EXPECT_EQ(shared.kernels_compiled(), static_cast<int64_t>(keys.size()));
-  EXPECT_EQ(shared.kernels_compiled() + shared.cache_hits(), calls);
-  EXPECT_EQ(shared.reselections(), 0);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // must be provably race-free, not just stable on one machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <chrono>
 #include <cmath>
@@ -42,6 +43,25 @@ Tensor MakeMask(int64_t tokens, Rng& rng) {
     mask[i] = mask[i] != 0.0f ? 1.0f : 0.0f;
   }
   return mask;
+}
+
+// What one serving stream pins at `capacity`: its stack stream's one arena,
+// which every layer replays in, so the largest layer plan's arena.
+int64_t StreamArenaBytes(const PlannedTransformerStack& stack, int64_t capacity,
+                         bool pit = false) {
+  int64_t largest = 0;
+  for (const auto& layer : stack.MakeStream(capacity, /*masked=*/false, pit).layers) {
+    largest = std::max(largest, layer.plan->stats().arena_bytes);
+  }
+  return largest;
+}
+
+int64_t StreamArenaBytes(const PlannedFfnStack& stack, int64_t capacity, bool pit = false) {
+  int64_t largest = 0;
+  for (const auto& plan : stack.MakeStream(capacity, pit).plans) {
+    largest = std::max(largest, plan->stats().arena_bytes);
+  }
+  return largest;
 }
 
 // A request mix over several token counts, some masked. Masks are keyed by
@@ -171,13 +191,14 @@ int64_t ActiveStreams(const ServingEngineStats& stats) {
 
 // Every serving stream holds exactly one stack stream, compiled at the
 // capacity (the batch token budget on the power-of-two grid) and built on
-// first use: the pool is one context per layer per active stream, each
-// pinning the capacity plan's arena, and a second Serve builds nothing.
+// first use: the pool is one context per layer per active stream, all of a
+// stream's contexts in one arena of the largest capacity layer plan's size,
+// and a second Serve builds nothing.
 TEST(ServingEngineTest, OneCapacityStreamPerServingStream) {
   Rng wr(5);
   PlannedTransformerStack stack(2, 16, 2, 48, wr);
   RequestMix mix = BuildMix(16, {8, 12}, 3, 6);
-  const int64_t capacity_bytes = stack.StatsFor(512).arena_bytes;
+  const int64_t stream_bytes = StreamArenaBytes(stack, 512);
 
   ScopedNumThreads threads(2);
   for (int streams : {1, 2}) {
@@ -201,7 +222,7 @@ TEST(ServingEngineTest, OneCapacityStreamPerServingStream) {
     EXPECT_GE(active, 1);
     EXPECT_EQ(TotalPlanMisses(first), active);
     EXPECT_EQ(first.pool_contexts, active * stack.layers());
-    EXPECT_EQ(first.pool_arena_bytes, active * capacity_bytes);
+    EXPECT_EQ(first.pool_arena_bytes, active * stream_bytes);
     EXPECT_EQ(first.pool_arena_bytes_highwater, first.pool_arena_bytes);
     EXPECT_EQ(first.pool_contexts_highwater, first.pool_contexts);
 
@@ -213,9 +234,68 @@ TEST(ServingEngineTest, OneCapacityStreamPerServingStream) {
     EXPECT_EQ(second.requests, 2 * first.requests);
     EXPECT_EQ(TotalPlanMisses(second), ActiveStreams(second));
     EXPECT_EQ(second.pool_contexts, ActiveStreams(second) * stack.layers());
-    EXPECT_EQ(second.pool_arena_bytes, ActiveStreams(second) * capacity_bytes);
+    EXPECT_EQ(second.pool_arena_bytes, ActiveStreams(second) * stream_bytes);
     if (streams == 1) {
       EXPECT_EQ(TotalPlanMisses(second), TotalPlanMisses(first));  // zero new misses
+    }
+  }
+}
+
+// A stack stream replays every layer in one arena, so the pool pins active
+// streams x the largest capacity layer arena: for both stacks, dense and PIT,
+// at three capacities. Dense outputs stay bitwise the eager oracle, and PIT
+// outputs match the 1-stream engine's.
+TEST(ServingEngineTest, PoolArenaIsOneSharedArenaPerStream) {
+  Rng wr(17);
+  PlannedTransformerStack xf(2, 16, 2, 48, wr);
+  PlannedFfnStack ffn(3, 16, 64, wr);
+  Rng rr(18);
+  std::vector<ServeRequest> requests;
+  for (int64_t tokens : {5, 12, 20, 40, 9, 33, 17, 3, 26, 8}) {
+    ServeRequest req;
+    req.x = Tensor::Random({tokens, 16}, rr);
+    requests.push_back(std::move(req));
+  }
+  std::vector<Tensor> xf_eager;
+  std::vector<Tensor> ffn_eager;
+  for (const ServeRequest& req : requests) {
+    xf_eager.push_back(xf.ForwardEager(req.x));
+    ffn_eager.push_back(ffn.ForwardEager(req.x));
+  }
+  ScopedNumThreads threads(4);
+  for (const int64_t capacity : {64, 128, 512}) {
+    for (const bool pit : {false, true}) {
+      std::vector<Tensor> xf_single;
+      std::vector<Tensor> ffn_single;
+      for (const int streams : {1, 4}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity) + (pit ? " pit" : " dense") + " " +
+                     std::to_string(streams) + " streams");
+        ServingEngineOptions options;
+        options.use_pit = pit;
+        options.num_streams = streams;
+        options.batch_window = 2;
+        options.max_batch_tokens = capacity;
+        const auto check = [&](ServingEngine& engine, int64_t layers, int64_t stream_bytes,
+                               const std::vector<Tensor>& eager, std::vector<Tensor>* single) {
+          const std::vector<Tensor> outputs = engine.Serve(requests);
+          const ServingEngineStats& stats = engine.stats();
+          EXPECT_EQ(stats.pool_contexts, ActiveStreams(stats) * layers);
+          EXPECT_EQ(stats.pool_arena_bytes, ActiveStreams(stats) * stream_bytes);
+          EXPECT_EQ(stats.pool_arena_bytes_highwater, stats.pool_arena_bytes);
+          if (single->empty()) {
+            *single = outputs;
+          }
+          for (size_t i = 0; i < outputs.size(); ++i) {
+            ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], pit ? (*single)[i] : eager[i]))
+                << "request " << i;
+          }
+        };
+        ServingEngine xf_engine(xf, options);
+        check(xf_engine, xf.layers(), StreamArenaBytes(xf, capacity, pit), xf_eager, &xf_single);
+        ServingEngine ffn_engine(ffn, options);
+        check(ffn_engine, ffn.layers(), StreamArenaBytes(ffn, capacity, pit), ffn_eager,
+              &ffn_single);
+      }
     }
   }
 }
@@ -296,7 +376,7 @@ TEST(ServingEngineTest, LongRequestGrowsTheStreamOnce) {
     }
   }
   EXPECT_EQ(stats.pool_contexts, stack.layers());
-  EXPECT_EQ(stats.pool_arena_bytes, stack.StatsFor(64).arena_bytes);
+  EXPECT_EQ(stats.pool_arena_bytes, StreamArenaBytes(stack, 64));
   EXPECT_EQ(stats.pool_arena_bytes_highwater, stats.pool_arena_bytes);
 
   // Growth across calls: a 100-token request grows the stream to 128 once.
@@ -317,7 +397,7 @@ TEST(ServingEngineTest, LongRequestGrowsTheStreamOnce) {
     EXPECT_EQ(b.plan_misses, b.bucket == 64 || b.bucket == 100 ? 1 : 0) << "bucket " << b.bucket;
   }
   EXPECT_EQ(grown.pool_contexts, stack.layers());
-  EXPECT_EQ(grown.pool_arena_bytes, stack.StatsFor(128).arena_bytes);
+  EXPECT_EQ(grown.pool_arena_bytes, StreamArenaBytes(stack, 128));
   EXPECT_GE(grown.pool_arena_bytes_highwater, grown.pool_arena_bytes);
 }
 
@@ -657,7 +737,7 @@ TEST(RaggedBatchingTest, StatsReportReplayRowCountsAndOneBuild) {
   // power-of-two grid), whatever row counts the batches replay at.
   EXPECT_EQ(TotalPlanMisses(stats), 1);
   EXPECT_EQ(stats.pool_contexts, stack.layers());
-  EXPECT_EQ(stats.pool_arena_bytes, stack.StatsFor(64).arena_bytes);
+  EXPECT_EQ(stats.pool_arena_bytes, StreamArenaBytes(stack, 64));
 
   // A second pass over the same mix composes the same batches: pure hits.
   engine.Serve(mix.requests);
@@ -737,7 +817,7 @@ TEST(RaggedBatchingTest, LongestSpanFirstKeepsComposition) {
         // claimed first; arrival order would build three times.
         EXPECT_EQ(TotalPlanMisses(stats), 1);
         EXPECT_EQ(stats.buckets.back().plan_misses, 1);
-        EXPECT_EQ(stats.pool_arena_bytes, stack.StatsFor(128).arena_bytes);
+        EXPECT_EQ(stats.pool_arena_bytes, StreamArenaBytes(stack, 128));
       }
     }
   }
