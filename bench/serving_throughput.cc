@@ -55,6 +55,15 @@ Tensor MakeMask(int64_t tokens, Rng& rng) {
   return mask;
 }
 
+bool AllOk(const std::vector<ServeOutcome>& outcomes) {
+  for (const ServeOutcome& outcome : outcomes) {
+    if (outcome.status != ServeStatus::kOk) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -112,19 +121,19 @@ int main(int argc, char** argv) {
 
   bench::Table table({"streams", "wall(ms)", "req/s", "p50(ms)", "p99(ms)", "vs 1 stream",
                       "pool ctx", "pool KiB"});
-  std::vector<Tensor> baseline_outputs;
+  std::vector<ServeOutcome> baseline_outputs;
   double baseline_rps = 0.0;
   double rps_at_4 = 0.0;
   for (const int streams : {1, 2, 4, 8}) {
     ServingEngineOptions options;
     options.num_streams = streams;
     ServingEngine engine(stack, options);
-    engine.Serve(requests);  // warm: compiles plans, builds context pools
-    std::vector<Tensor> outputs;
+    engine.ServeWithStatus(requests);  // warm: compiles plans, builds context pools
+    std::vector<ServeOutcome> outputs;
     double best_wall_us = 0.0;
     ServingEngineStats best{};
     for (int rep = 0; rep < 3; ++rep) {
-      std::vector<Tensor> got = engine.Serve(requests);
+      std::vector<ServeOutcome> got = engine.ServeWithStatus(requests);
       const ServingEngineStats s = engine.stats();
       if (rep == 0 || s.wall_us < best_wall_us) {
         best_wall_us = s.wall_us;
@@ -133,12 +142,16 @@ int main(int argc, char** argv) {
       }
     }
     bool bitwise_vs_1stream = true;
+    if (!AllOk(outputs)) {
+      std::fprintf(stderr, "FAIL serving@%d streams: a request did not end kOk\n", streams);
+      ok = false;
+    }
     if (streams == 1) {
       baseline_outputs = outputs;
       baseline_rps = best.requests_per_sec;
     } else {
       for (size_t i = 0; i < outputs.size(); ++i) {
-        if (!BitwiseEqual(outputs[i], baseline_outputs[i])) {
+        if (!BitwiseEqual(outputs[i].output, baseline_outputs[i].output)) {
           std::fprintf(stderr,
                        "FAIL serving@%d streams: request %zu not bitwise equal to the "
                        "single-stream engine\n",
@@ -237,7 +250,7 @@ int main(int argc, char** argv) {
   PlannedFfnStack ffn_stack(kLayers, kHidden, kFfn, fr);
 
   bench::Table table6({"stack/mode", "wall(ms)", "req/s", "p50(ms)", "p99(ms)", "forwards",
-                       "row counts", "packed util"});
+                       "row counts", "padding rows"});
   // (stack, streams, window) per measured mode; 1:1 and batched pairs share
   // the stack and stream count so only the admission policy differs.
   struct RaggedMode {
@@ -252,7 +265,7 @@ int main(int argc, char** argv) {
       {"ffn 1:1", true, 1, 1},
       {"ffn batched", true, 1, 16},
   };
-  std::vector<Tensor> xf_baseline, ffn_baseline;
+  std::vector<ServeOutcome> xf_baseline, ffn_baseline;
   double ffn_one_to_one_rps = 0.0;
   double ffn_batched_rps = 0.0;
   for (const RaggedMode& mode : modes) {
@@ -263,23 +276,38 @@ int main(int argc, char** argv) {
     const std::unique_ptr<ServingEngine> engine =
         mode.ffn ? std::make_unique<ServingEngine>(ffn_stack, options)
                  : std::make_unique<ServingEngine>(stack, options);
-    engine->Serve(mixed);  // warm: compiles plans, builds context pools
-    std::vector<Tensor> outputs;
+    engine->ServeWithStatus(mixed);  // warm: compiles plans, builds context pools
+    std::vector<ServeOutcome> outputs;
     ServingEngineStats best{};
     for (int rep = 0; rep < 2; ++rep) {
-      std::vector<Tensor> got = engine->Serve(mixed);
+      std::vector<ServeOutcome> got = engine->ServeWithStatus(mixed);
       const ServingEngineStats s = engine->stats();
       if (rep == 0 || s.wall_us < best.wall_us) {
         best = s;
         outputs = std::move(got);
       }
     }
-    std::vector<Tensor>& baseline = mode.ffn ? ffn_baseline : xf_baseline;
+    if (!AllOk(outputs)) {
+      std::fprintf(stderr, "FAIL ragged batching (%s): a request did not end kOk\n", mode.name);
+      ok = false;
+    }
+    // Every forward replays at exactly its packed rows: the rows replayed
+    // (bucket x forwards, summed) must equal the request rows packed.
+    int64_t padding_rows = 0;
+    for (const ServingBucketStats& b : best.buckets) {
+      padding_rows += b.bucket * b.batches - b.packed_tokens;
+    }
+    if (padding_rows != 0) {
+      std::fprintf(stderr, "FAIL ragged batching (%s): %lld padding rows replayed\n", mode.name,
+                   static_cast<long long>(padding_rows));
+      ok = false;
+    }
+    std::vector<ServeOutcome>& baseline = mode.ffn ? ffn_baseline : xf_baseline;
     if (mode.window == 1) {
       baseline = std::move(outputs);
     } else {
       for (size_t i = 0; i < outputs.size(); ++i) {
-        if (!BitwiseEqual(outputs[i], baseline[i])) {
+        if (!BitwiseEqual(outputs[i].output, baseline[i].output)) {
           std::fprintf(stderr,
                        "FAIL ragged batching (%s): request %zu not bitwise equal to the 1:1 "
                        "engine\n",
@@ -294,7 +322,7 @@ int main(int argc, char** argv) {
     table6.Row({mode.name, bench::FmtMs(best.wall_us), bench::Fmt(best.requests_per_sec, "%.1f"),
                 bench::FmtMs(best.p50_latency_us), bench::FmtMs(best.p99_latency_us),
                 std::to_string(best.batches), std::to_string(best.buckets.size()),
-                bench::Fmt(best.packed_utilization, "%.3f")});
+                std::to_string(padding_rows)});
     std::string key = std::string("ragged_") + (mode.ffn ? "ffn_" : "transformer_") +
                       (mode.window == 1 ? "one_to_one" : "batched");
     report6.Add(key, {{"requests", n_mixed},
@@ -306,7 +334,7 @@ int main(int argc, char** argv) {
                       {"forwards", best.batches},
                       {"replay_row_counts", static_cast<int64_t>(best.buckets.size())},
                       {"distinct_request_lengths", static_cast<int64_t>(distinct_lens.size())},
-                      {"packed_utilization", best.packed_utilization},
+                      {"padding_rows", padding_rows},
                       {"pool_contexts_highwater", best.pool_contexts_highwater},
                       {"pool_arena_bytes_highwater", best.pool_arena_bytes_highwater},
                       {"streams", mode.streams},

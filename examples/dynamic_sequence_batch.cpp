@@ -6,11 +6,12 @@
 // exactly sum(t_i) rows, replay a shared plan with one attention segment per
 // request (each request attends only to itself, at sum(t_i^2) score entries),
 // and SWrite-scatter back out. The example serves a mixed-length request
-// stream end-to-end twice — 1:1 and batched — and exits 1 unless the outputs
-// are bitwise identical and the batched engine computed no padding row
-// (packed utilization 1.0), against pad-to-max's waste. Either way each
-// serving stream holds one stack stream, compiled once at its capacity and
-// replayed at every request's or batch's row count.
+// stream end-to-end twice — 1:1 and batched — and exits 1 unless every
+// request ends kOk, the outputs are bitwise identical, and the batched engine
+// computed no padding row (its replayed row counts sum to the requests'
+// rows), against pad-to-max's waste. Either way each serving stream holds one
+// stack stream, compiled once at its capacity and replayed at every request's
+// or batch's row count.
 #include <cstdio>
 #include <cstring>
 
@@ -45,7 +46,7 @@ int main() {
   unbatched_opts.num_streams = 2;
   unbatched_opts.batch_window = 1;
   ServingEngine unbatched(stack, unbatched_opts);
-  const std::vector<Tensor> expected = unbatched.Serve(requests);
+  const std::vector<ServeOutcome> expected = unbatched.ServeWithStatus(requests);
 
   // Ragged batching: up to 8 requests / 256 token rows per packed forward,
   // each replayed at exactly its summed rows.
@@ -54,14 +55,21 @@ int main() {
   batched_opts.batch_window = 8;
   batched_opts.max_batch_tokens = 256;
   ServingEngine batched(stack, batched_opts);
-  const std::vector<Tensor> outputs = batched.Serve(requests);
+  const std::vector<ServeOutcome> outcomes = batched.ServeWithStatus(requests);
 
-  bool bitwise = outputs.size() == expected.size();
-  for (size_t i = 0; bitwise && i < outputs.size(); ++i) {
-    bitwise = outputs[i].shape() == expected[i].shape() &&
-              std::memcmp(outputs[i].data(), expected[i].data(),
-                          static_cast<size_t>(outputs[i].size()) * sizeof(float)) == 0;
+  // ServeWithStatus returns one outcome per request, in request order.
+  bool all_ok = true;
+  bool bitwise = true;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    all_ok = all_ok && outcomes[i].status == ServeStatus::kOk &&
+             expected[i].status == ServeStatus::kOk;
+    const Tensor& got = outcomes[i].output;
+    const Tensor& want = expected[i].output;
+    bitwise = bitwise && got.shape() == want.shape() &&
+              std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(got.size()) * sizeof(float)) == 0;
   }
+  std::printf("every request served kOk: %s\n", all_ok ? "yes" : "NO");
   std::printf("batched outputs bitwise == 1:1 outputs: %s\n\n", bitwise ? "yes" : "NO");
 
   const ServingEngineStats& u = unbatched.stats();
@@ -72,13 +80,35 @@ int main() {
   std::printf("pooled streams    %-10lld %lld\n",
               static_cast<long long>(u.pool_contexts / stack.layers()),
               static_cast<long long>(b.pool_contexts / stack.layers()));
-  std::printf("packed util       %-10.3f %.3f\n", u.packed_utilization, b.packed_utilization);
+  // Rows each engine replayed (one forward per batch at its bucket's row
+  // count) against the real request rows it packed.
+  const auto replayed_rows = [](const ServingEngineStats& s) {
+    int64_t rows = 0;
+    for (const ServingBucketStats& bucket : s.buckets) {
+      rows += bucket.bucket * bucket.batches;
+    }
+    return rows;
+  };
+  const auto packed_rows = [](const ServingEngineStats& s) {
+    int64_t rows = 0;
+    for (const ServingBucketStats& bucket : s.buckets) {
+      rows += bucket.packed_tokens;
+    }
+    return rows;
+  };
+  int64_t request_rows = 0;
+  for (int64_t len : lens) {
+    request_rows += len;
+  }
+  std::printf("replayed rows     %-10lld %lld\n", static_cast<long long>(replayed_rows(u)),
+              static_cast<long long>(replayed_rows(b)));
   std::printf("p50 latency (us)  %-10.0f %.0f\n", u.p50_latency_us, b.p50_latency_us);
   std::printf("p99 latency (us)  %-10.0f %.0f\n", u.p99_latency_us, b.p99_latency_us);
 
-  const bool no_padding = b.packed_utilization == 1.0;
-  std::printf("\nbatched padding rows: %s (%.1f%% of computed rows); pad-to-max: %.1f%%\n",
-              no_padding ? "none" : "SOME", (1.0 - b.packed_utilization) * 100.0,
+  const int64_t padding = replayed_rows(b) - request_rows;
+  const bool no_padding = padding == 0 && packed_rows(b) == request_rows;
+  std::printf("\nbatched padding rows: %lld of %lld replayed; pad-to-max: %.1f%%\n",
+              static_cast<long long>(padding), static_cast<long long>(replayed_rows(b)),
               PaddingWaste(lens) * 100.0);
-  return bitwise && no_padding ? 0 : 1;
+  return all_ok && bitwise && no_padding ? 0 : 1;
 }

@@ -33,7 +33,8 @@ double CsrConvertCost(const CostModel& model, int64_t elems, int64_t nnz) {
 
 // ---------------------------------------------------------------- Dense
 EnginePrice DenseEngine::Price(const CostModel& model, const SparsityPattern& pattern, int64_t m,
-                               int64_t k, int64_t n, bool include_convert) const {
+                               int64_t k, int64_t n, bool /*include_convert*/) const {
+  // Dense execution consumes the operands as they are: no format conversion.
   EnginePrice price;
   const TileShape tile{64, 64, 64};
   price.cost = model.DenseMatmul(m, k, n, tile);

@@ -1,9 +1,6 @@
 #include "pit/common/fault_injection.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <mutex>
-#include <string>
 
 #include "pit/common/check.h"
 
@@ -15,14 +12,9 @@ namespace {
 // worker fan-out synchronizes the write with the readers (pool submission is
 // a happens-before edge), so probes never race a config change mid-Serve.
 FaultInjectionConfig g_config;
-std::once_flag g_env_once;
 
-// Per-site probe sequence (claims the deterministic index k) and fired count.
-struct SiteCounters {
-  std::atomic<uint64_t> sequence{0};
-  std::atomic<int64_t> fired{0};
-};
-SiteCounters g_sites[kNumFaultSites];
+// Per-site probe sequence: claims the deterministic index k.
+std::atomic<uint64_t> g_sequence[kNumFaultSites];
 
 thread_local int tls_retry_immune = 0;
 thread_local bool tls_pending = false;
@@ -34,74 +26,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
-}
-
-void ResolveEnvConfig() {
-  const char* value = std::getenv("PIT_FAULT");
-  if (value != nullptr && value[0] != '\0') {
-    g_config = ParseFaultEnv(value);
-  }
-}
-
-// Strict decimal fraction in (0, 1]: digits and at most one '.', full
-// consumption. Rejects exponents, signs, inf/nan spellings outright.
-bool ParseRate(const std::string& text, double* out) {
-  if (text.empty()) {
-    return false;
-  }
-  int dots = 0;
-  for (char c : text) {
-    if (c == '.') {
-      ++dots;
-    } else if (c < '0' || c > '9') {
-      return false;
-    }
-  }
-  if (dots > 1 || text == ".") {
-    return false;
-  }
-  *out = std::strtod(text.c_str(), nullptr);
-  return *out > 0.0 && *out <= 1.0;
-}
-
-// Strict unsigned decimal (seeds may use the full 64-bit range).
-bool ParseSeed(const std::string& text, uint64_t* out) {
-  if (text.empty() || text.size() > 20) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      return false;  // overflow
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseSite(const std::string& text, FaultInjectionConfig* config) {
-  if (text == "all") {
-    // "all" spells the failure sites only: stall is a delay fault (liveness
-    // chaos) and must never ride along with a failure sweep unasked — a
-    // high-rate all-site sweep sleeping 50 ms per claim would turn every
-    // containment test into a wall-clock test.
-    for (int i = 0; i < kNumFaultSites; ++i) {
-      config->site_enabled[i] = static_cast<FaultSite>(i) != FaultSite::kStall;
-    }
-    return true;
-  }
-  for (int i = 0; i < kNumFaultSites; ++i) {
-    if (text == FaultSiteName(static_cast<FaultSite>(i))) {
-      config->site_enabled[i] = true;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -138,45 +62,13 @@ const char* FaultSiteName(FaultSite site) {
   return "";
 }
 
-FaultInjectionConfig ParseFaultEnv(const char* value) {
-  PIT_CHECK(value != nullptr && value[0] != '\0')
-      << "PIT_FAULT must be site:rate:seed (site: plan_compile|context_acquire|"
-         "batch_pack|kernel_dispatch|stall|all, rate in (0,1], seed unsigned decimal)";
-  const std::string text(value);
-  const size_t first = text.find(':');
-  const size_t second = first == std::string::npos ? std::string::npos : text.find(':', first + 1);
-  const bool well_formed = first != std::string::npos && second != std::string::npos &&
-                           text.find(':', second + 1) == std::string::npos;
-  PIT_CHECK(well_formed) << "PIT_FAULT must have exactly three ':'-separated fields "
-                            "(site:rate:seed), got \""
-                         << text << "\"";
-  FaultInjectionConfig config;
-  const std::string site = text.substr(0, first);
-  const std::string rate = text.substr(first + 1, second - first - 1);
-  const std::string seed = text.substr(second + 1);
-  PIT_CHECK(ParseSite(site, &config))
-      << "PIT_FAULT site must be plan_compile|context_acquire|batch_pack|"
-         "kernel_dispatch|stall|all, got \""
-      << site << "\"";
-  PIT_CHECK(ParseRate(rate, &config.rate))
-      << "PIT_FAULT rate must be a plain decimal in (0, 1], got \"" << rate << "\"";
-  PIT_CHECK(ParseSeed(seed, &config.seed))
-      << "PIT_FAULT seed must be a plain unsigned decimal, got \"" << seed << "\"";
-  config.enabled = true;
-  // fail_retries stays false: environment-driven chaos injects transient
-  // faults only, so every degradation ladder terminates in a served request.
-  return config;
-}
-
-const FaultInjectionConfig& ActiveFaultConfig() {
-  std::call_once(g_env_once, ResolveEnvConfig);
-  return g_config;
-}
+const FaultInjectionConfig& ActiveFaultConfig() { return g_config; }
 
 void SetFaultConfig(const FaultInjectionConfig& config) {
-  std::call_once(g_env_once, ResolveEnvConfig);  // pin resolution order
   g_config = config;
-  ResetFaultCounters();
+  for (std::atomic<uint64_t>& sequence : g_sequence) {
+    sequence.store(0, std::memory_order_relaxed);
+  }
 }
 
 bool FaultInjectionEnabled() { return ActiveFaultConfig().enabled; }
@@ -192,9 +84,7 @@ bool FaultProbe(FaultSite site) {
   if (tls_retry_immune > 0 && !config.fail_retries) {
     return false;
   }
-  SiteCounters& counters = g_sites[static_cast<int>(site)];
-  const uint64_t k = counters.sequence.fetch_add(1, std::memory_order_relaxed);
-  bool fire = true;
+  const uint64_t k = g_sequence[static_cast<int>(site)].fetch_add(1, std::memory_order_relaxed);
   if (config.rate < 1.0) {
     const uint64_t key =
         config.seed ^ Mix64((static_cast<uint64_t>(site) + 1) * 0x9E3779B97F4A7C15ULL + k);
@@ -202,31 +92,9 @@ bool FaultProbe(FaultSite site) {
     // exact doubles, so the decision is platform-independent.
     const double u =
         static_cast<double>(Mix64(key) >> 11) * (1.0 / 9007199254740992.0);  // 2^53
-    fire = u < config.rate;
+    return u < config.rate;
   }
-  if (fire) {
-    counters.fired.fetch_add(1, std::memory_order_relaxed);
-  }
-  return fire;
-}
-
-int64_t FaultProbesFired(FaultSite site) {
-  return g_sites[static_cast<int>(site)].fired.load(std::memory_order_relaxed);
-}
-
-int64_t FaultProbesFiredTotal() {
-  int64_t total = 0;
-  for (int i = 0; i < kNumFaultSites; ++i) {
-    total += g_sites[i].fired.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void ResetFaultCounters() {
-  for (int i = 0; i < kNumFaultSites; ++i) {
-    g_sites[i].sequence.store(0, std::memory_order_relaxed);
-    g_sites[i].fired.store(0, std::memory_order_relaxed);
-  }
+  return true;
 }
 
 bool FaultPending() { return tls_pending; }

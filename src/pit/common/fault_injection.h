@@ -7,38 +7,34 @@
 // that dies mid-replay. Those paths are unreachable from well-formed inputs
 // by construction, so this module makes them reachable on demand: seeded,
 // site-keyed probes that "fail" deterministically at a configured rate, so
-// tests and the `pitctl chaos` gate can prove the degradation ladder ends in
-// a definite per-request ServeStatus — never an abort, never a lost request,
-// never divergent bits for requests that still succeed.
+// the serving suites (tests/serving_engine_test.cc) can prove the degradation
+// ladder ends in a definite per-request ServeStatus — never an abort, never
+// a lost request, never divergent bits for requests that still succeed.
 //
 // Determinism contract: the k-th probe of a site fires iff
 // mix(seed, site, k) < rate (a pure function). Probe indices are claimed from
 // a per-site atomic sequence, so the *multiset* of fire/no-fire outcomes over
 // any N probes is a pure function of (seed, rate, N) — which request observes
 // the k-th outcome may vary with thread timing, but every containment
-// invariant the chaos harness checks (definite statuses, bitwise-identical
-// kOk outputs, counter reconciliation) is independent of that assignment.
+// invariant the tests check (definite statuses, bitwise-identical kOk
+// outputs, counter reconciliation) is independent of that assignment.
 //
 // Probes only fire inside an *armed* scope (ScopedFaultArming, installed by
-// the ServingEngine around its stream workers): a PIT_FAULT sweep over the
-// full test suite perturbs serving-engine traffic only, not every plan replay
-// in the process. Probes inside a *retry-immune* scope (the engine's
-// degradation rungs) are skipped unless the config's test-only fail_retries
-// flag is set: env-configured chaos models transient faults, so every rung
-// terminates; tests opt into persistent faults to exercise kInternal.
+// the ServingEngine around its stream workers): an installed config perturbs
+// serving-engine traffic only, not every plan replay in the process. Probes
+// inside a *retry-immune* scope (the engine's degradation rungs) are skipped
+// unless the config's fail_retries flag is set: by default injected faults
+// model transient failures, so every rung terminates; tests opt into
+// persistent faults to exercise kInternal.
 //
-// Configure with the strict-parsed PIT_FAULT=site:rate:seed environment knob
-// (site: plan_compile | context_acquire | batch_pack | kernel_dispatch |
-// stall | all; rate: decimal in (0, 1]; seed: unsigned decimal) or the
-// ScopedFaultInjection RAII guard for tests.
+// Configure in code only, with SetFaultConfig or the ScopedFaultInjection
+// RAII guard; there is no environment knob.
 //
 // The stall site is the liveness counterpart of the failure sites: a fired
 // probe makes a stream worker sleep for `stall_us` (a seeded wedge, not an
 // error), so watchdog detection and in-flight deadline enforcement become
 // provable. Because a stall is a delay rather than a failure, it never enters
-// the engine's fault ledger, and "all" spells the four *failure* sites only —
-// stall is opt-in by name so latency-oriented chaos never silently rides
-// along with failure sweeps.
+// the engine's fault ledger.
 #ifndef PIT_COMMON_FAULT_INJECTION_H_
 #define PIT_COMMON_FAULT_INJECTION_H_
 
@@ -47,19 +43,18 @@
 namespace pit {
 
 // The seams a fault can be injected into. Sites are keyed independently: a
-// config enables one site (or all), and each site draws from its own
+// config enables any set of sites, and each site draws from its own
 // deterministic probe sequence.
 enum class FaultSite : int {
   kPlanCompile = 0,     // building a stream's plan+context set (ServingEngine)
   kContextAcquire = 1,  // acquiring a stream's execution contexts (ServingEngine)
   kBatchPack = 2,       // packing a ragged batch (ServingEngine)
   kKernelDispatch = 3,  // dispatching a plan step (ExecutionPlan replay)
-  kStall = 4,           // seeded sleep inside a stream worker (liveness chaos)
+  kStall = 4,           // seeded sleep inside a stream worker (liveness tests)
 };
 inline constexpr int kNumFaultSites = 5;
 
-// Human-readable site name ("plan_compile", ...), for logs and the chaos
-// harness.
+// Human-readable site name ("plan_compile", ...), for logs and test traces.
 const char* FaultSiteName(FaultSite site);
 
 struct FaultInjectionConfig {
@@ -69,27 +64,22 @@ struct FaultInjectionConfig {
   uint64_t seed = 0;
   // Sleep duration of a fired stall probe, microseconds. Long enough by
   // default that the default-tick watchdog provably detects the wedge;
-  // tests and chaos cells dial it down to keep wall time bounded.
+  // tests dial it down to keep wall time bounded.
   int64_t stall_us = 50000;
-  // Test-only (not spellable via PIT_FAULT): evaluate probes inside
-  // retry-immune scopes too, so a retried operation can fail again and the
-  // terminal kInternal rung becomes reachable. Environment-configured chaos
-  // keeps retries immune — injected faults model *transient* failures, so
-  // every degradation ladder provably terminates in success.
+  // Evaluate probes inside retry-immune scopes too, so a retried operation
+  // can fail again and the terminal kInternal rung becomes reachable. Off by
+  // default: injected faults then model *transient* failures, so every
+  // degradation ladder provably terminates in success.
   bool fail_retries = false;
 };
 
-// Strict parser behind the PIT_FAULT resolution: exactly "site:rate:seed".
-// A typo'd site, a rate outside (0, 1], or trailing junk must fail loudly
-// (PIT_CHECK abort), never silently run without the faults the operator
-// believes are being injected.
-FaultInjectionConfig ParseFaultEnv(const char* value);
-
-// The active config. First call resolves PIT_FAULT; defaults to disabled.
+// The active config: the one SetFaultConfig last installed (disabled until
+// then).
 const FaultInjectionConfig& ActiveFaultConfig();
 
-// Installs `config` and resets the probe sequences and fired counters, so a
-// test (or chaos cell) observes the deterministic sequence from k = 0.
+// Installs `config` and resets the probe sequences, so a test observes the
+// deterministic sequence from k = 0. Fired probes are counted by the engine
+// that draws them (ServingEngineStats' fault ledger).
 void SetFaultConfig(const FaultInjectionConfig& config);
 
 // True when any site is enabled — the cheap predicate the engine arms on.
@@ -97,13 +87,8 @@ bool FaultInjectionEnabled();
 
 // Draws the next probe for `site`: true = the injected fault fires. False
 // when disarmed, disabled, the site is off, or the scope is retry-immune
-// (unless fail_retries). Fired probes are counted per site.
+// (unless fail_retries).
 bool FaultProbe(FaultSite site);
-
-// Lifetime fired-probe counters since the last SetFaultConfig/reset.
-int64_t FaultProbesFired(FaultSite site);
-int64_t FaultProbesFiredTotal();
-void ResetFaultCounters();
 
 namespace fault_internal {
 // Thread-local fast-path flag behind the replay-loop step probe: reading one
@@ -156,9 +141,9 @@ class ScopedFaultRetryImmunity {
   ScopedFaultRetryImmunity& operator=(const ScopedFaultRetryImmunity&) = delete;
 };
 
-// RAII config override for tests and the chaos harness: installs a
-// single-site (or all-site) config, resets counters, and restores the
-// previous config (resetting counters again) on destruction.
+// RAII config override for tests: installs a single-site config (or any
+// FaultInjectionConfig) and restores the previous one on destruction, each
+// through SetFaultConfig.
 class ScopedFaultInjection {
  public:
   ScopedFaultInjection(FaultSite site, double rate, uint64_t seed, bool fail_retries = false);

@@ -82,7 +82,7 @@ std::string ServingEngineStats::ToString() const {
   std::ostringstream os;
   os << "ServingEngineStats{requests=" << requests << " streams=" << num_streams
      << " window=" << batch_window << " max_tokens=" << max_batch_tokens
-     << " batches=" << batches << " util=" << packed_utilization << "; "
+     << " batches=" << batches << "; "
      << ServeStatusName(ServeStatus::kInvalidArgument) << "=" << rejected_invalid << " "
      << ServeStatusName(ServeStatus::kRejectedOverload) << "=" << rejected_overload << " "
      << ServeStatusName(ServeStatus::kDeadlineExceeded) << "=" << timed_out
@@ -577,8 +577,6 @@ void ServingEngine::MergeBucketStats(const std::vector<int64_t>& bucket_of,
     latencies_by_bucket[bucket_of[i]].push_back(latencies[i]);
   }
   int64_t batches = 0;
-  int64_t packed = 0;
-  int64_t computed = 0;
   stats_.buckets.clear();
   for (auto& [bucket, b] : merged) {
     auto it = latencies_by_bucket.find(bucket);
@@ -591,13 +589,9 @@ void ServingEngine::MergeBucketStats(const std::vector<int64_t>& bucket_of,
       b.p99_latency_us = PercentileNearestRank(it->second, 0.99);
     }
     batches += b.batches;
-    packed += b.packed_tokens;
-    computed += b.computed_tokens;
     stats_.buckets.push_back(b);
   }
   stats_.batches = batches;
-  stats_.packed_utilization =
-      computed > 0 ? static_cast<double>(packed) / static_cast<double>(computed) : 1.0;
 }
 
 void ServingEngine::FormSpans(const std::vector<ServeRequest>& requests,
@@ -872,22 +866,6 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
     serve_cv_.notify_all();
   }
   return outcomes;
-}
-
-std::vector<Tensor> ServingEngine::Serve(const std::vector<ServeRequest>& requests) {
-  std::vector<ServeOutcome> outcomes = ServeWithStatus(requests);
-  std::vector<Tensor> outputs;
-  outputs.reserve(outcomes.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    // The legacy API promises outputs for every request, so any contained
-    // failure escalates back into the fail-fast domain here — at the API
-    // boundary, with the request named, not deep inside a kernel.
-    PIT_CHECK(outcomes[i].status == ServeStatus::kOk)
-        << "Serve(): request " << i << " failed with status "
-        << ServeStatusName(outcomes[i].status) << "; use ServeWithStatus for structured handling";
-    outputs.push_back(std::move(outcomes[i].output));
-  }
-  return outputs;
 }
 
 }  // namespace pit

@@ -64,8 +64,7 @@
 // front.
 //
 // Fault containment (PR 9): the error domain is split in two. *API misuse* —
-// a null stack, negative option values, legacy Serve() on a failed request —
-// stays fail-fast (PIT_CHECK abort, check.h). *Data-dependent request
+// a null stack, negative option values — stays fail-fast (PIT_CHECK abort, check.h). *Data-dependent request
 // failures* are contained at the request boundary and reported as a
 // per-request ServeStatus: admission validates shape, mask dimensions and
 // finiteness up front (kInvalidArgument), a bounded admission queue sheds
@@ -80,8 +79,8 @@
 // batchmates: the PR 6 contract makes per-request outputs independent of
 // batch composition, so every degradation rung is bitwise invisible to the
 // surviving requests. The fault taps themselves live in
-// common/fault_injection.h (PIT_FAULT=site:rate:seed) and fire only inside
-// the engine's stream workers.
+// common/fault_injection.h (configured in code) and fire only inside the
+// engine's stream workers.
 //
 // Liveness (PR 10): fault containment alone still hangs when work *stops*
 // instead of failing, so the engine carries the liveness half of isolation.
@@ -97,8 +96,8 @@
 // bounded time-to-*detection*: a mid-request stream silent past
 // ServingEngineOptions::watchdog_us is logged and counted (stalls_detected),
 // and WatchdogMode::kAbort escalates to fail-fast. The deterministic `stall`
-// fault site (PIT_FAULT=stall:rate:seed, a seeded worker sleep) makes both
-// provable in chaos. Drain()/the destructor stop claiming, cancel or finish
+// fault site (a seeded worker sleep) makes both provable in the liveness
+// tests. Drain()/the destructor stop claiming, cancel or finish
 // in-flight work per policy, release queued requests kCancelled, and reject
 // later Serves with a definite status.
 //
@@ -263,9 +262,6 @@ struct ServingEngineStats {
   double mean_latency_us = 0.0;  // arrival (= Serve start) -> completion
   double p50_latency_us = 0.0;   // nearest-rank percentiles (PercentileNearestRank)
   double p99_latency_us = 0.0;
-  // Lifetime fraction of computed token rows that were real request rows.
-  // Every forward replays at its exact summed rows, so this is 1.0.
-  double packed_utilization = 1.0;
   // Fault-containment accounting (lifetime). The injected-fault ledger
   // reconciles exactly: faults_injected == retries + degraded_forwards +
   // internal_failures — every injected fault is compensated by exactly one
@@ -285,10 +281,10 @@ struct ServingEngineStats {
   // Packed forwards released early by a fired cancel token (every member's
   // deadline lapsed mid-replay, or drain) instead of completing.
   int64_t cancelled_forwards = 0;
-  // Liveness chaos + supervision: stall-site probes that fired in this
-  // engine's workers (seeded sleeps), watchdog detections, and the
-  // min/max silence the watchdog observed at detection time (microseconds;
-  // the detection-latency bound the chaos gate asserts against).
+  // Liveness supervision: stall-site probes that fired in this engine's
+  // workers (seeded sleeps), watchdog detections, and the min/max silence
+  // the watchdog observed at detection time (microseconds; the
+  // detection-latency bound the liveness tests assert against).
   int64_t stalls_injected = 0;
   int64_t stalls_detected = 0;
   int64_t stall_min_silence_us = 0;
@@ -310,7 +306,7 @@ struct ServingEngineStats {
   std::vector<int64_t> per_stream_requests;  // lifetime kOk completions per stream
   std::vector<ServingBucketStats> buckets;   // ascending by bucket
 
-  // Multi-line human-readable summary with symbolic status names, for chaos
+  // Multi-line human-readable summary with symbolic status names, for
   // diagnostics and test-failure messages (never parsed programmatically).
   std::string ToString() const;
 };
@@ -344,20 +340,13 @@ class ServingEngine {
   // engine.
   std::vector<ServeOutcome> ServeWithStatus(const std::vector<ServeRequest>& requests);
 
-  // Legacy strict wrapper: serves via ServeWithStatus and requires every
-  // request to end kOk — any contained failure is escalated to the fail-fast
-  // domain (PIT_CHECK abort naming the request and its status). For callers
-  // whose traffic is correct by construction (benches, examples, tests).
-  std::vector<Tensor> Serve(const std::vector<ServeRequest>& requests);
-
   // Graceful shutdown: stops span claiming, then per policy cancels claimed
   // spans at their next step boundary (kCancelInFlight, their requests end
   // kCancelled) or lets them complete (kFinishInFlight), and blocks until no
   // Serve call is inside the engine. Unclaimed queued requests are released
   // unserved with kCancelled either way. Idempotent — a second Drain (any
   // policy) returns immediately — and permanent: every later Serve call is
-  // rejected with all-kCancelled outcomes (never an abort via
-  // ServeWithStatus). The destructor drains with kCancelInFlight.
+  // rejected with all-kCancelled outcomes (never an abort). The destructor drains with kCancelInFlight.
   void Drain(DrainPolicy policy = DrainPolicy::kFinishInFlight);
   bool drained() const { return draining_.load(std::memory_order_acquire); }
 

@@ -661,21 +661,23 @@ TEST(IsaTierTest, PlannedStackBitwiseInvariantAcrossThreadsWithinTier) {
     for (auto& req : requests) {
       req.x = x;
     }
-    std::vector<Tensor> single_stream;
+    std::vector<ServeOutcome> single_stream;
     {
       ServingEngineOptions options;
       options.num_streams = 1;
       ServingEngine engine(stack, options);
-      single_stream = engine.Serve(requests);
-      EXPECT_TRUE(BitwiseEqual(single_stream[0], baseline)) << "tier=" << IsaName(tier);
+      single_stream = engine.ServeWithStatus(requests);
+      ASSERT_EQ(single_stream[0].status, ServeStatus::kOk);
+      EXPECT_TRUE(BitwiseEqual(single_stream[0].output, baseline)) << "tier=" << IsaName(tier);
     }
     {
       ServingEngineOptions options;
       options.num_streams = 3;
       ServingEngine engine(stack, options);
-      std::vector<Tensor> multi = engine.Serve(requests);
+      const std::vector<ServeOutcome> multi = engine.ServeWithStatus(requests);
       for (size_t i = 0; i < multi.size(); ++i) {
-        EXPECT_TRUE(BitwiseEqual(multi[i], single_stream[i]))
+        ASSERT_EQ(multi[i].status, ServeStatus::kOk) << "request " << i;
+        EXPECT_TRUE(BitwiseEqual(multi[i].output, single_stream[i].output))
             << "tier=" << IsaName(tier) << " request " << i;
       }
     }

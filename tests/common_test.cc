@@ -12,7 +12,6 @@
 
 #include "pit/common/backend.h"
 #include "pit/common/cancellation.h"
-#include "pit/common/fault_injection.h"
 #include "pit/common/parallel_for.h"
 #include "pit/common/rng.h"
 
@@ -153,66 +152,6 @@ TEST(EnvParsingTest, NumThreadsRejectsZeroAndNegative) {
   EXPECT_DEATH(ParseNumThreadsEnv("-128"), "PIT_NUM_THREADS");
   EXPECT_DEATH(ParseNumThreadsEnv("65537"), "PIT_NUM_THREADS");
   EXPECT_DEATH(ParseNumThreadsEnv("99999999999999999999"), "PIT_NUM_THREADS");
-}
-
-TEST(EnvParsingTest, FaultEnvAcceptsSiteRateSeedTriples) {
-  {
-    const FaultInjectionConfig config = ParseFaultEnv("batch_pack:0.5:7");
-    EXPECT_TRUE(config.enabled);
-    EXPECT_TRUE(config.site_enabled[static_cast<int>(FaultSite::kBatchPack)]);
-    EXPECT_FALSE(config.site_enabled[static_cast<int>(FaultSite::kPlanCompile)]);
-    EXPECT_DOUBLE_EQ(config.rate, 0.5);
-    EXPECT_EQ(config.seed, 7u);
-    EXPECT_FALSE(config.fail_retries);  // not spellable from the environment
-  }
-  {
-    // "all" spells the failure sites only: stall is a delay fault and must
-    // be opted into by name, never ride along with a failure sweep.
-    const FaultInjectionConfig config = ParseFaultEnv("all:1.0:0");
-    for (int site = 0; site < kNumFaultSites; ++site) {
-      EXPECT_EQ(config.site_enabled[site], static_cast<FaultSite>(site) != FaultSite::kStall);
-    }
-    EXPECT_DOUBLE_EQ(config.rate, 1.0);
-  }
-  {
-    const FaultInjectionConfig config = ParseFaultEnv("stall:0.5:9");
-    EXPECT_TRUE(config.enabled);
-    EXPECT_TRUE(config.site_enabled[static_cast<int>(FaultSite::kStall)]);
-    EXPECT_FALSE(config.site_enabled[static_cast<int>(FaultSite::kKernelDispatch)]);
-    EXPECT_DOUBLE_EQ(config.rate, 0.5);
-    EXPECT_EQ(config.seed, 9u);
-  }
-  {
-    // A bare integer rate of 1 is the only integer in (0, 1].
-    const FaultInjectionConfig config = ParseFaultEnv("kernel_dispatch:1:42");
-    EXPECT_TRUE(config.site_enabled[static_cast<int>(FaultSite::kKernelDispatch)]);
-    EXPECT_DOUBLE_EQ(config.rate, 1.0);
-    EXPECT_EQ(config.seed, 42u);
-  }
-}
-
-TEST(EnvParsingTest, FaultEnvRejectsBadSites) {
-  EXPECT_DEATH(ParseFaultEnv("warp_scheduler:0.5:7"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv(":0.5:7"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("ALL:0.5:7"), "PIT_FAULT");
-}
-
-TEST(EnvParsingTest, FaultEnvRejectsRatesOutsideZeroOneRange) {
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:0:7"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:0.0:7"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:1.5:7"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:-0.5:7"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:rate:7"), "PIT_FAULT");
-}
-
-TEST(EnvParsingTest, FaultEnvRejectsMalformedTriples) {
-  EXPECT_DEATH(ParseFaultEnv(""), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:0.5"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:0.5:7:9"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:0.5:seed"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:0.5:-7"), "PIT_FAULT");
-  EXPECT_DEATH(ParseFaultEnv("batch_pack:0.5:99999999999999999999999"), "PIT_FAULT");
 }
 
 TEST(EnvParsingTest, IsaAcceptsKnownNames) {

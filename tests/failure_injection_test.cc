@@ -80,9 +80,7 @@ TEST(FailureInjectionTest, BlockSparseIndivisibleShapeAborts) {
 
 // ---- ServingEngine: the error domain is split (PR 9). Construction misuse
 // stays fail-fast; malformed request *data* is contained per request and
-// reported as a ServeStatus — except through the legacy strict Serve()
-// wrapper, which escalates any non-kOk outcome back to an abort naming the
-// request. ----
+// reported as a ServeStatus, never an abort. ----
 
 TEST(FailureInjectionTest, ServingEngineNegativeOptionsAbort) {
   Rng rng(5);
@@ -134,20 +132,6 @@ TEST(FailureInjectionTest, ServingEngineContainsMalformedRequestData) {
     EXPECT_EQ(outcomes[i].status, ServeStatus::kInvalidArgument) << "request " << i;
     EXPECT_TRUE(outcomes[i].output.empty());
   }
-}
-
-TEST(FailureInjectionTest, LegacyServeEscalatesContainedFailureToAbort) {
-  // The worker pool is already running (earlier tests served requests), and
-  // a plain fork can copy a pool mutex held by a worker into the child,
-  // which then deadlocks in Serve. Re-exec the binary for the death child.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Rng rng(7);
-  PlannedFfnStack stack(1, 8, 16, rng);
-  ServingEngine engine(stack, {});
-  std::vector<ServeRequest> requests(1);
-  requests[0].x = Tensor::Random({3, 8}, rng);
-  requests[0].x[0] = std::nanf("");
-  EXPECT_DEATH(engine.Serve(requests), "Serve\\(\\): request .*invalid_argument");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -776,11 +777,19 @@ TEST(PlanExecutorTest, RandomizedGraphFuzzMatchesEagerAcrossThreadCounts) {
     for (int i = 0; i < ops; ++i) {
       const int src = pool[rng.NextBelow(pool.size())];
       const Shape s = g.node(src).shape;
-      const std::string name = "n" + std::to_string(i);
+      // Node names "n<i>", "n<i>_w", "n<i>_a", formatted rather than
+      // concatenated: GCC 12 at -O3 flags std::string operator+ here with a
+      // false -Wrestrict.
+      const auto node_name = [i](const char* suffix) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "n%d%s", i, suffix);
+        return std::string(buf);
+      };
+      const std::string name = node_name("");
       switch (rng.NextBelow(8)) {
         case 0: {  // matmul by a fresh weight (keeps values bounded)
           Tensor w = Tensor::Random({s[1], cols}, rng, -0.3f, 0.3f);
-          const int wid = g.AddWeight(name + "_w", std::move(w));
+          const int wid = g.AddWeight(node_name("_w"), std::move(w));
           pool.push_back(g.AddMatmul(name, src, wid));
           break;
         }
@@ -809,7 +818,7 @@ TEST(PlanExecutorTest, RandomizedGraphFuzzMatchesEagerAcrossThreadCounts) {
           pool.push_back(g.AddTranspose(name, src, 0, 1));
           break;
         case 6: {  // reshape round-trip: pure aliases feeding later ops
-          const int rs = g.AddReshape(name + "_a", src, {s[0] * s[1]});
+          const int rs = g.AddReshape(node_name("_a"), src, {s[0] * s[1]});
           pool.push_back(g.AddReshape(name, rs, s));
           break;
         }

@@ -288,8 +288,11 @@ TEST(PlanVerifierTest, HealthyEngineServesWithEveryPlanVerified) {
   for (int i = 0; i < 6; ++i) {
     requests.push_back({Tensor::Random({8 + 4 * (i % 3), 16}, xr), nullptr});
   }
-  const std::vector<Tensor> outputs = engine.Serve(requests);
-  ASSERT_EQ(outputs.size(), requests.size());
+  const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
+  ASSERT_EQ(outcomes.size(), requests.size());
+  for (const ServeOutcome& outcome : outcomes) {
+    EXPECT_EQ(outcome.status, ServeStatus::kOk);
+  }
   EXPECT_GT(engine.stats().pool_contexts, 0);
 }
 

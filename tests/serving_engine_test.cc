@@ -4,10 +4,14 @@
 // mixed request shapes, masked and unmasked, over each stream's one reused
 // capacity stack stream. The
 // suite runs under TSan in CI: concurrent streams over shared immutable plans
-// must be provably race-free, not just stable on one machine.
+// must be provably race-free, not just stable on one machine. This file is
+// also the one home of the fault-containment and liveness contracts
+// (FaultContainmentTest, LivenessTest): every injected-fault and stall check
+// lives here, and CI runs it under TSan and ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cfloat>
 #include <chrono>
 #include <cmath>
@@ -27,6 +31,7 @@
 #include "pit/runtime/models.h"
 #include "pit/runtime/serving_engine.h"
 #include "pit/tensor/ops.h"
+#include "pit/workloads/attention_masks.h"
 
 namespace pit {
 namespace {
@@ -35,6 +40,20 @@ void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   ASSERT_EQ(std::memcmp(a.data(), b.data(), static_cast<size_t>(a.size()) * sizeof(float)), 0)
       << "max abs diff " << MaxAbsDiff(a, b);
+}
+
+// Serves `requests` and returns their outputs in request order; any request
+// that does not end kOk fails the test.
+std::vector<Tensor> ServeOk(ServingEngine& engine, const std::vector<ServeRequest>& requests) {
+  std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
+  std::vector<Tensor> outputs;
+  outputs.reserve(outcomes.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].status, ServeStatus::kOk)
+        << "request " << i << ": " << ServeStatusName(outcomes[i].status);
+    outputs.push_back(std::move(outcomes[i].output));
+  }
+  return outputs;
 }
 
 Tensor MakeMask(int64_t tokens, Rng& rng) {
@@ -114,7 +133,7 @@ TEST(ServingEngineTest, MatchesEagerAcrossStreamsAndThreads) {
       ServingEngineOptions options;
       options.num_streams = streams;
       ServingEngine engine(stack, options);
-      std::vector<Tensor> outputs = engine.Serve(mix.requests);
+      std::vector<Tensor> outputs = ServeOk(engine, mix.requests);
       ASSERT_EQ(outputs.size(), expected.size());
       for (size_t i = 0; i < outputs.size(); ++i) {
         ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
@@ -155,13 +174,13 @@ TEST(ServingEngineTest, RandomizedRequestMixFuzzMatchesSingleStream) {
     ServingEngineOptions single;
     single.num_streams = 1;
     ServingEngine baseline(stack, single);
-    std::vector<Tensor> expected = baseline.Serve(requests);
+    std::vector<Tensor> expected = ServeOk(baseline, requests);
 
     for (int streams : {2, 3}) {
       ServingEngineOptions options;
       options.num_streams = streams;
       ServingEngine engine(stack, options);
-      std::vector<Tensor> outputs = engine.Serve(requests);
+      std::vector<Tensor> outputs = ServeOk(engine, requests);
       ASSERT_EQ(outputs.size(), expected.size());
       for (size_t i = 0; i < outputs.size(); ++i) {
         ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
@@ -206,7 +225,7 @@ TEST(ServingEngineTest, OneCapacityStreamPerServingStream) {
     ServingEngineOptions options;
     options.num_streams = streams;
     ServingEngine engine(stack, options);
-    engine.Serve(mix.requests);
+    ServeOk(engine, mix.requests);
     const ServingEngineStats first = engine.stats();
     EXPECT_EQ(first.requests, static_cast<int64_t>(mix.requests.size()));
     EXPECT_EQ(first.num_streams, streams);
@@ -229,7 +248,7 @@ TEST(ServingEngineTest, OneCapacityStreamPerServingStream) {
     // A second Serve replays the built streams; a stream meets its first
     // request here at most once (claiming is timing-dependent), so misses
     // still equal the active stream count.
-    engine.Serve(mix.requests);
+    ServeOk(engine, mix.requests);
     const ServingEngineStats second = engine.stats();
     EXPECT_EQ(second.requests, 2 * first.requests);
     EXPECT_EQ(TotalPlanMisses(second), ActiveStreams(second));
@@ -277,7 +296,7 @@ TEST(ServingEngineTest, PoolArenaIsOneSharedArenaPerStream) {
         options.max_batch_tokens = capacity;
         const auto check = [&](ServingEngine& engine, int64_t layers, int64_t stream_bytes,
                                const std::vector<Tensor>& eager, std::vector<Tensor>* single) {
-          const std::vector<Tensor> outputs = engine.Serve(requests);
+          const std::vector<Tensor> outputs = ServeOk(engine, requests);
           const ServingEngineStats& stats = engine.stats();
           EXPECT_EQ(stats.pool_contexts, ActiveStreams(stats) * layers);
           EXPECT_EQ(stats.pool_arena_bytes, ActiveStreams(stats) * stream_bytes);
@@ -329,7 +348,7 @@ TEST(ServingEngineTest, OneToOneOverManyLengthsBuildsOncePerStream) {
     ServingEngineOptions options;
     options.num_streams = streams;
     ServingEngine engine(stack, options);
-    std::vector<Tensor> outputs = engine.Serve(requests);
+    std::vector<Tensor> outputs = ServeOk(engine, requests);
     for (size_t i = 0; i < outputs.size(); ++i) {
       ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
     }
@@ -358,7 +377,7 @@ TEST(ServingEngineTest, LongRequestGrowsTheStreamOnce) {
   options.num_streams = 1;
   options.max_batch_tokens = 32;  // capacity 32
   ServingEngine engine(stack, options);
-  std::vector<Tensor> outputs = engine.Serve(requests);
+  std::vector<Tensor> outputs = ServeOk(engine, requests);
   for (size_t i = 0; i < outputs.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], stack.ForwardEager(requests[i].x)))
         << "request " << i;
@@ -386,7 +405,7 @@ TEST(ServingEngineTest, LongRequestGrowsTheStreamOnce) {
     req.x = Tensor::Random({tokens, 16}, rr);
     longer.push_back(std::move(req));
   }
-  outputs = engine.Serve(longer);
+  outputs = ServeOk(engine, longer);
   for (size_t i = 0; i < outputs.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], stack.ForwardEager(longer[i].x)))
         << "request " << i;
@@ -415,7 +434,7 @@ TEST(ServingEngineTest, FfnStackServingMatchesEager) {
   ServingEngineOptions options;
   options.num_streams = 3;
   ServingEngine engine(stack, options);
-  std::vector<Tensor> outputs = engine.Serve(requests);
+  std::vector<Tensor> outputs = ServeOk(engine, requests);
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], stack.ForwardEager(requests[i].x)))
         << "request " << i;
@@ -441,11 +460,11 @@ TEST(ServingEngineTest, PitServingMatchesSingleStreamPit) {
   pit.use_pit = true;
   pit.num_streams = 1;
   ServingEngine baseline(stack, pit);
-  std::vector<Tensor> expected = baseline.Serve(requests);
+  std::vector<Tensor> expected = ServeOk(baseline, requests);
 
   pit.num_streams = 3;
   ServingEngine engine(stack, pit);
-  std::vector<Tensor> outputs = engine.Serve(requests);
+  std::vector<Tensor> outputs = ServeOk(engine, requests);
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
   }
@@ -484,7 +503,7 @@ TEST(ServingEngineTest, PitEngineSelectsEachKeyOncePerDeployment) {
       options.batch_window = window;
       ServingEngine engine(stack, options);
       EXPECT_EQ(engine.kernel_selections(), 0);
-      const std::vector<Tensor> outputs = engine.Serve(requests);
+      const std::vector<Tensor> outputs = ServeOk(engine, requests);
       if (window == 1) {
         EXPECT_EQ(engine.kernel_selections(), distinct_keys) << streams << " streams";
       }
@@ -494,7 +513,7 @@ TEST(ServingEngineTest, PitEngineSelectsEachKeyOncePerDeployment) {
       }
       EXPECT_EQ(engine.kernel_selections(), selections)
           << streams << " streams, window " << window;
-      const std::vector<Tensor> again = engine.Serve(requests);
+      const std::vector<Tensor> again = ServeOk(engine, requests);
       EXPECT_EQ(engine.kernel_selections(), selections)
           << "repeat, " << streams << " streams, window " << window;
       for (size_t i = 0; i < requests.size(); ++i) {
@@ -568,15 +587,14 @@ TEST(RaggedBatchingTest, MatchesEagerAndUnbatchedAcrossCombinations) {
       options.batch_window = 4;
       options.max_batch_tokens = 48;
       ServingEngine engine(stack, options);
-      std::vector<Tensor> outputs = engine.Serve(mix.requests);
+      std::vector<Tensor> outputs = ServeOk(engine, mix.requests);
       ASSERT_EQ(outputs.size(), expected.size());
       for (size_t i = 0; i < outputs.size(); ++i) {
         ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
             << "request " << i << " (streams=" << streams << ", threads=" << threads << ")";
       }
-      // Requests were actually coalesced, not served 1:1, with no padding.
+      // Requests were actually coalesced, not served 1:1.
       EXPECT_LT(engine.stats().batches, engine.stats().requests);
-      EXPECT_EQ(engine.stats().packed_utilization, 1.0);
     }
   }
 }
@@ -616,7 +634,7 @@ TEST(RaggedBatchingTest, RandomizedMixedLengthFuzzMatchesOneToOne) {
     unbatched.num_streams = 1;
     unbatched.batch_window = 1;
     ServingEngine baseline(stack, unbatched);
-    std::vector<Tensor> expected = baseline.Serve(requests);
+    std::vector<Tensor> expected = ServeOk(baseline, requests);
 
     for (int window : {2, 5}) {
       for (int max_tokens : {24, 64}) {
@@ -626,7 +644,7 @@ TEST(RaggedBatchingTest, RandomizedMixedLengthFuzzMatchesOneToOne) {
           options.batch_window = window;
           options.max_batch_tokens = max_tokens;
           ServingEngine engine(stack, options);
-          std::vector<Tensor> outputs = engine.Serve(requests);
+          std::vector<Tensor> outputs = ServeOk(engine, requests);
           ASSERT_EQ(outputs.size(), expected.size());
           for (size_t i = 0; i < outputs.size(); ++i) {
             ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
@@ -655,7 +673,7 @@ TEST(RaggedBatchingTest, FfnStackBatchingMatchesEager) {
   options.batch_window = 4;
   options.max_batch_tokens = 40;
   ServingEngine engine(stack, options);
-  std::vector<Tensor> outputs = engine.Serve(requests);
+  std::vector<Tensor> outputs = ServeOk(engine, requests);
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], stack.ForwardEager(requests[i].x)))
         << "request " << i;
@@ -683,16 +701,14 @@ TEST(RaggedBatchingTest, PitBatchedServingMatchesSingleStreamBatched) {
   pit.max_batch_tokens = 32;
   pit.num_streams = 1;
   ServingEngine baseline(stack, pit);
-  std::vector<Tensor> expected = baseline.Serve(requests);
+  std::vector<Tensor> expected = ServeOk(baseline, requests);
 
   pit.num_streams = 3;
   ServingEngine engine(stack, pit);
-  std::vector<Tensor> outputs = engine.Serve(requests);
+  std::vector<Tensor> outputs = ServeOk(engine, requests);
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
   }
-  // PIT batches replay at their exact sums too: no padding rows.
-  EXPECT_EQ(engine.stats().packed_utilization, 1.0);
 }
 
 TEST(RaggedBatchingTest, StatsReportReplayRowCountsAndOneBuild) {
@@ -709,15 +725,13 @@ TEST(RaggedBatchingTest, StatsReportReplayRowCountsAndOneBuild) {
   options.batch_window = 4;
   options.max_batch_tokens = 40;
   ServingEngine engine(stack, options);
-  engine.Serve(mix.requests);
+  ServeOk(engine, mix.requests);
   const ServingEngineStats& stats = engine.stats();
 
   EXPECT_EQ(stats.batch_window, 4);
   EXPECT_EQ(stats.max_batch_tokens, 40);
   EXPECT_GT(stats.batches, 0);
   EXPECT_LT(stats.batches, stats.requests);
-  // Every batch replays at exactly its summed tokens: no padding rows.
-  EXPECT_EQ(stats.packed_utilization, 1.0);
   ASSERT_FALSE(stats.buckets.empty());
   int64_t bucket_requests = 0;
   int64_t prev_bucket = 0;
@@ -740,7 +754,7 @@ TEST(RaggedBatchingTest, StatsReportReplayRowCountsAndOneBuild) {
   EXPECT_EQ(stats.pool_arena_bytes, StreamArenaBytes(stack, 64));
 
   // A second pass over the same mix composes the same batches: pure hits.
-  engine.Serve(mix.requests);
+  ServeOk(engine, mix.requests);
   const ServingEngineStats& again = engine.stats();
   EXPECT_EQ(TotalPlanMisses(again), 1);
   EXPECT_EQ(again.pool_contexts, stack.layers());
@@ -797,7 +811,7 @@ TEST(RaggedBatchingTest, LongestSpanFirstKeepsComposition) {
       options.batch_window = 4;
       options.max_batch_tokens = 32;
       ServingEngine engine(stack, options);
-      std::vector<Tensor> outputs = engine.Serve(requests);
+      std::vector<Tensor> outputs = ServeOk(engine, requests);
       ASSERT_EQ(outputs.size(), expected.size());
       for (size_t i = 0; i < outputs.size(); ++i) {
         ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
@@ -868,10 +882,10 @@ TEST(RaggedBatchingTest, UnevenSpansWidenTheTailBitwise) {
     ScopedNumThreads threads(4);
     options.num_streams = 1;
     ServingEngine engine(stack, options);
-    single = engine.Serve(requests);
+    single = ServeOk(engine, requests);
     pit.num_streams = 1;
     ServingEngine pit_engine(ffn, pit);
-    pit_single = pit_engine.Serve(unmasked);
+    pit_single = ServeOk(pit_engine, unmasked);
   }
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(single[i], expected[i])) << "request " << i;
@@ -882,7 +896,7 @@ TEST(RaggedBatchingTest, UnevenSpansWidenTheTailBitwise) {
       ScopedNumThreads thread_guard(threads);
       options.num_streams = streams;
       ServingEngine engine(stack, options);
-      const std::vector<Tensor> outputs = engine.Serve(requests);
+      const std::vector<Tensor> outputs = ServeOk(engine, requests);
       ASSERT_EQ(outputs.size(), expected.size());
       for (size_t i = 0; i < outputs.size(); ++i) {
         ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i])) << "request " << i;
@@ -891,7 +905,7 @@ TEST(RaggedBatchingTest, UnevenSpansWidenTheTailBitwise) {
       EXPECT_EQ(engine.stats().batches, 3);
       pit.num_streams = streams;
       ServingEngine pit_engine(ffn, pit);
-      const std::vector<Tensor> pit_outputs = pit_engine.Serve(unmasked);
+      const std::vector<Tensor> pit_outputs = ServeOk(pit_engine, unmasked);
       for (size_t i = 0; i < pit_outputs.size(); ++i) {
         ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(pit_outputs[i], pit_single[i]))
             << "PIT request " << i;
@@ -1043,6 +1057,38 @@ TEST(FaultContainmentTest, OverloadShedsBeyondQueueCapacityDeterministically) {
     }
     EXPECT_EQ(engine.stats().rejected_overload, (pass + 1) * (n - kQueue));
   }
+
+  // Under transient batch_pack faults, with an invalid request in the
+  // traffic: the queue still sheds exactly the valid requests beyond its
+  // capacity, the invalid one still rejects, and the admitted ones stay
+  // bitwise.
+  std::vector<ServeRequest> traffic = mix.requests;
+  ServeRequest nan_req;
+  nan_req.x = mix.requests[0].x;
+  nan_req.x[1] = std::nanf("");
+  traffic.insert(traffic.begin() + 1, std::move(nan_req));
+  ScopedFaultInjection fault(FaultSite::kBatchPack, 0.75, /*seed=*/423);
+  ScopedNumThreads threads(4);
+  ServingEngine faulted(stack, options);
+  const std::vector<ServeOutcome> outcomes = faulted.ServeWithStatus(traffic);
+  ASSERT_EQ(outcomes.size(), traffic.size());
+  EXPECT_EQ(outcomes[1].status, ServeStatus::kInvalidArgument);
+  for (int64_t i = 0; i < n; ++i) {
+    const ServeOutcome& outcome = outcomes[static_cast<size_t>(i < 1 ? i : i + 1)];
+    if (i < kQueue) {
+      ASSERT_EQ(outcome.status, ServeStatus::kOk) << "request " << i;
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectBitwiseEqual(outcome.output, clean[static_cast<size_t>(i)].output));
+    } else {
+      EXPECT_EQ(outcome.status, ServeStatus::kRejectedOverload) << "request " << i;
+    }
+  }
+  const ServingEngineStats& stats = faulted.stats();
+  EXPECT_EQ(stats.rejected_overload, n - kQueue);
+  EXPECT_EQ(stats.rejected_invalid, 1);
+  EXPECT_GT(stats.faults_injected, 0);
+  EXPECT_EQ(stats.faults_injected, stats.retries);
+  EXPECT_EQ(stats.internal_failures, 0);
 }
 
 // A 1 us default deadline sweeps queued requests into kDeadlineExceeded at
@@ -1082,8 +1128,8 @@ TEST(FaultContainmentTest, DeadlineSweepShedsQueuedRequests) {
 }
 
 // Satellite regression: an empty Serve call and a fully-rejected Serve call
-// must keep every stat finite — no 0/0 packed utilization, no percentile of
-// an empty latency set, no NaN requests_per_sec.
+// must keep every stat finite — no percentile of an empty latency set, no
+// NaN requests_per_sec.
 TEST(FaultContainmentTest, ZeroRequestAndFullyRejectedServesKeepStatsFinite) {
   Rng wr(441);
   PlannedFfnStack stack(2, 16, 48, wr);
@@ -1100,8 +1146,6 @@ TEST(FaultContainmentTest, ZeroRequestAndFullyRejectedServesKeepStatsFinite) {
   EXPECT_EQ(s0.p50_latency_us, 0.0);
   EXPECT_EQ(s0.p99_latency_us, 0.0);
   EXPECT_TRUE(std::isfinite(s0.requests_per_sec));
-  EXPECT_TRUE(std::isfinite(s0.packed_utilization));
-  EXPECT_EQ(s0.packed_utilization, 1.0);
 
   Rng rng(442);
   std::vector<ServeRequest> invalid(3);
@@ -1119,7 +1163,6 @@ TEST(FaultContainmentTest, ZeroRequestAndFullyRejectedServesKeepStatsFinite) {
   EXPECT_EQ(s1.mean_latency_us, 0.0);
   EXPECT_EQ(s1.p50_latency_us, 0.0);
   EXPECT_EQ(s1.p99_latency_us, 0.0);
-  EXPECT_TRUE(std::isfinite(s1.packed_utilization));
   for (const ServingBucketStats& bucket : s1.buckets) {
     EXPECT_EQ(bucket.p50_latency_us, 0.0);
     EXPECT_EQ(bucket.p99_latency_us, 0.0);
@@ -1175,58 +1218,197 @@ TEST(FaultContainmentTest, AdmissionRejectsEveryNonFiniteAndAdmitsExtremeFinites
   EXPECT_EQ(engine.stats().rejected_invalid, invalid);
 }
 
-// Rate-1.0 injection at every site, served 1:1 and batched: transient faults
-// (retries immune, the PIT_FAULT model) must leave every request kOk with
-// bits identical to the fault-free run, and the ledger must reconcile
-// exactly — every injected fault compensated by one retry or one degraded
-// forward. Both windows share one ladder, whose only degraded rung is the
-// transient context.
+// Traffic for the transient-fault sweep: ragged lengths, a request longer
+// than the sweep's max_batch_tokens (its stream grows under plan_compile
+// faults), three leading requests with a day-long deadline (their spans arm
+// the stream's cancel token), one with extreme finite values, and three
+// adversarial requests that reject at admission, faults or not: NaN
+// activations, a bad mask (wrong dimensions on a transformer, any mask on an
+// FFN stack) and a negative deadline. Transformer traffic masks every other
+// request: random masks, plus two Longformer (sliding window + global
+// tokens) masks.
+struct SweepTraffic {
+  std::vector<ServeRequest> requests;
+  std::vector<Tensor> masks;       // owned here; requests point into it
+  std::vector<ServeStatus> want;   // fault-free status, parallel to requests
+};
+
+SweepTraffic BuildSweepTraffic(int64_t hidden, bool transformer, uint64_t seed) {
+  SweepTraffic t;
+  Rng rng(seed);
+  t.masks.reserve(16);  // stable addresses
+  const int64_t lengths[] = {5, 9, 16, 12, 7, 24, 5, 9, 16, 80, 12, 24};
+  for (size_t i = 0; i < std::size(lengths); ++i) {
+    ServeRequest req;
+    req.x = Tensor::Random({lengths[i], hidden}, rng);
+    if (i < 3) {
+      req.deadline_us = 86400000000LL;
+    }
+    if (i == 4) {
+      req.x[0] = FLT_MAX;
+      req.x[1] = -std::numeric_limits<float>::denorm_min();
+    }
+    if (transformer && i % 2 == 1) {
+      if (lengths[i] == 24) {
+        LongformerMaskConfig longformer;
+        longformer.seq_len = 24;
+        longformer.window = 6;
+        longformer.num_global = 2;
+        t.masks.push_back(LongformerMask(longformer, rng));
+      } else {
+        t.masks.push_back(MakeMask(lengths[i], rng));
+      }
+      req.attn_mask = &t.masks.back();
+    }
+    t.requests.push_back(std::move(req));
+    t.want.push_back(ServeStatus::kOk);
+    if (i % 4 == 1) {
+      ServeRequest bad;
+      bad.x = Tensor::Random({6, hidden}, rng);
+      switch (i / 4) {
+        case 0:
+          bad.x[3] = std::nanf("");
+          break;
+        case 1:
+          t.masks.push_back(MakeMask(transformer ? 7 : 6, rng));
+          bad.attn_mask = &t.masks.back();
+          break;
+        default:
+          bad.deadline_us = -1;
+          break;
+      }
+      t.requests.push_back(std::move(bad));
+      t.want.push_back(ServeStatus::kInvalidArgument);
+    }
+  }
+  return t;
+}
+
+// The forwards a run dispatched, per replayed row count: {bucket, batches,
+// requests, packed rows}. Stream and thread counts never change it, and the
+// degradation ladder retries a failed forward at identical composition, so
+// faults must not change it either.
+std::vector<std::array<int64_t, 4>> Composition(const ServingEngineStats& stats) {
+  std::vector<std::array<int64_t, 4>> rows;
+  for (const ServingBucketStats& b : stats.buckets) {
+    rows.push_back({b.bucket, b.batches, b.requests, b.packed_tokens});
+  }
+  return rows;
+}
+
+// Transient faults (retries immune) at every site, at firing rates 0.75 and
+// 1.0, over streams {1, 4} x threads {1, 4, 7}, served 1:1 and batched, on
+// the transformer, the FFN stack and the PIT FFN stack. Every request must
+// end with its fault-free status (the adversarial ones kInvalidArgument);
+// every kOk output must be bitwise identical to the fault-free reference —
+// 1:1 single-stream single-thread replay for dense serving, batched
+// single-stream replay at identical composition for PIT, whose kernel
+// selection sees the packed tile; the forwards' composition must match the
+// fault-free run's; and the ledger must reconcile exactly — every injected
+// fault compensated by one retry or one degraded forward, whose only rung is
+// the transient context. A stall is a delay, not a failure: it leaves the
+// fault ledger empty. Every site must fire somewhere in the sweep.
 TEST(FaultContainmentTest, EverySiteTransientFaultSweepStaysBitwise) {
   Rng wr(451);
-  PlannedTransformerStack stack(2, 32, 4, 96, wr);
-  RequestMix mix = BuildMix(32, {5, 9, 16}, /*per_shape=*/2, /*seed=*/452);
-  for (const int window : {1, 3}) {
-    SCOPED_TRACE("batch_window=" + std::to_string(window));
+  const PlannedTransformerStack transformer(2, 32, 4, 96, wr);
+  const PlannedFfnStack ffn(3, 16, 64, wr);
+  const SweepTraffic transformer_traffic = BuildSweepTraffic(32, /*transformer=*/true, 452);
+  const SweepTraffic ffn_traffic = BuildSweepTraffic(16, /*transformer=*/false, 453);
+  Rng seeds(454);
+  int64_t fired[kNumFaultSites] = {};
+
+  const auto sweep = [&](const auto& stack, const SweepTraffic& traffic, bool use_pit) {
+    const std::vector<ServeRequest>& requests = traffic.requests;
     ServingEngineOptions options;
-    options.num_streams = 4;
-    options.batch_window = window;
+    options.use_pit = use_pit;
     options.max_batch_tokens = 64;
-    std::vector<ServeOutcome> clean;
-    {
+    // Fault-free single-stream single-thread runs, per batch window.
+    std::vector<ServeOutcome> clean[2];
+    std::vector<std::array<int64_t, 4>> composition[2];
+    for (const int w : {0, 1}) {
+      ScopedNumThreads one_thread(1);
+      options.num_streams = 1;
+      options.batch_window = w == 0 ? 1 : 3;
       ServingEngine engine(stack, options);
-      clean = engine.ServeWithStatus(mix.requests);
-    }
-    ScopedNumThreads threads(4);
-    for (int site = 0; site < kNumFaultSites; ++site) {
-      SCOPED_TRACE(FaultSiteName(static_cast<FaultSite>(site)));
-      FaultInjectionConfig config;
-      config.enabled = true;
-      config.site_enabled[site] = true;
-      config.rate = 1.0;
-      config.seed = 1000 + static_cast<uint64_t>(site);
-      config.stall_us = 2000;  // keep the stall leg wall-clock bounded
-      ScopedFaultInjection fault(config);
-      ServingEngine engine(stack, options);
-      const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
-      for (size_t i = 0; i < outcomes.size(); ++i) {
-        ASSERT_EQ(outcomes[i].status, ServeStatus::kOk);
-        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outcomes[i].output, clean[i].output));
+      clean[w] = engine.ServeWithStatus(requests);
+      composition[w] = Composition(engine.stats());
+      ASSERT_EQ(clean[w].size(), requests.size());
+      for (size_t i = 0; i < requests.size(); ++i) {
+        ASSERT_EQ(clean[w][i].status, traffic.want[i]) << "request " << i;
       }
-      const ServingEngineStats& stats = engine.stats();
-      if (static_cast<FaultSite>(site) == FaultSite::kStall) {
-        // A stall is a delay, not a failure: outputs stay bitwise, the fault
-        // ledger stays empty, and the sleeps are tallied on their own counter.
-        EXPECT_EQ(stats.faults_injected, 0);
-        EXPECT_GT(stats.stalls_injected, 0);
-      } else {
-        EXPECT_GT(stats.faults_injected, 0);
-        EXPECT_EQ(stats.internal_failures, 0);
-        EXPECT_EQ(stats.faults_injected, stats.retries + stats.degraded_forwards);
-        if (static_cast<FaultSite>(site) != FaultSite::kContextAcquire) {
-          EXPECT_EQ(stats.degraded_forwards, 0);
+    }
+    for (const int w : {0, 1}) {
+      options.batch_window = w == 0 ? 1 : 3;
+      const std::vector<ServeOutcome>& reference = use_pit ? clean[w] : clean[0];
+      for (const double rate : {0.75, 1.0}) {
+        for (int site = 0; site < kNumFaultSites; ++site) {
+          for (const int streams : {1, 4}) {
+            for (const int threads : {1, 4, 7}) {
+              SCOPED_TRACE(std::string(FaultSiteName(static_cast<FaultSite>(site))) +
+                           " rate=" + std::to_string(rate) +
+                           " window=" + std::to_string(options.batch_window) +
+                           " streams=" + std::to_string(streams) +
+                           " threads=" + std::to_string(threads));
+              FaultInjectionConfig config;
+              config.enabled = true;
+              config.site_enabled[site] = true;
+              config.rate = rate;
+              config.seed = seeds.NextU64();
+              config.stall_us = 500;  // keep the stall leg wall-clock bounded
+              ScopedFaultInjection fault(config);
+              ScopedNumThreads thread_guard(threads);
+              options.num_streams = streams;
+              ServingEngine engine(stack, options);
+              const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
+              ASSERT_EQ(outcomes.size(), requests.size());
+              for (size_t i = 0; i < outcomes.size(); ++i) {
+                ASSERT_EQ(outcomes[i].status, clean[w][i].status) << "request " << i;
+                if (outcomes[i].status == ServeStatus::kOk) {
+                  ASSERT_NO_FATAL_FAILURE(
+                      ExpectBitwiseEqual(outcomes[i].output, reference[i].output))
+                      << "request " << i;
+                }
+              }
+              const ServingEngineStats& stats = engine.stats();
+              EXPECT_EQ(Composition(stats), composition[w]);
+              if (static_cast<FaultSite>(site) == FaultSite::kStall) {
+                EXPECT_EQ(stats.faults_injected, 0);
+                fired[site] += stats.stalls_injected;
+                if (rate == 1.0) {
+                  EXPECT_GT(stats.stalls_injected, 0);
+                }
+                continue;
+              }
+              fired[site] += stats.faults_injected;
+              if (rate == 1.0) {
+                EXPECT_GT(stats.faults_injected, 0);
+              }
+              EXPECT_EQ(stats.internal_failures, 0);
+              EXPECT_EQ(stats.faults_injected, stats.retries + stats.degraded_forwards);
+              if (static_cast<FaultSite>(site) != FaultSite::kContextAcquire) {
+                EXPECT_EQ(stats.degraded_forwards, 0);
+              }
+            }
+          }
         }
       }
     }
+  };
+  {
+    SCOPED_TRACE("transformer");
+    sweep(transformer, transformer_traffic, /*use_pit=*/false);
+  }
+  {
+    SCOPED_TRACE("ffn");
+    sweep(ffn, ffn_traffic, /*use_pit=*/false);
+  }
+  {
+    SCOPED_TRACE("ffn pit");
+    sweep(ffn, ffn_traffic, /*use_pit=*/true);
+  }
+  for (int site = 0; site < kNumFaultSites; ++site) {
+    EXPECT_GT(fired[site], 0) << FaultSiteName(static_cast<FaultSite>(site))
+                              << " never fired across the sweep";
   }
 }
 
@@ -1372,10 +1554,18 @@ TEST(LivenessTest, PartialLapseMarksLapsedAtEgressAndKeepsSurvivorsBitwise) {
   EXPECT_EQ(stats.timed_out, 2);
 }
 
-// Watchdog in report mode: a stalled stream (silent past the threshold) must
-// be detected and tallied without perturbing results — every request still
-// completes kOk and bitwise identical to the clean run.
+// Watchdog in report mode, at every streams {1, 4} x threads {1, 4, 7} cell:
+// each stalled stream (silent past the threshold) must be detected, with a
+// measured silence inside (threshold, 2x threshold], and tallied without
+// perturbing results — every request still completes kOk and bitwise
+// identical to the clean run, and the stalls stay out of the fault ledger.
+// The measured silence starts at the watchdog's first tick after the
+// stream's last heartbeat, so it cannot show how coarse the ticks are; the
+// stall length does. The watchdog ticks at a quarter of the threshold, so
+// it detects a stall within 1.25x the threshold of real silence (plus
+// scheduling slop): every stall of 1.6x the threshold must be caught.
 TEST(LivenessTest, WatchdogDetectsStallInReportModeWithoutPerturbingResults) {
+  constexpr int64_t kWatchdogUs = 40000;
   Rng wr(491);
   PlannedTransformerStack stack(2, 32, 4, 96, wr);
   std::vector<ServeRequest> requests = PackableRequests(4, 8, 32, 492);
@@ -1383,29 +1573,40 @@ TEST(LivenessTest, WatchdogDetectsStallInReportModeWithoutPerturbingResults) {
   ServingEngine clean_engine(stack, {});
   const std::vector<ServeOutcome> clean = clean_engine.ServeWithStatus(requests);
 
-  ScopedFaultInjection fault(StallConfig(/*stall_us=*/150000, /*seed=*/493));
-  ServingEngineOptions options;
-  options.num_streams = 2;
-  options.watchdog_us = 20000;  // 20 ms threshold, well under the 150 ms stall
-  options.watchdog_mode = WatchdogMode::kReport;
-  ServingEngine engine(stack, options);
-  EXPECT_EQ(engine.watchdog_us(), 20000);
-  EXPECT_EQ(engine.watchdog_mode(), WatchdogMode::kReport);
-  const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_EQ(outcomes[i].status, ServeStatus::kOk);
-    ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outcomes[i].output, clean[i].output));
-  }
-  const ServingEngineStats& stats = engine.stats();
-  EXPECT_GE(stats.stalls_detected, 1);
-  EXPECT_GT(stats.stalls_injected, 0);
-  EXPECT_GT(stats.stall_min_silence_us, engine.watchdog_us());
-  EXPECT_GE(stats.stall_max_silence_us, stats.stall_min_silence_us);
+  uint64_t seed = 493;
+  for (const int streams : {1, 4}) {
+    for (const int threads : {1, 4, 7}) {
+      SCOPED_TRACE("streams=" + std::to_string(streams) + " threads=" + std::to_string(threads));
+      // Every claim stalls for 1.6x the threshold.
+      ScopedFaultInjection fault(StallConfig(/*stall_us=*/64000, seed++));
+      ScopedNumThreads thread_guard(threads);
+      ServingEngineOptions options;
+      options.num_streams = streams;
+      options.watchdog_us = kWatchdogUs;
+      options.watchdog_mode = WatchdogMode::kReport;
+      ServingEngine engine(stack, options);
+      EXPECT_EQ(engine.watchdog_us(), kWatchdogUs);
+      EXPECT_EQ(engine.watchdog_mode(), WatchdogMode::kReport);
+      const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
+      for (size_t i = 0; i < outcomes.size(); ++i) {
+        ASSERT_EQ(outcomes[i].status, ServeStatus::kOk);
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outcomes[i].output, clean[i].output));
+      }
+      const ServingEngineStats& stats = engine.stats();
+      EXPECT_EQ(stats.stalls_injected, static_cast<int64_t>(requests.size()));
+      EXPECT_EQ(stats.stalls_detected, stats.stalls_injected);
+      EXPECT_GT(stats.stall_min_silence_us, kWatchdogUs);
+      EXPECT_LE(stats.stall_max_silence_us, 2 * kWatchdogUs);
+      EXPECT_GE(stats.stall_max_silence_us, stats.stall_min_silence_us);
+      EXPECT_EQ(stats.faults_injected, 0);
+      EXPECT_EQ(stats.retries + stats.degraded_forwards + stats.internal_failures, 0);
 
-  // Stats rendering carries the liveness counters.
-  const std::string rendered = stats.ToString();
-  EXPECT_NE(rendered.find("stalls"), std::string::npos);
-  EXPECT_NE(rendered.find("requests"), std::string::npos);
+      // Stats rendering carries the liveness counters.
+      const std::string rendered = stats.ToString();
+      EXPECT_NE(rendered.find("stalls"), std::string::npos);
+      EXPECT_NE(rendered.find("requests"), std::string::npos);
+    }
+  }
 }
 
 // Watchdog in abort mode is a fail-fast: a detected stall must bring the

@@ -9,8 +9,6 @@
 //   pitctl isa                         detected/selected CPU ISA tier
 //   pitctl verify                      compile representative plans and run
 //                                      the static plan verifier over each
-//   pitctl chaos [seed]                randomized fault-injection matrix over
-//                                      the serving engine (CI containment gate)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -20,11 +18,8 @@
 #include <vector>
 
 #include "pit/common/backend.h"
-#include "pit/common/fault_injection.h"
-#include "pit/common/parallel_for.h"
 #include "pit/common/rng.h"
 #include "pit/runtime/models.h"
-#include "pit/runtime/serving_engine.h"
 #include "pit/core/kernel_selection.h"
 #include "pit/core/kernel_space.h"
 #include "pit/expr/op_registry.h"
@@ -278,467 +273,6 @@ void PrintIsa() {
               UseSimd() ? 1 : 0);
 }
 
-// ---- pitctl chaos ----------------------------------------------------------
-//
-// Randomized fault matrix over the serving engine: for every injection site x
-// streams {1, 4} x threads {1, 4, 7}, serve a fixed
-// mixed traffic (ragged lengths, some masked, plus adversarial requests that
-// must reject at admission) under high-rate deterministic fault injection and
-// require: no abort, every request ends in a definite ServeStatus equal to
-// the fault-free baseline's, every kOk output bitwise identical to fault-free
-// 1:1 single-stream replay, the injected-fault ledger reconciles
-// (faults == retries + degraded + internal, and no internal failures under
-// transient faults), and every site actually fired across its cells. A PIT
-// slice (batched faulted vs batched fault-free replay at identical
-// composition) and an overload + deadline cell ride along. Machine-grep-able
-// (`chaos=ok`) plus a non-zero exit on any violation, for CI gating.
-//
-// PR 10 adds liveness cells: a watchdog-supervised stall matrix (seeded delay
-// faults at every streams x threads cell; detection within 2x the
-// threshold, no aborts in report mode, outputs still bitwise) and mid-flight
-// deadline cells (all-lapsed batches cancelled and released kDeadlineExceeded
-// as one forward; mixed batches complete and mark lapsed members at egress).
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.size()) * sizeof(float)) == 0;
-}
-
-Tensor ChaosMask(int64_t tokens, Rng& rng) {
-  Tensor mask = Tensor::RandomSparse({tokens, tokens}, 0.4, rng);
-  for (int64_t i = 0; i < mask.size(); ++i) {
-    mask[i] = mask[i] != 0.0f ? 1.0f : 0.0f;
-  }
-  return mask;
-}
-
-struct ChaosTraffic {
-  std::vector<ServeRequest> requests;
-  std::vector<Tensor> masks;  // owned here; requests point into it
-  int num_valid = 0;          // requests expected to end kOk in a clean run
-};
-
-// Ragged mixed traffic plus three adversarial requests that must reject at
-// admission deterministically, faults or not: NaN activations, a bad mask
-// (wrong dimensions for transformers; any mask at all for FFN stacks), and a
-// negative deadline.
-ChaosTraffic BuildChaosTraffic(int64_t hidden, bool transformer, uint64_t seed) {
-  ChaosTraffic t;
-  Rng rng(seed);
-  const int64_t counts[] = {5, 9, 16, 12, 7};
-  t.masks.reserve(32);  // stable addresses: requests hold pointers into this
-  for (int round = 0; round < 3; ++round) {
-    for (size_t c = 0; c < sizeof(counts) / sizeof(counts[0]); ++c) {
-      ServeRequest req;
-      req.x = Tensor::Random({counts[c], hidden}, rng);
-      if (transformer && (round + static_cast<int>(c)) % 2 == 1) {
-        t.masks.push_back(ChaosMask(counts[c], rng));
-        req.attn_mask = &t.masks.back();
-      }
-      t.requests.push_back(std::move(req));
-      ++t.num_valid;
-    }
-  }
-  {
-    ServeRequest nan_req;
-    nan_req.x = Tensor::Random({6, hidden}, rng);
-    nan_req.x[3] = std::nanf("");
-    t.requests.push_back(std::move(nan_req));
-  }
-  {
-    ServeRequest bad_mask;
-    bad_mask.x = Tensor::Random({6, hidden}, rng);
-    t.masks.push_back(transformer ? ChaosMask(7, rng) : ChaosMask(6, rng));
-    bad_mask.attn_mask = &t.masks.back();  // [7,7] vs 6 tokens / any mask on FFN
-    t.requests.push_back(std::move(bad_mask));
-  }
-  {
-    ServeRequest bad_deadline;
-    bad_deadline.x = Tensor::Random({6, hidden}, rng);
-    bad_deadline.deadline_us = -1;
-    t.requests.push_back(std::move(bad_deadline));
-  }
-  return t;
-}
-
-// The fault-free reference every cell is checked against: single-stream,
-// single-thread. Dense serving compares against 1:1
-// (window 1) replay — the strongest form of the PR 6 contract; PIT serving
-// compares against batched replay at the same admission knobs (identical
-// claim composition), since PIT kernel selection sees the packed tile.
-template <typename Stack>
-std::vector<ServeOutcome> ChaosBaseline(const Stack& stack, const ChaosTraffic& traffic,
-                                        bool use_pit) {
-  FaultInjectionConfig off;  // disabled: the baseline must be fault-free even
-  ScopedFaultInjection guard(off);  // when PIT_FAULT is exported around us
-  ScopedNumThreads one_thread(1);
-  ServingEngineOptions opt;
-  opt.num_streams = 1;
-  opt.use_pit = use_pit;
-  opt.batch_window = use_pit ? 4 : 1;
-  opt.max_batch_tokens = 48;
-  ServingEngine engine(stack, opt);
-  return engine.ServeWithStatus(traffic.requests);
-}
-
-template <typename Stack>
-int ChaosMatrix(const char* label, const Stack& stack, const ChaosTraffic& traffic, bool use_pit,
-                const std::vector<int>& thread_counts, Rng& rng,
-                int64_t fired_by_site[kNumFaultSites]) {
-  const std::vector<ServeOutcome> baseline = ChaosBaseline(stack, traffic, use_pit);
-  int failures = 0;
-  for (int site_i = 0; site_i < kNumFaultSites; ++site_i) {
-    if (static_cast<FaultSite>(site_i) == FaultSite::kStall) {
-      continue;  // delay fault, not an error fault: exercised by ChaosStallMatrix
-    }
-    for (int streams : {1, 4}) {
-      for (int threads : thread_counts) {
-        const uint64_t cell_seed = rng.NextU64();
-        ScopedNumThreads thread_guard(threads);
-        ScopedFaultInjection fault(static_cast<FaultSite>(site_i), 0.75, cell_seed);
-        ServingEngineOptions opt;
-        opt.num_streams = streams;
-        opt.use_pit = use_pit;
-        opt.batch_window = 4;
-        opt.max_batch_tokens = 48;
-        ServingEngine engine(stack, opt);
-        const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(traffic.requests);
-        const ServingEngineStats& stats = engine.stats();
-        fired_by_site[site_i] += stats.faults_injected;
-        const char* err = nullptr;
-        if (outcomes.size() != traffic.requests.size()) {
-          err = "lost requests";
-        }
-        for (size_t i = 0; err == nullptr && i < outcomes.size(); ++i) {
-          if (outcomes[i].status != baseline[i].status) {
-            err = "status diverged from fault-free baseline";
-          } else if (outcomes[i].status == ServeStatus::kOk &&
-                     !BitwiseEqual(outcomes[i].output, baseline[i].output)) {
-            err = "kOk output diverged bitwise from fault-free baseline";
-          }
-        }
-        if (err == nullptr && stats.internal_failures != 0) {
-          err = "internal failure under transient faults";
-        }
-        if (err == nullptr && stats.faults_injected != stats.retries + stats.degraded_forwards +
-                                                           stats.internal_failures) {
-          err = "fault ledger does not reconcile";
-        }
-        std::printf("chaos cell stack=%s site=%s streams=%d threads=%d faults=%lld "
-                    "retries=%lld degraded=%lld %s\n",
-                    label, FaultSiteName(static_cast<FaultSite>(site_i)), streams, threads,
-                    static_cast<long long>(stats.faults_injected),
-                    static_cast<long long>(stats.retries),
-                    static_cast<long long>(stats.degraded_forwards), err != nullptr ? err : "ok");
-        if (err != nullptr) {
-          ++failures;
-        }
-      }
-    }
-  }
-  return failures;
-}
-
-// Overload + deadline cell: a bounded queue sheds exactly the valid requests
-// beyond its capacity (arrival order, deterministic) without perturbing the
-// survivors' bits, and a 1 us deadline sweeps queued requests into
-// kDeadlineExceeded — every status still definite, every kOk still bitwise.
-int ChaosOverloadCell(const PlannedTransformerStack& stack, const ChaosTraffic& traffic,
-                      Rng& rng) {
-  const std::vector<ServeOutcome> baseline = ChaosBaseline(stack, traffic, /*use_pit=*/false);
-  const char* err = nullptr;
-  constexpr int kQueue = 6;
-  {
-    ScopedFaultInjection fault(FaultSite::kBatchPack, 0.75, rng.NextU64());
-    ScopedNumThreads threads(4);
-    ServingEngineOptions opt;
-    opt.num_streams = 2;
-    opt.batch_window = 4;
-    opt.max_batch_tokens = 48;
-    opt.queue_capacity = kQueue;
-    ServingEngine engine(stack, opt);
-    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(traffic.requests);
-    int valid_seen = 0;
-    for (size_t i = 0; err == nullptr && i < outcomes.size(); ++i) {
-      if (baseline[i].status != ServeStatus::kOk) {
-        if (outcomes[i].status != baseline[i].status) {
-          err = "invalid request not rejected under overload";
-        }
-        continue;
-      }
-      ++valid_seen;
-      if (valid_seen <= kQueue) {
-        if (outcomes[i].status != ServeStatus::kOk) {
-          err = "admitted request did not complete";
-        } else if (!BitwiseEqual(outcomes[i].output, baseline[i].output)) {
-          err = "admitted request diverged bitwise under shedding";
-        }
-      } else if (outcomes[i].status != ServeStatus::kRejectedOverload) {
-        err = "request beyond queue capacity not shed";
-      }
-    }
-    if (err == nullptr && engine.stats().rejected_overload != traffic.num_valid - kQueue) {
-      err = "rejected_overload count wrong";
-    }
-    std::printf("chaos cell stack=transformer mode=overload queue=%d shed=%lld %s\n", kQueue,
-                static_cast<long long>(engine.stats().rejected_overload),
-                err != nullptr ? err : "ok");
-  }
-  int failures = err != nullptr ? 1 : 0;
-  err = nullptr;
-  {
-    // Deadline sweep: which requests lapse is timing-dependent, but every
-    // status must be definite (kOk or kDeadlineExceeded for valid traffic),
-    // kOk bits must match, and the timed_out counter must reconcile.
-    FaultInjectionConfig off;
-    ScopedFaultInjection guard(off);
-    ScopedNumThreads threads(1);
-    ServingEngineOptions opt;
-    opt.num_streams = 1;
-    opt.batch_window = 1;
-    opt.deadline_us = 1;
-    ServingEngine engine(stack, opt);
-    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(traffic.requests);
-    int64_t timed_out = 0;
-    for (size_t i = 0; err == nullptr && i < outcomes.size(); ++i) {
-      if (baseline[i].status != ServeStatus::kOk) {
-        if (outcomes[i].status != baseline[i].status) {
-          err = "invalid request not rejected under deadline";
-        }
-        continue;
-      }
-      if (outcomes[i].status == ServeStatus::kDeadlineExceeded) {
-        ++timed_out;
-      } else if (outcomes[i].status != ServeStatus::kOk) {
-        err = "valid request ended neither kOk nor kDeadlineExceeded";
-      } else if (!BitwiseEqual(outcomes[i].output, baseline[i].output)) {
-        err = "kOk output diverged bitwise under deadline sweep";
-      }
-    }
-    if (err == nullptr && engine.stats().timed_out != timed_out) {
-      err = "timed_out counter does not match statuses";
-    }
-    std::printf("chaos cell stack=transformer mode=deadline timed_out=%lld %s\n",
-                static_cast<long long>(timed_out), err != nullptr ? err : "ok");
-  }
-  return failures + (err != nullptr ? 1 : 0);
-}
-
-// Stall matrix (PR 10): rate-1.0 seeded stalls at every streams x threads
-// cell under watchdog supervision in report mode. A stall is a
-// delay, never an error: every status must equal the fault-free baseline's,
-// every kOk output must stay bitwise, the error-fault ledger must stay empty,
-// and the watchdog must detect each stalled stream within 2x the threshold
-// without aborting the process.
-int ChaosStallMatrix(const PlannedTransformerStack& stack, const ChaosTraffic& traffic, Rng& rng,
-                     int64_t fired_by_site[kNumFaultSites]) {
-  constexpr int64_t kWatchdogUs = 50000;
-  constexpr int64_t kStallUs = 150000;
-  const std::vector<ServeOutcome> baseline = ChaosBaseline(stack, traffic, /*use_pit=*/false);
-  int failures = 0;
-  for (int streams : {1, 4}) {
-    for (int threads : {1, 4, 7}) {
-      FaultInjectionConfig config;
-      config.enabled = true;
-      config.site_enabled[static_cast<int>(FaultSite::kStall)] = true;
-      config.rate = 1.0;
-      config.seed = rng.NextU64();
-      config.stall_us = kStallUs;
-      ScopedFaultInjection fault(config);
-      ScopedNumThreads thread_guard(threads);
-      ServingEngineOptions opt;
-      opt.num_streams = streams;
-      opt.batch_window = 4;
-      opt.max_batch_tokens = 48;
-      opt.watchdog_us = kWatchdogUs;
-      opt.watchdog_mode = WatchdogMode::kReport;
-      ServingEngine engine(stack, opt);
-      const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(traffic.requests);
-      const ServingEngineStats& stats = engine.stats();
-      fired_by_site[static_cast<int>(FaultSite::kStall)] += stats.stalls_injected;
-      const char* err = nullptr;
-      if (outcomes.size() != traffic.requests.size()) {
-        err = "lost requests";
-      }
-      for (size_t i = 0; err == nullptr && i < outcomes.size(); ++i) {
-        if (outcomes[i].status != baseline[i].status) {
-          err = "status diverged from fault-free baseline";
-        } else if (outcomes[i].status == ServeStatus::kOk &&
-                   !BitwiseEqual(outcomes[i].output, baseline[i].output)) {
-          err = "kOk output diverged bitwise under stalls";
-        }
-      }
-      if (err == nullptr && stats.stalls_injected == 0) {
-        err = "stall site never fired";
-      }
-      if (err == nullptr && stats.stalls_detected == 0) {
-        err = "watchdog missed a stalled stream";
-      }
-      if (err == nullptr && (stats.stall_min_silence_us <= kWatchdogUs ||
-                             stats.stall_min_silence_us > 2 * kWatchdogUs)) {
-        err = "detection latency outside (threshold, 2x threshold]";
-      }
-      if (err == nullptr &&
-          stats.faults_injected !=
-              stats.retries + stats.degraded_forwards + stats.internal_failures) {
-        err = "fault ledger does not reconcile";
-      }
-      if (err == nullptr && stats.faults_injected != 0) {
-        err = "stall leaked into the error-fault ledger";
-      }
-      std::printf("chaos cell stack=transformer mode=stall streams=%d threads=%d "
-                  "stalls=%lld detected=%lld min_silence_us=%lld %s\n",
-                  streams, threads, static_cast<long long>(stats.stalls_injected),
-                  static_cast<long long>(stats.stalls_detected),
-                  static_cast<long long>(stats.stall_min_silence_us),
-                  err != nullptr ? err : "ok");
-      if (err != nullptr) {
-        ++failures;
-      }
-    }
-  }
-  return failures;
-}
-
-// Mid-flight deadline cells (PR 10), against a packable (unmasked, uniform
-// shape) batch held in flight by a stall. All-lapsed: every member deadlined
-// and lapsed -> the batch is cancelled at a step boundary (one cancelled
-// forward) and released kDeadlineExceeded without completing. Partial-lapse:
-// a mixed batch must complete for the survivors' sake — lapsed members are
-// marked at egress, survivors stay bitwise identical to the fault-free run.
-int ChaosInflightDeadlineCells(const PlannedTransformerStack& stack, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<ServeRequest> requests(4);
-  for (ServeRequest& req : requests) {
-    req.x = Tensor::Random({8, 32}, rng);
-  }
-  std::vector<ServeOutcome> baseline;
-  {
-    FaultInjectionConfig off;
-    ScopedFaultInjection guard(off);
-    ScopedNumThreads one_thread(1);
-    ServingEngineOptions opt;
-    opt.num_streams = 1;
-    opt.batch_window = 1;
-    ServingEngine engine(stack, opt);
-    baseline = engine.ServeWithStatus(requests);
-  }
-
-  FaultInjectionConfig stall;
-  stall.enabled = true;
-  stall.site_enabled[static_cast<int>(FaultSite::kStall)] = true;
-  stall.rate = 1.0;
-  stall.seed = seed ^ 0xD1Fu;
-  stall.stall_us = 400000;  // holds the batch well past the 100 ms deadlines
-
-  int failures = 0;
-  {
-    for (ServeRequest& req : requests) {
-      req.deadline_us = 100000;
-    }
-    ScopedFaultInjection fault(stall);
-    ScopedNumThreads threads(1);
-    ServingEngineOptions opt;
-    opt.num_streams = 1;
-    opt.batch_window = 4;
-    opt.max_batch_tokens = 48;
-    ServingEngine engine(stack, opt);
-    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
-    const ServingEngineStats& stats = engine.stats();
-    const char* err = nullptr;
-    for (const ServeOutcome& outcome : outcomes) {
-      if (outcome.status != ServeStatus::kDeadlineExceeded || !outcome.output.empty()) {
-        err = "all-lapsed batch member not released kDeadlineExceeded without output";
-      }
-    }
-    if (err == nullptr && stats.cancelled_forwards != 1) {
-      err = "all-lapsed batch was not cancelled as one forward";
-    }
-    if (err == nullptr && stats.timed_out_inflight != static_cast<int64_t>(requests.size())) {
-      err = "timed_out_inflight does not cover the whole batch";
-    }
-    std::printf("chaos cell stack=transformer mode=deadline_inflight_all timed_out=%lld "
-                "cancelled_forwards=%lld %s\n",
-                static_cast<long long>(stats.timed_out_inflight),
-                static_cast<long long>(stats.cancelled_forwards), err != nullptr ? err : "ok");
-    if (err != nullptr) {
-      ++failures;
-    }
-  }
-  {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      requests[i].deadline_us = i % 2 == 0 ? 100000 : 0;
-    }
-    ScopedFaultInjection fault(stall);
-    ScopedNumThreads threads(1);
-    ServingEngineOptions opt;
-    opt.num_streams = 1;
-    opt.batch_window = 4;
-    opt.max_batch_tokens = 48;
-    ServingEngine engine(stack, opt);
-    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
-    const ServingEngineStats& stats = engine.stats();
-    const char* err = nullptr;
-    for (size_t i = 0; err == nullptr && i < outcomes.size(); ++i) {
-      if (i % 2 == 0) {
-        if (outcomes[i].status != ServeStatus::kDeadlineExceeded || !outcomes[i].output.empty()) {
-          err = "lapsed member not marked kDeadlineExceeded at egress";
-        }
-      } else if (outcomes[i].status != ServeStatus::kOk ||
-                 !BitwiseEqual(outcomes[i].output, baseline[i].output)) {
-        err = "surviving member diverged from fault-free baseline";
-      }
-    }
-    if (err == nullptr && stats.cancelled_forwards != 0) {
-      err = "mixed batch was cancelled in flight";
-    }
-    std::printf("chaos cell stack=transformer mode=deadline_inflight_partial timed_out=%lld "
-                "cancelled_forwards=%lld %s\n",
-                static_cast<long long>(stats.timed_out_inflight),
-                static_cast<long long>(stats.cancelled_forwards), err != nullptr ? err : "ok");
-    if (err != nullptr) {
-      ++failures;
-    }
-  }
-  return failures;
-}
-
-int RunChaos(uint64_t seed) {
-  Rng rng(seed);
-  Rng build_rng(seed ^ 0x5DEECE66DULL);
-  const PlannedTransformerStack transformer(/*layers=*/2, /*hidden=*/32, /*heads=*/4,
-                                            /*ffn_hidden=*/96, build_rng);
-  const PlannedFfnStack ffn(/*layers=*/3, /*hidden=*/16, /*ffn_hidden=*/64, build_rng);
-  const ChaosTraffic transformer_traffic = BuildChaosTraffic(32, /*transformer=*/true, seed + 1);
-  const ChaosTraffic ffn_traffic = BuildChaosTraffic(16, /*transformer=*/false, seed + 2);
-
-  int64_t fired_by_site[kNumFaultSites] = {};
-  int failures = 0;
-  // The required matrix, dense: every site x streams {1,4} x threads {1,4,7},
-  // on both stack families.
-  failures += ChaosMatrix("transformer", transformer, transformer_traffic, /*use_pit=*/false,
-                          {1, 4, 7}, rng, fired_by_site);
-  failures += ChaosMatrix("ffn", ffn, ffn_traffic, /*use_pit=*/false, {1, 4, 7}, rng,
-                          fired_by_site);
-  // PIT slice: kernel selection sees the packed tile, so the reference is
-  // batched single-stream replay at identical composition (ChaosBaseline).
-  failures += ChaosMatrix("ffn_pit", ffn, ffn_traffic, /*use_pit=*/true, {4}, rng, fired_by_site);
-  failures += ChaosOverloadCell(transformer, transformer_traffic, rng);
-  // PR 10 liveness cells: watchdog-supervised stalls at every cell, and
-  // mid-flight deadline enforcement on all-lapsed vs mixed batches.
-  failures += ChaosStallMatrix(transformer, transformer_traffic, rng, fired_by_site);
-  failures += ChaosInflightDeadlineCells(transformer, seed + 3);
-  for (int site = 0; site < kNumFaultSites; ++site) {
-    if (fired_by_site[site] == 0) {
-      std::printf("chaos site=%s never fired across its cells (tap unwired?)\n",
-                  FaultSiteName(static_cast<FaultSite>(site)));
-      ++failures;
-    }
-  }
-  std::printf("chaos=%s\n", failures == 0 ? "ok" : "fail");
-  return failures == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -759,13 +293,11 @@ int main(int argc, char** argv) {
     PrintIsa();
   } else if (cmd == "verify") {
     return PrintVerify();
-  } else if (cmd == "chaos") {
-    return RunChaos(argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 137ULL);
   } else {
     std::printf("usage:\n  pitctl devices\n  pitctl tiledb [fp16]\n  pitctl kernels [fp16]\n"
                 "  pitctl rules \"C[m,n] += A[m,k] * B[k,n]\" [operand]\n"
                 "  pitctl plan <m> <k> <n> <gm> <gn> <sparsity>\n  pitctl isa\n"
-                "  pitctl verify\n  pitctl chaos [seed]\n");
+                "  pitctl verify\n");
     return cmd.empty() ? 1 : (cmd == "help" ? 0 : 1);
   }
   return 0;
