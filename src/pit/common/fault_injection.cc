@@ -47,12 +47,6 @@ bool StepProbeSlow() {
 
 const char* FaultSiteName(FaultSite site) {
   switch (site) {
-    case FaultSite::kPlanCompile:
-      return "plan_compile";
-    case FaultSite::kContextAcquire:
-      return "context_acquire";
-    case FaultSite::kBatchPack:
-      return "batch_pack";
     case FaultSite::kKernelDispatch:
       return "kernel_dispatch";
     case FaultSite::kStall:

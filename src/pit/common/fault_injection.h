@@ -1,15 +1,15 @@
-// Deterministic fault injection for the serving stack's containment ladder.
+// Deterministic fault injection for the serving engine's one retry rung.
 //
 // The library's baseline contract is fail-fast on misuse (check.h), but the
-// serving engine additionally promises *graceful degradation* for transient
-// data-dependent failures: a plan compile that must be retried, a context
-// pool that is exhausted, a batch pack that cannot proceed, a kernel dispatch
-// that dies mid-replay. Those paths are unreachable from well-formed inputs
-// by construction, so this module makes them reachable on demand: seeded,
-// site-keyed probes that "fail" deterministically at a configured rate, so
-// the serving suites (tests/serving_engine_test.cc) can prove the degradation
-// ladder ends in a definite per-request ServeStatus — never an abort, never
-// a lost request, never divergent bits for requests that still succeed.
+// serving engine additionally promises that a forward stopped mid-replay by a
+// kernel-dispatch failure never loses or corrupts a request: it retries the
+// forward once at identical composition and, if that fails too, ends it with
+// a definite kInternal. Well-formed inputs never reach that path, so this
+// module makes it reachable on demand: seeded, site-keyed probes that "fail"
+// deterministically at a configured rate, so the serving suites
+// (tests/serving_engine_test.cc) can prove the rung ends in a definite
+// per-request ServeStatus — never an abort, never a lost request, never
+// divergent bits for requests that still succeed.
 //
 // Determinism contract: the k-th probe of a site fires iff
 // mix(seed, site, k) < rate (a pure function). Probe indices are claimed from
@@ -22,17 +22,17 @@
 // Probes only fire inside an *armed* scope (ScopedFaultArming, installed by
 // the ServingEngine around its stream workers): an installed config perturbs
 // serving-engine traffic only, not every plan replay in the process. Probes
-// inside a *retry-immune* scope (the engine's degradation rungs) are skipped
-// unless the config's fail_retries flag is set: by default injected faults
-// model transient failures, so every rung terminates; tests opt into
-// persistent faults to exercise kInternal.
+// inside a *retry-immune* scope (the engine's retry) are skipped unless the
+// config's fail_retries flag is set: by default injected faults model
+// transient failures, so every retry succeeds; tests opt into persistent
+// faults to exercise kInternal.
 //
 // Configure in code only, with SetFaultConfig or the ScopedFaultInjection
 // RAII guard; there is no environment knob.
 //
-// The stall site is the liveness counterpart of the failure sites: a fired
-// probe makes a stream worker sleep for `stall_us` (a seeded wedge, not an
-// error), so watchdog detection and in-flight deadline enforcement become
+// The stall site is the liveness counterpart of the kernel-dispatch site: a
+// fired probe makes a stream worker sleep for `stall_us` (a seeded wedge, not
+// an error), so watchdog detection and in-flight deadline enforcement become
 // provable. Because a stall is a delay rather than a failure, it never enters
 // the engine's fault ledger.
 #ifndef PIT_COMMON_FAULT_INJECTION_H_
@@ -43,33 +43,31 @@
 namespace pit {
 
 // The seams a fault can be injected into. Sites are keyed independently: a
-// config enables any set of sites, and each site draws from its own
+// config enables either or both, and each site draws from its own
 // deterministic probe sequence.
 enum class FaultSite : int {
-  kPlanCompile = 0,     // building a stream's plan+context set (ServingEngine)
-  kContextAcquire = 1,  // acquiring a stream's execution contexts (ServingEngine)
-  kBatchPack = 2,       // packing a ragged batch (ServingEngine)
-  kKernelDispatch = 3,  // dispatching a plan step (ExecutionPlan replay)
-  kStall = 4,           // seeded sleep inside a stream worker (liveness tests)
+  kKernelDispatch = 0,  // dispatching a plan step (ExecutionPlan replay)
+  kStall = 1,           // seeded sleep inside a stream worker (liveness tests)
 };
-inline constexpr int kNumFaultSites = 5;
+inline constexpr int kNumFaultSites = 2;
 
-// Human-readable site name ("plan_compile", ...), for logs and test traces.
+// Human-readable site name ("kernel_dispatch", "stall"), for logs and test
+// traces.
 const char* FaultSiteName(FaultSite site);
 
 struct FaultInjectionConfig {
   bool enabled = false;
-  bool site_enabled[kNumFaultSites] = {false, false, false, false, false};
+  bool site_enabled[kNumFaultSites] = {false, false};
   double rate = 0.0;  // fire probability per probe, in (0, 1] when enabled
   uint64_t seed = 0;
   // Sleep duration of a fired stall probe, microseconds. Long enough by
   // default that the default-tick watchdog provably detects the wedge;
   // tests dial it down to keep wall time bounded.
   int64_t stall_us = 50000;
-  // Evaluate probes inside retry-immune scopes too, so a retried operation
-  // can fail again and the terminal kInternal rung becomes reachable. Off by
-  // default: injected faults then model *transient* failures, so every
-  // degradation ladder provably terminates in success.
+  // Evaluate probes inside retry-immune scopes too, so a retried forward can
+  // fail again and the terminal kInternal outcome becomes reachable. Off by
+  // default: injected faults then model *transient* failures, so every retry
+  // provably succeeds.
   bool fail_retries = false;
 };
 
@@ -101,7 +99,7 @@ bool StepProbeSlow();
 // Per-step probe for the ExecutionPlan replay loop: when a kernel-dispatch
 // fault fires (or one already fired earlier in this forward), the replay must
 // stop dispatching steps and return — the engine consumes the pending fault
-// and owns the retry/fallback ladder. Near-free when disarmed.
+// and owns the retry. Near-free when disarmed.
 inline bool FaultStepProbe() {
   return fault_internal::tls_armed && fault_internal::StepProbeSlow();
 }
@@ -130,9 +128,9 @@ class ScopedFaultArming {
   bool saved_;
 };
 
-// Marks the calling thread's current operation as a degradation rung (a
-// retry or fallback attempt): probes are skipped inside, unless the config's
-// fail_retries flag asks for persistent faults. Nestable.
+// Marks the calling thread's current operation as a retry: probes are
+// skipped inside, unless the config's fail_retries flag asks for persistent
+// faults. Nestable.
 class ScopedFaultRetryImmunity {
  public:
   ScopedFaultRetryImmunity();

@@ -25,7 +25,7 @@
 //   * on every plan compile, in every build, aborting loudly on any
 //     violation (a plan compiles once and replays many times, so this is one
 //     pass per compiled plan, never one per replay),
-//   * on demand through VerifyPlan() (tests, `pitctl verify`).
+//   * on demand through VerifyPlan() (tests/plan_verifier_test.cc).
 #ifndef PIT_GRAPH_PLAN_VERIFIER_H_
 #define PIT_GRAPH_PLAN_VERIFIER_H_
 
@@ -80,7 +80,7 @@ struct PlanVerifyReport {
   bool ok() const { return violations_total == 0; }
   bool Has(PlanViolationKind kind) const;
   // Multi-line human-readable report (summary line + one line per stored
-  // violation), the payload of `pitctl verify` and of verification aborts.
+  // violation), the payload of verification aborts and test-failure messages.
   std::string ToString() const;
 };
 

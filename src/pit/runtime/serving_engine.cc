@@ -8,12 +8,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
 #include "pit/common/check.h"
@@ -89,10 +87,8 @@ std::string ServingEngineStats::ToString() const {
      << " (in_flight=" << timed_out_inflight << ") "
      << ServeStatusName(ServeStatus::kCancelled) << "=" << cancelled
      << "; faults=" << faults_injected << " retries=" << retries
-     << " degraded=" << degraded_forwards << " internal=" << internal_failures
-     << " cancelled_forwards=" << cancelled_forwards
-     << "; stalls_injected=" << stalls_injected << " stalls_detected=" << stalls_detected
-     << " stall_silence_us=[" << stall_min_silence_us << ", " << stall_max_silence_us << "]}";
+     << " internal=" << internal_failures << " cancelled_forwards=" << cancelled_forwards
+     << "; stalls_injected=" << stalls_injected << " stalls_detected=" << stalls_detected << "}";
   return os.str();
 }
 
@@ -134,10 +130,9 @@ struct ServingEngine::StreamState {
   // This stream's share of the engine's lifetime ledgers, written only by
   // the stream's own worker and summed by ServeWithStatus after the workers
   // joined. The fault ledger reconciles across streams: faults ==
-  // retries + degraded + internal.
+  // retries + internal.
   int64_t faults = 0;
   int64_t retries = 0;
-  int64_t degraded = 0;
   int64_t internal = 0;
   int64_t timed_out_queued = 0;    // shed by the claim-time deadline sweep
   int64_t timed_out_inflight = 0;  // lapsed after their batch was claimed
@@ -261,8 +256,8 @@ void ServingEngine::WatchdogLoop() {
   for (Observed& o : seen) {
     o.since_us = start_us;
   }
-  // Tick at a quarter of the threshold so detection lands well inside the
-  // acceptance bound of 2x the threshold even with scheduling slop.
+  // Tick at a quarter of the threshold, so a stall is detected within 1.25x
+  // the threshold of real silence (plus scheduling slop).
   const int64_t tick_us = std::max<int64_t>(watchdog_us_ / 4, 100);
   std::unique_lock<std::mutex> lock(watchdog_mu_);
   while (!watchdog_stop_) {
@@ -289,10 +284,6 @@ void ServingEngine::WatchdogLoop() {
       }
       o.reported = true;
       ++stalls_detected_;
-      if (stall_min_silence_us_ == 0 || silence_us < stall_min_silence_us_) {
-        stall_min_silence_us_ = silence_us;
-      }
-      stall_max_silence_us_ = std::max(stall_max_silence_us_, silence_us);
       const int64_t rows = stream.hb_rows.load(std::memory_order_relaxed);
       std::fprintf(stderr,
                    "[PIT WATCHDOG] stream %d stalled: replaying %lld rows, step %llu, "
@@ -339,61 +330,37 @@ ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
   return ServeStatus::kOk;
 }
 
-bool ServingEngine::ReplayStack(StreamState& stream, int64_t rows) {
+void ServingEngine::ReplayStack(StreamState& stream, int64_t rows) {
   PitCompiler* compiler = compiler_.get();
-  // One ladder for both stacks: the stack stream, its builder and the replay
-  // call are the only stack-specific parts.
-  const auto replay = [&](auto& pooled, auto make, auto forward) {
-    // Capacity only ever grows, so a stream rebuilds at most once per
-    // doubling of the longest request.
-    const int64_t capacity = std::max(pooled.tokens, CapacityFor(rows, max_batch_tokens_));
-    std::optional<std::remove_reference_t<decltype(pooled)>> transient;
-    auto* acquired = &pooled;
-    if (FaultProbe(FaultSite::kContextAcquire)) {
-      // Context-exhaustion rung: degrade to a transient stream over the same
-      // shared plans — identical bits (the plans are immutable and shared;
-      // only the private contexts are fresh), nothing pinned once the
-      // forward completes, and the pooled stream itself is left untouched.
-      ++stream.faults;
-      ++stream.degraded;
-      ScopedFaultRetryImmunity immune;
-      acquired = &transient.emplace(make(capacity));
-    } else if (rows <= pooled.tokens) {
+  // The stack stream, its builder and the replay call are the only
+  // stack-specific parts.
+  const auto replay = [&](auto& stack_stream, auto make, auto forward) {
+    if (rows <= stack_stream.tokens) {
       ++stream.bucket_counters[rows].plan_hits;
     } else {
-      // First use, or a request longer than the capacity: (re)build.
+      // First use, or a request longer than the capacity: (re)build. Capacity
+      // only ever grows, so a stream rebuilds at most once per doubling of
+      // the longest request.
       ++stream.bucket_counters[rows].plan_misses;
-      if (FaultProbe(FaultSite::kPlanCompile)) {
-        // Transient compile failure: retry the build once.
-        ++stream.faults;
-        ++stream.retries;
-        ScopedFaultRetryImmunity immune;
-        if (FaultProbe(FaultSite::kPlanCompile)) {
-          // Persistent (fail_retries configs only): keep the old stream and
-          // surface the failure to the caller's ladder.
-          ++stream.faults;
-          return false;
-        }
-      }
-      pooled = make(capacity);
+      stack_stream = make(CapacityFor(rows, max_batch_tokens_));
     }
-    acquired->SetCancelToken(&stream.cancel);
-    forward(*acquired);
-    return true;
+    stack_stream.SetCancelToken(&stream.cancel);
+    forward(stack_stream);
   };
   if (transformer_ != nullptr) {
-    return replay(
+    replay(
         stream.transformer,
         [&](int64_t capacity) { return transformer_->MakeStream(capacity, false, use_pit_); },
-        [&](PlannedTransformerStack::Stream& acquired) {
-          acquired.SetAttentionSegments(stream.segments);
-          transformer_->ForwardWith(acquired, stream.x, nullptr, compiler, &stream.out, rows);
+        [&](PlannedTransformerStack::Stream& stack_stream) {
+          stack_stream.SetAttentionSegments(stream.segments);
+          transformer_->ForwardWith(stack_stream, stream.x, nullptr, compiler, &stream.out, rows);
         });
+    return;
   }
-  return replay(
+  replay(
       stream.ffn, [&](int64_t capacity) { return ffn_->MakeStream(capacity, use_pit_); },
-      [&](PlannedFfnStack::Stream& acquired) {
-        ffn_->ForwardWith(acquired, stream.x, compiler, &stream.out, rows);
+      [&](PlannedFfnStack::Stream& stack_stream) {
+        ffn_->ForwardWith(stack_stream, stream.x, compiler, &stream.out, rows);
       });
 }
 
@@ -462,25 +429,22 @@ bool ServingEngine::ForwardSpan(StreamState& stream, const std::vector<ServeRequ
     off += len;
   }
   // Each request attends only within its own segment, under its own mask.
-  if (!ReplayStack(stream, rows)) {
-    stream.cancel.ClearDeadline();
-    return false;  // injected compile double-fault; the caller retries once
-  }
+  ReplayStack(stream, rows);
   const bool manual_cancel = stream.cancel.cancelled_manual();
   const bool batch_lapsed = all_deadlined && stream.cancel.deadline_lapsed();
   stream.cancel.ClearDeadline();
   if (ConsumeFaultPending()) {
     // Kernel-dispatch fault mid-replay: staging holds garbage; scatter
-    // nothing. The fired probe is compensated by the caller's next rung (the
-    // identical retry, or terminal failure). A fired cancel token makes the
-    // retry exit at replay entry, so the ladder re-lands here immediately
-    // with no fault pending.
+    // nothing. The fired probe is compensated by the caller's identical
+    // retry or its terminal failure. A fired cancel token makes the retry
+    // exit at replay entry, so it re-lands here immediately with no fault
+    // pending.
     ++stream.faults;
     return false;
   }
   if (manual_cancel) {
     // Drain cut the batch mid-replay: every member resolves kCancelled —
-    // a definitive outcome, not a degradation rung.
+    // a definitive outcome, not a failure to retry.
     for (const int64_t idx : span) {
       outcomes[static_cast<size_t>(idx)].status = ServeStatus::kCancelled;
     }
@@ -537,14 +501,11 @@ void ServingEngine::ServeSpan(StreamState& stream, const std::vector<ServeReques
                               const std::vector<int64_t>& deadline_abs,
                               std::vector<ServeOutcome>& outcomes,
                               std::vector<int64_t>& bucket_of) {
-  // One ladder for both stacks and every window: a failed forward (the
-  // batch_pack probe, a plan-compile double fault or a kernel-dispatch fault)
-  // is retried once at identical composition — same span, same rows, same
-  // kernels, so the retry is bitwise invisible for dense and PIT alike. A
-  // second failure is terminal.
-  if (FaultProbe(FaultSite::kBatchPack)) {
-    ++stream.faults;
-  } else if (ForwardSpan(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
+  // One rung for both stacks and every window: a forward stopped by a
+  // kernel-dispatch fault is retried once at identical composition — same
+  // span, same rows, same kernels, so the retry is bitwise invisible for
+  // dense and PIT alike. A second failure is terminal.
+  if (ForwardSpan(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
     return;
   }
   ++stream.retries;
@@ -776,7 +737,7 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
 
   // Every claim ends in a definite status, and queued-but-unclaimed requests
   // (possible only under Drain) already hold kCancelled, so nothing leaves
-  // here with the kInternal default unless a ladder genuinely exhausted.
+  // here with the kInternal default unless a retry genuinely failed.
   // Outputs are allocated only at egress for kOk members, so the structured
   // contract (output iff kOk) holds without a sweep here.
   std::vector<int64_t> ok_buckets;
@@ -817,7 +778,6 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
   stats_.stalls_injected = total(&StreamState::stalls_injected);
   stats_.faults_injected = total(&StreamState::faults);
   stats_.retries = total(&StreamState::retries);
-  stats_.degraded_forwards = total(&StreamState::degraded);
   stats_.internal_failures = total(&StreamState::internal);
   for (int s = 0; s < num_streams_; ++s) {
     stats_.per_stream_requests[static_cast<size_t>(s)] = streams_[static_cast<size_t>(s)]->requests;
@@ -825,8 +785,6 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
   {
     std::lock_guard<std::mutex> lock(watchdog_mu_);
     stats_.stalls_detected = stalls_detected_;
-    stats_.stall_min_silence_us = stall_min_silence_us_;
-    stats_.stall_max_silence_us = stall_max_silence_us_;
   }
   // Pool gauges: a stream's stack stream is only ever replaced by a larger
   // one, so the pinned footprint is whatever the streams hold now.

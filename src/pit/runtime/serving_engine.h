@@ -68,19 +68,19 @@
 // failures* are contained at the request boundary and reported as a
 // per-request ServeStatus: admission validates shape, mask dimensions and
 // finiteness up front (kInvalidArgument), a bounded admission queue sheds
-// overflow (kRejectedOverload), a deadline sweep sheds requests whose latency
-// budget lapsed while queued (kDeadlineExceeded), and injected or transient
-// infrastructure faults ride one degradation ladder for both stacks and every
-// batch window — retry a failed plan compile once, fall back to a transient
-// unpooled stream on context exhaustion, and retry a failed forward (pack,
-// compile double fault, kernel dispatch) once at identical composition —
-// that ends in kOk or, only under persistent injected faults, kInternal.
-// A rejected request is excluded from its packed batch without perturbing
-// batchmates: the PR 6 contract makes per-request outputs independent of
-// batch composition, so every degradation rung is bitwise invisible to the
-// surviving requests. The fault taps themselves live in
-// common/fault_injection.h (configured in code) and fire only inside the
-// engine's stream workers.
+// overflow (kRejectedOverload), and a deadline sweep sheds requests whose
+// latency budget lapsed while queued (kDeadlineExceeded). Past admission, a
+// forward can stop mid-replay at one seam only, a kernel dispatch: a stream's
+// one stack stream is built on first use (a plan build succeeds or aborts)
+// and a batch pack is a row copy. A stopped forward takes one rung for both
+// stacks and every batch window — it is retried once at identical
+// composition — and ends in kOk or, only under persistent injected faults,
+// kInternal. A rejected request is excluded from its packed batch without
+// perturbing batchmates: ragged batching makes per-request outputs
+// independent of batch composition, and the retry replays the same span at
+// the same rows, so it is bitwise invisible to every request. The fault taps
+// themselves live in common/fault_injection.h (configured in code) and fire
+// only inside the engine's stream workers.
 //
 // Liveness (PR 10): fault containment alone still hangs when work *stops*
 // instead of failing, so the engine carries the liveness half of isolation.
@@ -131,7 +131,7 @@ enum class ServeStatus {
   kInvalidArgument = 1,   // rejected at admission: shape/mask/finiteness
   kDeadlineExceeded = 2,  // latency budget lapsed (queued, mid-replay, or at egress)
   kRejectedOverload = 3,  // shed by the bounded admission queue
-  kInternal = 4,          // degradation ladder exhausted (persistent faults)
+  kInternal = 4,          // the retried forward failed again (persistent faults)
   kCancelled = 5,         // engine drained: in-flight work cut, queued work
                           // released unserved, or Serve called after Drain
 };
@@ -263,11 +263,11 @@ struct ServingEngineStats {
   double p50_latency_us = 0.0;   // nearest-rank percentiles (PercentileNearestRank)
   double p99_latency_us = 0.0;
   // Fault-containment accounting (lifetime). The injected-fault ledger
-  // reconciles exactly: faults_injected == retries + degraded_forwards +
-  // internal_failures — every injected fault is compensated by exactly one
-  // retry, one degraded (but successful) forward, or one terminal internal
-  // failure. internal_failures counts terminal *forwards*; a packed forward
-  // that dies maps to one internal failure but fails every request in it.
+  // reconciles exactly: faults_injected == retries + internal_failures —
+  // every injected fault is compensated by exactly one retry or one terminal
+  // internal failure. internal_failures counts terminal *forwards*; a packed
+  // forward that dies maps to one internal failure but fails every request
+  // in it.
   int64_t rejected_invalid = 0;   // admission rejections (kInvalidArgument)
   int64_t rejected_overload = 0;  // queue shed (kRejectedOverload)
   int64_t timed_out = 0;          // all kDeadlineExceeded requests (sweep + in-flight)
@@ -282,17 +282,12 @@ struct ServingEngineStats {
   // deadline lapsed mid-replay, or drain) instead of completing.
   int64_t cancelled_forwards = 0;
   // Liveness supervision: stall-site probes that fired in this engine's
-  // workers (seeded sleeps), watchdog detections, and the min/max silence
-  // the watchdog observed at detection time (microseconds; the
-  // detection-latency bound the liveness tests assert against).
+  // workers (seeded sleeps) and watchdog detections.
   int64_t stalls_injected = 0;
   int64_t stalls_detected = 0;
-  int64_t stall_min_silence_us = 0;
-  int64_t stall_max_silence_us = 0;
   int64_t faults_injected = 0;    // fault-injection probes that fired in this engine
-  int64_t retries = 0;            // same-composition retry rungs taken
-  int64_t degraded_forwards = 0;  // transient-context rungs taken (context_acquire)
-  int64_t internal_failures = 0;  // forwards whose ladder exhausted (kInternal)
+  int64_t retries = 0;            // same-composition retries taken
+  int64_t internal_failures = 0;  // forwards whose retry failed too (kInternal)
   // Context/arena pool accounting: each stream pins one context per layer
   // at its capacity once it has served a request, and all of them replay in
   // one arena sized to the stream's largest layer plan; high-water marks
@@ -380,19 +375,15 @@ class ServingEngine {
   // cancel token and — transformer stacks — its bound attention segments.
   // The stack stream is built on first use, at the capacity (max_batch_tokens
   // on the power-of-two grid), and grown when `rows` exceeds it; the hit or
-  // miss is tallied under `rows`. Carries two infrastructure fault taps: a
-  // context-acquire fault degrades to a transient stream over the same shared
-  // plans (same bits, nothing pinned afterwards); a plan-compile fault
-  // retries the build once. False when the retried build failed again
-  // (persistent faults; the old stack stream stays). A kernel-dispatch fault
-  // stays pending for ForwardSpan.
-  bool ReplayStack(StreamState& stream, int64_t rows);
+  // miss is tallied under `rows`. A kernel-dispatch fault stays pending for
+  // ForwardSpan.
+  void ReplayStack(StreamState& stream, int64_t rows);
   // Serves the span's requests (original indices) through ForwardSpan under
-  // the one degradation ladder, for both stacks and every batch window: a
-  // failed forward (batch_pack probe, compile double fault, kernel dispatch
-  // fault) is retried once at identical composition; a second failure ends
-  // every member kInternal. `deadline_abs` maps every original request index
-  // to its absolute lapse time (CancelToken::kNoDeadline for none).
+  // the one retry rung, for both stacks and every batch window: a forward
+  // stopped by a kernel-dispatch fault is retried once at identical
+  // composition; a second failure ends every member kInternal.
+  // `deadline_abs` maps every original request index to its absolute lapse
+  // time (CancelToken::kNoDeadline for none).
   void ServeSpan(StreamState& stream, const std::vector<ServeRequest>& requests,
                  const std::vector<int64_t>& span, const std::vector<int64_t>& deadline_abs,
                  std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
@@ -405,11 +396,10 @@ class ServingEngine {
   // kDeadlineExceeded without the forward completing); otherwise the forward
   // completes and members whose own budget lapsed are marked at egress
   // without scattering, so surviving outputs stay bitwise identical to
-  // fault-free 1:1 replay. Returns false when a rung inside failed (injected
-  // compile double-fault or kernel dispatch fault) — staging contents are
-  // then undefined and nothing was scattered; ServeSpan decides the next
-  // rung. Cancellation and lapse are definitive outcomes (true), never
-  // ladder rungs.
+  // fault-free 1:1 replay. Returns false only when a kernel-dispatch fault
+  // is pending — staging contents are then undefined and nothing was
+  // scattered; ServeSpan decides whether to retry. Cancellation and lapse are
+  // definitive outcomes (true), never retried.
   bool ForwardSpan(StreamState& stream, const std::vector<ServeRequest>& requests,
                    const std::vector<int64_t>& span, const std::vector<int64_t>& deadline_abs,
                    std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
@@ -435,7 +425,7 @@ class ServingEngine {
   // The supervision thread's body: every ~watchdog_us_/4 it compares each
   // mid-request stream's heartbeat counter against the last observation;
   // a stream silent past watchdog_us_ is flagged once per stall episode
-  // (diagnostic to stderr, stall counters; PIT_CHECK abort under
+  // (diagnostic to stderr, stalls_detected; PIT_CHECK abort under
   // WatchdogMode::kAbort).
   void WatchdogLoop();
   void StopWatchdog();
@@ -465,11 +455,9 @@ class ServingEngine {
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  // guarded by watchdog_mu_
-  // Watchdog detections and the min/max silence observed at detection
-  // (lifetime), written by the watchdog thread; guarded by watchdog_mu_.
+  // Watchdog detections (lifetime), written by the watchdog thread; guarded
+  // by watchdog_mu_.
   int64_t stalls_detected_ = 0;
-  int64_t stall_min_silence_us_ = 0;
-  int64_t stall_max_silence_us_ = 0;
   // Drain/lifecycle synchronization: draining_ stops span claiming (workers
   // poll it at claim boundaries) and permanently rejects later Serves;
   // serve_active_/serve_cv_ let Drain wait for in-flight Serve calls to exit

@@ -174,17 +174,22 @@ TEST(PlanVerifierTest, FusedAndPitFfnPlansHaveZeroViolations) {
 
 TEST(PlanVerifierTest, TokenPolymorphicCapacityPlansHaveZeroViolations) {
   // The plans a serving stream compiles at its capacity and replays at every
-  // smaller row count: encoder layers and FFN stacks, dense and PIT.
+  // smaller row count: encoder layers and FFN stacks, dense and PIT, at a
+  // small capacity and at the engine's default 512 rows.
   Rng rng(806);
   TransformerEncoderLayer layer(32, 4, 96, rng);
   PlannedFfnStack ffn(2, 32, 96, rng);
-  for (const bool pit : {false, true}) {
-    std::vector<std::shared_ptr<ExecutionPlan>> plans = ffn.MakeStream(64, pit).plans;
-    plans.push_back(layer.MakeStream(64, /*masked=*/false, pit).plan);
-    for (const auto& plan : plans) {
-      EXPECT_TRUE(plan->token_polymorphic());
-      const PlanVerifyReport report = Verify(*plan);
-      EXPECT_TRUE(report.ok()) << (pit ? "pit: " : "dense: ") << report.ToString();
+  for (const int64_t capacity : {64, 512}) {
+    for (const bool pit : {false, true}) {
+      SCOPED_TRACE(std::string(pit ? "pit" : "dense") + " capacity " + std::to_string(capacity));
+      std::vector<std::shared_ptr<ExecutionPlan>> plans = ffn.MakeStream(capacity, pit).plans;
+      plans.push_back(layer.MakeStream(capacity, /*masked=*/false, pit).plan);
+      for (const auto& plan : plans) {
+        EXPECT_TRUE(plan->token_polymorphic());
+        EXPECT_EQ(plan->token_extent(), capacity);
+        const PlanVerifyReport report = Verify(*plan);
+        EXPECT_TRUE(report.ok()) << report.ToString();
+      }
     }
   }
   Graph g = BuildFfnGraph(48, 16, 64, rng);

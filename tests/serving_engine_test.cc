@@ -1058,7 +1058,7 @@ TEST(FaultContainmentTest, OverloadShedsBeyondQueueCapacityDeterministically) {
     EXPECT_EQ(engine.stats().rejected_overload, (pass + 1) * (n - kQueue));
   }
 
-  // Under transient batch_pack faults, with an invalid request in the
+  // Under transient kernel_dispatch faults, with an invalid request in the
   // traffic: the queue still sheds exactly the valid requests beyond its
   // capacity, the invalid one still rejects, and the admitted ones stay
   // bitwise.
@@ -1067,7 +1067,7 @@ TEST(FaultContainmentTest, OverloadShedsBeyondQueueCapacityDeterministically) {
   nan_req.x = mix.requests[0].x;
   nan_req.x[1] = std::nanf("");
   traffic.insert(traffic.begin() + 1, std::move(nan_req));
-  ScopedFaultInjection fault(FaultSite::kBatchPack, 0.75, /*seed=*/423);
+  ScopedFaultInjection fault(FaultSite::kKernelDispatch, 0.75, /*seed=*/423);
   ScopedNumThreads threads(4);
   ServingEngine faulted(stack, options);
   const std::vector<ServeOutcome> outcomes = faulted.ServeWithStatus(traffic);
@@ -1219,8 +1219,8 @@ TEST(FaultContainmentTest, AdmissionRejectsEveryNonFiniteAndAdmitsExtremeFinites
 }
 
 // Traffic for the transient-fault sweep: ragged lengths, a request longer
-// than the sweep's max_batch_tokens (its stream grows under plan_compile
-// faults), three leading requests with a day-long deadline (their spans arm
+// than the sweep's max_batch_tokens (its stream grows while faults fire),
+// three leading requests with a day-long deadline (their spans arm
 // the stream's cancel token), one with extreme finite values, and three
 // adversarial requests that reject at admission, faults or not: NaN
 // activations, a bad mask (wrong dimensions on a transformer, any mask on an
@@ -1285,9 +1285,9 @@ SweepTraffic BuildSweepTraffic(int64_t hidden, bool transformer, uint64_t seed) 
 }
 
 // The forwards a run dispatched, per replayed row count: {bucket, batches,
-// requests, packed rows}. Stream and thread counts never change it, and the
-// degradation ladder retries a failed forward at identical composition, so
-// faults must not change it either.
+// requests, packed rows}. Stream and thread counts never change it, and a
+// forward stopped by a fault is retried at identical composition, so faults
+// must not change it either.
 std::vector<std::array<int64_t, 4>> Composition(const ServingEngineStats& stats) {
   std::vector<std::array<int64_t, 4>> rows;
   for (const ServingBucketStats& b : stats.buckets) {
@@ -1305,9 +1305,8 @@ std::vector<std::array<int64_t, 4>> Composition(const ServingEngineStats& stats)
 // single-stream replay at identical composition for PIT, whose kernel
 // selection sees the packed tile; the forwards' composition must match the
 // fault-free run's; and the ledger must reconcile exactly — every injected
-// fault compensated by one retry or one degraded forward, whose only rung is
-// the transient context. A stall is a delay, not a failure: it leaves the
-// fault ledger empty. Every site must fire somewhere in the sweep.
+// fault compensated by one retry. A stall is a delay, not a failure: it
+// leaves the fault ledger empty. Every site must fire somewhere in the sweep.
 TEST(FaultContainmentTest, EverySiteTransientFaultSweepStaysBitwise) {
   Rng wr(451);
   const PlannedTransformerStack transformer(2, 32, 4, 96, wr);
@@ -1384,10 +1383,7 @@ TEST(FaultContainmentTest, EverySiteTransientFaultSweepStaysBitwise) {
                 EXPECT_GT(stats.faults_injected, 0);
               }
               EXPECT_EQ(stats.internal_failures, 0);
-              EXPECT_EQ(stats.faults_injected, stats.retries + stats.degraded_forwards);
-              if (static_cast<FaultSite>(site) != FaultSite::kContextAcquire) {
-                EXPECT_EQ(stats.degraded_forwards, 0);
-              }
+              EXPECT_EQ(stats.faults_injected, stats.retries);
             }
           }
         }
@@ -1412,9 +1408,9 @@ TEST(FaultContainmentTest, EverySiteTransientFaultSweepStaysBitwise) {
   }
 }
 
-// Persistent faults (fail_retries: the retry rung fails too) must exhaust the
-// ladder into per-request kInternal — never an abort, never a hung request —
-// and the engine must serve clean bitwise traffic again once injection stops.
+// Persistent kernel-dispatch faults (fail_retries: the retry fails too) must
+// end every request kInternal — never an abort, never a hung request — and
+// the engine must serve clean bitwise traffic again once injection stops.
 TEST(FaultContainmentTest, PersistentFaultsEndInInternalThenRecover) {
   Rng wr(461);
   PlannedTransformerStack stack(2, 32, 4, 96, wr);
@@ -1429,31 +1425,27 @@ TEST(FaultContainmentTest, PersistentFaultsEndInInternalThenRecover) {
       ServingEngine engine(stack, options);
       clean = engine.ServeWithStatus(mix.requests);
     }
-    for (FaultSite site : {FaultSite::kPlanCompile, FaultSite::kKernelDispatch}) {
-      SCOPED_TRACE(FaultSiteName(site));
-      ServingEngine engine(stack, options);
-      {
-        ScopedFaultInjection fault(site, 1.0, /*seed=*/77, /*fail_retries=*/true);
-        const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
-        for (const ServeOutcome& outcome : outcomes) {
-          EXPECT_EQ(outcome.status, ServeStatus::kInternal);
-          EXPECT_TRUE(outcome.output.empty());
-        }
-        const ServingEngineStats& stats = engine.stats();
-        EXPECT_GT(stats.internal_failures, 0);
-        EXPECT_EQ(stats.faults_injected,
-                  stats.retries + stats.degraded_forwards + stats.internal_failures);
-      }
-      // Injection scope gone: the same engine must recover to clean bits.
-      const std::vector<ServeOutcome> recovered = engine.ServeWithStatus(mix.requests);
-      for (size_t i = 0; i < recovered.size(); ++i) {
-        ASSERT_EQ(recovered[i].status, ServeStatus::kOk);
-        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(recovered[i].output, clean[i].output));
+    ServingEngine engine(stack, options);
+    {
+      ScopedFaultInjection fault(FaultSite::kKernelDispatch, 1.0, /*seed=*/77,
+                                 /*fail_retries=*/true);
+      const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
+      for (const ServeOutcome& outcome : outcomes) {
+        EXPECT_EQ(outcome.status, ServeStatus::kInternal);
+        EXPECT_TRUE(outcome.output.empty());
       }
       const ServingEngineStats& stats = engine.stats();
-      EXPECT_EQ(stats.faults_injected,
-                stats.retries + stats.degraded_forwards + stats.internal_failures);
+      EXPECT_GT(stats.internal_failures, 0);
+      EXPECT_EQ(stats.faults_injected, stats.retries + stats.internal_failures);
     }
+    // Injection scope gone: the same engine must recover to clean bits.
+    const std::vector<ServeOutcome> recovered = engine.ServeWithStatus(mix.requests);
+    for (size_t i = 0; i < recovered.size(); ++i) {
+      ASSERT_EQ(recovered[i].status, ServeStatus::kOk);
+      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(recovered[i].output, clean[i].output));
+    }
+    const ServingEngineStats& stats = engine.stats();
+    EXPECT_EQ(stats.faults_injected, stats.retries + stats.internal_failures);
   }
 }
 
@@ -1555,15 +1547,13 @@ TEST(LivenessTest, PartialLapseMarksLapsedAtEgressAndKeepsSurvivorsBitwise) {
 }
 
 // Watchdog in report mode, at every streams {1, 4} x threads {1, 4, 7} cell:
-// each stalled stream (silent past the threshold) must be detected, with a
-// measured silence inside (threshold, 2x threshold], and tallied without
-// perturbing results — every request still completes kOk and bitwise
-// identical to the clean run, and the stalls stay out of the fault ledger.
-// The measured silence starts at the watchdog's first tick after the
-// stream's last heartbeat, so it cannot show how coarse the ticks are; the
-// stall length does. The watchdog ticks at a quarter of the threshold, so
-// it detects a stall within 1.25x the threshold of real silence (plus
-// scheduling slop): every stall of 1.6x the threshold must be caught.
+// each stalled stream (silent past the threshold) must be detected and
+// tallied without perturbing results — every request still completes kOk and
+// bitwise identical to the clean run, and the stalls stay out of the fault
+// ledger. The stall length bounds detection latency: the watchdog ticks at a
+// quarter of the threshold, so it detects a stall within 1.25x the threshold
+// of real silence (plus scheduling slop), and every stall of 1.6x the
+// threshold must be caught.
 TEST(LivenessTest, WatchdogDetectsStallInReportModeWithoutPerturbingResults) {
   constexpr int64_t kWatchdogUs = 40000;
   Rng wr(491);
@@ -1595,11 +1585,8 @@ TEST(LivenessTest, WatchdogDetectsStallInReportModeWithoutPerturbingResults) {
       const ServingEngineStats& stats = engine.stats();
       EXPECT_EQ(stats.stalls_injected, static_cast<int64_t>(requests.size()));
       EXPECT_EQ(stats.stalls_detected, stats.stalls_injected);
-      EXPECT_GT(stats.stall_min_silence_us, kWatchdogUs);
-      EXPECT_LE(stats.stall_max_silence_us, 2 * kWatchdogUs);
-      EXPECT_GE(stats.stall_max_silence_us, stats.stall_min_silence_us);
       EXPECT_EQ(stats.faults_injected, 0);
-      EXPECT_EQ(stats.retries + stats.degraded_forwards + stats.internal_failures, 0);
+      EXPECT_EQ(stats.retries + stats.internal_failures, 0);
 
       // Stats rendering carries the liveness counters.
       const std::string rendered = stats.ToString();
