@@ -299,11 +299,12 @@ int main(int argc, char** argv) {
                          {"threads", NumThreads()}});
   }
 
-  {  // Satellite: masked-softmax span skipping at the active tier vs the
-     // reference backend's unskipped full-row loop (block-diagonal mask of 16
-     // ragged-serving-style spans — 1/16 of each row unmasked, so the skip
-     // should approach the density ratio). One thread on both sides: the
-     // reference backend runs serially, so the ratio is the skip alone.
+  {  // Satellite: masked softmax at the active tier (one lane-predicated
+     // row kernel call per row; 8-column chunks with no live lane skip the
+     // exp and the divide) vs the reference backend's full-row loop
+     // (block-diagonal mask of 16 ragged-serving-style spans — 1/16 of each
+     // row unmasked). One thread on both sides: the reference backend runs
+     // serially, so the ratio is the kernel's alone.
     Tensor t = Tensor::Random({2048, 2048}, rng);
     Tensor mask = BlockDiagonalMask(2048, 16);
     const ConstTensorView maskv(mask);

@@ -3,7 +3,8 @@
 // the CSR/BSR baselines. These measure the *reference implementation*, not
 // simulated GPU time — useful to track regressions in the library itself.
 // BM_GemmServingShapes reports GemmF32's GFLOP/s at the serving benchmark's
-// GEMM shapes on the detected ISA tier and pinned to AVX2.
+// GEMM shapes on the detected ISA tier and pinned to AVX2;
+// BM_SoftmaxServingRows reports SoftmaxInto's time per row the same way.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -16,6 +17,7 @@
 #include "pit/core/sread_swrite.h"
 #include "pit/sparse/csr.h"
 #include "pit/tensor/ops.h"
+#include "pit/workloads/attention_masks.h"
 
 namespace pit {
 namespace {
@@ -151,6 +153,50 @@ BENCHMARK(BM_GemmServingShapes)
     ->ArgsProduct({{39}, {32}, {39}, {0, 1}})
     ->ArgsProduct({{97}, {32}, {97}, {0, 1}})
     ->ArgsProduct({{97}, {97}, {32}, {0, 1}});
+
+// Args: n, masked, pin_avx2 (0: detected tier). SoftmaxInto over a [32, n]
+// score block, as segment attention calls it on one 32-row block of a
+// request of length n; masked rows are 32 rows spread over the request's
+// Longformer mask (16-wide window, 2 global tokens: pitbench's
+// xf_short_masked_packed masks). One thread; time/row is per softmax row.
+void BM_SoftmaxServingRows(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const bool masked = state.range(1) != 0;
+  const bool pin_avx2 = state.range(2) != 0;
+  if (pin_avx2 && DetectedIsa() == IsaTier::kScalar) {
+    state.SkipWithError("no AVX2+FMA on this machine");
+    return;
+  }
+  ScopedBackend backend(ComputeBackend::kBlocked);
+  ScopedIsa isa(pin_avx2 ? IsaTier::kAvx2 : DetectedIsa());
+  ScopedNumThreads one(1);
+  constexpr int64_t kRows = 32;
+  Rng rng(10);
+  const Tensor scores = Tensor::Random({kRows, n}, rng, -4.0f, 4.0f);
+  const Tensor longformer = LongformerMask({n, 16, 2}, rng);
+  Tensor mask({kRows, n});
+  for (int64_t i = 0; i < kRows; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      mask.At(i, j) = longformer.At(i * n / kRows, j);
+    }
+  }
+  const ConstTensorView mask_view(mask);
+  Tensor out({kRows, n});
+  for (auto _ : state) {
+    SoftmaxInto(scores, masked ? &mask_view : nullptr, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(IsaName(ActiveIsa()));
+  state.counters["time/row"] =
+      benchmark::Counter(static_cast<double>(kRows) * static_cast<double>(state.iterations()),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+// n: mnli's mean length (39) and its 8-aligned neighbour (40), a short and a
+// ragged row, the 128-token bucket, and a long alpaca-style row.
+BENCHMARK(BM_SoftmaxServingRows)
+    ->ArgNames({"n", "masked", "avx2"})
+    ->ArgsProduct({{16, 39, 40, 100, 128, 512}, {0, 1}, {0, 1}});
 
 }  // namespace
 }  // namespace pit

@@ -1,8 +1,6 @@
 #include "pit/common/simd_kernels.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 
 #include "pit/common/check.h"
 
@@ -234,10 +232,7 @@ PIT_TARGET_AVX512 void GemmTile8x32MaskedAvx512(const float* a, int64_t lda, con
 
 // Cephes-style expf: range-reduce by log2(e), 5th-order polynomial on the
 // remainder, scale by 2^n through the exponent bits. ~2 ulp over the clamped
-// range. The scalar mirror below runs the exact same fma chain (fmaf lowers
-// to vfmadd under the target attribute), so tail elements equal what a
-// vector lane would have produced — per-element values are position
-// independent.
+// range.
 constexpr float kExpHi = 88.3762626647950f;
 constexpr float kExpLo = -87.3365478515625f;
 constexpr float kLog2E = 1.44269504088896341f;
@@ -271,31 +266,6 @@ PIT_TARGET_AVX2 inline __m256 ExpPoly8(__m256 x) {
   return _mm256_mul_ps(y, _mm256_castsi256_ps(pow2));
 }
 
-// Scalar mirror of ExpPoly8: same clamps (min/max lane semantics), same fma
-// chain, same exponent-bit 2^n.
-PIT_TARGET_AVX2 inline float ExpPoly1(float x) {
-  x = x < kExpHi ? x : kExpHi;
-  x = x > kExpLo ? x : kExpLo;
-  float fx = __builtin_fmaf(x, kLog2E, 0.5f);
-  fx = std::floor(fx);
-  x -= fx * kLn2Hi;
-  x -= fx * kLn2Lo;
-  const float z = x * x;
-  float y = kExpP0;
-  y = __builtin_fmaf(y, x, kExpP1);
-  y = __builtin_fmaf(y, x, kExpP2);
-  y = __builtin_fmaf(y, x, kExpP3);
-  y = __builtin_fmaf(y, x, kExpP4);
-  y = __builtin_fmaf(y, x, kExpP5);
-  y = __builtin_fmaf(y, z, x);
-  y += 1.0f;
-  const int32_t n = static_cast<int32_t>(fx);
-  const uint32_t bits = static_cast<uint32_t>(n + 127) << 23;
-  float pow2;
-  std::memcpy(&pow2, &bits, sizeof(pow2));
-  return y * pow2;
-}
-
 // ---- Row kernels (AVX2, shared by both SIMD tiers) --------------------------
 
 PIT_TARGET_AVX2 inline float HorizontalSum8(__m256 v) {
@@ -316,56 +286,83 @@ PIT_TARGET_AVX2 inline float HorizontalMax8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-PIT_TARGET_AVX2 float RowMaxAvx2(const float* x, int64_t n) {
-  constexpr float kNegInf = -__builtin_inff();
-  float maxv = kNegInf;
-  int64_t i = 0;
-  if (n >= 8) {
-    __m256 acc = _mm256_set1_ps(kNegInf);
-    for (; i + 8 <= n; i += 8) {
-      acc = _mm256_max_ps(acc, _mm256_loadu_ps(x + i));
+// One softmax row, three passes over absolute 8-column chunks: max, then
+// exp(x - max) and its sum, then divide. A lane is live iff it lies inside
+// [0, n) and mask[j] != 0.0f (_CMP_NEQ_UQ, the scalar loop's test: -0.0f
+// masks a column, NaN does not); a dead lane or a raw -inf score writes +0.
+// A chunk with no live lane skips the exp and the divide: it writes zeros and
+// adds nothing to the lane sums, which are >= +0, so skipping is exact. The
+// row's partial last chunk (kTail) moves through vmaskmov, so no lane reads
+// or writes past the row. Lane sums group columns by absolute index mod 8, so
+// shifting a row by o columns (a packed request at offset o of a
+// block-diagonal tile) rotates the lanes but keeps each lane's adds in order;
+// HorizontalSum8's butterfly (lane i with i+4, then i+2, then i+1) maps onto
+// itself under rotation, and IEEE add commutes, so the row's sum and outputs
+// are bitwise the same at any offset.
+template <bool kTail>
+PIT_TARGET_AVX2 inline __m256 Load8(const float* p, __m256i in) {
+  return kTail ? _mm256_maskload_ps(p, in) : _mm256_loadu_ps(p);
+}
+
+template <bool kTail>
+PIT_TARGET_AVX2 inline void Store8(float* p, __m256i in, __m256 v) {
+  kTail ? _mm256_maskstore_ps(p, in, v) : _mm256_storeu_ps(p, v);
+}
+
+// The chunk at column j. Pass 0 folds its live scores into acc (max); pass 1
+// writes its exps and adds them into acc (sum), with v = max; pass 2 divides
+// by v = sum.
+template <int kPass, bool kTail>
+PIT_TARGET_AVX2 inline void SoftmaxChunk8(const float* x, const float* mask, int64_t j,
+                                          __m256i in, __m256 v, float* out, __m256& acc) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 ninf = _mm256_set1_ps(-__builtin_inff());
+  __m256 live = mask == nullptr ? _mm256_castsi256_ps(in)
+                                : _mm256_cmp_ps(Load8<kTail>(mask + j, in), zero, _CMP_NEQ_UQ);
+  if (kPass == 0) {
+    acc = _mm256_max_ps(acc, _mm256_blendv_ps(ninf, Load8<kTail>(x + j, in), live));
+  } else if (_mm256_testz_ps(live, live)) {
+    if (kPass == 1) {
+      Store8<kTail>(out + j, in, zero);
     }
-    maxv = HorizontalMax8(acc);
+  } else if (kPass == 2) {
+    Store8<kTail>(out + j, in, _mm256_div_ps(Load8<kTail>(out + j, in), v));
+  } else {
+    const __m256 s = Load8<kTail>(x + j, in);
+    live = _mm256_and_ps(live, _mm256_cmp_ps(s, ninf, _CMP_NEQ_OQ));
+    // Dead lanes get exp(0): an -inf argument would leave the clamped
+    // polynomial as a subnormal, and each one costs a microcode assist.
+    const __m256 e = _mm256_and_ps(live, ExpPoly8(_mm256_and_ps(live, _mm256_sub_ps(s, v))));
+    Store8<kTail>(out + j, in, e);
+    acc = _mm256_add_ps(acc, e);
   }
-  for (; i < n; ++i) {
-    maxv = std::max(maxv, x[i]);
-  }
-  return maxv;
 }
 
-PIT_TARGET_AVX2 float ExpSumAvx2(const float* x, int64_t n, float maxv, float* out) {
-  constexpr float kNegInf = -__builtin_inff();
-  const __m256 vneg_inf = _mm256_set1_ps(kNegInf);
-  const __m256 vmax = _mm256_set1_ps(maxv);
+template <int kPass>
+PIT_TARGET_AVX2 inline void SoftmaxPass8(const float* x, const float* mask, int64_t n, __m256 v,
+                                         float* out, __m256& acc) {
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    SoftmaxChunk8<kPass, false>(x, mask, j, _mm256_set1_epi32(-1), v, out, acc);
+  }
+  if (j < n) {
+    const __m256i in = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - j)),
+                                          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    SoftmaxChunk8<kPass, true>(x, mask, j, in, v, out, acc);
+  }
+}
+
+PIT_TARGET_AVX2 void SoftmaxRowAvx2(const float* x, const float* mask, int64_t n, float* out) {
+  __m256 vmax = _mm256_set1_ps(-__builtin_inff());
+  SoftmaxPass8<0>(x, mask, n, vmax, out, vmax);
+  const float maxv = HorizontalMax8(vmax);
+  if (maxv == -__builtin_inff()) {  // fully masked: the row is all zeros
+    std::fill(out, out + n, 0.0f);
+    return;
+  }
   __m256 vsum = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    // A raw -inf score must contribute exactly 0, the scalar oracle's
-    // convention (clamped poly exp would give ~1e-38 instead).
-    const __m256 is_ninf = _mm256_cmp_ps(v, vneg_inf, _CMP_EQ_OQ);
-    const __m256 e = _mm256_andnot_ps(is_ninf, ExpPoly8(_mm256_sub_ps(v, vmax)));
-    _mm256_storeu_ps(out + i, e);
-    vsum = _mm256_add_ps(vsum, e);
-  }
-  float sum = n >= 8 ? HorizontalSum8(vsum) : 0.0f;
-  for (; i < n; ++i) {
-    const float e = x[i] == kNegInf ? 0.0f : ExpPoly1(x[i] - maxv);
-    out[i] = e;
-    sum += e;
-  }
-  return sum;
-}
-
-PIT_TARGET_AVX2 void DivInplaceAvx2(float* x, int64_t n, float denom) {
-  const __m256 vd = _mm256_set1_ps(denom);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_div_ps(_mm256_loadu_ps(x + i), vd));
-  }
-  for (; i < n; ++i) {
-    x[i] /= denom;
-  }
+  SoftmaxPass8<1>(x, mask, n, _mm256_set1_ps(maxv), out, vsum);
+  SoftmaxPass8<2>(x, mask, n, _mm256_set1_ps(HorizontalSum8(vsum)), out, vsum);
 }
 
 PIT_TARGET_AVX2 void AddAvx2(const float* a, const float* b, float* c, int64_t n) {
@@ -490,9 +487,8 @@ PIT_TARGET_AVX2 void CopyAvx2(const float* src, float* dst, int64_t n) {
 
 const GemmKernels kGemmAvx2{GemmTile4x16Avx2, nullptr, nullptr, GemmEdgeFma};
 const GemmKernels kGemmAvx512{nullptr, GemmTile8x32Avx512, GemmTile8x32MaskedAvx512, nullptr};
-const RowKernels kRowAvx2{RowMaxAvx2, ExpSumAvx2, DivInplaceAvx2, AddAvx2,      ReluAvx2,
-                          ScaleAvx2,  SumAvx2,    SqDiffSumAvx2,  NormalizeAvx2, SpanNonZeroAvx2,
-                          CopyAvx2};
+const RowKernels kRowAvx2{SoftmaxRowAvx2, AddAvx2,       ReluAvx2,        ScaleAvx2, SumAvx2,
+                          SqDiffSumAvx2,  NormalizeAvx2, SpanNonZeroAvx2, CopyAvx2};
 
 }  // namespace
 

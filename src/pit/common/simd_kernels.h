@@ -19,15 +19,15 @@
 //    at a tenth of the full tiles' rate. The AVX2 tier deliberately keeps its
 //    4x16 and scalar edge tiles: they are the independent kernels both
 //    AVX-512 tiles are tested against.
-//  - RowKernels: row/segment primitives for softmax (max / exp-sum / divide),
-//    layernorm (sum / squared-diff sum / normalize), the elementwise kernels
+//  - RowKernels: row primitives for softmax (one call per row), layernorm
+//    (sum / squared-diff sum / normalize), the elementwise kernels
 //    (add/relu/scale), the detector's span-nonzero scan, and the row-gather
 //    copy. All lane across the column dimension. add/relu/scale/copy and
 //    span_nonzero perform per-lane IEEE ops with no reduction, so they are
-//    bitwise equal to the scalar tier. row_max is an exact reduction (max is
-//    associative). exp_sum uses a polynomial exp and a lane-grouped sum,
-//    sum/sqdiff_sum are lane-grouped: tolerance vs scalar, deterministic for
-//    a fixed span length. Both SIMD tiers share the AVX2 row kernels.
+//    bitwise equal to the scalar tier. softmax_row groups its sum by absolute
+//    column (lane j % 8 of the row) and uses a polynomial exp; sum/sqdiff_sum
+//    are lane-grouped: tolerance vs the scalar tier, deterministic for a
+//    fixed row length. Both SIMD tiers share the AVX2 row kernels.
 //
 // All intrinsics live in simd_kernels.cc behind function-level
 // __attribute__((target(...))), so this TU builds even when the global flags
@@ -71,17 +71,15 @@ struct GemmKernels {
 };
 
 struct RowKernels {
-  // max over x[0:n) (exact; -inf identity seed like the scalar loop).
-  float (*row_max)(const float* x, int64_t n);
-  // out[i] = poly_exp(x[i] - maxv), with x[i] == -inf blended to exactly 0
-  // (the scalar oracle's masked-lane convention); returns sum(out). Every
-  // element — vector lane or tail — runs the identical fma polynomial, so
-  // per-element values are position-independent; only the returned sum is
-  // lane-grouped.
-  float (*exp_sum)(const float* x, int64_t n, float maxv, float* out);
-  // x[i] /= denom in place (per-lane IEEE division, bitwise equal to the
-  // scalar divide given the same inputs).
-  void (*div_inplace)(float* x, int64_t n, float denom);
+  // out[0:n) = softmax of x[0:n) over its live columns, where column j is
+  // live iff mask is null or mask[j] != 0.0f (so -0.0f masks it). Dead
+  // columns, and live ones whose score is -inf, get exactly +0; a row with
+  // no live finite score is all +0. Loads and stores stay inside [0, n) and
+  // out may alias x. Per-lane exp and divide are position-independent; the
+  // max is exact and the sum is grouped by absolute column, so a row's
+  // result depends only on its own scores and mask, and is bitwise the same
+  // when the row is shifted by any offset inside a wider, masked row.
+  void (*softmax_row)(const float* x, const float* mask, int64_t n, float* out);
   // Elementwise c = a + b / c = max(a, 0) / c = a * factor: bitwise equal to
   // the scalar loops.
   void (*add)(const float* a, const float* b, float* c, int64_t n);

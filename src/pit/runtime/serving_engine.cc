@@ -243,19 +243,20 @@ void ServingEngine::StopWatchdog() {
 
 void ServingEngine::WatchdogLoop() {
   // Per-stream observation the watchdog keeps for itself: the heartbeat
-  // count it last saw, when it saw it change (on the watchdog's own clock,
-  // so no cross-thread timestamp races), and whether the current silence
-  // episode was already reported (one detection per episode).
+  // count and mid-request flag it last saw, the tick that first saw the
+  // stream's last progress (a new count, or a request starting; on the
+  // watchdog's own clock, so no cross-thread timestamp races), and whether
+  // the current silence episode was already reported (one detection per
+  // episode). That progress came after the tick before since_us, so the
+  // real silence lies in now - since_us .. now - since_us + tick (plus the
+  // watchdog's wake-up slop).
   struct Observed {
     uint64_t count = 0;
+    bool active = false;
     int64_t since_us = 0;
     bool reported = false;
   };
   std::vector<Observed> seen(static_cast<size_t>(num_streams_));
-  const int64_t start_us = SteadyNowUs();
-  for (Observed& o : seen) {
-    o.since_us = start_us;
-  }
   // Tick at a quarter of the threshold, so a stall is detected within 1.25x
   // the threshold of real silence (plus scheduling slop).
   const int64_t tick_us = std::max<int64_t>(watchdog_us_ / 4, 100);
@@ -271,9 +272,12 @@ void ServingEngine::WatchdogLoop() {
       StreamState& stream = *streams_[static_cast<size_t>(s)];
       Observed& o = seen[static_cast<size_t>(s)];
       const uint64_t count = stream.heartbeat.load(std::memory_order_relaxed);
-      if (!stream.hb_active.load(std::memory_order_acquire) || count != o.count) {
-        // Idle, or progressing: reset the episode baseline.
+      const bool active = stream.hb_active.load(std::memory_order_acquire);
+      if (!active || !o.active || count != o.count) {
+        // Idle, starting a request, or progressing: reset the episode
+        // baseline.
         o.count = count;
+        o.active = active;
         o.since_us = now_us;
         o.reported = false;
         continue;
@@ -287,14 +291,15 @@ void ServingEngine::WatchdogLoop() {
       const int64_t rows = stream.hb_rows.load(std::memory_order_relaxed);
       std::fprintf(stderr,
                    "[PIT WATCHDOG] stream %d stalled: replaying %lld rows, step %llu, "
-                   "silent %lld us (threshold %lld us, mode %s)\n",
+                   "silent %lld..%lld us (threshold %lld us, mode %s)\n",
                    s, static_cast<long long>(rows), static_cast<unsigned long long>(count),
-                   static_cast<long long>(silence_us), static_cast<long long>(watchdog_us_),
+                   static_cast<long long>(silence_us), static_cast<long long>(silence_us + tick_us),
+                   static_cast<long long>(watchdog_us_),
                    watchdog_mode_ == WatchdogMode::kAbort ? "abort" : "report");
       if (watchdog_mode_ == WatchdogMode::kAbort) {
         PIT_CHECK(false) << "PIT WATCHDOG (abort mode): stream " << s << " stalled (replaying "
-                         << rows << " rows, step " << count << ", silent " << silence_us
-                         << " us > threshold " << watchdog_us_ << " us)";
+                         << rows << " rows, step " << count << ", silent " << silence_us << ".."
+                         << silence_us + tick_us << " us, threshold " << watchdog_us_ << " us)";
       }
     }
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "pit/common/backend.h"
@@ -424,120 +423,48 @@ void SoftmaxInto(ConstTensorView a, const ConstTensorView* mask, TensorView c) {
         << "softmax mask must match the input rows or its trailing plane";
   }
   constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-  // Resolved once per call: vector row kernels under a SIMD tier, and span
-  // skipping for masked rows under the blocked backend. Skipping is exact —
-  // a masked column contributes -inf to the max and +0.0f to the sum, both
-  // identities, and its 0-write equals the oracle's 0/sum — so the scalar
-  // skip path is bitwise equal to the unskipped loop. The vector kernels run
-  // span-relative (lanes grouped from each span's start), so a packed
-  // request row (one block-diagonal span at offset o) is bitwise identical
-  // to the same request served 1:1 at offset 0.
+  // Under a SIMD tier each row is one softmax_row call: masked columns are
+  // dead vector lanes, not spans. Its sum is grouped by absolute column, so
+  // a row's bits depend only on its own scores and mask row, and a packed
+  // request's row inside a block-diagonal tile is bitwise the same request's
+  // row run from column 0 (as segment attention runs it), at every tier.
+  // Both SIMD tiers give the same bits, and the scalar tier's std::exp and
+  // sequential sum match them within tolerance. The scalar loop below is the
+  // scalar tier and the reference backend's oracle.
   const simd::RowKernels* rk = ActiveRowKernels();
-  const bool skip = mask != nullptr && UseBlockedBackend();
-  // Rows are independent; per-row math is identical to the reference loop.
   ParallelFor(m, GrainOrSerial(m, std::max<int64_t>(1, kElemGrain / (4 * std::max<int64_t>(1, n)))),
               [&](int64_t i0, int64_t i1) {
-                thread_local std::vector<std::pair<int64_t, int64_t>> spans;
                 for (int64_t i = i0; i < i1; ++i) {
                   const float* arow = a.data() + i * n;
                   float* crow = c.data() + i * n;
                   const float* mrow =
                       mask != nullptr ? mask->data() + (i % mask_rows) * n : nullptr;
-                  if ((mrow != nullptr && !skip) || (mrow == nullptr && rk == nullptr)) {
-                    // Scalar full-row loop: the reference backend's oracle,
-                    // and the differential oracle for the span path.
-                    float maxv = kNegInf;
-                    for (int64_t j = 0; j < n; ++j) {
-                      const float v = (mrow && mrow[j] == 0.0f) ? kNegInf : arow[j];
-                      maxv = std::max(maxv, v);
-                    }
-                    if (maxv == kNegInf) {
-                      // Fully-masked row is all-zero; the output may be a
-                      // dirty arena slice, so write the zeros explicitly.
-                      for (int64_t j = 0; j < n; ++j) {
-                        crow[j] = 0.0f;
-                      }
-                      continue;
-                    }
-                    float sum = 0.0f;
-                    for (int64_t j = 0; j < n; ++j) {
-                      const float v = (mrow && mrow[j] == 0.0f) ? kNegInf : arow[j];
-                      const float e = v == kNegInf ? 0.0f : std::exp(v - maxv);
-                      crow[j] = e;
-                      sum += e;
-                    }
-                    for (int64_t j = 0; j < n; ++j) {
-                      crow[j] /= sum;
-                    }
+                  if (rk != nullptr) {
+                    rk->softmax_row(arow, mrow, n, crow);
                     continue;
                   }
-                  // Span path: process the row as its maximal runs of
-                  // unmasked columns (one [0, n) span when unmasked); the
-                  // fully-masked gaps write zeros without touching exp.
-                  spans.clear();
-                  if (mrow == nullptr) {
-                    spans.emplace_back(0, n);
-                  } else {
-                    for (int64_t j = 0; j < n;) {
-                      while (j < n && mrow[j] == 0.0f) {
-                        ++j;
-                      }
-                      const int64_t s = j;
-                      while (j < n && mrow[j] != 0.0f) {
-                        ++j;
-                      }
-                      if (j > s) {
-                        spans.emplace_back(s, j);
-                      }
-                    }
-                  }
                   float maxv = kNegInf;
-                  for (const auto& [s, e] : spans) {
-                    if (rk != nullptr) {
-                      maxv = std::max(maxv, rk->row_max(arow + s, e - s));
-                    } else {
-                      for (int64_t j = s; j < e; ++j) {
-                        maxv = std::max(maxv, arow[j]);
-                      }
-                    }
+                  for (int64_t j = 0; j < n; ++j) {
+                    const float v = (mrow && mrow[j] == 0.0f) ? kNegInf : arow[j];
+                    maxv = std::max(maxv, v);
                   }
                   if (maxv == kNegInf) {
-                    // Fully masked (or all unmasked scores -inf): all-zero
-                    // row, written explicitly for dirty arena slices.
+                    // Fully-masked row is all-zero; the output may be a dirty
+                    // arena slice, so write the zeros explicitly.
                     for (int64_t j = 0; j < n; ++j) {
                       crow[j] = 0.0f;
                     }
                     continue;
                   }
                   float sum = 0.0f;
-                  int64_t prev = 0;
-                  for (const auto& [s, e] : spans) {
-                    for (int64_t j = prev; j < s; ++j) {
-                      crow[j] = 0.0f;
-                    }
-                    if (rk != nullptr) {
-                      sum += rk->exp_sum(arow + s, e - s, maxv, crow + s);
-                    } else {
-                      for (int64_t j = s; j < e; ++j) {
-                        const float ev =
-                            arow[j] == kNegInf ? 0.0f : std::exp(arow[j] - maxv);
-                        crow[j] = ev;
-                        sum += ev;
-                      }
-                    }
-                    prev = e;
+                  for (int64_t j = 0; j < n; ++j) {
+                    const float v = (mrow && mrow[j] == 0.0f) ? kNegInf : arow[j];
+                    const float e = v == kNegInf ? 0.0f : std::exp(v - maxv);
+                    crow[j] = e;
+                    sum += e;
                   }
-                  for (int64_t j = prev; j < n; ++j) {
-                    crow[j] = 0.0f;
-                  }
-                  for (const auto& [s, e] : spans) {
-                    if (rk != nullptr) {
-                      rk->div_inplace(crow + s, e - s, sum);
-                    } else {
-                      for (int64_t j = s; j < e; ++j) {
-                        crow[j] /= sum;
-                      }
-                    }
+                  for (int64_t j = 0; j < n; ++j) {
+                    crow[j] /= sum;
                   }
                 }
               });

@@ -84,11 +84,14 @@ void TransposeInto(ConstTensorView a, int axis0, int axis1, TensorView c);
 // Row-wise softmax over the last axis of a rank-2 or rank-3 tensor; `mask`
 // may be null. A rank-2 mask under a rank-3 input broadcasts over axis 0
 // (one [tokens, tokens] attention mask shared by every head). `c` may alias
-// `a` but must not alias the mask. Under the blocked backend each masked row
-// runs as its maximal runs of unmasked columns: fully-masked spans skip the
-// max/exp/sum work and write zeros (block-diagonal ragged-batch masks zero
-// most of every row). Skipping is exact, so the scalar tier is bitwise equal
-// to the reference backend's full-row loop.
+// `a` but must not alias the mask. A masked (0 or -0.0f) column, or a -inf
+// score, gets exactly +0, and a row with no live finite score is all +0.
+// Under a SIMD tier each row is one vector kernel call whose masked columns
+// are dead lanes (8-column chunks with no live lane skip the exp and the
+// divide): bitwise equal across the AVX2 and AVX-512 tiers, within tolerance
+// of the scalar tier, which runs the reference backend's full-row loop. At
+// every tier a request's rows inside a block-diagonal packed tile are bitwise
+// its rows run alone from column 0.
 void SoftmaxInto(ConstTensorView a, const ConstTensorView* mask, TensorView c);
 // LayerNorm over the last axis of a 2-D tensor; gamma/beta are [n]. `c` may
 // alias `a` (each row's statistics are read before the row is rewritten).

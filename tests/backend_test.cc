@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -591,11 +592,12 @@ TEST(IsaTierTest, DetectorAndRowGathersBitwiseEqualScalarTier) {
 }
 
 TEST(IsaTierTest, SoftmaxMaskSkipDifferential) {
-  // Span skipping must be invisible in the results at any tier: exactly so at
-  // the scalar tier (a masked column contributes the identity to both the max
-  // and the sum), tolerance/ULP at a SIMD tier (the skip path runs the
-  // span-relative vector kernels, the reference backend runs the unskipped
-  // scalar row loop).
+  // Skipping masked columns must be invisible in the results at any tier:
+  // exactly so at the scalar tier (the blocked backend runs the reference
+  // backend's full-row loop), tolerance/ULP at a SIMD tier (one softmax_row
+  // call per row, whose masked columns are dead lanes and whose chunks with
+  // no live lane skip the exp and the divide — exact, since a masked column
+  // contributes the identity to both the max and the sum).
   Rng rng(560);
   const int64_t tokens = 96;
   Tensor t = Tensor::Random({tokens, tokens}, rng, -6.0f, 6.0f);
@@ -859,6 +861,154 @@ TEST(IsaTierTest, MaskedTilesStayInsideOperands) {
         }
         ASSERT_EQ(std::memcmp(c.data(), want.data(), want.size() * sizeof(float)), 0)
             << "m=" << m << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+// The softmax row kernels keep their loads and stores inside the row: for
+// every n in 1..130, each [n, n] score row, its mask row and its output row
+// end exactly at a PROT_NONE page, under five masks — none, Longformer,
+// all-zero, random 0/1 with -0.0f entries (and some -inf live scores), and
+// rows whose only live scores are -inf. The AVX-512 tier must give the AVX2
+// tier's bits, in place too; every dead lane (masked column or -inf score)
+// must be exactly +0; and both must stay within
+// SoftmaxMatchesScalarTierWithinUlps's bounds of the scalar tier.
+TEST(IsaTierTest, SoftmaxRowKernelsStayInsideOperands) {
+  if (!SimdTierAvailable()) {
+    GTEST_SKIP() << "no SIMD tier on this machine";
+  }
+  ScopedBackend guard(ComputeBackend::kBlocked);
+  ScopedNumThreads one(1);
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  Rng rng(610);
+  for (int64_t n = 1; n <= 130; ++n) {
+    const Tensor base = Tensor::Random({n, n}, rng, -8.0f, 8.0f);
+    const Tensor longformer = LongformerMask({n, /*window=*/8, /*num_global=*/2}, rng);
+    Tensor random = Tensor::Zeros({n, n});
+    Tensor random_scores = base;
+    Tensor neg_inf_scores = base;
+    for (int64_t i = 0; i < n * n; ++i) {
+      const float draw = rng.NextFloat(0.0f, 1.0f);
+      random[i] = draw < 0.5f ? 1.0f : (draw < 0.75f ? 0.0f : -0.0f);
+      if (random[i] != 0.0f) {
+        neg_inf_scores[i] = kNegInf;
+        if (draw < 0.05f) {
+          random_scores[i] = kNegInf;
+        }
+      }
+    }
+    const Tensor zeros = Tensor::Zeros({n, n});
+    const std::pair<const Tensor*, const Tensor*> cases[] = {
+        {&base, nullptr},
+        {&base, &longformer},
+        {&base, &zeros},
+        {&random_scores, &random},
+        {&neg_inf_scores, &random},
+    };
+    for (const auto& [scores, mask] : cases) {
+      const char* what = mask == nullptr           ? "unmasked"
+                         : mask == &longformer     ? "longformer"
+                         : mask == &zeros          ? "all-zero"
+                         : scores == &random_scores ? "random"
+                                                    : "-inf live scores";
+      Tensor scalar;
+      {
+        ScopedIsa isa(IsaTier::kScalar);
+        scalar = Softmax(*scores, mask);
+      }
+      GuardedFloats x(n);
+      GuardedFloats m(n);
+      GuardedFloats out(n);
+      const Shape row{1, n};
+      std::vector<Tensor> results;
+      for (const IsaTier tier : {IsaTier::kAvx2, IsaTier::kAvx512}) {
+        if (static_cast<int>(tier) > static_cast<int>(DetectedIsa())) {
+          continue;
+        }
+        ScopedIsa isa(tier);
+        for (const bool in_place : {false, true}) {
+          Tensor got({n, n});
+          for (int64_t i = 0; i < n; ++i) {
+            std::memcpy(x.data(), scores->data() + i * n, static_cast<size_t>(n) * sizeof(float));
+            if (mask != nullptr) {
+              std::memcpy(m.data(), mask->data() + i * n, static_cast<size_t>(n) * sizeof(float));
+            }
+            const ConstTensorView mask_row(m.data(), row);
+            float* dst = in_place ? x.data() : out.data();
+            SoftmaxInto(ConstTensorView(x.data(), row), mask != nullptr ? &mask_row : nullptr,
+                        TensorView(dst, row));
+            std::memcpy(got.data() + i * n, dst, static_cast<size_t>(n) * sizeof(float));
+          }
+          results.push_back(std::move(got));
+        }
+      }
+      for (const Tensor& got : results) {
+        ASSERT_TRUE(BitwiseEqual(got, results.front()))
+            << what << " n=" << n << ": tiers or in-place runs differ";
+      }
+      const Tensor& got = results.front();
+      for (int64_t i = 0; i < n * n; ++i) {
+        if ((mask != nullptr && (*mask)[i] == 0.0f) || (*scores)[i] == kNegInf) {
+          uint32_t bits;
+          std::memcpy(&bits, got.data() + i, sizeof(bits));
+          ASSERT_EQ(bits, 0u) << what << " n=" << n << ": dead lane " << i << " is not +0";
+        }
+      }
+      EXPECT_TRUE(AllClose(scalar, got, 1e-5f, 1e-7f)) << what << " n=" << n;
+      EXPECT_LE(MaxUlpDiff(scalar, got), 64) << what << " n=" << n;
+    }
+  }
+}
+
+// A packed request's softmax rows are its rows run alone, bit for bit, at
+// every tier: a traced replay of a packed batch runs one block-diagonal tile
+// and must reproduce the serving engine's per-request segments exactly.
+// Offsets 0..9 put the request at every lane residue mod 8; lengths straddle
+// the 8-column chunk edges, unmasked and under a Longformer mask. Columns
+// outside the request's block must be +0.
+TEST(IsaTierTest, SoftmaxPackedRowsBitwiseEqualRequestRows) {
+  ScopedBackend guard(ComputeBackend::kBlocked);
+  Rng rng(620);
+  for (const int64_t t : {1, 5, 8, 9, 16, 39, 50}) {
+    const Tensor scores = Tensor::Random({t, t}, rng, -8.0f, 8.0f);
+    const Tensor longformer = LongformerMask({t, /*window=*/8, /*num_global=*/2}, rng);
+    for (const Tensor* mask : {static_cast<const Tensor*>(nullptr), &longformer}) {
+      for (int64_t off = 0; off <= 9; ++off) {
+        const int64_t width = off + t + 7;
+        Tensor tile = Tensor::Random({t, width}, rng, -8.0f, 8.0f);
+        Tensor block = Tensor::Zeros({t, width});
+        for (int64_t i = 0; i < t; ++i) {
+          for (int64_t j = 0; j < t; ++j) {
+            tile.At(i, off + j) = scores.At(i, j);
+            block.At(i, off + j) = mask != nullptr ? mask->At(i, j) : 1.0f;
+          }
+        }
+        const ConstTensorView block_view(block);
+        for (const IsaTier tier : {IsaTier::kScalar, IsaTier::kAvx2, IsaTier::kAvx512}) {
+          if (static_cast<int>(tier) > static_cast<int>(DetectedIsa())) {
+            continue;
+          }
+          ScopedIsa isa(tier);
+          const Tensor alone = Softmax(scores, mask);
+          Tensor packed({t, width});
+          SoftmaxInto(tile, &block_view, packed);
+          for (int64_t i = 0; i < t; ++i) {
+            const float* row = packed.data() + i * width;
+            ASSERT_EQ(std::memcmp(row + off, alone.data() + i * t,
+                                  static_cast<size_t>(t) * sizeof(float)),
+                      0)
+                << IsaName(tier) << (mask != nullptr ? " longformer" : " unmasked") << " t=" << t
+                << " off=" << off << " row " << i;
+            for (int64_t j = 0; j < width; ++j) {
+              if (j < off || j >= off + t) {
+                uint32_t bits;
+                std::memcpy(&bits, row + j, sizeof(bits));
+                ASSERT_EQ(bits, 0u) << IsaName(tier) << " t=" << t << " off=" << off;
+              }
+            }
+          }
+        }
       }
     }
   }
